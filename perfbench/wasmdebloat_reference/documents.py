@@ -1,0 +1,239 @@
+"""JSON document formats: workloads, traces, reports.
+
+Parsing is strict: unknown keys are rejected and every error carries a
+JSON-path location. i64 values are written as decimal strings because
+plain JSON numbers lose precision past 53 bits; both forms are accepted
+on input. Non-finite floats are written as the strings "nan", "inf",
+"-inf".
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+from .errors import DocumentError
+from .interp import DEFAULT_FUEL, Invocation, Value, Workload
+from .pipeline import DebloatReport, Mismatch, TraceSummary, ValidationVerdict
+from .shrink import ShrinkStats
+
+_INT_RANGES = {
+    "i32": (-(1 << 31), (1 << 32) - 1),
+    "i64": (-(1 << 63), (1 << 64) - 1),
+}
+_FLOAT_STRINGS = {"nan": math.nan, "inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
+
+
+def _require_keys(obj: dict, loc: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    for key in obj:
+        if key not in required and key not in optional:
+            raise DocumentError(loc, f"unknown field {key!r}")
+    for key in required:
+        if key not in obj:
+            raise DocumentError(loc, f"missing field {key!r}")
+
+
+def _plain_int(raw, loc: str) -> int:
+    # bool is an int subclass; JSON true/false must not pass as numbers
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise DocumentError(loc, "expected an integer")
+    return raw
+
+
+def value_from_json(obj, loc: str) -> Value:
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise DocumentError(
+            loc, 'expected a single-key value object like {"i32": 1}'
+        )
+    ((key, raw),) = obj.items()
+    if key in _INT_RANGES:
+        if isinstance(raw, str):
+            if key != "i64":
+                raise DocumentError(loc, f"{key} must be a JSON integer")
+            try:
+                raw = int(raw, 10)
+            except ValueError:
+                raise DocumentError(loc, f"bad i64 literal {raw!r}") from None
+        else:
+            raw = _plain_int(raw, loc)
+        lo, hi = _INT_RANGES[key]
+        if not lo <= raw <= hi:
+            raise DocumentError(loc, f"{key} literal {raw} out of range")
+        return Value.i32(raw) if key == "i32" else Value.i64(raw)
+    if key in ("f32", "f64"):
+        if isinstance(raw, str):
+            if raw not in _FLOAT_STRINGS:
+                raise DocumentError(loc, f"bad {key} literal {raw!r}")
+            x = _FLOAT_STRINGS[raw]
+        elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise DocumentError(loc, f"expected a number for {key}")
+        else:
+            x = float(raw)
+        return Value.f32(x) if key == "f32" else Value.f64(x)
+    raise DocumentError(loc, f"unknown value type {key!r}")
+
+
+def value_to_json(v: Value) -> dict:
+    if v.type == "i32":
+        return {"i32": v.signed()}
+    if v.type == "i64":
+        return {"i64": str(v.signed())}
+    x = v.to_float()
+    if math.isnan(x):
+        return {v.type: "nan"}
+    if math.isinf(x):
+        return {v.type: "inf" if x > 0 else "-inf"}
+    return {v.type: x}
+
+
+def workload_from_document(text: str) -> Workload:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DocumentError(f"line {e.lineno}, column {e.colno}", e.msg) from None
+    if not isinstance(doc, dict):
+        raise DocumentError("$", "workload document must be an object")
+    _require_keys(doc, "$", ("invocations",), ("fuel",))
+
+    invs = doc["invocations"]
+    if not isinstance(invs, list):
+        raise DocumentError("$.invocations", "expected a list")
+    parsed = []
+    for i, inv in enumerate(invs):
+        loc = f"$.invocations[{i}]"
+        if not isinstance(inv, dict):
+            raise DocumentError(loc, "expected an object")
+        _require_keys(inv, loc, ("func",), ("args",))
+        func = inv["func"]
+        if not isinstance(func, str) or not func:
+            raise DocumentError(f"{loc}.func", "expected a non-empty string")
+        raw_args = inv.get("args", [])
+        if not isinstance(raw_args, list):
+            raise DocumentError(f"{loc}.args", "expected a list")
+        args = tuple(
+            value_from_json(a, f"{loc}.args[{j}]") for j, a in enumerate(raw_args)
+        )
+        parsed.append(Invocation(func, args))
+
+    fuel = DEFAULT_FUEL
+    if "fuel" in doc:
+        fuel = _plain_int(doc["fuel"], "$.fuel")
+        if fuel <= 0:
+            raise DocumentError("$.fuel", "fuel must be positive")
+    return Workload(tuple(parsed), fuel)
+
+
+def workload_to_document(w: Workload) -> str:
+    doc = {
+        "invocations": [
+            {"func": inv.func, "args": [value_to_json(a) for a in inv.args]}
+            for inv in w.invocations
+        ],
+        "fuel": w.fuel,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def trace_to_document(trace) -> str:
+    doc = {
+        "entered": sorted(trace.entered),
+        "callTargets": sorted(trace.call_targets),
+        "tableObserved": sorted(trace.table_observed),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def report_to_document(report: DebloatReport) -> str:
+    s = report.stats
+    v = report.validation
+    doc = {
+        "toolVersion": report.tool_version,
+        "timestamp": report.timestamp,
+        "keepRatio": report.keep_ratio,
+        "stubRatio": report.stub_ratio,
+        "removeRatio": report.remove_ratio,
+        "bytesSavedPercent": report.bytes_saved_percent,
+        "stats": {
+            "functionsKeptBody": s.functions_kept_body,
+            "functionsStubbed": s.functions_stubbed,
+            "functionsRemoved": s.functions_removed,
+            "importsRemoved": s.imports_removed,
+            "typesRemoved": s.types_removed,
+            "bytesBefore": s.bytes_before,
+            "bytesAfter": s.bytes_after,
+            "codeBytesBefore": s.code_bytes_before,
+            "codeBytesAfter": s.code_bytes_after,
+        },
+        "traceSummary": {
+            "entered": report.trace_summary.entered,
+            "callTargets": report.trace_summary.call_targets,
+            "tableObserved": report.trace_summary.table_observed,
+        },
+        "validation": {
+            "syntacticOk": v.syntactic_ok,
+            "behavioralOk": v.behavioral_ok,
+            "mismatches": [
+                {
+                    "invocation": mm.invocation_index,
+                    "field": mm.field,
+                    "original": mm.original,
+                    "debloated": mm.debloated,
+                }
+                for mm in v.mismatches
+            ],
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def report_from_document(text: str) -> DebloatReport:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DocumentError(f"line {e.lineno}, column {e.colno}", e.msg) from None
+    if not isinstance(doc, dict):
+        raise DocumentError("$", "report document must be an object")
+    _require_keys(
+        doc,
+        "$",
+        (
+            "toolVersion",
+            "timestamp",
+            "keepRatio",
+            "stubRatio",
+            "removeRatio",
+            "bytesSavedPercent",
+            "stats",
+            "traceSummary",
+            "validation",
+        ),
+    )
+    s = doc["stats"]
+    t = doc["traceSummary"]
+    v = doc["validation"]
+    stats = ShrinkStats(
+        functions_kept_body=s["functionsKeptBody"],
+        functions_stubbed=s["functionsStubbed"],
+        functions_removed=s["functionsRemoved"],
+        imports_removed=s["importsRemoved"],
+        types_removed=s["typesRemoved"],
+        bytes_before=s["bytesBefore"],
+        bytes_after=s["bytesAfter"],
+        code_bytes_before=s["codeBytesBefore"],
+        code_bytes_after=s["codeBytesAfter"],
+    )
+    mismatches = tuple(
+        Mismatch(mm["invocation"], mm["field"], mm["original"], mm["debloated"])
+        for mm in v["mismatches"]
+    )
+    return DebloatReport(
+        stats=stats,
+        keep_ratio=doc["keepRatio"],
+        stub_ratio=doc["stubRatio"],
+        remove_ratio=doc["removeRatio"],
+        bytes_saved_percent=doc["bytesSavedPercent"],
+        trace_summary=TraceSummary(t["entered"], t["callTargets"], t["tableObserved"]),
+        validation=ValidationVerdict(v["syntacticOk"], v["behavioralOk"], mismatches),
+        tool_version=doc["toolVersion"],
+        timestamp=doc["timestamp"],
+    )

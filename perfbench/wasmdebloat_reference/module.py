@@ -1,0 +1,194 @@
+"""In-memory representation of a WebAssembly 1.0 module.
+
+Everything is immutable: the debloater builds rewritten modules by
+constructing fresh instances, never by mutating decoded ones. Instruction
+bodies are tuples of ``Instruction``; block-structured instructions nest
+their bodies inside the ``args`` tuple, so a function body is a tree.
+
+Index spaces follow the binary format: imports come first, then the
+module's own definitions. ``Module.func_type_of`` resolves a combined
+function index to its signature regardless of which side it lives on.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace as _replace
+from typing import Union
+
+__all__ = [
+    "FuncType",
+    "Limits",
+    "TableType",
+    "MemType",
+    "GlobalType",
+    "Import",
+    "Export",
+    "Global",
+    "ElementSegment",
+    "DataSegment",
+    "Function",
+    "Instruction",
+    "Module",
+    "PAGE_SIZE",
+]
+
+PAGE_SIZE = 65536
+
+
+@dataclass(frozen=True)
+class FuncType:
+    params: tuple[str, ...]
+    results: tuple[str, ...]
+
+    def __str__(self) -> str:
+        p = ", ".join(self.params)
+        r = ", ".join(self.results)
+        return f"({p}) -> ({r})"
+
+
+@dataclass(frozen=True)
+class Limits:
+    minimum: int
+    maximum: int | None = None
+
+
+@dataclass(frozen=True)
+class TableType:
+    limits: Limits
+    # MVP: funcref is the only element type
+
+
+@dataclass(frozen=True)
+class MemType:
+    limits: Limits
+
+
+@dataclass(frozen=True)
+class GlobalType:
+    valtype: str
+    mutable: bool
+
+
+@dataclass(frozen=True)
+class Import:
+    module: str
+    name: str
+    kind: str  # 'func' | 'table' | 'memory' | 'global'
+    # typeidx for functions, the respective *Type otherwise
+    desc: Union[int, TableType, MemType, GlobalType]
+
+
+@dataclass(frozen=True)
+class Export:
+    name: str
+    kind: str  # 'func' | 'table' | 'memory' | 'global'
+    index: int
+
+
+@dataclass(frozen=True)
+class Instruction:
+    opcode: int
+    # immediate layout depends on the opcode; block/loop carry
+    # (blocktype, body), if carries (blocktype, then_body, else_body),
+    # br_table carries (labels_tuple, default). Float consts are stored
+    # as raw bit patterns so round-trips never touch Python float.
+    args: tuple = ()
+
+
+Expr = tuple[Instruction, ...]
+
+
+@dataclass(frozen=True)
+class Global:
+    type: GlobalType
+    init: Expr
+
+
+@dataclass(frozen=True)
+class ElementSegment:
+    table_index: int
+    offset: Expr
+    func_indices: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class DataSegment:
+    memory_index: int
+    offset: Expr
+    data: bytes
+
+
+@dataclass(frozen=True)
+class Function:
+    type_index: int
+    locals: tuple[str, ...]  # expanded, one entry per local
+    body: Expr
+
+
+@dataclass(frozen=True)
+class Module:
+    types: tuple[FuncType, ...] = ()
+    imports: tuple[Import, ...] = ()
+    functions: tuple[Function, ...] = ()
+    tables: tuple[TableType, ...] = ()
+    memories: tuple[MemType, ...] = ()
+    globals: tuple[Global, ...] = ()
+    exports: tuple[Export, ...] = ()
+    start: int | None = None
+    elements: tuple[ElementSegment, ...] = ()
+    data: tuple[DataSegment, ...] = ()
+    # non-name custom sections survive decode/encode untouched
+    custom_sections: tuple[tuple[str, bytes], ...] = ()
+
+    def imported(self, kind: str) -> tuple[Import, ...]:
+        return tuple(imp for imp in self.imports if imp.kind == kind)
+
+    @property
+    def func_imports(self) -> tuple[Import, ...]:
+        return self.imported("func")
+
+    @property
+    def num_func_imports(self) -> int:
+        return len(self.func_imports)
+
+    @property
+    def num_funcs(self) -> int:
+        return self.num_func_imports + len(self.functions)
+
+    def is_func_import(self, index: int) -> bool:
+        return index < self.num_func_imports
+
+    def func_type_index(self, index: int) -> int:
+        """Type index of the function at a combined index."""
+        n = self.num_func_imports
+        if index < n:
+            desc = self.func_imports[index].desc
+            assert isinstance(desc, int)
+            return desc
+        return self.functions[index - n].type_index
+
+    def func_type_of(self, index: int) -> FuncType:
+        return self.types[self.func_type_index(index)]
+
+    def global_type(self, index: int) -> GlobalType:
+        imps = self.imported("global")
+        if index < len(imps):
+            desc = imps[index].desc
+            assert isinstance(desc, GlobalType)
+            return desc
+        return self.globals[index - len(imps)].type
+
+    @property
+    def num_globals(self) -> int:
+        return len(self.imported("global")) + len(self.globals)
+
+    @property
+    def num_tables(self) -> int:
+        return len(self.imported("table")) + len(self.tables)
+
+    @property
+    def num_memories(self) -> int:
+        return len(self.imported("memory")) + len(self.memories)
+
+    def with_(self, **changes) -> "Module":
+        return _replace(self, **changes)

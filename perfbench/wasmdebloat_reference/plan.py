@@ -1,0 +1,157 @@
+"""Turn an execution trace into per-function dispositions.
+
+Two stages. consolidate() unions the dynamic trace with the static
+must-keep roots (exports, element segments, start). close_references()
+walks the kept bodies once and grants every function they mention at
+least a declaration-preserving Stub, then lays out the dense index
+remaps the rewriter needs.
+
+Stub bodies become a bare trap, so references inside them die with the
+body: only KeepBody bodies propagate references.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+from typing import Iterator
+
+from . import opcodes as op
+from .errors import IndexOutOfRange
+from .interp import ExecutionTrace
+from .module import Expr, Instruction, Module
+
+
+class Disposition(enum.Enum):
+    KEEP_BODY = "keep-body"
+    STUB = "stub"
+    REMOVE = "remove"
+
+
+@dataclass(frozen=True)
+class KeepRoots:
+    body_keep: frozenset[int]
+    decl_keep: frozenset[int]
+
+
+@dataclass(frozen=True)
+class KeepPlan:
+    # index = combined function index; imports are KEEP_BODY or REMOVE
+    dispositions: tuple[Disposition, ...]
+    func_remap: dict[int, int]
+    type_remap: dict[int, int]
+    global_remap: dict[int, int]
+    removed_imports: frozenset[int]
+    num_func_imports: int
+
+    def disposition(self, funcidx: int) -> Disposition:
+        return self.dispositions[funcidx]
+
+
+def iter_instructions(expr: Expr) -> Iterator[Instruction]:
+    for instr in expr:
+        yield instr
+        imm = op.OPS[instr.opcode].imm
+        if imm == "block":
+            yield from iter_instructions(instr.args[1])
+        elif imm == "if":
+            yield from iter_instructions(instr.args[1])
+            yield from iter_instructions(instr.args[2])
+
+
+def _body_call_targets(body: Expr) -> set[int]:
+    return {
+        i.args[0] for i in iter_instructions(body) if i.opcode == op.CALL
+    }
+
+
+def _body_type_refs(body: Expr) -> set[int]:
+    return {
+        i.args[0]
+        for i in iter_instructions(body)
+        if i.opcode == op.CALL_INDIRECT
+    }
+
+
+def _static_func_roots(m: Module) -> set[int]:
+    roots = {e.index for e in m.exports if e.kind == "func"}
+    for seg in m.elements:
+        roots.update(seg.func_indices)
+    if m.start is not None:
+        roots.add(m.start)
+    return roots
+
+
+def consolidate(trace: ExecutionTrace, m: Module) -> KeepRoots:
+    n = m.num_funcs
+    n_imports = m.num_func_imports
+    mentioned = trace.entered | trace.call_targets | trace.table_observed
+    for idx in mentioned:
+        if not 0 <= idx < n:
+            raise IndexOutOfRange(f"trace mentions function {idx}, module has {n}")
+    for idx in trace.entered:
+        if idx < n_imports:
+            raise IndexOutOfRange(f"imported function {idx} marked as entered")
+
+    # imports have no body to keep; a table slot or call target that is an
+    # import still survives through decl_keep
+    defined = set(range(n_imports, n))
+    body_keep = set(trace.entered)
+    body_keep |= (trace.call_targets | trace.table_observed) & defined
+    if m.start is not None and m.start >= n_imports:
+        body_keep.add(m.start)
+
+    decl_keep = body_keep | _static_func_roots(m)
+    return KeepRoots(frozenset(body_keep), frozenset(decl_keep))
+
+
+def close_references(m: Module, roots: KeepRoots) -> KeepPlan:
+    n = m.num_funcs
+    n_imports = m.num_func_imports
+    body_keep = set(roots.body_keep)
+
+    # one pass reaches the fixed point: references found here earn Stub,
+    # and stub bodies never add references of their own
+    survivors = set(roots.decl_keep)
+    for f in body_keep:
+        survivors |= _body_call_targets(m.functions[f - n_imports].body)
+
+    dispositions = []
+    for f in range(n):
+        if f < n_imports:
+            dispositions.append(
+                Disposition.KEEP_BODY if f in survivors else Disposition.REMOVE
+            )
+        elif f in body_keep:
+            dispositions.append(Disposition.KEEP_BODY)
+        elif f in survivors:
+            dispositions.append(Disposition.STUB)
+        else:
+            dispositions.append(Disposition.REMOVE)
+
+    func_remap = {}
+    for f in range(n):
+        if dispositions[f] != Disposition.REMOVE:
+            func_remap[f] = len(func_remap)
+
+    type_refs = set()
+    for f in range(n):
+        if dispositions[f] == Disposition.REMOVE:
+            continue
+        type_refs.add(m.func_type_index(f))
+        if f >= n_imports and dispositions[f] == Disposition.KEEP_BODY:
+            type_refs.update(_body_type_refs(m.functions[f - n_imports].body))
+    type_remap = {old: new for new, old in enumerate(sorted(type_refs))}
+
+    global_remap = {i: i for i in range(m.num_globals)}
+    removed_imports = frozenset(
+        f for f in range(n_imports) if dispositions[f] == Disposition.REMOVE
+    )
+    return KeepPlan(
+        dispositions=tuple(dispositions),
+        func_remap=func_remap,
+        type_remap=type_remap,
+        global_remap=global_remap,
+        removed_imports=removed_imports,
+        num_func_imports=n_imports,
+    )

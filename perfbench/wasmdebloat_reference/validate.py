@@ -1,0 +1,376 @@
+"""Structural and type validation for WebAssembly 1.0 modules.
+
+Errors are data, not exceptions: every problem is collected into a
+ValidationReport as a (location, message) pair. The body checker follows
+the standard operand-stack discipline, including the polymorphic typing
+of dead code after unreachable/br/br_table/return.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import opcodes as op
+from .module import Expr, FuncType, Module
+
+MAX_MEMORY_PAGES = 65536
+
+# instruction opcodes permitted inside constant expressions
+_CONST_OPCODES = {
+    op.I32_CONST: "i32",
+    op.I64_CONST: "i64",
+    op.F32_CONST: "f32",
+    op.F64_CONST: "f64",
+}
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    errors: tuple[tuple[str, str], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors
+
+
+class _Errors:
+    def __init__(self) -> None:
+        self.items: list[tuple[str, str]] = []
+
+    def add(self, loc: str, msg: str) -> None:
+        self.items.append((loc, msg))
+
+
+def _check_limits(lim, cap: int | None, loc: str, errs: _Errors) -> None:
+    if cap is not None and lim.minimum > cap:
+        errs.add(loc, f"limits minimum {lim.minimum} exceeds {cap}")
+    if lim.maximum is not None:
+        if lim.maximum < lim.minimum:
+            errs.add(loc, "limits maximum below minimum")
+        if cap is not None and lim.maximum > cap:
+            errs.add(loc, f"limits maximum {lim.maximum} exceeds {cap}")
+
+
+def _check_const_expr(
+    m: Module, expr: Expr, expected: str, loc: str, errs: _Errors
+) -> None:
+    if len(expr) != 1:
+        errs.add(loc, "constant expression must be a single instruction")
+        return
+    instr = expr[0]
+    if instr.opcode in _CONST_OPCODES:
+        got = _CONST_OPCODES[instr.opcode]
+        if got != expected:
+            errs.add(loc, f"constant expression yields {got}, expected {expected}")
+        return
+    if instr.opcode == op.GLOBAL_GET:
+        idx = instr.args[0]
+        imported = m.imported("global")
+        if idx >= len(imported):
+            errs.add(loc, "constant expression may only read imported globals")
+            return
+        gt = imported[idx].desc
+        if gt.mutable:
+            errs.add(loc, "constant expression reads a mutable global")
+        elif gt.valtype != expected:
+            errs.add(
+                loc,
+                f"constant expression yields {gt.valtype}, expected {expected}",
+            )
+        return
+    name = op.OPS[instr.opcode].name if instr.opcode in op.OPS else hex(instr.opcode)
+    errs.add(loc, f"{name} not allowed in constant expression")
+
+
+class _BodyChecker:
+    """Operand-stack type checker for one function body."""
+
+    def __init__(
+        self,
+        m: Module,
+        locals_: tuple[str, ...],
+        results: tuple[str, ...],
+        loc: str,
+        errs: _Errors,
+    ):
+        self.m = m
+        self.locals = locals_
+        self.results = results
+        self.loc = loc
+        self.errs = errs
+        self.stack: list[str] = []
+        self.dead = False
+        # innermost label last; entry holds the label's branch arity types
+        self.labels: list[tuple[str, ...]] = [results]
+
+    def error(self, msg: str) -> None:
+        self.errs.add(self.loc, msg)
+
+    def push(self, t: str) -> None:
+        self.stack.append(t)
+
+    def pop(self, expect: str | None = None, ctx: str = "") -> str:
+        if self.stack:
+            t = self.stack.pop()
+        elif self.dead:
+            return expect or "unknown"
+        else:
+            self.error(f"{ctx}: operand stack underflow")
+            return expect or "unknown"
+        if expect is not None and t != expect:
+            self.error(f"{ctx}: expected {expect}, got {t}")
+        return t
+
+    def mark_dead(self) -> None:
+        self.dead = True
+        self.stack.clear()
+
+    def check_function(self, body: Expr) -> None:
+        self.check_instrs(body)
+        self.exit_block(self.results, "function end")
+
+    def exit_block(self, results: tuple[str, ...], ctx: str) -> None:
+        for t in reversed(results):
+            self.pop(t, ctx)
+        if self.stack and not self.dead:
+            self.error(f"{ctx}: {len(self.stack)} extra value(s) on stack")
+
+    def check_block_body(
+        self, body: Expr, results: tuple[str, ...], label: tuple[str, ...], ctx: str
+    ) -> None:
+        saved_stack, saved_dead = self.stack, self.dead
+        self.stack, self.dead = [], False
+        self.labels.append(label)
+        self.check_instrs(body)
+        self.exit_block(results, ctx)
+        self.labels.pop()
+        self.stack, self.dead = saved_stack, saved_dead
+
+    def label_types(self, depth: int, ctx: str) -> tuple[str, ...] | None:
+        if depth >= len(self.labels):
+            self.error(f"{ctx}: label depth {depth} out of range")
+            return None
+        return self.labels[-1 - depth]
+
+    def check_instrs(self, body: Expr) -> None:
+        for instr in body:
+            self.check_instr(instr)
+
+    def check_instr(self, instr) -> None:
+        code = instr.opcode
+        info = op.OPS[code]
+        name = info.name
+
+        if info.pops is not None:
+            for t in reversed(info.pops):
+                self.pop(t, name)
+            if info.width:
+                align = instr.args[0] if info.imm == "memarg" else 0
+                natural = info.width.bit_length() - 1
+                if align > natural:
+                    self.error(f"{name}: alignment 2**{align} over natural {info.width}")
+            if info.imm in ("memarg", "memidx") and self.m.num_memories == 0:
+                self.error(f"{name}: module has no memory")
+            for t in info.pushes:
+                self.push(t)
+            return
+
+        if code == op.UNREACHABLE:
+            self.mark_dead()
+        elif code == op.NOP:
+            pass
+        elif code in (op.BLOCK, op.LOOP):
+            bt, inner = instr.args
+            results = () if bt is None else (bt,)
+            label = () if code == op.LOOP else results
+            self.check_block_body(inner, results, label, name)
+            for t in results:
+                self.push(t)
+        elif code == op.IF:
+            bt, then_body, else_body = instr.args
+            results = () if bt is None else (bt,)
+            self.pop("i32", name)
+            self.check_block_body(then_body, results, results, "if: then")
+            if else_body or results:
+                # a result-typed if requires an else arm; checking an empty
+                # one reports the arity mismatch either way
+                self.check_block_body(else_body, results, results, "if: else")
+            for t in results:
+                self.push(t)
+        elif code in (op.BR, op.BR_IF):
+            depth = instr.args[0]
+            if code == op.BR_IF:
+                self.pop("i32", name)
+            types = self.label_types(depth, name)
+            if types is not None:
+                for t in reversed(types):
+                    self.pop(t, name)
+                if code == op.BR_IF:
+                    for t in types:
+                        self.push(t)
+            if code == op.BR:
+                self.mark_dead()
+        elif code == op.BR_TABLE:
+            labels, default = instr.args
+            self.pop("i32", name)
+            default_types = self.label_types(default, name)
+            if default_types is not None:
+                for depth in labels:
+                    types = self.label_types(depth, name)
+                    if types is not None and types != default_types:
+                        self.error(f"{name}: label type mismatch at depth {depth}")
+                for t in reversed(default_types):
+                    self.pop(t, name)
+            self.mark_dead()
+        elif code == op.RETURN:
+            for t in reversed(self.results):
+                self.pop(t, name)
+            self.mark_dead()
+        elif code == op.CALL:
+            idx = instr.args[0]
+            if idx >= self.m.num_funcs:
+                self.error(f"{name}: function index {idx} out of range")
+                self.mark_dead()
+                return
+            ft = self.m.func_type_of(idx)
+            self._apply(ft, name)
+        elif code == op.CALL_INDIRECT:
+            typeidx = instr.args[0]
+            if self.m.num_tables == 0:
+                self.error(f"{name}: module has no table")
+            if typeidx >= len(self.m.types):
+                self.error(f"{name}: type index {typeidx} out of range")
+                self.mark_dead()
+                return
+            self.pop("i32", name)
+            self._apply(self.m.types[typeidx], name)
+        elif code == op.DROP:
+            self.pop(None, name)
+        elif code == op.SELECT:
+            self.pop("i32", name)
+            t1 = self.pop(None, name)
+            t2 = self.pop(t1 if t1 != "unknown" else None, name)
+            self.push(t2 if t1 == "unknown" else t1)
+        elif code in (op.LOCAL_GET, op.LOCAL_SET, op.LOCAL_TEE):
+            idx = instr.args[0]
+            if idx >= len(self.locals):
+                self.error(f"{name}: local index {idx} out of range")
+                self.mark_dead()
+                return
+            t = self.locals[idx]
+            if code == op.LOCAL_GET:
+                self.push(t)
+            elif code == op.LOCAL_SET:
+                self.pop(t, name)
+            else:
+                self.pop(t, name)
+                self.push(t)
+        elif code in (op.GLOBAL_GET, op.GLOBAL_SET):
+            idx = instr.args[0]
+            if idx >= self.m.num_globals:
+                self.error(f"{name}: global index {idx} out of range")
+                self.mark_dead()
+                return
+            gt = self.m.global_type(idx)
+            if code == op.GLOBAL_GET:
+                self.push(gt.valtype)
+            else:
+                if not gt.mutable:
+                    self.error(f"{name}: global {idx} is immutable")
+                self.pop(gt.valtype, name)
+        else:
+            raise AssertionError(f"unhandled opcode {name}")
+
+    def _apply(self, ft: FuncType, ctx: str) -> None:
+        for t in reversed(ft.params):
+            self.pop(t, ctx)
+        for t in ft.results:
+            self.push(t)
+
+
+def validate_module(m: Module) -> ValidationReport:
+    errs = _Errors()
+
+    for i, ft in enumerate(m.types):
+        if len(ft.results) > 1:
+            errs.add(f"type[{i}]", "more than one result")
+
+    n_func_imports = 0
+    for i, imp in enumerate(m.imports):
+        loc = f"import[{i}]"
+        if imp.kind == "func":
+            n_func_imports += 1
+            if imp.desc >= len(m.types):
+                errs.add(loc, f"type index {imp.desc} out of range")
+        elif imp.kind == "table":
+            _check_limits(imp.desc.limits, None, loc, errs)
+        elif imp.kind == "memory":
+            _check_limits(imp.desc.limits, MAX_MEMORY_PAGES, loc, errs)
+        elif imp.desc.mutable:
+            errs.add(loc, "mutable global import")
+
+    if m.num_tables > 1:
+        errs.add("table", "more than one table")
+    if m.num_memories > 1:
+        errs.add("memory", "more than one memory")
+    for i, tt in enumerate(m.tables):
+        _check_limits(tt.limits, None, f"table[{i}]", errs)
+    for i, mt in enumerate(m.memories):
+        _check_limits(mt.limits, MAX_MEMORY_PAGES, f"memory[{i}]", errs)
+
+    for i, g in enumerate(m.globals):
+        _check_const_expr(m, g.init, g.type.valtype, f"global[{i}].init", errs)
+
+    counts = {
+        "func": m.num_funcs,
+        "table": m.num_tables,
+        "memory": m.num_memories,
+        "global": m.num_globals,
+    }
+    seen_names: set[str] = set()
+    for i, exp in enumerate(m.exports):
+        loc = f"export[{i}]"
+        if exp.name in seen_names:
+            errs.add(loc, f"duplicate export name {exp.name!r}")
+        seen_names.add(exp.name)
+        if exp.index >= counts[exp.kind]:
+            errs.add(loc, f"{exp.kind} index {exp.index} out of bounds")
+        if exp.kind == "global" and exp.index < m.num_globals:
+            if m.global_type(exp.index).mutable:
+                errs.add(loc, "mutable global export")
+
+    if m.start is not None:
+        if m.start >= m.num_funcs:
+            errs.add("start", f"function index {m.start} out of bounds")
+        else:
+            ft = m.func_type_of(m.start)
+            if ft.params or ft.results:
+                errs.add("start", f"start function has signature {ft}")
+
+    for i, seg in enumerate(m.elements):
+        loc = f"element[{i}]"
+        if seg.table_index >= m.num_tables:
+            errs.add(loc, f"table index {seg.table_index} out of bounds")
+        _check_const_expr(m, seg.offset, "i32", f"{loc}.offset", errs)
+        for idx in seg.func_indices:
+            if idx >= m.num_funcs:
+                errs.add(loc, f"function index {idx} out of bounds")
+
+    for i, seg in enumerate(m.data):
+        loc = f"data[{i}]"
+        if seg.memory_index >= m.num_memories:
+            errs.add(loc, f"memory index {seg.memory_index} out of bounds")
+        _check_const_expr(m, seg.offset, "i32", f"{loc}.offset", errs)
+
+    for i, fn in enumerate(m.functions):
+        loc = f"func[{n_func_imports + i}]"
+        if fn.type_index >= len(m.types):
+            errs.add(loc, f"type index {fn.type_index} out of range")
+            continue
+        ft = m.types[fn.type_index]
+        if len(ft.results) > 1:
+            continue  # already reported on the type
+        checker = _BodyChecker(m, ft.params + fn.locals, ft.results, loc, errs)
+        checker.check_function(fn.body)
+
+    return ValidationReport(tuple(errs.items))
