@@ -10,6 +10,8 @@ minimal forms, so byte-identity with arbitrary inputs is not promised.
 
 from __future__ import annotations
 
+import sys
+
 from . import opcodes as op
 from .errors import MalformedBinary
 from .module import (
@@ -34,6 +36,13 @@ VERSION = b"\x01\x00\x00\x00"
 # expanded-locals cap per function; far beyond realistic modules, small
 # enough that a hostile count can't balloon memory
 MAX_LOCALS = 1_000_000
+
+# deepest block/loop/if nesting accepted in one body. Decode, validate,
+# encode and the rewrite in shrink walk bodies recursively, with up to 3
+# Python frames per level, so the recursion limit below covers
+# MAX_NESTING levels plus the callers' frames.
+MAX_NESTING = 6_000
+sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * MAX_NESTING + 2_000))
 
 _IMPORT_KINDS = {0: "func", 1: "table", 2: "memory", 3: "global"}
 _BLOCKTYPES = {op.BLOCKTYPE_EMPTY: None, **op.CODE_VALTYPES}
@@ -151,24 +160,26 @@ def _read_blocktype(r: Reader) -> str | None:
     return _BLOCKTYPES[code]
 
 
-def _read_instr(r: Reader, opcode: int) -> Instruction:
+def _read_instr(r: Reader, opcode: int, depth: int) -> Instruction:
     info = op.OPS.get(opcode)
     if info is None:
         raise MalformedBinary(r.pos - 1, f"unknown opcode 0x{opcode:02x}")
     imm = info.imm
     if imm == "":
         return Instruction(opcode)
+    if imm in ("block", "if") and depth >= MAX_NESTING:
+        raise MalformedBinary(r.pos - 1, f"blocks nested deeper than {MAX_NESTING}")
     if imm == "block":
         bt = _read_blocktype(r)
-        body, term = _read_body(r, allow_else=False)
+        body, term = _read_body(r, allow_else=False, depth=depth + 1)
         assert term == op.END
         return Instruction(opcode, (bt, body))
     if imm == "if":
         bt = _read_blocktype(r)
-        then_body, term = _read_body(r, allow_else=True)
+        then_body, term = _read_body(r, allow_else=True, depth=depth + 1)
         else_body: tuple = ()
         if term == op.ELSE:
-            else_body, term = _read_body(r, allow_else=False)
+            else_body, term = _read_body(r, allow_else=False, depth=depth + 1)
         return Instruction(opcode, (bt, then_body, else_body))
     if imm in ("label", "func", "local", "global"):
         return Instruction(opcode, (r.u32(),))
@@ -199,7 +210,9 @@ def _read_instr(r: Reader, opcode: int) -> Instruction:
     raise AssertionError(f"unhandled immediate kind {imm!r}")
 
 
-def _read_body(r: Reader, allow_else: bool) -> tuple[tuple[Instruction, ...], int]:
+def _read_body(
+    r: Reader, allow_else: bool, depth: int
+) -> tuple[tuple[Instruction, ...], int]:
     out: list[Instruction] = []
     while True:
         start = r.pos
@@ -208,11 +221,11 @@ def _read_body(r: Reader, allow_else: bool) -> tuple[tuple[Instruction, ...], in
             return tuple(out), opcode
         if opcode == op.ELSE:
             raise MalformedBinary(start, "else outside if")
-        out.append(_read_instr(r, opcode))
+        out.append(_read_instr(r, opcode, depth))
 
 
 def read_expr(r: Reader) -> tuple[Instruction, ...]:
-    body, _ = _read_body(r, allow_else=False)
+    body, _ = _read_body(r, allow_else=False, depth=0)
     return body
 
 

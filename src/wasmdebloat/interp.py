@@ -5,6 +5,18 @@ ran (the execution trace) and what the run observably did (the
 observation log). Entry probes fire before the first body instruction,
 so a function that traps immediately is still recorded as entered.
 
+Each function body is compiled once per instance, on first entry, from
+the instruction tree into a flat list of small tuples (``_compile``).
+Structured control flow becomes jumps: every ``br``, ``br_if``,
+``br_table``, ``if``, ``else`` and ``return`` carries a side-table entry
+with its target pc, the values it keeps and the values it drops, so the
+stack height to restore is fixed at compile time from the opcode stack
+signatures (Titzer, "A fast in-place interpreter for WebAssembly",
+OOPSLA 2022). One loop (``Instance._execute``) runs that code with an
+explicit operand stack and call stack: a branch raises no exception and
+a wasm call adds no Python frame, so nesting depth and call depth cost no
+Python recursion. Fuel is one unit per executed tree instruction.
+
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Floats are materialized only
 inside the numeric helpers, and every arithmetic NaN is canonicalized so
@@ -15,16 +27,11 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from dataclasses import dataclass
 
 from . import opcodes as op
 from .errors import LinkError, SignatureMismatch, TrapError, UnknownExport
-from .module import Expr, FuncType, Module, PAGE_SIZE
-
-# wasm call frames map onto Python frames several levels deep; the
-# interpreter enforces its own depth cap well before this matters
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
+from .module import Expr, FuncType, Function, Module, PAGE_SIZE
 
 DEFAULT_FUEL = 10_000_000
 CALL_STACK_LIMIT = 256
@@ -39,20 +46,6 @@ TRAP_CALL_TYPE = "indirect-call-type-mismatch"
 TRAP_UNDEFINED_ELEMENT = "undefined-table-element"
 TRAP_STACK_EXHAUSTED = "stack-exhausted"
 TRAP_FUEL_EXHAUSTED = "fuel-exhausted"
-
-TRAP_KINDS = frozenset(
-    {
-        TRAP_UNREACHABLE,
-        TRAP_DIV_ZERO,
-        TRAP_INT_OVERFLOW,
-        TRAP_OOB_MEMORY,
-        TRAP_OOB_TABLE,
-        TRAP_CALL_TYPE,
-        TRAP_UNDEFINED_ELEMENT,
-        TRAP_STACK_EXHAUSTED,
-        TRAP_FUEL_EXHAUSTED,
-    }
-)
 
 _M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFFFFFFFFFF
@@ -191,9 +184,17 @@ class InvocationRecord:
 @dataclass(frozen=True)
 class ObservationLog:
     records: tuple[InvocationRecord, ...]
-    final_memory_digest: int | None
+    # the memory as the run left it; None without a memory or when
+    # instantiation failed
+    final_memory: bytearray | None
     instantiation_error: Trap | LinkFailure | None = None
     instantiation_host_calls: tuple[HostCall, ...] = ()
+
+    @property
+    def final_memory_digest(self) -> int | None:
+        """FNV-1a 64 of ``final_memory``, computed on each read: logs are
+        compared by their bytes, so only a rendered mismatch needs it."""
+        return None if self.final_memory is None else fnv1a_64(self.final_memory)
 
 
 @dataclass(frozen=True)
@@ -607,27 +608,211 @@ def _sext(v: int, from_bits: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# compiled form
+#
+# A function body compiles to a flat list of tuples whose first field is
+# one of the kinds below. The kinds from _JUMP on are pseudo-ops the
+# compiler adds (the jump over an else arm, the function's end); they cost
+# no fuel. Every other tuple stands for one tree instruction and costs one
+# unit when it executes; block and loop compile to a _NOP for that unit.
+
+(
+    _BINARY,
+    _UNARY,
+    _LOCAL_GET,
+    _LOCAL_SET,
+    _LOCAL_TEE,
+    _CONST,
+    _CALL,
+    _CALL_INDIRECT,
+    _BR_IF,
+    _BR,
+    _BR_TABLE,
+    _IF,
+    _LOAD,
+    _STORE,
+    _GLOBAL_GET,
+    _GLOBAL_SET,
+    _DROP,
+    _SELECT,
+    _NOP,
+    _MEMORY_SIZE,
+    _MEMORY_GROW,
+    _UNREACHABLE,
+    _JUMP,
+    _END,
+) = range(24)
+
+_CONST_MASKS = {
+    op.I32_CONST: _M32,
+    op.I64_CONST: _M64,
+    op.F32_CONST: _M32,
+    op.F64_CONST: _M64,
+}
+
+# kind and stack effect of the ops that have no signature in opcodes.OPS
+# and compile to (kind, *immediates)
+_UNTYPED = {
+    op.LOCAL_GET: (_LOCAL_GET, 1),
+    op.LOCAL_SET: (_LOCAL_SET, -1),
+    op.LOCAL_TEE: (_LOCAL_TEE, 0),
+    op.GLOBAL_GET: (_GLOBAL_GET, 1),
+    op.GLOBAL_SET: (_GLOBAL_SET, -1),
+    op.DROP: (_DROP, -1),
+    op.SELECT: (_SELECT, -2),
+    op.NOP: (_NOP, 0),
+    op.UNREACHABLE: (_UNREACHABLE, 0),
+}
+
+# wasm frames the call stack may hold besides the running one
+_MAX_SUSPENDED = CALL_STACK_LIMIT - 1
+
+
+class _Control:
+    """A function body, block, loop or if arm the compiler is inside."""
+
+    __slots__ = ("body", "pos", "label", "keep", "height", "arity", "else_body", "else_label")
+
+    def __init__(self, body, label, keep, height, arity, else_body=(), else_label=None):
+        self.body = body
+        self.pos = 0
+        self.label = label  # where a branch to this construct goes
+        self.keep = keep  # values such a branch carries
+        self.height = height  # static operand-stack height at entry
+        self.arity = arity  # values the construct leaves on the stack
+        self.else_body = else_body
+        self.else_label = else_label
+
+
+def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
+    """Flatten one body, walking the instruction tree without recursion.
+
+    Branch tuples are ``(kind, target pc, keep, drop)``: the branch keeps
+    the top ``keep`` values and discards the ``drop`` values beneath them,
+    which restores the stack height its label had at entry. Both counts
+    come from the static stack heights of validated code, so the loop
+    keeps no label stack. ``br_table`` holds one ``(pc, keep, drop)`` per
+    label plus the default; ``if`` and the else-jump hold a target pc.
+    """
+    ft = m.types[fn.type_index]
+    code: list[tuple] = []
+    pcs: list[int | None] = []  # label id -> pc, set once known
+
+    def new_label(pc: int | None = None) -> int:
+        pcs.append(pc)
+        return len(pcs) - 1
+
+    def target(depth: int, h: int) -> tuple[int, int, int]:
+        c = ctrl[-1 - depth]
+        return (c.label, c.keep, h - c.keep - c.height)
+
+    n = len(ft.results)
+    ctrl = [_Control(fn.body, new_label(), n, 0, n)]
+    h = 0  # static operand-stack height above the frame's base
+    while ctrl:
+        c = ctrl[-1]
+        if c.pos == len(c.body):
+            if c.else_body:
+                code.append((_JUMP, c.label))
+                pcs[c.else_label] = len(code)
+                c.body, c.pos, c.else_body = c.else_body, 0, ()
+                h = c.height
+                continue
+            ctrl.pop()
+            if pcs[c.label] is None:
+                pcs[c.label] = len(code)
+            h = c.height + c.arity
+            continue
+        instr = c.body[c.pos]
+        c.pos += 1
+        opcode = instr.opcode
+        args = instr.args
+        info = op.OPS[opcode]
+        if opcode in _UNTYPED:
+            kind, effect = _UNTYPED[opcode]
+            h += effect
+            code.append((kind, *args))
+        elif info.pops is not None:
+            h += len(info.pushes) - len(info.pops)
+            if opcode in _BIN:
+                code.append((_BINARY, _BIN[opcode]))
+            elif opcode in _UN:
+                code.append((_UNARY, _UN[opcode]))
+            elif opcode in _LOADS:
+                code.append((_LOAD, args[1], *_LOADS[opcode]))
+            elif opcode in _STORES:
+                width = _STORES[opcode]
+                code.append((_STORE, args[1], width, (1 << 8 * width) - 1))
+            elif opcode == op.MEMORY_SIZE:
+                code.append((_MEMORY_SIZE,))
+            elif opcode == op.MEMORY_GROW:
+                code.append((_MEMORY_GROW,))
+            else:
+                code.append((_CONST, args[0] & _CONST_MASKS[opcode]))
+        elif opcode == op.CALL:
+            callee = m.func_type_of(args[0])
+            h += len(callee.results) - len(callee.params)
+            code.append((_CALL, args[0], len(callee.params)))
+        elif opcode == op.CALL_INDIRECT:
+            callee = m.types[args[0]]
+            h += len(callee.results) - len(callee.params) - 1
+            code.append((_CALL_INDIRECT, type_ids[args[0]], len(callee.params)))
+        elif opcode == op.BLOCK or opcode == op.LOOP:
+            bt, inner = args
+            arity = 0 if bt is None else 1
+            code.append((_NOP,))
+            if opcode == op.LOOP:
+                # a branch back re-enters the body, past the loop's _NOP
+                ctrl.append(_Control(inner, new_label(len(code)), 0, h, arity))
+            else:
+                ctrl.append(_Control(inner, new_label(), arity, h, arity))
+        elif opcode == op.IF:
+            bt, then_body, else_body = args
+            arity = 0 if bt is None else 1
+            h -= 1
+            end = new_label()
+            else_label = new_label() if else_body else end
+            code.append((_IF, else_label))
+            ctrl.append(_Control(then_body, end, arity, h, arity, else_body, else_label))
+        elif opcode == op.BR:
+            code.append((_BR, *target(args[0], h)))
+        elif opcode == op.BR_IF:
+            h -= 1
+            code.append((_BR_IF, *target(args[0], h)))
+        elif opcode == op.BR_TABLE:
+            h -= 1
+            labels, default = args
+            code.append(
+                (_BR_TABLE, tuple(target(d, h) for d in labels), target(default, h))
+            )
+        elif opcode == op.RETURN:
+            code.append((_BR, *target(len(ctrl) - 1, h)))
+        else:
+            raise AssertionError(f"unhandled opcode 0x{opcode:02x}")
+    code.append((_END,))  # the function label's pc is this _END
+
+    def resolve(t: tuple[int, int, int]) -> tuple[int, int, int]:
+        return (pcs[t[0]], t[1], t[2])
+
+    for i, ins in enumerate(code):
+        k = ins[0]
+        if k == _BR or k == _BR_IF:
+            code[i] = (k, *resolve(ins[1:]))
+        elif k == _IF or k == _JUMP:
+            code[i] = (k, pcs[ins[1]])
+        elif k == _BR_TABLE:
+            code[i] = (k, tuple(map(resolve, ins[1])), resolve(ins[2]))
+    return code
+
+
+def _unwind(stack: list[int], keep: int, drop: int) -> None:
+    """Remove the ``drop`` values under the top ``keep`` ones."""
+    top = len(stack) - keep
+    del stack[top - drop : top]
+
+
+# ---------------------------------------------------------------------------
 # execution
-
-
-class _Branch(Exception):
-    def __init__(self, depth: int, values: list[int]):
-        self.depth = depth
-        self.values = values
-
-
-class _Return(Exception):
-    def __init__(self, values: list[int]):
-        self.values = values
-
-
-class _Frame:
-    __slots__ = ("locals", "stack", "labels")
-
-    def __init__(self, locals_: list[int]):
-        self.locals = locals_
-        self.stack: list[int] = []
-        self.labels: list[int] = []
 
 
 class Instance:
@@ -644,9 +829,15 @@ class Instance:
         self.call_targets: set[int] = set()
         self.table_observed: set[int] = set()
         self.fuel = 0
-        self.func_stack: list[int] = []
         self._exports = {e.name: e for e in m.exports}
         self._host_funcs: list[HostFunc] = []
+        self._n_imports = m.num_func_imports
+        # per combined function index: (code, zeroed locals), compiled on
+        # first entry
+        self._compiled: list[tuple[list[tuple], list[int]] | None] = [None] * m.num_funcs
+        # structurally equal types share an id, which call_indirect compares
+        self._type_ids: list[int] = []
+        self._func_sigs: list[int] = []
 
     # -- instantiation
 
@@ -667,6 +858,12 @@ class Instance:
                     f"{hf.type}, module expects {expected}"
                 )
             self._host_funcs.append(hf)
+
+        canon: dict[FuncType, int] = {}
+        self._type_ids = [canon.setdefault(ft, len(canon)) for ft in m.types]
+        self._func_sigs = [self._type_ids[imp.desc] for imp in m.func_imports] + [
+            self._type_ids[fn.type_index] for fn in m.functions
+        ]
 
         self.globals = [self._eval_const(g.init) for g in m.globals]
         if m.tables:
@@ -695,12 +892,9 @@ class Instance:
 
     def _eval_const(self, expr: Expr) -> int:
         instr = expr[0]
-        if instr.opcode == op.I32_CONST:
-            return instr.args[0] & _M32
-        if instr.opcode == op.I64_CONST:
-            return instr.args[0] & _M64
-        if instr.opcode in (op.F32_CONST, op.F64_CONST):
-            return instr.args[0]
+        mask = _CONST_MASKS.get(instr.opcode)
+        if mask is not None:
+            return instr.args[0] & mask
         # global.get of an imported global; unreachable with the fixed
         # host (global imports fail linking), kept for completeness
         raise LinkError("initializer references an unavailable global")
@@ -720,230 +914,184 @@ class Instance:
         return Results(tuple(Value(t, bits) for t, bits in zip(ft.results, raw)))
 
     def _call_index(self, funcidx: int, raw_args: list[int]) -> list[int]:
-        m = self.module
-        n_imports = m.num_func_imports
-        if funcidx < n_imports:
-            imp = m.func_imports[funcidx]
-            hf = self._host_funcs[funcidx]
-            args = tuple(
-                Value(t, bits) for t, bits in zip(hf.type.params, raw_args)
-            )
-            self.host_log.append(HostCall(f"{imp.module}.{imp.name}", args))
-            try:
-                results = hf.call(args)
-            except TrapError as t:
-                raise TrapError(t.kind, funcidx) from None
-            return [v.bits for v in results]
+        if funcidx < self._n_imports:
+            return self._call_host(funcidx, raw_args)
+        return self._execute(funcidx, raw_args)
 
-        if len(self.func_stack) >= CALL_STACK_LIMIT:
-            raise TrapError(TRAP_STACK_EXHAUSTED, self._here())
-        self.entered.add(funcidx)
-        fn = m.functions[funcidx - n_imports]
-        ft = m.types[fn.type_index]
-        frame = _Frame(raw_args + [0] * len(fn.locals))
-        frame.labels.append(len(ft.results))
-        self.func_stack.append(funcidx)
+    def _call_host(self, funcidx: int, raw_args: list[int]) -> list[int]:
+        imp = self.module.func_imports[funcidx]
+        hf = self._host_funcs[funcidx]
+        args = tuple(Value(t, bits) for t, bits in zip(hf.type.params, raw_args))
+        self.host_log.append(HostCall(f"{imp.module}.{imp.name}", args))
         try:
-            try:
-                self._run(frame, fn.body)
-                n = len(ft.results)
-                return frame.stack[-n:] if n else []
-            except _Branch as b:
-                return b.values
-            except _Return as r:
-                return r.values
-        finally:
-            self.func_stack.pop()
+            results = hf.call(args)
+        except TrapError as t:
+            raise TrapError(t.kind, funcidx) from None
+        return [v.bits for v in results]
 
-    def _here(self) -> int | None:
-        return self.func_stack[-1] if self.func_stack else None
+    def _enter(self, funcidx: int, args: list[int]) -> tuple[list[tuple], list[int]]:
+        """The compiled code of a defined function and its fresh locals."""
+        compiled = self._compiled[funcidx]
+        if compiled is None:
+            fn = self.module.functions[funcidx - self._n_imports]
+            compiled = (_compile(self.module, fn, self._type_ids), [0] * len(fn.locals))
+            self._compiled[funcidx] = compiled
+        code, zeros = compiled
+        return code, args + zeros
 
-    # -- instruction execution
+    def _execute(self, funcidx: int, args: list[int]) -> list[int]:
+        """Run a defined function, and every wasm call it makes, in one loop.
 
-    def _run(self, frame: _Frame, body: Expr) -> None:
-        for instr in body:
-            self._step(frame, instr)
+        All frames share one operand stack. A call moves its arguments into
+        the callee's locals and suspends the caller on ``frames``; the
+        callee's _END leaves exactly its results where the arguments were.
+        Fuel lives in a local and is written back however the loop exits.
+        A trap raised without a function index gets the running one's.
+        """
+        n_imports = self._n_imports
+        func_sigs = self._func_sigs
+        entered = self.entered
+        call_targets = self.call_targets
+        table_observed = self.table_observed
+        mem = self.mem
+        table = self.table
+        globals_ = self.globals
+        stack: list[int] = []
+        frames: list[tuple] = []  # suspended callers: (code, pc, locals, funcidx)
 
-    def _step(self, frame: _Frame, instr) -> None:
-        if self.fuel <= 0:
-            raise TrapError(TRAP_FUEL_EXHAUSTED, self._here())
-        self.fuel -= 1
-
-        code = instr.opcode
-        stack = frame.stack
-
-        fn = _BIN.get(code)
-        if fn is not None:
-            b = stack.pop()
-            a = stack.pop()
-            try:
-                stack.append(fn(a, b))
-            except TrapError as t:
-                raise TrapError(t.kind, self._here()) from None
-            return
-        fn = _UN.get(code)
-        if fn is not None:
-            a = stack.pop()
-            try:
-                stack.append(fn(a))
-            except TrapError as t:
-                raise TrapError(t.kind, self._here()) from None
-            return
-
-        load = _LOADS.get(code)
-        if load is not None:
-            width, sign_bits, mask = load
-            align, offset = instr.args
-            addr = stack.pop() + offset
-            if self.mem is None or addr + width > len(self.mem):
-                raise TrapError(TRAP_OOB_MEMORY, self._here())
-            raw = int.from_bytes(self.mem[addr : addr + width], "little")
-            if sign_bits is not None:
-                raw = _sext(raw, sign_bits) & mask
-            stack.append(raw)
-            return
-        width = _STORES.get(code)
-        if width is not None:
-            align, offset = instr.args
-            value = stack.pop()
-            addr = stack.pop() + offset
-            if self.mem is None or addr + width > len(self.mem):
-                raise TrapError(TRAP_OOB_MEMORY, self._here())
-            self.mem[addr : addr + width] = (value & ((1 << 8 * width) - 1)).to_bytes(
-                width, "little"
-            )
-            return
-
-        if code == op.I32_CONST:
-            stack.append(instr.args[0] & _M32)
-        elif code == op.I64_CONST:
-            stack.append(instr.args[0] & _M64)
-        elif code in (op.F32_CONST, op.F64_CONST):
-            stack.append(instr.args[0])
-        elif code == op.LOCAL_GET:
-            stack.append(frame.locals[instr.args[0]])
-        elif code == op.LOCAL_SET:
-            frame.locals[instr.args[0]] = stack.pop()
-        elif code == op.LOCAL_TEE:
-            frame.locals[instr.args[0]] = stack[-1]
-        elif code == op.GLOBAL_GET:
-            stack.append(self.globals[instr.args[0]])
-        elif code == op.GLOBAL_SET:
-            self.globals[instr.args[0]] = stack.pop()
-        elif code == op.BLOCK:
-            bt, inner = instr.args
-            self._exec_block(frame, inner, 0 if bt is None else 1, is_loop=False)
-        elif code == op.LOOP:
-            _, inner = instr.args
-            self._exec_block(frame, inner, 0, is_loop=True)
-        elif code == op.IF:
-            bt, then_body, else_body = instr.args
-            cond = stack.pop()
-            chosen = then_body if cond else else_body
-            self._exec_block(frame, chosen, 0 if bt is None else 1, is_loop=False)
-        elif code in (op.BR, op.BR_IF):
-            if code == op.BR_IF and not stack.pop():
-                return
-            depth = instr.args[0]
-            self._branch(frame, depth)
-        elif code == op.BR_TABLE:
-            labels, default = instr.args
-            i = stack.pop()
-            depth = labels[i] if i < len(labels) else default
-            self._branch(frame, depth)
-        elif code == op.RETURN:
-            n = frame.labels[0]
-            raise _Return(stack[-n:] if n else [])
-        elif code == op.CALL:
-            self._do_call(frame, instr.args[0])
-        elif code == op.CALL_INDIRECT:
-            self._do_call_indirect(frame, instr.args[0])
-        elif code == op.DROP:
-            stack.pop()
-        elif code == op.SELECT:
-            cond = stack.pop()
-            v2 = stack.pop()
-            v1 = stack.pop()
-            stack.append(v1 if cond else v2)
-        elif code == op.MEMORY_SIZE:
-            assert self.mem is not None
-            stack.append(len(self.mem) // PAGE_SIZE)
-        elif code == op.MEMORY_GROW:
-            assert self.mem is not None
-            delta = stack.pop()
-            current = len(self.mem) // PAGE_SIZE
-            cap = self.module.memories[0].limits.maximum
-            cap = MAX_PAGES if cap is None else min(cap, MAX_PAGES)
-            if current + delta > cap:
-                stack.append(_M32)  # -1
-            else:
-                self.mem.extend(bytes(delta * PAGE_SIZE))
-                stack.append(current)
-        elif code == op.UNREACHABLE:
-            raise TrapError(TRAP_UNREACHABLE, self._here())
-        elif code == op.NOP:
-            pass
-        else:
-            raise AssertionError(f"unhandled opcode 0x{code:02x}")
-
-    def _branch(self, frame: _Frame, depth: int) -> None:
-        arity = frame.labels[-1 - depth]
-        values = frame.stack[-arity:] if arity else []
-        raise _Branch(depth, values)
-
-    def _exec_block(
-        self, frame: _Frame, body: Expr, label_arity: int, is_loop: bool
-    ) -> None:
-        frame.labels.append(0 if is_loop else label_arity)
-        height = len(frame.stack)
+        entered.add(funcidx)
+        code, locals_ = self._enter(funcidx, args)
+        pc = 0
+        fuel = self.fuel
         try:
             while True:
-                try:
-                    self._run(frame, body)
-                    return
-                except _Branch as b:
-                    if b.depth > 0:
-                        b.depth -= 1
-                        raise
-                    del frame.stack[height:]
-                    if not is_loop:
-                        frame.stack.extend(b.values)
-                        return
+                ins = code[pc]
+                pc += 1
+                k = ins[0]
+                # pseudo-ops never trap here and refund their unit below
+                if fuel <= 0 and k < _JUMP:
+                    raise TrapError(TRAP_FUEL_EXHAUSTED)
+                fuel -= 1
+                if k == _BINARY:
+                    b = stack.pop()
+                    stack[-1] = ins[1](stack[-1], b)
+                elif k == _LOCAL_GET:
+                    stack.append(locals_[ins[1]])
+                elif k == _CONST:
+                    stack.append(ins[1])
+                elif k == _LOCAL_SET:
+                    locals_[ins[1]] = stack.pop()
+                elif k == _END:
+                    fuel += 1
+                    if not frames:
+                        return stack
+                    code, pc, locals_, funcidx = frames.pop()
+                elif k == _CALL or k == _CALL_INDIRECT:
+                    if k == _CALL:
+                        callee = ins[1]
+                    else:
+                        i = stack.pop()
+                        if i >= len(table):
+                            raise TrapError(TRAP_OOB_TABLE)
+                        callee = table[i]
+                        if callee is None:
+                            raise TrapError(TRAP_UNDEFINED_ELEMENT)
+                        table_observed.add(callee)
+                        if func_sigs[callee] != ins[1]:
+                            raise TrapError(TRAP_CALL_TYPE)
+                    if len(frames) >= _MAX_SUSPENDED:
+                        raise TrapError(TRAP_STACK_EXHAUSTED)
+                    call_targets.add(callee)
+                    argc = ins[2]
+                    if argc:
+                        call_args = stack[-argc:]
+                        del stack[-argc:]
+                    else:
+                        call_args = []
+                    if callee < n_imports:
+                        stack.extend(self._call_host(callee, call_args))
+                    else:
+                        entered.add(callee)
+                        frames.append((code, pc, locals_, funcidx))
+                        code, locals_ = self._enter(callee, call_args)
+                        pc = 0
+                        funcidx = callee
+                elif k == _LOCAL_TEE:
+                    locals_[ins[1]] = stack[-1]
+                elif k == _BR_IF:
+                    if stack.pop():
+                        if ins[3]:
+                            _unwind(stack, ins[2], ins[3])
+                        pc = ins[1]
+                elif k == _BR:
+                    if ins[3]:
+                        _unwind(stack, ins[2], ins[3])
+                    pc = ins[1]
+                elif k == _STORE:
+                    value = stack.pop()
+                    addr = stack.pop() + ins[1]
+                    width = ins[2]
+                    if addr + width > len(mem):
+                        raise TrapError(TRAP_OOB_MEMORY)
+                    mem[addr : addr + width] = (value & ins[3]).to_bytes(width, "little")
+                elif k == _LOAD:
+                    addr = stack[-1] + ins[1]
+                    width = ins[2]
+                    if addr + width > len(mem):
+                        raise TrapError(TRAP_OOB_MEMORY)
+                    raw = int.from_bytes(mem[addr : addr + width], "little")
+                    if ins[3] is not None:
+                        raw = _sext(raw, ins[3]) & ins[4]
+                    stack[-1] = raw
+                elif k == _UNARY:
+                    stack[-1] = ins[1](stack[-1])
+                elif k == _IF:
+                    if not stack.pop():
+                        pc = ins[1]
+                elif k == _JUMP:
+                    fuel += 1
+                    pc = ins[1]
+                elif k == _NOP:
+                    pass
+                elif k == _BR_TABLE:
+                    i = stack.pop()
+                    labels = ins[1]
+                    pc, keep, drop = labels[i] if i < len(labels) else ins[2]
+                    if drop:
+                        _unwind(stack, keep, drop)
+                elif k == _GLOBAL_GET:
+                    stack.append(globals_[ins[1]])
+                elif k == _GLOBAL_SET:
+                    globals_[ins[1]] = stack.pop()
+                elif k == _DROP:
+                    stack.pop()
+                elif k == _SELECT:
+                    cond = stack.pop()
+                    v2 = stack.pop()
+                    if not cond:
+                        stack[-1] = v2
+                elif k == _MEMORY_SIZE:
+                    stack.append(len(mem) // PAGE_SIZE)
+                elif k == _MEMORY_GROW:
+                    delta = stack[-1]
+                    current = len(mem) // PAGE_SIZE
+                    cap = self.module.memories[0].limits.maximum
+                    cap = MAX_PAGES if cap is None else min(cap, MAX_PAGES)
+                    if current + delta > cap:
+                        stack[-1] = _M32  # -1
+                    else:
+                        mem.extend(bytes(delta * PAGE_SIZE))
+                        stack[-1] = current
+                elif k == _UNREACHABLE:
+                    raise TrapError(TRAP_UNREACHABLE)
+                else:
+                    raise AssertionError(f"unhandled compiled op {ins!r}")
+        except TrapError as t:
+            if t.function_index is None:
+                t.function_index = funcidx
+            raise
         finally:
-            frame.labels.pop()
-
-    def _do_call(self, frame: _Frame, funcidx: int) -> None:
-        if len(self.func_stack) >= CALL_STACK_LIMIT:
-            raise TrapError(TRAP_STACK_EXHAUSTED, self._here())
-        self.call_targets.add(funcidx)
-        ft = self.module.func_type_of(funcidx)
-        self._dispatch(frame, funcidx, ft)
-
-    def _do_call_indirect(self, frame: _Frame, typeidx: int) -> None:
-        i = frame.stack.pop()
-        assert self.table is not None
-        if i >= len(self.table):
-            raise TrapError(TRAP_OOB_TABLE, self._here())
-        funcidx = self.table[i]
-        if funcidx is None:
-            raise TrapError(TRAP_UNDEFINED_ELEMENT, self._here())
-        self.table_observed.add(funcidx)
-        expected = self.module.types[typeidx]
-        actual = self.module.func_type_of(funcidx)
-        if actual != expected:
-            raise TrapError(TRAP_CALL_TYPE, self._here())
-        if len(self.func_stack) >= CALL_STACK_LIMIT:
-            raise TrapError(TRAP_STACK_EXHAUSTED, self._here())
-        self.call_targets.add(funcidx)
-        self._dispatch(frame, funcidx, expected)
-
-    def _dispatch(self, frame: _Frame, funcidx: int, ft: FuncType) -> None:
-        argc = len(ft.params)
-        args = frame.stack[-argc:] if argc else []
-        if argc:
-            del frame.stack[-argc:]
-        results = self._call_index(funcidx, args)
-        frame.stack.extend(results)
+            self.fuel = fuel
 
     def trace(self) -> ExecutionTrace:
         return ExecutionTrace(
@@ -990,12 +1138,10 @@ def run_workload(
                 InvocationRecord(inv, outcome, tuple(inst.host_log[mark:]))
             )
 
-    digest = None
-    if failure is None and inst.mem is not None:
-        digest = fnv1a_64(bytes(inst.mem))
     log = ObservationLog(
         records=tuple(records),
-        final_memory_digest=digest,
+        # the instance ends here, so the log takes its buffer over
+        final_memory=inst.mem if failure is None else None,
         instantiation_error=failure,
         instantiation_host_calls=init_calls,
     )

@@ -12,7 +12,8 @@ function index to its signature regardless of which side it lives on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _replace
+from dataclasses import dataclass, replace as _replace
+from functools import cached_property
 from typing import Union
 
 __all__ = [
@@ -143,20 +144,18 @@ class Module:
     def imported(self, kind: str) -> tuple[Import, ...]:
         return tuple(imp for imp in self.imports if imp.kind == kind)
 
-    @property
+    # cached: calls and type lookups ask for these on every function index
+    @cached_property
     def func_imports(self) -> tuple[Import, ...]:
         return self.imported("func")
 
-    @property
+    @cached_property
     def num_func_imports(self) -> int:
         return len(self.func_imports)
 
     @property
     def num_funcs(self) -> int:
         return self.num_func_imports + len(self.functions)
-
-    def is_func_import(self, index: int) -> bool:
-        return index < self.num_func_imports
 
     def func_type_index(self, index: int) -> int:
         """Type index of the function at a combined index."""

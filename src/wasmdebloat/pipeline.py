@@ -2,7 +2,7 @@
 
 The behavioral oracle is the observation log of the tracing run. The
 debloated module replays the same workload against the same fixed host;
-any divergence in outcomes, host-call sequences, memory digest, or
+any divergence in outcomes, host-call sequences, final memory, or
 instantiation result is a mismatch. Trap comparison is by kind only:
 the trapping function's index is honestly different after remapping.
 
@@ -171,7 +171,7 @@ def compare_logs(
                     _render_host_calls(rb.host_calls),
                 )
             )
-    if original.final_memory_digest != debloated.final_memory_digest:
+    if original.final_memory != debloated.final_memory:
         out.append(
             Mismatch(
                 -1,

@@ -43,6 +43,7 @@ class KeepPlan:
     global_remap: dict[int, int]
     removed_imports: frozenset[int]
     num_func_imports: int
+    num_types: int  # in the module the plan was made for
 
     def disposition(self, funcidx: int) -> Disposition:
         return self.dispositions[funcidx]
@@ -154,4 +155,5 @@ def close_references(m: Module, roots: KeepRoots) -> KeepPlan:
         global_remap=global_remap,
         removed_imports=removed_imports,
         num_func_imports=n_imports,
+        num_types=len(m.types),
     )

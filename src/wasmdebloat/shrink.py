@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import opcodes as op
-from .decode import Reader, decode, section_sizes
+from .decode import Reader, section_sizes
 from .encode import Writer
 from .errors import MalformedBinary, PlanMismatch
 from .module import Expr, Function, Instruction, Module
@@ -61,7 +61,7 @@ def _rewrite_instr(instr: Instruction, plan: KeepPlan) -> Instruction:
 
 
 def _rewrite_body(body: Expr, plan: KeepPlan) -> Expr:
-    return tuple(_rewrite_instr(i, plan) for i in body)
+    return tuple([_rewrite_instr(i, plan) for i in body])
 
 
 def apply_plan(m: Module, plan: KeepPlan) -> Module:
@@ -199,7 +199,6 @@ def shrink_stats(before: bytes, after: bytes, plan: KeepPlan) -> ShrinkStats:
             stubbed += 1
         else:
             removed += 1
-    types_before = len(decode(before).types)
     sizes_before = section_sizes(before)
     sizes_after = section_sizes(after)
     return ShrinkStats(
@@ -207,7 +206,7 @@ def shrink_stats(before: bytes, after: bytes, plan: KeepPlan) -> ShrinkStats:
         functions_stubbed=stubbed,
         functions_removed=removed,
         imports_removed=len(plan.removed_imports),
-        types_removed=types_before - len(plan.type_remap),
+        types_removed=plan.num_types - len(plan.type_remap),
         bytes_before=len(before),
         bytes_after=len(after),
         code_bytes_before=sizes_before.get(op.SEC_CODE, 0),

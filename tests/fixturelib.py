@@ -499,6 +499,32 @@ def deep_recursion_module():
     )
 
 
+def nested_blocks_bytes(depth):
+    """Module bytes exporting f: () -> () whose body is ``depth`` nested
+    empty blocks. Written byte by byte, so any depth can be built, even
+    one the encoder would refuse to recurse into."""
+
+    def leb(n):
+        out = bytearray()
+        while True:
+            low, n = n & 0x7F, n >> 7
+            out.append(low | 0x80 if n else low)
+            if not n:
+                return bytes(out)
+
+    def section(sec_id, payload):
+        return bytes([sec_id]) + leb(len(payload)) + payload
+
+    body = b"\x00" + b"\x02\x40" * depth + b"\x0b" * (depth + 1)
+    return (
+        bytes.fromhex("0061736d01000000")
+        + section(op.SEC_TYPE, bytes.fromhex("01600000"))
+        + section(op.SEC_FUNCTION, bytes.fromhex("0100"))
+        + section(op.SEC_EXPORT, bytes.fromhex("0101660000"))
+        + section(op.SEC_CODE, b"\x01" + leb(len(body)) + body)
+    )
+
+
 def divide_trap_module():
     return Module(
         types=(FuncType((), (I32,)),),

@@ -237,3 +237,16 @@ def test_fail_on_behavior_change_divergent_run(tmp_path, capsys, monkeypatch):
     assert out.exists()
     doc = json.loads(rep.read_text("utf-8"))
     assert doc["validation"]["behavioralOk"] is False
+
+
+def test_nesting_past_the_limit_is_an_input_error(tmp_path, capsys):
+    mod = tmp_path / "deep.wasm"
+    mod.write_bytes(fx.nested_blocks_bytes(30_000))
+    wlf = tmp_path / "deep.workload.json"
+    wlf.write_text(workload_to_document(fx.wl(fx.inv("f"))), "utf-8")
+    code = main(
+        ["debloat", "--module", str(mod), "--workload", str(wlf),
+         "--out", str(tmp_path / "o.wasm")]
+    )
+    assert code == EXIT_INPUT
+    assert "blocks nested deeper than" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 
 import fixturelib as fx
 from wasmdebloat import decode, section_sizes
+from wasmdebloat.decode import MAX_NESTING
 from wasmdebloat import opcodes as op
 from wasmdebloat.errors import MalformedBinary
 from wasmdebloat.module import Export, FuncType, Instruction
@@ -259,3 +260,14 @@ def test_section_sizes_accounts_for_every_byte():
 def test_section_sizes_aggregates_custom_sections():
     data = hx(HEADER, "0003016100", "0003016200")
     assert section_sizes(data) == {op.SEC_CUSTOM: 10}
+
+
+def test_block_nesting_is_bounded():
+    m = decode(fx.nested_blocks_bytes(MAX_NESTING))
+    depth, body = 0, m.functions[0].body
+    while body:
+        depth, body = depth + 1, body[0].args[1]
+    assert depth == MAX_NESTING
+    with pytest.raises(MalformedBinary) as exc:
+        decode(fx.nested_blocks_bytes(MAX_NESTING + 1))
+    assert exc.value.reason == f"blocks nested deeper than {MAX_NESTING}"

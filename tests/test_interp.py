@@ -789,3 +789,120 @@ def test_value_str_signed_rendering():
 def test_float_bit_helpers_round_trip():
     assert f32_to_bits(1.5) == 0x3FC00000
     assert f64_to_bits(1.5) == 0x3FF8000000000000
+
+
+# ---------------------------------------------------------------------------
+# depth, fuel and trace invariants
+
+
+def nested_recursion_module(blocks):
+    """rec(n) = rec(n - 1) + 1, rec(0) = 0, each frame ``blocks`` deep."""
+    inner = fx.if_(
+        "i32",
+        (
+            ins("local.get", 0),
+            ins("i32.const", 1),
+            ins("i32.sub"),
+            ins("call", 0),
+            ins("i32.const", 1),
+            ins("i32.add"),
+        ),
+        (ins("i32.const", 0),),
+    )
+    body = (ins("local.get", 0), inner)
+    for _ in range(blocks):
+        body = (fx.block("i32", *body),)
+    return Module(
+        types=(FuncType(("i32",), ("i32",)),),
+        functions=(Function(0, (), body),),
+        exports=(Export("rec", "func", 0),),
+    )
+
+
+def test_deep_recursion_inside_nested_blocks_returns():
+    m = nested_recursion_module(40)
+    # rec(249) holds 250 frames at once
+    assert run1(m, "rec", Value.i32(249)) == Results((Value.i32(249),))
+
+
+@pytest.mark.parametrize("blocks", [0, 40])
+def test_call_depth_limit(blocks):
+    m = nested_recursion_module(blocks)
+    assert run1(m, "rec", Value.i32(255)) == Results((Value.i32(255),))
+    # the 257th frame is refused, at the call in the 256th
+    assert run1(m, "rec", Value.i32(256)) == Trap("stack-exhausted", 0)
+
+
+def fuel_used(m, name, args, fuel=DEFAULT_FUEL):
+    inst = instantiate(m)
+    out = invoke(inst, name, args, fuel)
+    return out, fuel - inst.fuel
+
+
+def test_fuel_of_sumto_is_hand_counted():
+    m = fx.loop_count_module()
+    for n in (0, 1, 7):
+        # block, loop, local.get 1; three per exit test, nine more per
+        # iteration; a br back to the loop does not pay for the loop again
+        expected = 12 * n + 6
+        out, used = fuel_used(m, "sumto", (Value.i32(n),))
+        assert out == Results((Value.i32(n * (n + 1) // 2),))
+        assert used == expected
+        out, used = fuel_used(m, "sumto", (Value.i32(n),), fuel=expected - 1)
+        assert out == Trap("fuel-exhausted", 0)
+        assert used == expected - 1
+
+
+def parity_module():
+    """acc += 3 for each odd k in n..1 and 1 for each even one, counting
+    down with an if/else and a br_table back edge."""
+    body = (
+        fx.block(
+            None,
+            fx.loop(
+                None,
+                ins("local.get", 0),
+                ins("i32.const", 1),
+                ins("i32.and"),
+                fx.if_(
+                    None,
+                    (ins("local.get", 1), ins("i32.const", 3), ins("i32.add"), ins("local.set", 1)),
+                    (ins("local.get", 1), ins("i32.const", 1), ins("i32.add"), ins("local.set", 1)),
+                ),
+                ins("local.get", 0),
+                ins("i32.const", 1),
+                ins("i32.sub"),
+                ins("local.tee", 0),
+                ins("i32.eqz"),
+                ins("br_table", (0,), 1),
+            ),
+        ),
+        ins("local.get", 1),
+    )
+    return Module(
+        types=(FuncType(("i32",), ("i32",)),),
+        functions=(Function(0, ("i32",), body),),
+        exports=(Export("parity", "func", 0),),
+    )
+
+
+def test_fuel_of_if_else_and_br_table_is_hand_counted():
+    m = parity_module()
+    for n, result in ((1, 3), (5, 11), (6, 12)):
+        # block and loop once; per iteration four up to the if, four in
+        # either arm (else and end are free) and six to the br_table;
+        # local.get 1 at the end
+        expected = 14 * n + 3
+        out, used = fuel_used(m, "parity", (Value.i32(n),))
+        assert out == Results((Value.i32(result),))
+        assert used == expected
+        out, used = fuel_used(m, "parity", (Value.i32(n),), fuel=expected - 1)
+        assert out == Trap("fuel-exhausted", 0)
+        assert used == expected - 1
+
+
+def test_failed_indirect_type_check_observes_slot_without_calling():
+    _, trace = run_workload(fx.table_traps_module(), wl(inv("dispatch", Value.i32(1))))
+    assert trace.table_observed == frozenset({1})
+    assert trace.call_targets == frozenset()
+    assert trace.entered == frozenset({2})

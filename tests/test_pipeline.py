@@ -18,7 +18,9 @@ from wasmdebloat import (
     run_workload,
     validate_behavior,
 )
+from wasmdebloat import interp, validate_module
 from wasmdebloat import opcodes as op
+from wasmdebloat.decode import MAX_NESTING
 from wasmdebloat.interp import Value
 from wasmdebloat.module import (
     Export,
@@ -290,3 +292,24 @@ def test_fully_ok_property():
     assert not ValidationVerdict(
         True, False, (Mismatch(0, "outcome", "a", "b"),)
     ).fully_ok
+
+
+def test_matching_run_computes_no_memory_digest(monkeypatch):
+    def digest(data):
+        raise AssertionError("digest computed for matching memories")
+
+    monkeypatch.setattr(interp, "fnv1a_64", digest)
+    _, report = debloat_module(
+        encode(fx.memory_data_module()), wl(inv("poke", Value.i32(0), Value.i32(7)))
+    )
+    assert report.validation.fully_ok
+
+
+def test_deepest_nesting_decodes_validates_debloats_and_encodes():
+    data = fx.nested_blocks_bytes(MAX_NESTING)
+    m = decode(data)
+    assert validate_module(m).ok
+    assert encode(m) == data
+    out, report = debloat_module(data, wl(inv("f")))
+    assert report.validation.fully_ok
+    assert out == data
