@@ -10,14 +10,13 @@ minimal forms, so byte-identity with arbitrary inputs is not promised.
 
 from __future__ import annotations
 
-import sys
-
 from . import opcodes as op
 from .errors import MalformedBinary
 from .module import (
     DataSegment,
     ElementSegment,
     Export,
+    Expr,
     FuncType,
     Function,
     Global,
@@ -28,6 +27,7 @@ from .module import (
     MemType,
     Module,
     TableType,
+    close_block,
 )
 
 MAGIC = b"\x00asm"
@@ -37,15 +37,15 @@ VERSION = b"\x01\x00\x00\x00"
 # enough that a hostile count can't balloon memory
 MAX_LOCALS = 1_000_000
 
-# deepest block/loop/if nesting accepted in one body. Decode, validate,
-# encode and the rewrite in shrink walk bodies recursively, with up to 3
-# Python frames per level, so the recursion limit below covers
-# MAX_NESTING levels plus the callers' frames.
+# deepest block/loop/if nesting accepted in one body: a cap on hostile
+# input, like MAX_LOCALS. No pass recurses per level, so it bounds the
+# size of explicit stacks, not the Python recursion depth.
 MAX_NESTING = 6_000
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * MAX_NESTING + 2_000))
 
 _IMPORT_KINDS = {0: "func", 1: "table", 2: "memory", 3: "global"}
 _BLOCKTYPES = {op.BLOCKTYPE_EMPTY: None, **op.CODE_VALTYPES}
+# every immediate-free instruction decoded is one of these shared objects
+_BARE = {code: Instruction(code) for code, info in op.OPS.items() if info.imm in ("", "memidx")}
 
 
 class Reader:
@@ -152,81 +152,73 @@ class Reader:
         return TableType(self.limits())
 
 
-def _read_blocktype(r: Reader) -> str | None:
-    start = r.pos
-    code = r.byte()
-    if code not in _BLOCKTYPES:
-        raise MalformedBinary(start, f"invalid block type 0x{code:02x}")
-    return _BLOCKTYPES[code]
+def read_expr(r: Reader) -> Expr:
+    """Read instructions up to the expression's final ``end``.
 
-
-def _read_instr(r: Reader, opcode: int, depth: int) -> Instruction:
-    info = op.OPS.get(opcode)
-    if info is None:
-        raise MalformedBinary(r.pos - 1, f"unknown opcode 0x{opcode:02x}")
-    imm = info.imm
-    if imm == "":
-        return Instruction(opcode)
-    if imm in ("block", "if") and depth >= MAX_NESTING:
-        raise MalformedBinary(r.pos - 1, f"blocks nested deeper than {MAX_NESTING}")
-    if imm == "block":
-        bt = _read_blocktype(r)
-        body, term = _read_body(r, allow_else=False, depth=depth + 1)
-        assert term == op.END
-        return Instruction(opcode, (bt, body))
-    if imm == "if":
-        bt = _read_blocktype(r)
-        then_body, term = _read_body(r, allow_else=True, depth=depth + 1)
-        else_body: tuple = ()
-        if term == op.ELSE:
-            else_body, term = _read_body(r, allow_else=False, depth=depth + 1)
-        return Instruction(opcode, (bt, then_body, else_body))
-    if imm in ("label", "func", "local", "global"):
-        return Instruction(opcode, (r.u32(),))
-    if imm == "br_table":
-        labels = tuple(r.u32() for _ in range(r.u32()))
-        return Instruction(opcode, (labels, r.u32()))
-    if imm == "call_indirect":
-        typeidx = r.u32()
-        start = r.pos
-        if r.byte() != 0x00:
-            raise MalformedBinary(start, "zero byte expected after call_indirect")
-        return Instruction(opcode, (typeidx,))
-    if imm == "memarg":
-        return Instruction(opcode, (r.u32(), r.u32()))
-    if imm == "memidx":
-        start = r.pos
-        if r.byte() != 0x00:
-            raise MalformedBinary(start, "zero byte expected (memory index)")
-        return Instruction(opcode)
-    if imm == "i32":
-        return Instruction(opcode, (r.sint(32),))
-    if imm == "i64":
-        return Instruction(opcode, (r.sint(64),))
-    if imm == "f32":
-        return Instruction(opcode, (int.from_bytes(r.raw(4), "little"),))
-    if imm == "f64":
-        return Instruction(opcode, (int.from_bytes(r.raw(8), "little"),))
-    raise AssertionError(f"unhandled immediate kind {imm!r}")
-
-
-def _read_body(
-    r: Reader, allow_else: bool, depth: int
-) -> tuple[tuple[Instruction, ...], int]:
+    One loop over the bytes; nested constructs are built with the same
+    explicit stack as ``module.nest``, so nesting costs no recursion.
+    """
     out: list[Instruction] = []
+    open_: list[tuple[int, tuple, list]] = []  # as in nest()
     while True:
         start = r.pos
         opcode = r.byte()
-        if opcode == op.END or (opcode == op.ELSE and allow_else):
-            return tuple(out), opcode
+        if opcode == op.END:
+            if not open_:
+                return tuple(out)
+            out = close_block(open_, out)
+            continue
         if opcode == op.ELSE:
-            raise MalformedBinary(start, "else outside if")
-        out.append(_read_instr(r, opcode, depth))
-
-
-def read_expr(r: Reader) -> tuple[Instruction, ...]:
-    body, _ = _read_body(r, allow_else=False, depth=0)
-    return body
+            # an if whose args hold only its block type is in its then arm
+            if not open_ or open_[-1][0] != op.IF or len(open_[-1][1]) != 1:
+                raise MalformedBinary(start, "else outside if")
+            code, args, outer = open_[-1]
+            open_[-1] = (code, args + (tuple(out),), outer)
+            out = []
+            continue
+        info = op.OPS.get(opcode)
+        if info is None:
+            raise MalformedBinary(start, f"unknown opcode 0x{opcode:02x}")
+        imm = info.imm
+        if imm == "":
+            out.append(_BARE[opcode])
+        elif imm in ("label", "func", "local", "global"):
+            out.append(Instruction(opcode, (r.u32(),)))
+        elif imm == "memarg":
+            out.append(Instruction(opcode, (r.u32(), r.u32())))
+        elif imm == "i32":
+            out.append(Instruction(opcode, (r.sint(32),)))
+        elif imm == "block" or imm == "if":
+            if len(open_) >= MAX_NESTING:
+                raise MalformedBinary(start, f"blocks nested deeper than {MAX_NESTING}")
+            at = r.pos
+            bt = r.byte()
+            if bt not in _BLOCKTYPES:
+                raise MalformedBinary(at, f"invalid block type 0x{bt:02x}")
+            open_.append((opcode, (_BLOCKTYPES[bt],), out))
+            out = []
+        elif imm == "br_table":
+            labels = tuple(r.u32() for _ in range(r.u32()))
+            out.append(Instruction(opcode, (labels, r.u32())))
+        elif imm == "call_indirect":
+            typeidx = r.u32()
+            at = r.pos
+            if r.byte() != 0x00:
+                raise MalformedBinary(at, "zero byte expected after call_indirect")
+            out.append(Instruction(opcode, (typeidx,)))
+        elif imm == "memidx":
+            at = r.pos
+            if r.byte() != 0x00:
+                raise MalformedBinary(at, "zero byte expected (memory index)")
+            out.append(_BARE[opcode])
+        elif imm == "i64":
+            out.append(Instruction(opcode, (r.sint(64),)))
+        elif imm == "f32":
+            out.append(Instruction(opcode, (int.from_bytes(r.raw(4), "little"),)))
+        elif imm == "f64":
+            out.append(Instruction(opcode, (int.from_bytes(r.raw(8), "little"),)))
+        else:
+            raise AssertionError(f"unhandled immediate kind {imm!r}")
 
 
 def _check_header(r: Reader) -> None:

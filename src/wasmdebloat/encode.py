@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from . import opcodes as op
 from .errors import EncodeError
-from .module import Expr, FuncType, GlobalType, Limits, Module, TableType
+from .module import Expr, FuncType, GlobalType, Limits, Module, TableType, flat
 
 _EXPORT_KIND_CODES = {"func": 0, "table": 1, "memory": 2, "global": 3}
+# immediate kind per opcode; flat()'s ELSE and END markers have none
+_IMM = {code: info.imm for code, info in op.OPS.items()} | {op.ELSE: "", op.END: ""}
 
 
 class Writer:
@@ -91,63 +93,45 @@ class Writer:
             self.valtype(vt)
 
 
-def _write_blocktype(w: Writer, bt: str | None) -> None:
-    w.byte(op.BLOCKTYPE_EMPTY if bt is None else op.VALTYPE_CODES[bt])
-
-
 def write_expr(w: Writer, body: Expr) -> None:
-    for instr in body:
-        _write_instr(w, instr)
+    """Write ``body`` and its final ``end`` in one loop over ``flat``."""
+    for instr in flat(body):
+        code = instr.opcode
+        w.byte(code)
+        imm = _IMM[code]
+        if imm == "":
+            continue
+        if imm == "block" or imm == "if":
+            bt = instr.args[0]
+            w.byte(op.BLOCKTYPE_EMPTY if bt is None else op.VALTYPE_CODES[bt])
+        elif imm in ("label", "func", "local", "global"):
+            w.u32(instr.args[0])
+        elif imm == "br_table":
+            labels, default = instr.args
+            w.u32(len(labels))
+            for label in labels:
+                w.u32(label)
+            w.u32(default)
+        elif imm == "call_indirect":
+            w.u32(instr.args[0])
+            w.byte(0x00)
+        elif imm == "memarg":
+            align, offset = instr.args
+            w.u32(align)
+            w.u32(offset)
+        elif imm == "memidx":
+            w.byte(0x00)
+        elif imm == "i32":
+            w.s32(instr.args[0])
+        elif imm == "i64":
+            w.s64(instr.args[0])
+        elif imm == "f32":
+            w.raw(instr.args[0].to_bytes(4, "little"))
+        elif imm == "f64":
+            w.raw(instr.args[0].to_bytes(8, "little"))
+        else:
+            raise AssertionError(f"unhandled immediate kind {imm!r}")
     w.byte(op.END)
-
-
-def _write_instr(w: Writer, instr) -> None:
-    code = instr.opcode
-    w.byte(code)
-    imm = op.OPS[code].imm
-    if imm == "":
-        return
-    if imm == "block":
-        bt, body = instr.args
-        _write_blocktype(w, bt)
-        write_expr(w, body)
-    elif imm == "if":
-        bt, then_body, else_body = instr.args
-        _write_blocktype(w, bt)
-        for sub in then_body:
-            _write_instr(w, sub)
-        if else_body:
-            w.byte(op.ELSE)
-            for sub in else_body:
-                _write_instr(w, sub)
-        w.byte(op.END)
-    elif imm in ("label", "func", "local", "global"):
-        w.u32(instr.args[0])
-    elif imm == "br_table":
-        labels, default = instr.args
-        w.u32(len(labels))
-        for label in labels:
-            w.u32(label)
-        w.u32(default)
-    elif imm == "call_indirect":
-        w.u32(instr.args[0])
-        w.byte(0x00)
-    elif imm == "memarg":
-        align, offset = instr.args
-        w.u32(align)
-        w.u32(offset)
-    elif imm == "memidx":
-        w.byte(0x00)
-    elif imm == "i32":
-        w.s32(instr.args[0])
-    elif imm == "i64":
-        w.s64(instr.args[0])
-    elif imm == "f32":
-        w.raw(instr.args[0].to_bytes(4, "little"))
-    elif imm == "f64":
-        w.raw(instr.args[0].to_bytes(8, "little"))
-    else:
-        raise AssertionError(f"unhandled immediate kind {imm!r}")
 
 
 def _group_locals(locals_: tuple[str, ...]) -> list[tuple[int, str]]:

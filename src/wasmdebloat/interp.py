@@ -5,17 +5,18 @@ ran (the execution trace) and what the run observably did (the
 observation log). Entry probes fire before the first body instruction,
 so a function that traps immediately is still recorded as entered.
 
-Each function body is compiled once per instance, on first entry, from
-the instruction tree into a flat list of small tuples (``_compile``).
-Structured control flow becomes jumps: every ``br``, ``br_if``,
-``br_table``, ``if``, ``else`` and ``return`` carries a side-table entry
-with its target pc, the values it keeps and the values it drops, so the
-stack height to restore is fixed at compile time from the opcode stack
-signatures (Titzer, "A fast in-place interpreter for WebAssembly",
-OOPSLA 2022). One loop (``Instance._execute``) runs that code with an
-explicit operand stack and call stack: a branch raises no exception and
-a wasm call adds no Python frame, so nesting depth and call depth cost no
-Python recursion. Fuel is one unit per executed tree instruction.
+Each function body is compiled once per instance, on first entry, into a
+flat list of small tuples (``_compile``), in one pass over the body's
+``module.flat`` order with an explicit control stack. Structured control
+flow becomes jumps: every ``br``, ``br_if``, ``br_table``, ``if``,
+``else`` and ``return`` carries a side-table entry with its target pc,
+the values it keeps and the values it drops, so the stack height to
+restore is fixed at compile time from the opcode stack signatures
+(Titzer, "A fast in-place interpreter for WebAssembly", OOPSLA 2022).
+One loop (``Instance._execute``) runs that code with an explicit operand
+stack and call stack: a branch raises no exception and a wasm call adds
+no Python frame, so nesting depth and call depth cost no Python
+recursion. Fuel is one unit per executed tree instruction.
 
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Floats are materialized only
@@ -27,11 +28,12 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import opcodes as op
 from .errors import LinkError, SignatureMismatch, TrapError, UnknownExport
-from .module import Expr, FuncType, Function, Module, PAGE_SIZE
+from .module import Expr, FuncType, Function, Module, PAGE_SIZE, flat
 
 DEFAULT_FUEL = 10_000_000
 CALL_STACK_LIMIT = 256
@@ -668,31 +670,26 @@ _UNTYPED = {
 _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
 
 
-class _Control:
-    """A function body, block, loop or if arm the compiler is inside."""
-
-    __slots__ = ("body", "pos", "label", "keep", "height", "arity", "else_body", "else_label")
-
-    def __init__(self, body, label, keep, height, arity, else_body=(), else_label=None):
-        self.body = body
-        self.pos = 0
-        self.label = label  # where a branch to this construct goes
-        self.keep = keep  # values such a branch carries
-        self.height = height  # static operand-stack height at entry
-        self.arity = arity  # values the construct leaves on the stack
-        self.else_body = else_body
-        self.else_label = else_label
+# a function body, block, loop or if the compiler is inside: the label a
+# branch to it goes to, the values such a branch carries, the static
+# operand-stack height at entry, the values it leaves on the stack, and
+# the label a false if condition goes to
+_Control = namedtuple("_Control", "label keep height arity else_label", defaults=(None,))
 
 
 def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
-    """Flatten one body, walking the instruction tree without recursion.
+    """Compile one body in a single pass over ``flat(fn.body)``.
 
+    A construct's header pushes a ``_Control``, ``ELSE`` emits the jump
+    over the else arm and places the else label, and ``END`` pops the
+    control and places its label unless a loop placed it at its start.
     Branch tuples are ``(kind, target pc, keep, drop)``: the branch keeps
     the top ``keep`` values and discards the ``drop`` values beneath them,
     which restores the stack height its label had at entry. Both counts
     come from the static stack heights of validated code, so the loop
     keeps no label stack. ``br_table`` holds one ``(pc, keep, drop)`` per
     label plus the default; ``if`` and the else-jump hold a target pc.
+    Labels are numbered as they open and resolved to pcs at the end.
     """
     ft = m.types[fn.type_index]
     code: list[tuple] = []
@@ -707,26 +704,23 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
         return (c.label, c.keep, h - c.keep - c.height)
 
     n = len(ft.results)
-    ctrl = [_Control(fn.body, new_label(), n, 0, n)]
+    ctrl = [_Control(new_label(), n, 0, n)]
     h = 0  # static operand-stack height above the frame's base
-    while ctrl:
-        c = ctrl[-1]
-        if c.pos == len(c.body):
-            if c.else_body:
-                code.append((_JUMP, c.label))
-                pcs[c.else_label] = len(code)
-                c.body, c.pos, c.else_body = c.else_body, 0, ()
-                h = c.height
-                continue
-            ctrl.pop()
+    for instr in flat(fn.body):
+        opcode = instr.opcode
+        args = instr.args
+        if opcode == op.END:
+            c = ctrl.pop()
             if pcs[c.label] is None:
                 pcs[c.label] = len(code)
             h = c.height + c.arity
             continue
-        instr = c.body[c.pos]
-        c.pos += 1
-        opcode = instr.opcode
-        args = instr.args
+        if opcode == op.ELSE:
+            c = ctrl[-1]
+            code.append((_JUMP, c.label))
+            pcs[c.else_label] = len(code)
+            h = c.height
+            continue
         info = op.OPS[opcode]
         if opcode in _UNTYPED:
             kind, effect = _UNTYPED[opcode]
@@ -758,22 +752,20 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
             h += len(callee.results) - len(callee.params) - 1
             code.append((_CALL_INDIRECT, type_ids[args[0]], len(callee.params)))
         elif opcode == op.BLOCK or opcode == op.LOOP:
-            bt, inner = args
-            arity = 0 if bt is None else 1
+            arity = 0 if args[0] is None else 1
             code.append((_NOP,))
             if opcode == op.LOOP:
                 # a branch back re-enters the body, past the loop's _NOP
-                ctrl.append(_Control(inner, new_label(len(code)), 0, h, arity))
+                ctrl.append(_Control(new_label(len(code)), 0, h, arity))
             else:
-                ctrl.append(_Control(inner, new_label(), arity, h, arity))
+                ctrl.append(_Control(new_label(), arity, h, arity))
         elif opcode == op.IF:
-            bt, then_body, else_body = args
-            arity = 0 if bt is None else 1
+            arity = 0 if args[0] is None else 1
             h -= 1
             end = new_label()
-            else_label = new_label() if else_body else end
+            else_label = new_label() if args[2] else end
             code.append((_IF, else_label))
-            ctrl.append(_Control(then_body, end, arity, h, arity, else_body, else_label))
+            ctrl.append(_Control(end, arity, h, arity, else_label))
         elif opcode == op.BR:
             code.append((_BR, *target(args[0], h)))
         elif opcode == op.BR_IF:
@@ -789,6 +781,7 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
             code.append((_BR, *target(len(ctrl) - 1, h)))
         else:
             raise AssertionError(f"unhandled opcode 0x{opcode:02x}")
+    pcs[ctrl[0].label] = len(code)
     code.append((_END,))  # the function label's pc is this _END
 
     def resolve(t: tuple[int, int, int]) -> tuple[int, int, int]:

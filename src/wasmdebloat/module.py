@@ -5,6 +5,14 @@ constructing fresh instances, never by mutating decoded ones. Instruction
 bodies are tuples of ``Instruction``; block-structured instructions nest
 their bodies inside the ``args`` tuple, so a function body is a tree.
 
+No pass walks that tree by recursion. ``flat(body)`` yields a body in
+the binary format's order: a ``block``, ``loop`` or ``if`` (as it is in
+the tree), its contents, the ``ELSE`` marker before a non-empty else
+arm, then the ``END`` marker; the body's own final ``end`` is not
+yielded. ``nest`` rebuilds the tree from that order with an explicit
+stack, so ``nest(flat(b)) == b`` and a rewrite is ``nest(f(i) for i in
+flat(b))``.
+
 Index spaces follow the binary format: imports come first, then the
 module's own definitions. ``Module.func_type_of`` resolves a combined
 function index to its signature regardless of which side it lives on.
@@ -14,7 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace as _replace
 from functools import cached_property
-from typing import Union
+from itertools import chain
+from typing import Iterable, Iterator, Union
+
+from . import opcodes as op
 
 __all__ = [
     "FuncType",
@@ -31,6 +42,10 @@ __all__ = [
     "Instruction",
     "Module",
     "PAGE_SIZE",
+    "ELSE",
+    "END",
+    "flat",
+    "nest",
 ]
 
 PAGE_SIZE = 65536
@@ -97,6 +112,63 @@ class Instruction:
 
 
 Expr = tuple[Instruction, ...]
+
+# the markers flat() puts between and after the arms of a construct
+ELSE = Instruction(op.ELSE)
+END = Instruction(op.END)
+_STRUCTURED = frozenset((op.BLOCK, op.LOOP, op.IF))
+
+
+def flat(body: Expr) -> Iterator[Instruction]:
+    """The instructions of ``body`` in binary order, markers included."""
+    # the iterators of the arms entered and not yet finished, innermost last
+    todo = [iter(body)]
+    while todo:
+        for instr in todo[-1]:
+            yield instr
+            if instr.opcode in _STRUCTURED:
+                args = instr.args
+                if instr.opcode == op.IF and args[2]:
+                    todo.append(chain(args[1], (ELSE,), args[2], (END,)))
+                else:
+                    todo.append(chain(args[1], (END,)))
+                break
+        else:
+            todo.pop()
+
+
+def close_block(open_: list[tuple[int, tuple, list]], body: list) -> list:
+    """Finish the innermost open construct with ``body`` as its last arm,
+    add it to the enclosing list and return that list."""
+    code, args, outer = open_.pop()
+    args += (tuple(body),)
+    if code == op.IF and len(args) == 2:
+        args += ((),)  # no else arm
+    outer.append(Instruction(code, args))
+    return outer
+
+
+def nest(instrs: Iterable[Instruction]) -> Expr:
+    """Rebuild a body from its ``flat`` order: a construct takes only its
+    opcode and block type from its header, its arms from what follows."""
+    out: list[Instruction] = []
+    # per open construct: opcode, its args so far (the block type, then any
+    # finished arm), and the enclosing list
+    open_: list[tuple[int, tuple, list]] = []
+    for instr in instrs:
+        code = instr.opcode
+        if code in _STRUCTURED:
+            open_.append((code, instr.args[:1], out))
+            out = []
+        elif code == op.END:
+            out = close_block(open_, out)
+        elif code == op.ELSE:
+            code, args, outer = open_[-1]
+            open_[-1] = (code, args + (tuple(out),), outer)
+            out = []
+        else:
+            out.append(instr)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import opcodes as op
 from .errors import IndexOutOfRange
 from .interp import ExecutionTrace
-from .module import Expr, Instruction, Module
+from .module import Module, flat
 
 
 class Disposition(enum.Enum):
@@ -40,38 +39,12 @@ class KeepPlan:
     dispositions: tuple[Disposition, ...]
     func_remap: dict[int, int]
     type_remap: dict[int, int]
-    global_remap: dict[int, int]
     removed_imports: frozenset[int]
     num_func_imports: int
     num_types: int  # in the module the plan was made for
 
     def disposition(self, funcidx: int) -> Disposition:
         return self.dispositions[funcidx]
-
-
-def iter_instructions(expr: Expr) -> Iterator[Instruction]:
-    for instr in expr:
-        yield instr
-        imm = op.OPS[instr.opcode].imm
-        if imm == "block":
-            yield from iter_instructions(instr.args[1])
-        elif imm == "if":
-            yield from iter_instructions(instr.args[1])
-            yield from iter_instructions(instr.args[2])
-
-
-def _body_call_targets(body: Expr) -> set[int]:
-    return {
-        i.args[0] for i in iter_instructions(body) if i.opcode == op.CALL
-    }
-
-
-def _body_type_refs(body: Expr) -> set[int]:
-    return {
-        i.args[0]
-        for i in iter_instructions(body)
-        if i.opcode == op.CALL_INDIRECT
-    }
 
 
 def _static_func_roots(m: Module) -> set[int]:
@@ -111,11 +84,17 @@ def close_references(m: Module, roots: KeepRoots) -> KeepPlan:
     n_imports = m.num_func_imports
     body_keep = set(roots.body_keep)
 
-    # one pass reaches the fixed point: references found here earn Stub,
-    # and stub bodies never add references of their own
+    # one pass over the kept bodies reaches the fixed point: the functions
+    # they call earn Stub (stub bodies never add references of their own),
+    # and the types their call_indirects name survive
     survivors = set(roots.decl_keep)
+    type_refs = set()
     for f in body_keep:
-        survivors |= _body_call_targets(m.functions[f - n_imports].body)
+        for i in flat(m.functions[f - n_imports].body):
+            if i.opcode == op.CALL:
+                survivors.add(i.args[0])
+            elif i.opcode == op.CALL_INDIRECT:
+                type_refs.add(i.args[0])
 
     dispositions = []
     for f in range(n):
@@ -134,17 +113,9 @@ def close_references(m: Module, roots: KeepRoots) -> KeepPlan:
     for f in range(n):
         if dispositions[f] != Disposition.REMOVE:
             func_remap[f] = len(func_remap)
-
-    type_refs = set()
-    for f in range(n):
-        if dispositions[f] == Disposition.REMOVE:
-            continue
-        type_refs.add(m.func_type_index(f))
-        if f >= n_imports and dispositions[f] == Disposition.KEEP_BODY:
-            type_refs.update(_body_type_refs(m.functions[f - n_imports].body))
+            type_refs.add(m.func_type_index(f))
     type_remap = {old: new for new, old in enumerate(sorted(type_refs))}
 
-    global_remap = {i: i for i in range(m.num_globals)}
     removed_imports = frozenset(
         f for f in range(n_imports) if dispositions[f] == Disposition.REMOVE
     )
@@ -152,7 +123,6 @@ def close_references(m: Module, roots: KeepRoots) -> KeepPlan:
         dispositions=tuple(dispositions),
         func_remap=func_remap,
         type_remap=type_remap,
-        global_remap=global_remap,
         removed_imports=removed_imports,
         num_func_imports=n_imports,
         num_types=len(m.types),

@@ -15,7 +15,7 @@ from . import opcodes as op
 from .decode import Reader, section_sizes
 from .encode import Writer
 from .errors import MalformedBinary, PlanMismatch
-from .module import Expr, Function, Instruction, Module
+from .module import Expr, Function, Instruction, Module, flat, nest
 from .plan import Disposition, KeepPlan
 
 _STUB_BODY: Expr = (Instruction(op.UNREACHABLE),)
@@ -39,29 +39,13 @@ def stub_body(fn: Function) -> Function:
     return Function(fn.type_index, (), _STUB_BODY)
 
 
-def _rewrite_instr(instr: Instruction, plan: KeepPlan) -> Instruction:
+def _remap(instr: Instruction, plan: KeepPlan) -> Instruction:
     code = instr.opcode
-    imm = op.OPS[code].imm
-    if imm == "block":
-        bt, body = instr.args
-        return Instruction(code, (bt, _rewrite_body(body, plan)))
-    if imm == "if":
-        bt, then_body, else_body = instr.args
-        return Instruction(
-            code,
-            (bt, _rewrite_body(then_body, plan), _rewrite_body(else_body, plan)),
-        )
     if code == op.CALL:
         return Instruction(code, (plan.func_remap[instr.args[0]],))
     if code == op.CALL_INDIRECT:
         return Instruction(code, (plan.type_remap[instr.args[0]],))
-    if code in (op.GLOBAL_GET, op.GLOBAL_SET):
-        return Instruction(code, (plan.global_remap[instr.args[0]],))
     return instr
-
-
-def _rewrite_body(body: Expr, plan: KeepPlan) -> Expr:
-    return tuple([_rewrite_instr(i, plan) for i in body])
 
 
 def apply_plan(m: Module, plan: KeepPlan) -> Module:
@@ -104,7 +88,7 @@ def _apply(m: Module, plan: KeepPlan) -> Module:
                 Function(
                     plan.type_remap[fn.type_index],
                     fn.locals,
-                    _rewrite_body(fn.body, plan),
+                    nest(_remap(i, plan) for i in flat(fn.body)),
                 )
             )
 

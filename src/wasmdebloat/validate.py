@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import opcodes as op
-from .module import Expr, FuncType, Module
+from .module import Expr, FuncType, Module, flat
 
 MAX_MEMORY_PAGES = 65536
 
@@ -33,57 +33,59 @@ class ValidationReport:
         return not self.errors
 
 
-class _Errors:
-    def __init__(self) -> None:
-        self.items: list[tuple[str, str]] = []
-
-    def add(self, loc: str, msg: str) -> None:
-        self.items.append((loc, msg))
+# (location, message) pairs in the order found
+_Errors = list[tuple[str, str]]
 
 
 def _check_limits(lim, cap: int | None, loc: str, errs: _Errors) -> None:
     if cap is not None and lim.minimum > cap:
-        errs.add(loc, f"limits minimum {lim.minimum} exceeds {cap}")
+        errs.append((loc, f"limits minimum {lim.minimum} exceeds {cap}"))
     if lim.maximum is not None:
         if lim.maximum < lim.minimum:
-            errs.add(loc, "limits maximum below minimum")
+            errs.append((loc, "limits maximum below minimum"))
         if cap is not None and lim.maximum > cap:
-            errs.add(loc, f"limits maximum {lim.maximum} exceeds {cap}")
+            errs.append((loc, f"limits maximum {lim.maximum} exceeds {cap}"))
 
 
 def _check_const_expr(
     m: Module, expr: Expr, expected: str, loc: str, errs: _Errors
 ) -> None:
     if len(expr) != 1:
-        errs.add(loc, "constant expression must be a single instruction")
+        errs.append((loc, "constant expression must be a single instruction"))
         return
     instr = expr[0]
     if instr.opcode in _CONST_OPCODES:
         got = _CONST_OPCODES[instr.opcode]
         if got != expected:
-            errs.add(loc, f"constant expression yields {got}, expected {expected}")
+            errs.append((loc, f"constant expression yields {got}, expected {expected}"))
         return
     if instr.opcode == op.GLOBAL_GET:
         idx = instr.args[0]
         imported = m.imported("global")
         if idx >= len(imported):
-            errs.add(loc, "constant expression may only read imported globals")
+            errs.append((loc, "constant expression may only read imported globals"))
             return
         gt = imported[idx].desc
         if gt.mutable:
-            errs.add(loc, "constant expression reads a mutable global")
+            errs.append((loc, "constant expression reads a mutable global"))
         elif gt.valtype != expected:
-            errs.add(
+            errs.append((
                 loc,
                 f"constant expression yields {gt.valtype}, expected {expected}",
-            )
+            ))
         return
     name = op.OPS[instr.opcode].name if instr.opcode in op.OPS else hex(instr.opcode)
-    errs.add(loc, f"{name} not allowed in constant expression")
+    errs.append((loc, f"{name} not allowed in constant expression"))
 
 
 class _BodyChecker:
-    """Operand-stack type checker for one function body."""
+    """Operand-stack type checker for one function body.
+
+    Runs over ``flat(body)`` with an explicit control stack, as in the
+    WebAssembly 1.0 validation appendix: a construct's header opens a
+    frame with a fresh operand stack, ``ELSE`` and ``END`` check the arm
+    they close, and ``END`` pushes the construct's results outside it.
+    """
 
     def __init__(
         self,
@@ -100,14 +102,13 @@ class _BodyChecker:
         self.errs = errs
         self.stack: list[str] = []
         self.dead = False
-        # innermost label last; entry holds the label's branch arity types
-        self.labels: list[tuple[str, ...]] = [results]
+        # per open construct, the function body first: the enclosing stack
+        # and dead flag to restore, its result types, the error context of
+        # its current arm, and the types a branch to its label carries
+        self.ctrl: list[tuple] = [([], False, results, "function end", results)]
 
     def error(self, msg: str) -> None:
-        self.errs.add(self.loc, msg)
-
-    def push(self, t: str) -> None:
-        self.stack.append(t)
+        self.errs.append((self.loc, msg))
 
     def pop(self, expect: str | None = None, ctx: str = "") -> str:
         if self.stack:
@@ -126,8 +127,13 @@ class _BodyChecker:
         self.stack.clear()
 
     def check_function(self, body: Expr) -> None:
-        self.check_instrs(body)
-        self.exit_block(self.results, "function end")
+        markers, check = (op.ELSE, op.END), self.check_instr
+        for instr in flat(body):
+            if instr.opcode in markers:
+                self.close_arm(instr.opcode == op.END)
+            else:
+                check(instr)
+        self.close_arm(True)  # the body's own end closes the function's frame
 
     def exit_block(self, results: tuple[str, ...], ctx: str) -> None:
         for t in reversed(results):
@@ -135,26 +141,27 @@ class _BodyChecker:
         if self.stack and not self.dead:
             self.error(f"{ctx}: {len(self.stack)} extra value(s) on stack")
 
-    def check_block_body(
-        self, body: Expr, results: tuple[str, ...], label: tuple[str, ...], ctx: str
-    ) -> None:
-        saved_stack, saved_dead = self.stack, self.dead
-        self.stack, self.dead = [], False
-        self.labels.append(label)
-        self.check_instrs(body)
+    def close_arm(self, end: bool) -> None:
+        """Check the arm an ELSE or END closes; END also closes its construct."""
+        saved, dead, results, ctx, label = self.ctrl[-1]
         self.exit_block(results, ctx)
-        self.labels.pop()
-        self.stack, self.dead = saved_stack, saved_dead
+        self.stack, self.dead = [], False
+        if not end:
+            self.ctrl[-1] = (saved, dead, results, "if: else", label)
+            return
+        if ctx == "if: then" and results:
+            # a result-typed if requires an else arm; checking an empty
+            # one reports the arity mismatch
+            self.exit_block(results, "if: else")
+        self.ctrl.pop()
+        self.stack, self.dead = saved, dead
+        saved += results
 
     def label_types(self, depth: int, ctx: str) -> tuple[str, ...] | None:
-        if depth >= len(self.labels):
+        if depth >= len(self.ctrl):
             self.error(f"{ctx}: label depth {depth} out of range")
             return None
-        return self.labels[-1 - depth]
-
-    def check_instrs(self, body: Expr) -> None:
-        for instr in body:
-            self.check_instr(instr)
+        return self.ctrl[-1 - depth][4]
 
     def check_instr(self, instr) -> None:
         code = instr.opcode
@@ -162,8 +169,12 @@ class _BodyChecker:
         name = info.name
 
         if info.pops is not None:
+            stack = self.stack
             for t in reversed(info.pops):
-                self.pop(t, name)
+                if stack and stack[-1] == t:
+                    stack.pop()
+                else:
+                    self.pop(t, name)
             if info.width:
                 align = instr.args[0] if info.imm == "memarg" else 0
                 natural = info.width.bit_length() - 1
@@ -171,32 +182,22 @@ class _BodyChecker:
                     self.error(f"{name}: alignment 2**{align} over natural {info.width}")
             if info.imm in ("memarg", "memidx") and self.m.num_memories == 0:
                 self.error(f"{name}: module has no memory")
-            for t in info.pushes:
-                self.push(t)
+            stack += info.pushes
             return
 
         if code == op.UNREACHABLE:
             self.mark_dead()
         elif code == op.NOP:
             pass
-        elif code in (op.BLOCK, op.LOOP):
-            bt, inner = instr.args
+        elif code in (op.BLOCK, op.LOOP, op.IF):
+            bt = instr.args[0]
             results = () if bt is None else (bt,)
+            if code == op.IF:
+                self.pop("i32", name)
+                name = "if: then"
             label = () if code == op.LOOP else results
-            self.check_block_body(inner, results, label, name)
-            for t in results:
-                self.push(t)
-        elif code == op.IF:
-            bt, then_body, else_body = instr.args
-            results = () if bt is None else (bt,)
-            self.pop("i32", name)
-            self.check_block_body(then_body, results, results, "if: then")
-            if else_body or results:
-                # a result-typed if requires an else arm; checking an empty
-                # one reports the arity mismatch either way
-                self.check_block_body(else_body, results, results, "if: else")
-            for t in results:
-                self.push(t)
+            self.ctrl.append((self.stack, self.dead, results, name, label))
+            self.stack, self.dead = [], False
         elif code in (op.BR, op.BR_IF):
             depth = instr.args[0]
             if code == op.BR_IF:
@@ -207,7 +208,7 @@ class _BodyChecker:
                     self.pop(t, name)
                 if code == op.BR_IF:
                     for t in types:
-                        self.push(t)
+                        self.stack.append(t)
             if code == op.BR:
                 self.mark_dead()
         elif code == op.BR_TABLE:
@@ -250,7 +251,7 @@ class _BodyChecker:
             self.pop("i32", name)
             t1 = self.pop(None, name)
             t2 = self.pop(t1 if t1 != "unknown" else None, name)
-            self.push(t2 if t1 == "unknown" else t1)
+            self.stack.append(t2 if t1 == "unknown" else t1)
         elif code in (op.LOCAL_GET, op.LOCAL_SET, op.LOCAL_TEE):
             idx = instr.args[0]
             if idx >= len(self.locals):
@@ -259,12 +260,12 @@ class _BodyChecker:
                 return
             t = self.locals[idx]
             if code == op.LOCAL_GET:
-                self.push(t)
+                self.stack.append(t)
             elif code == op.LOCAL_SET:
                 self.pop(t, name)
             else:
                 self.pop(t, name)
-                self.push(t)
+                self.stack.append(t)
         elif code in (op.GLOBAL_GET, op.GLOBAL_SET):
             idx = instr.args[0]
             if idx >= self.m.num_globals:
@@ -273,7 +274,7 @@ class _BodyChecker:
                 return
             gt = self.m.global_type(idx)
             if code == op.GLOBAL_GET:
-                self.push(gt.valtype)
+                self.stack.append(gt.valtype)
             else:
                 if not gt.mutable:
                     self.error(f"{name}: global {idx} is immutable")
@@ -285,15 +286,15 @@ class _BodyChecker:
         for t in reversed(ft.params):
             self.pop(t, ctx)
         for t in ft.results:
-            self.push(t)
+            self.stack.append(t)
 
 
 def validate_module(m: Module) -> ValidationReport:
-    errs = _Errors()
+    errs: _Errors = []
 
     for i, ft in enumerate(m.types):
         if len(ft.results) > 1:
-            errs.add(f"type[{i}]", "more than one result")
+            errs.append((f"type[{i}]", "more than one result"))
 
     n_func_imports = 0
     for i, imp in enumerate(m.imports):
@@ -301,18 +302,18 @@ def validate_module(m: Module) -> ValidationReport:
         if imp.kind == "func":
             n_func_imports += 1
             if imp.desc >= len(m.types):
-                errs.add(loc, f"type index {imp.desc} out of range")
+                errs.append((loc, f"type index {imp.desc} out of range"))
         elif imp.kind == "table":
             _check_limits(imp.desc.limits, None, loc, errs)
         elif imp.kind == "memory":
             _check_limits(imp.desc.limits, MAX_MEMORY_PAGES, loc, errs)
         elif imp.desc.mutable:
-            errs.add(loc, "mutable global import")
+            errs.append((loc, "mutable global import"))
 
     if m.num_tables > 1:
-        errs.add("table", "more than one table")
+        errs.append(("table", "more than one table"))
     if m.num_memories > 1:
-        errs.add("memory", "more than one memory")
+        errs.append(("memory", "more than one memory"))
     for i, tt in enumerate(m.tables):
         _check_limits(tt.limits, None, f"table[{i}]", errs)
     for i, mt in enumerate(m.memories):
@@ -331,41 +332,41 @@ def validate_module(m: Module) -> ValidationReport:
     for i, exp in enumerate(m.exports):
         loc = f"export[{i}]"
         if exp.name in seen_names:
-            errs.add(loc, f"duplicate export name {exp.name!r}")
+            errs.append((loc, f"duplicate export name {exp.name!r}"))
         seen_names.add(exp.name)
         if exp.index >= counts[exp.kind]:
-            errs.add(loc, f"{exp.kind} index {exp.index} out of bounds")
+            errs.append((loc, f"{exp.kind} index {exp.index} out of bounds"))
         if exp.kind == "global" and exp.index < m.num_globals:
             if m.global_type(exp.index).mutable:
-                errs.add(loc, "mutable global export")
+                errs.append((loc, "mutable global export"))
 
     if m.start is not None:
         if m.start >= m.num_funcs:
-            errs.add("start", f"function index {m.start} out of bounds")
+            errs.append(("start", f"function index {m.start} out of bounds"))
         else:
             ft = m.func_type_of(m.start)
             if ft.params or ft.results:
-                errs.add("start", f"start function has signature {ft}")
+                errs.append(("start", f"start function has signature {ft}"))
 
     for i, seg in enumerate(m.elements):
         loc = f"element[{i}]"
         if seg.table_index >= m.num_tables:
-            errs.add(loc, f"table index {seg.table_index} out of bounds")
+            errs.append((loc, f"table index {seg.table_index} out of bounds"))
         _check_const_expr(m, seg.offset, "i32", f"{loc}.offset", errs)
         for idx in seg.func_indices:
             if idx >= m.num_funcs:
-                errs.add(loc, f"function index {idx} out of bounds")
+                errs.append((loc, f"function index {idx} out of bounds"))
 
     for i, seg in enumerate(m.data):
         loc = f"data[{i}]"
         if seg.memory_index >= m.num_memories:
-            errs.add(loc, f"memory index {seg.memory_index} out of bounds")
+            errs.append((loc, f"memory index {seg.memory_index} out of bounds"))
         _check_const_expr(m, seg.offset, "i32", f"{loc}.offset", errs)
 
     for i, fn in enumerate(m.functions):
         loc = f"func[{n_func_imports + i}]"
         if fn.type_index >= len(m.types):
-            errs.add(loc, f"type index {fn.type_index} out of range")
+            errs.append((loc, f"type index {fn.type_index} out of range"))
             continue
         ft = m.types[fn.type_index]
         if len(ft.results) > 1:
@@ -373,4 +374,4 @@ def validate_module(m: Module) -> ValidationReport:
         checker = _BodyChecker(m, ft.params + fn.locals, ft.results, loc, errs)
         checker.check_function(fn.body)
 
-    return ValidationReport(tuple(errs.items))
+    return ValidationReport(tuple(errs))

@@ -501,8 +501,8 @@ def deep_recursion_module():
 
 def nested_blocks_bytes(depth):
     """Module bytes exporting f: () -> () whose body is ``depth`` nested
-    empty blocks. Written byte by byte, so any depth can be built, even
-    one the encoder would refuse to recurse into."""
+    empty blocks. Written byte by byte, without the package, so any depth
+    can be built, even one decode rejects."""
 
     def leb(n):
         out = bytearray()

@@ -179,10 +179,17 @@ def test_memory_size_reserved_byte():
 
 
 def test_else_outside_if():
-    data = hx(HEADER, "010401600000", "03020100", "0a050103 00050b".replace(" ", ""))
-    with pytest.raises(MalformedBinary) as exc:
-        decode(data)
-    assert exc.value.reason == "else outside if"
+    bodies = (
+        "00050b",  # at function level
+        "004100044005050b0b",  # a second else in one if
+        "00410004400240050b0b0b",  # in a block inside an if's then arm
+    )
+    for body in bodies:
+        code = f"01{len(body) // 2:02x}{body}"
+        data = hx(HEADER, "010401600000", "03020100", f"0a{len(code) // 2:02x}{code}")
+        with pytest.raises(MalformedBinary) as exc:
+            decode(data)
+        assert exc.value.reason == "else outside if", body
 
 
 def test_invalid_value_type():

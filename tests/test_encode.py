@@ -3,11 +3,22 @@
 import pytest
 
 import fixturelib as fx
+import modulegen
 from fixturelib import ins
 from wasmdebloat import decode, encode
 from wasmdebloat import opcodes as op
 from wasmdebloat.errors import EncodeError
-from wasmdebloat.module import Export, FuncType, Function, Instruction, Module
+from wasmdebloat.module import (
+    ELSE,
+    END,
+    Export,
+    FuncType,
+    Function,
+    Instruction,
+    Module,
+    flat,
+    nest,
+)
 
 
 def test_empty_module_exact_bytes():
@@ -43,6 +54,69 @@ def test_round_trip_byte_fixtures():
             assert again == fx.ADD_BYTES
         else:
             assert again == data, name
+
+
+def test_nest_inverts_flat():
+    bodies = [(name, fn.body) for name, m, _ in fx.PAIRS for fn in m.functions]
+    for seed in range(200):
+        m, _ = modulegen.generate_pair(seed)
+        bodies += [(f"seed {seed}", fn.body) for fn in m.functions]
+    for name, body in bodies:
+        assert nest(flat(body)) == body, name
+
+
+def _block(bt, *body):
+    return Instruction(op.BLOCK, (bt, body))
+
+
+def _loop(bt, *body):
+    return Instruction(op.LOOP, (bt, body))
+
+
+def _if(bt, then, else_=()):
+    return Instruction(op.IF, (bt, then, else_))
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        # an if with an empty else arm writes no ELSE marker
+        (
+            (ins("i32.const", 1), _if(None, (ins("nop"),))),
+            ["i32.const", "if", "nop", END],
+        ),
+        # an if/else inside a loop
+        (
+            (
+                _loop(
+                    "i32",
+                    ins("local.get", 0),
+                    _if("i32", (ins("i32.const", 1),), (ins("i32.const", 2),)),
+                ),
+                ins("drop"),
+            ),
+            ["loop", "local.get", "if", "i32.const", ELSE, "i32.const", END, END, "drop"],
+        ),
+        # a br_table inside nested blocks
+        (
+            (_block(None, _block(None, ins("local.get", 0), ins("br_table", (0, 1), 1))),),
+            ["block", "block", "local.get", "br_table", END, END],
+        ),
+    ],
+    ids=["if-empty-else", "if-else-in-loop", "br_table-in-blocks"],
+)
+def test_flat_order_and_nest(body, expected):
+    seq = list(flat(body))
+    assert [
+        i if i in (ELSE, END) else op.OPS[i.opcode].name for i in seq
+    ] == expected
+    assert nest(seq) == body
+    # the binary format has the same order
+    m = Module(
+        types=(FuncType(("i32",), ()),),
+        functions=(Function(0, (), body),),
+    )
+    assert decode(encode(m)) == m
 
 
 def test_encoding_is_deterministic():

@@ -1,7 +1,11 @@
 """End-to-end debloating and the replay-based behavior check."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
@@ -313,3 +317,34 @@ def test_deepest_nesting_decodes_validates_debloats_and_encodes():
     out, report = debloat_module(data, wl(inv("f")))
     assert report.validation.fully_ok
     assert out == data
+
+
+# runs in a fresh interpreter, so the recursion limit is Python's default
+_DEFAULT_LIMIT_SCRIPT = """
+import sys
+limit = sys.getrecursionlimit()
+import wasmdebloat
+from wasmdebloat.interp import Invocation, Workload
+assert sys.getrecursionlimit() == limit, (limit, sys.getrecursionlimit())
+data = sys.stdin.buffer.read()
+m = wasmdebloat.decode(data)
+assert wasmdebloat.validate_module(m).ok
+out, report = wasmdebloat.debloat_module(data, Workload((Invocation("f"),)))
+assert report.validation.fully_ok
+assert out == data
+assert wasmdebloat.encode(m) == data
+"""
+
+
+def test_deepest_nesting_needs_no_recursion_limit():
+    # importing the package leaves the recursion limit alone, and the
+    # deepest accepted nesting runs the whole pipeline within the default
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_LIMIT_SCRIPT],
+        input=fx.nested_blocks_bytes(MAX_NESTING),
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()

@@ -6,10 +6,11 @@ import pytest
 
 import fixturelib as fx
 from fixturelib import ins, inv, wl
-from wasmdebloat import close_references, consolidate, run_workload
+from wasmdebloat import apply_plan, close_references, consolidate, run_workload
+from wasmdebloat import opcodes as op
 from wasmdebloat.errors import IndexOutOfRange
 from wasmdebloat.interp import ExecutionTrace, Value
-from wasmdebloat.module import Export, FuncType, Function, Module
+from wasmdebloat.module import Export, FuncType, Function, Module, flat
 from wasmdebloat.plan import Disposition
 
 
@@ -161,10 +162,20 @@ def test_type_remap_covers_stub_declarations():
         assert type_index in plan.type_remap
 
 
-def test_global_remap_is_identity():
+def test_apply_plan_keeps_global_indices():
+    # globals are never debloated, so the rewrite leaves their indices alone
+    def global_refs(module):
+        return [
+            (i.opcode, i.args)
+            for fn in module.functions
+            for i in flat(fn.body)
+            if i.opcode in (op.GLOBAL_GET, op.GLOBAL_SET)
+        ]
+
     m = fx.globals_counter_module()
-    plan = plan_for(m, wl(inv("inc")))
-    assert plan.global_remap == {0: 0}
+    out = apply_plan(m, plan_for(m, wl(inv("inc"), inv("get"))))
+    assert global_refs(out) == global_refs(m)
+    assert len(global_refs(m)) == 3
 
 
 def test_keep_sets_grow_monotonically_with_trace():
