@@ -6,6 +6,9 @@ sizing, opcode coverage. Index bounds and typing live in validate.
 LEB128 integers are accepted in non-minimal (padded) encodings as long as
 they fit the declared bit width and byte budget; the encoder always emits
 minimal forms, so byte-identity with arbitrary inputs is not promised.
+One reader pair, ``_uleb`` and ``_sleb``, reads every LEB128 integer,
+through ``Reader.u32`` or directly in ``read_expr``. Only a one-byte
+immediate, which can break no bound, is read inline in ``read_expr``.
 """
 
 from __future__ import annotations
@@ -44,8 +47,64 @@ MAX_NESTING = 6_000
 
 _IMPORT_KINDS = {0: "func", 1: "table", 2: "memory", 3: "global"}
 _BLOCKTYPES = {op.BLOCKTYPE_EMPTY: None, **op.CODE_VALTYPES}
+
+# read_expr's dispatch, indexed by opcode byte: the opcode's immediate
+# kind (``Op.imm``), with the kinds that are one u32 index merged into
+# "index", and "else"/"end" for those two bytes. None marks a byte that
+# is no opcode.
+_KIND: list[str | None] = [None] * 256
+for _code, _info in op.OPS.items():
+    _KIND[_code] = "index" if _info.imm in ("label", "func", "local", "global") else _info.imm
+_KIND[op.ELSE] = "else"
+_KIND[op.END] = "end"
 # every immediate-free instruction decoded is one of these shared objects
-_BARE = {code: Instruction(code) for code, info in op.OPS.items() if info.imm in ("", "memidx")}
+_BARE = [Instruction(c) if k in ("", "memidx") else None for c, k in enumerate(_KIND)]
+
+
+def _uleb(data: bytes, pos: int, end: int, bits: int) -> tuple[int, int]:
+    """The unsigned LEB128 integer of at most ``bits`` bits at ``pos``,
+    and the position after it. The only unsigned LEB128 reader."""
+    start = pos
+    stop = pos + (bits + 6) // 7  # one past the last byte a value may use
+    result = shift = 0
+    while True:
+        if pos >= end:
+            raise MalformedBinary(pos, "unexpected end of input")
+        b = data[pos]
+        pos += 1
+        result |= (b & 0x7F) << shift
+        if b < 0x80:
+            break
+        if pos >= stop:
+            raise MalformedBinary(start, "integer representation too long")
+        shift += 7
+    if result >> bits:
+        raise MalformedBinary(start, "integer too large")
+    return result, pos
+
+
+def _sleb(data: bytes, pos: int, end: int, bits: int) -> tuple[int, int]:
+    """The signed LEB128 integer of at most ``bits`` bits at ``pos``, and
+    the position after it. The only signed LEB128 reader."""
+    start = pos
+    stop = pos + (bits + 6) // 7
+    result = shift = 0
+    while True:
+        if pos >= end:
+            raise MalformedBinary(pos, "unexpected end of input")
+        b = data[pos]
+        pos += 1
+        result |= (b & 0x7F) << shift
+        shift += 7
+        if b < 0x80:
+            break
+        if pos >= stop:
+            raise MalformedBinary(start, "integer representation too long")
+    if b & 0x40:
+        result -= 1 << shift  # sign-extend from the last byte's bit 6
+    if not -(1 << (bits - 1)) <= result < 1 << (bits - 1):
+        raise MalformedBinary(start, "integer too large")
+    return result, pos
 
 
 class Reader:
@@ -73,44 +132,9 @@ class Reader:
         self.pos += n
         return bytes(chunk)
 
-    def uint(self, bits: int) -> int:
-        start = self.pos
-        result = 0
-        shift = 0
-        max_bytes = (bits + 6) // 7
-        while True:
-            b = self.byte()
-            result |= (b & 0x7F) << shift
-            shift += 7
-            if not (b & 0x80):
-                break
-            if shift >= 7 * max_bytes:
-                raise MalformedBinary(start, "integer representation too long")
-        if result >> bits:
-            raise MalformedBinary(start, "integer too large")
-        return result
-
-    def sint(self, bits: int) -> int:
-        start = self.pos
-        result = 0
-        shift = 0
-        max_bytes = (bits + 6) // 7
-        while True:
-            b = self.byte()
-            result |= (b & 0x7F) << shift
-            shift += 7
-            if not (b & 0x80):
-                if b & 0x40:
-                    result |= -1 << shift
-                break
-            if shift >= 7 * max_bytes:
-                raise MalformedBinary(start, "integer representation too long")
-        if not -(1 << (bits - 1)) <= result < 1 << (bits - 1):
-            raise MalformedBinary(start, "integer too large")
-        return result
-
     def u32(self) -> int:
-        return self.uint(32)
+        value, self.pos = _uleb(self.data, self.pos, self.end, 32)
+        return value
 
     def name(self) -> str:
         start = self.pos
@@ -155,70 +179,110 @@ class Reader:
 def read_expr(r: Reader) -> Expr:
     """Read instructions up to the expression's final ``end``.
 
-    One loop over the bytes; nested constructs are built with the same
-    explicit stack as ``module.nest``, so nesting costs no recursion.
+    One loop over the bytes, on local copies of the reader's state; the
+    reader's position is written back on return and on error. Nested
+    constructs are built with the same explicit stack as ``module.nest``,
+    so nesting costs no recursion. One-byte LEB128 immediates are read
+    inline, longer ones by ``_uleb``/``_sleb``.
     """
+    data, pos, end = r.data, r.pos, r.end
+    kinds, bare, uleb, sleb = _KIND, _BARE, _uleb, _sleb
+    # tuple.__new__ skips the Python-level __new__ of the named tuple
+    new, Instr = tuple.__new__, Instruction
     out: list[Instruction] = []
+    append = out.append
     open_: list[tuple[int, tuple, list]] = []  # as in nest()
-    while True:
-        start = r.pos
-        opcode = r.byte()
-        if opcode == op.END:
-            if not open_:
-                return tuple(out)
-            out = close_block(open_, out)
-            continue
-        if opcode == op.ELSE:
-            # an if whose args hold only its block type is in its then arm
-            if not open_ or open_[-1][0] != op.IF or len(open_[-1][1]) != 1:
-                raise MalformedBinary(start, "else outside if")
-            code, args, outer = open_[-1]
-            open_[-1] = (code, args + (tuple(out),), outer)
-            out = []
-            continue
-        info = op.OPS.get(opcode)
-        if info is None:
-            raise MalformedBinary(start, f"unknown opcode 0x{opcode:02x}")
-        imm = info.imm
-        if imm == "":
-            out.append(_BARE[opcode])
-        elif imm in ("label", "func", "local", "global"):
-            out.append(Instruction(opcode, (r.u32(),)))
-        elif imm == "memarg":
-            out.append(Instruction(opcode, (r.u32(), r.u32())))
-        elif imm == "i32":
-            out.append(Instruction(opcode, (r.sint(32),)))
-        elif imm == "block" or imm == "if":
-            if len(open_) >= MAX_NESTING:
-                raise MalformedBinary(start, f"blocks nested deeper than {MAX_NESTING}")
-            at = r.pos
-            bt = r.byte()
-            if bt not in _BLOCKTYPES:
-                raise MalformedBinary(at, f"invalid block type 0x{bt:02x}")
-            open_.append((opcode, (_BLOCKTYPES[bt],), out))
-            out = []
-        elif imm == "br_table":
-            labels = tuple(r.u32() for _ in range(r.u32()))
-            out.append(Instruction(opcode, (labels, r.u32())))
-        elif imm == "call_indirect":
-            typeidx = r.u32()
-            at = r.pos
-            if r.byte() != 0x00:
-                raise MalformedBinary(at, "zero byte expected after call_indirect")
-            out.append(Instruction(opcode, (typeidx,)))
-        elif imm == "memidx":
-            at = r.pos
-            if r.byte() != 0x00:
-                raise MalformedBinary(at, "zero byte expected (memory index)")
-            out.append(_BARE[opcode])
-        elif imm == "i64":
-            out.append(Instruction(opcode, (r.sint(64),)))
-        elif imm == "f32":
-            out.append(Instruction(opcode, (int.from_bytes(r.raw(4), "little"),)))
-        elif imm == "f64":
-            out.append(Instruction(opcode, (int.from_bytes(r.raw(8), "little"),)))
-        else:
-            raise AssertionError(f"unhandled immediate kind {imm!r}")
+    try:
+        while True:
+            if pos >= end:
+                raise MalformedBinary(pos, "unexpected end of input")
+            opcode = data[pos]
+            pos += 1
+            kind = kinds[opcode]
+            if kind == "":
+                append(bare[opcode])
+            elif kind == "i32" or kind == "i64":
+                if pos < end and (v := data[pos]) < 0x80:
+                    pos += 1
+                    if v >= 0x40:
+                        v -= 0x80
+                else:
+                    v, pos = sleb(data, pos, end, 32 if kind == "i32" else 64)
+                append(new(Instr, (opcode, (v,))))
+            elif kind == "index":
+                if pos < end and (v := data[pos]) < 0x80:
+                    pos += 1
+                else:
+                    v, pos = uleb(data, pos, end, 32)
+                append(new(Instr, (opcode, (v,))))
+            elif kind == "memarg":
+                if pos < end and (align := data[pos]) < 0x80:
+                    pos += 1
+                else:
+                    align, pos = uleb(data, pos, end, 32)
+                if pos < end and (offset := data[pos]) < 0x80:
+                    pos += 1
+                else:
+                    offset, pos = uleb(data, pos, end, 32)
+                append(new(Instr, (opcode, (align, offset))))
+            elif kind == "end":
+                if not open_:
+                    return tuple(out)
+                out = close_block(open_, out)
+                append = out.append
+            elif kind == "block" or kind == "if":
+                if len(open_) >= MAX_NESTING:
+                    raise MalformedBinary(pos - 1, f"blocks nested deeper than {MAX_NESTING}")
+                if pos >= end:
+                    raise MalformedBinary(pos, "unexpected end of input")
+                bt = data[pos]
+                if bt not in _BLOCKTYPES:
+                    raise MalformedBinary(pos, f"invalid block type 0x{bt:02x}")
+                pos += 1
+                open_.append((opcode, (_BLOCKTYPES[bt],), out))
+                out = []
+                append = out.append
+            elif kind == "else":
+                # an if whose args hold only its block type is in its then arm
+                if not open_ or open_[-1][0] != op.IF or len(open_[-1][1]) != 1:
+                    raise MalformedBinary(pos - 1, "else outside if")
+                code, args, outer = open_[-1]
+                open_[-1] = (code, args + (tuple(out),), outer)
+                out = []
+                append = out.append
+            elif kind == "call_indirect":
+                typeidx, pos = uleb(data, pos, end, 32)
+                if pos >= end:
+                    raise MalformedBinary(pos, "unexpected end of input")
+                if data[pos] != 0x00:
+                    raise MalformedBinary(pos, "zero byte expected after call_indirect")
+                pos += 1
+                append(new(Instr, (opcode, (typeidx,))))
+            elif kind == "memidx":
+                if pos >= end:
+                    raise MalformedBinary(pos, "unexpected end of input")
+                if data[pos] != 0x00:
+                    raise MalformedBinary(pos, "zero byte expected (memory index)")
+                pos += 1
+                append(bare[opcode])
+            elif kind == "br_table":
+                count, pos = uleb(data, pos, end, 32)
+                labels = []
+                for _ in range(count):
+                    label, pos = uleb(data, pos, end, 32)
+                    labels.append(label)
+                default, pos = uleb(data, pos, end, 32)
+                append(new(Instr, (opcode, (tuple(labels), default))))
+            elif kind == "f32" or kind == "f64":
+                n = 4 if kind == "f32" else 8
+                if pos + n > end:
+                    raise MalformedBinary(pos, "unexpected end of input")
+                append(new(Instr, (opcode, (int.from_bytes(data[pos : pos + n], "little"),))))
+                pos += n
+            else:
+                raise MalformedBinary(pos - 1, f"unknown opcode 0x{opcode:02x}")
+    finally:
+        r.pos = pos
 
 
 def _check_header(r: Reader) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _replace
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from . import opcodes as op
 
@@ -101,8 +101,9 @@ class Export:
     index: int
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
+    """One instruction: a tuple, so it compares equal to ``(opcode, args)``."""
+
     opcode: int
     # immediate layout depends on the opcode; block/loop carry
     # (blocktype, body), if carries (blocktype, then_body, else_body),

@@ -24,6 +24,24 @@ _CONST_OPCODES = {
 }
 
 
+# per opcode with a fixed stack signature (``Op.pops`` is not None),
+# the fields check_function reads: its name, minus the number of values
+# it pops, the types it pops (bottom first) and pushes, the natural
+# alignment exponent of a memory access (None for other ops), and whether
+# it needs a memory. None for every other opcode byte.
+_SIMPLE: list[tuple | None] = [None] * 256
+for _code, _info in op.OPS.items():
+    if _info.pops is not None:
+        _SIMPLE[_code] = (
+            _info.name,
+            -len(_info.pops),
+            list(_info.pops),
+            _info.pushes,
+            _info.width.bit_length() - 1 if _info.width else None,
+            _info.imm in ("memarg", "memidx"),
+        )
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     errors: tuple[tuple[str, str], ...]
@@ -127,13 +145,34 @@ class _BodyChecker:
         self.stack.clear()
 
     def check_function(self, body: Expr) -> None:
-        markers, check = (op.ELSE, op.END), self.check_instr
+        """Check a body. Ops with a fixed stack signature are checked here:
+        when the top of the stack is exactly what one pops, it pops and
+        pushes in place; otherwise ``pop`` reports each mismatch."""
+        check, close_arm, pop, simple_ops = self.check_instr, self.close_arm, self.pop, _SIMPLE
+        stack = self.stack
         for instr in flat(body):
-            if instr.opcode in markers:
-                self.close_arm(instr.opcode == op.END)
-            else:
-                check(instr)
-        self.close_arm(True)  # the body's own end closes the function's frame
+            code = instr.opcode
+            simple = simple_ops[code]
+            if simple is None:
+                if code == op.END or code == op.ELSE:
+                    close_arm(code == op.END)
+                else:
+                    check(instr)
+                stack = self.stack  # a construct's header or end swaps it
+                continue
+            name, cut, pops, pushes, natural, memory = simple
+            if cut:
+                if stack[cut:] == pops:
+                    del stack[cut:]
+                else:
+                    for t in reversed(pops):
+                        pop(t, name)
+            if natural is not None and instr.args[0] > natural:
+                self.error(f"{name}: alignment 2**{instr.args[0]} over natural {1 << natural}")
+            if memory and self.m.num_memories == 0:
+                self.error(f"{name}: module has no memory")
+            stack += pushes
+        close_arm(True)  # the body's own end closes the function's frame
 
     def exit_block(self, results: tuple[str, ...], ctx: str) -> None:
         for t in reversed(results):
@@ -164,27 +203,9 @@ class _BodyChecker:
         return self.ctrl[-1 - depth][4]
 
     def check_instr(self, instr) -> None:
+        """Check an instruction without a fixed stack signature."""
         code = instr.opcode
-        info = op.OPS[code]
-        name = info.name
-
-        if info.pops is not None:
-            stack = self.stack
-            for t in reversed(info.pops):
-                if stack and stack[-1] == t:
-                    stack.pop()
-                else:
-                    self.pop(t, name)
-            if info.width:
-                align = instr.args[0] if info.imm == "memarg" else 0
-                natural = info.width.bit_length() - 1
-                if align > natural:
-                    self.error(f"{name}: alignment 2**{align} over natural {info.width}")
-            if info.imm in ("memarg", "memidx") and self.m.num_memories == 0:
-                self.error(f"{name}: module has no memory")
-            stack += info.pushes
-            return
-
+        name = op.OPS[code].name
         if code == op.UNREACHABLE:
             self.mark_dead()
         elif code == op.NOP:
@@ -233,8 +254,12 @@ class _BodyChecker:
                 self.error(f"{name}: function index {idx} out of range")
                 self.mark_dead()
                 return
-            ft = self.m.func_type_of(idx)
-            self._apply(ft, name)
+            typeidx = self.m.func_type_index(idx)
+            if typeidx >= len(self.m.types):
+                self.error(f"{name}: function {idx} has type index {typeidx} out of range")
+                self.mark_dead()
+                return
+            self._apply(self.m.types[typeidx], name)
         elif code == op.CALL_INDIRECT:
             typeidx = instr.args[0]
             if self.m.num_tables == 0:
@@ -343,8 +368,10 @@ def validate_module(m: Module) -> ValidationReport:
     if m.start is not None:
         if m.start >= m.num_funcs:
             errs.append(("start", f"function index {m.start} out of bounds"))
+        elif (typeidx := m.func_type_index(m.start)) >= len(m.types):
+            errs.append(("start", f"function {m.start} has type index {typeidx} out of range"))
         else:
-            ft = m.func_type_of(m.start)
+            ft = m.types[typeidx]
             if ft.params or ft.results:
                 errs.append(("start", f"start function has signature {ft}"))
 

@@ -525,6 +525,30 @@ def nested_blocks_bytes(depth):
     )
 
 
+# decodes, but its start function 0 has type index 12 and the module has
+# two types (found by mutating bytes of a start fixture)
+BAD_START_TYPE_BYTES = bytes.fromhex(
+    "0061736d01000000"
+    "0108026000006000017f"  # type: () -> (), () -> (i32)
+    "0303020c01"  # function: type 12, type 1
+    "0606017f0141000b"  # global: mutable i32 = 0
+    "070701036765740001"  # export: "get" func 1
+    "080100"  # start: func 0
+    "0a0d020600410724000b040023000b"  # code: global.set 0 to 7; global.get 0
+)
+
+
+def bad_call_type_module(imported):
+    """Function 0, an import or a defined function, has type index 7 of
+    one type. Function 1 calls it, then adds with no operands, which
+    only dead code may do."""
+    ft = FuncType((), ())
+    caller = Function(0, (), (ins("call", 0), ins("i32.add"), ins("drop")))
+    if imported:
+        return Module(types=(ft,), imports=(Import("env", "f", "func", 7),), functions=(caller,))
+    return Module(types=(ft,), functions=(Function(7, (), ()), caller))
+
+
 def divide_trap_module():
     return Module(
         types=(FuncType((), (I32,)),),

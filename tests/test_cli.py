@@ -250,3 +250,25 @@ def test_nesting_past_the_limit_is_an_input_error(tmp_path, capsys):
     )
     assert code == EXIT_INPUT
     assert "blocks nested deeper than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (fx.BAD_START_TYPE_BYTES, "start: function 0 has type index 12 out of range"),
+        (encode(fx.bad_call_type_module(imported=False)), "func[0]: type index 7 out of range"),
+        (encode(fx.bad_call_type_module(imported=True)), "import[0]: type index 7 out of range"),
+    ],
+    ids=["start", "call-defined", "call-import"],
+)
+def test_function_with_bad_type_index_is_an_input_error(tmp_path, capsys, data, error):
+    mod = tmp_path / "bad.wasm"
+    mod.write_bytes(data)
+    wlf = tmp_path / "bad.workload.json"
+    wlf.write_text(workload_to_document(fx.wl()), "utf-8")
+    code = main(
+        ["debloat", "--module", str(mod), "--workload", str(wlf),
+         "--out", str(tmp_path / "o.wasm")]
+    )
+    assert code == EXIT_INPUT
+    assert f"input module invalid at {error}" in capsys.readouterr().err

@@ -278,3 +278,38 @@ def test_block_nesting_is_bounded():
     with pytest.raises(MalformedBinary) as exc:
         decode(fx.nested_blocks_bytes(MAX_NESTING + 1))
     assert exc.value.reason == f"blocks nested deeper than {MAX_NESTING}"
+
+
+def one_body(code):
+    """A module whose one function () -> () has no locals and the body
+    bytes ``code`` (hex); the body's first instruction is at offset 23."""
+    entry = f"00{code}"
+    section = f"01{len(entry) // 2:02x}{entry}"
+    return hx(HEADER, "010401600000", "03020100", f"0a{len(section) // 2:02x}{section}")
+
+
+def test_malformed_immediates_in_a_body():
+    cases = [
+        # i32.const in six bytes
+        ("41808080808000" "0b", 24, "integer representation too long"),
+        # i32.const in five bytes, 2**32 - 1
+        ("41ffffffff0f" "0b", 24, "integer too large"),
+        # i64.const in eleven bytes
+        ("42" + "80" * 10 + "00" "0b", 24, "integer representation too long"),
+        # local.get 2**32
+        ("208080808010" "0b", 24, "integer too large"),
+        # i32.load whose offset is cut off by the end of the body
+        ("41002802", 27, "unexpected end of input"),
+        # block with block type 0x99
+        ("02990b0b", 24, "invalid block type 0x99"),
+    ]
+    for code, offset, reason in cases:
+        expect_malformed(one_body(code), offset, reason)
+    # the extreme values of the same lengths are well formed
+    for code, value in [
+        ("41ffffffff07", 2**31 - 1),
+        ("418080808078", -(2**31)),
+        ("42" + "ff" * 9 + "00", 2**63 - 1),
+        ("20ffffffff0f", 2**32 - 1),
+    ]:
+        assert decode(one_body(code + "0b")).functions[0].body[0].args == (value,)

@@ -2,7 +2,7 @@
 
 import fixturelib as fx
 from fixturelib import block, if_, ins
-from wasmdebloat import validate_module
+from wasmdebloat import decode, validate_module
 from wasmdebloat import opcodes as op
 from wasmdebloat.module import (
     DataSegment,
@@ -309,3 +309,83 @@ def test_select_requires_matching_operands():
     )
     m = Module(types=(FuncType((), ()),), functions=(Function(0, (), body),))
     assert not validate_module(m).ok
+
+
+def test_start_function_type_index_out_of_range():
+    m = decode(fx.BAD_START_TYPE_BYTES)
+    assert errs(m) == (
+        ("start", "function 0 has type index 12 out of range"),
+        ("func[0]", "type index 12 out of range"),
+    )
+
+
+def test_call_to_defined_function_with_bad_type_index():
+    # the call is reported and the rest of the body is dead code
+    assert errs(fx.bad_call_type_module(imported=False)) == (
+        ("func[0]", "type index 7 out of range"),
+        ("func[1]", "call: function 0 has type index 7 out of range"),
+    )
+
+
+def test_call_to_imported_function_with_bad_type_index():
+    assert errs(fx.bad_call_type_module(imported=True)) == (
+        ("import[0]", "type index 7 out of range"),
+        ("func[1]", "call: function 0 has type index 7 out of range"),
+    )
+
+
+def body_errors(body, memory=False, result=()):
+    m = Module(
+        types=(FuncType((), result),),
+        memories=(MemType(Limits(1)),) if memory else (),
+        functions=(Function(0, (), body),),
+    )
+    return [msg for _, msg in errs(m)]
+
+
+def test_simple_op_operand_errors():
+    # the top of the stack is checked first, then the value below it
+    assert body_errors(
+        (ins("i64.const", 1), ins("i32.const", 2), ins("i32.add"), ins("drop"))
+    ) == ["i32.add: expected i32, got i64"]
+    assert body_errors(
+        (ins("i32.const", 1), ins("i64.const", 2), ins("i32.add"), ins("drop"))
+    ) == ["i32.add: expected i32, got i64"]
+    assert body_errors(
+        (ins("i32.const", 1), ins("i32.add"), ins("drop"))
+    ) == ["i32.add: operand stack underflow"]
+    assert body_errors(
+        (ins("i32.const", 0), ins("i32.const", 1), ins("i64.store", 3, 0)), memory=True
+    ) == ["i64.store: expected i64, got i32"]
+    assert body_errors(
+        (ins("i32.const", 0), ins("i64.const", 1), ins("i64.store", 3, 0)), memory=True
+    ) == []
+
+
+def test_simple_op_in_dead_code():
+    # dead code may take missing operands from nowhere, but not mistyped ones
+    assert body_errors((ins("unreachable"), ins("i32.add"), ins("drop"))) == []
+    assert body_errors(
+        (ins("unreachable"), ins("i64.const", 1), ins("i32.add"), ins("drop"))
+    ) == ["i32.add: expected i32, got i64"]
+    assert body_errors(
+        (ins("unreachable"), ins("i32.add")), result=("i32",)
+    ) == []
+
+
+def test_memory_op_errors_in_order():
+    # operands first, then alignment, then the missing memory
+    assert body_errors(
+        (ins("i32.const", 0), ins("i32.load", 3, 0), ins("drop"))
+    ) == ["i32.load: alignment 2**3 over natural 4", "i32.load: module has no memory"]
+    assert body_errors((ins("i32.load", 3, 0), ins("drop"))) == [
+        "i32.load: operand stack underflow",
+        "i32.load: alignment 2**3 over natural 4",
+        "i32.load: module has no memory",
+    ]
+    assert body_errors(
+        (ins("i32.const", 0), ins("i32.load8_u", 1, 0), ins("drop")), memory=True
+    ) == ["i32.load8_u: alignment 2**1 over natural 1"]
+    assert body_errors(
+        (ins("i32.const", 1), ins("memory.grow"), ins("drop"))
+    ) == ["memory.grow: module has no memory"]
