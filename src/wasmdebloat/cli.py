@@ -18,6 +18,7 @@ from .decode import decode, section_sizes
 from .documents import (
     report_to_document,
     trace_to_document,
+    verdict_to_json,
     workload_from_document,
 )
 from .errors import WasmDebloatError
@@ -122,20 +123,7 @@ def _cmd_validate(args) -> int:
     debloated = Path(args.debloated).read_bytes()
     w = _read_workload(args.workload)
     verdict = validate_behavior(original, debloated, w)
-    doc = {
-        "syntacticOk": verdict.syntactic_ok,
-        "behavioralOk": verdict.behavioral_ok,
-        "mismatches": [
-            {
-                "invocation": mm.invocation_index,
-                "field": mm.field,
-                "original": mm.original,
-                "debloated": mm.debloated,
-            }
-            for mm in verdict.mismatches
-        ],
-    }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(json.dumps(verdict_to_json(verdict), indent=2) + "\n")
     return EXIT_OK if verdict.fully_ok else EXIT_VALIDATION
 
 

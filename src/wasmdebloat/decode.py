@@ -16,6 +16,8 @@ from __future__ import annotations
 from . import opcodes as op
 from .errors import MalformedBinary
 from .module import (
+    ELSE,
+    END,
     DataSegment,
     ElementSegment,
     Export,
@@ -30,7 +32,6 @@ from .module import (
     MemType,
     Module,
     TableType,
-    close_block,
 )
 
 MAGIC = b"\x00asm"
@@ -49,16 +50,21 @@ _IMPORT_KINDS = {0: "func", 1: "table", 2: "memory", 3: "global"}
 _BLOCKTYPES = {op.BLOCKTYPE_EMPTY: None, **op.CODE_VALTYPES}
 
 # read_expr's dispatch, indexed by opcode byte: the opcode's immediate
-# kind (``Op.imm``), with the kinds that are one u32 index merged into
-# "index", and "else"/"end" for those two bytes. None marks a byte that
-# is no opcode.
+# kind (``Op.imm``), and "else"/"end" for those two bytes. None marks a
+# byte that is no opcode.
 _KIND: list[str | None] = [None] * 256
 for _code, _info in op.OPS.items():
-    _KIND[_code] = "index" if _info.imm in ("label", "func", "local", "global") else _info.imm
+    _KIND[_code] = _info.imm
 _KIND[op.ELSE] = "else"
 _KIND[op.END] = "end"
 # every immediate-free instruction decoded is one of these shared objects
 _BARE = [Instruction(c) if k in ("", "memidx") else None for c, k in enumerate(_KIND)]
+# and every block, loop and if header one of these, per (opcode, block type byte)
+_HEADERS = {
+    (code, bt): Instruction(code, (_BLOCKTYPES[bt],))
+    for code in (op.BLOCK, op.LOOP, op.IF)
+    for bt in _BLOCKTYPES
+}
 
 
 def _uleb(data: bytes, pos: int, end: int, bits: int) -> tuple[int, int]:
@@ -180,18 +186,21 @@ def read_expr(r: Reader) -> Expr:
     """Read instructions up to the expression's final ``end``.
 
     One loop over the bytes, on local copies of the reader's state; the
-    reader's position is written back on return and on error. Nested
-    constructs are built with the same explicit stack as ``module.nest``,
-    so nesting costs no recursion. One-byte LEB128 immediates are read
+    reader's position is written back on return and on error. The
+    instructions go to one list in binary order (see ``module``). Per
+    open construct a flag says whether it is an ``if`` still in its then
+    arm, the one place an ``else`` may stand; an ``else`` followed at once
+    by its ``end`` is not stored. One-byte LEB128 immediates are read
     inline, longer ones by ``_uleb``/``_sleb``.
     """
     data, pos, end = r.data, r.pos, r.end
-    kinds, bare, uleb, sleb = _KIND, _BARE, _uleb, _sleb
+    kinds, bare, headers, uleb, sleb = _KIND, _BARE, _HEADERS, _uleb, _sleb
     # tuple.__new__ skips the Python-level __new__ of the named tuple
     new, Instr = tuple.__new__, Instruction
     out: list[Instruction] = []
     append = out.append
-    open_: list[tuple[int, tuple, list]] = []  # as in nest()
+    # per open construct, innermost last: is it an if in its then arm
+    then_arm: list[bool] = []
     try:
         while True:
             if pos >= end:
@@ -226,30 +235,28 @@ def read_expr(r: Reader) -> Expr:
                     offset, pos = uleb(data, pos, end, 32)
                 append(new(Instr, (opcode, (align, offset))))
             elif kind == "end":
-                if not open_:
+                if not then_arm:
                     return tuple(out)
-                out = close_block(open_, out)
-                append = out.append
-            elif kind == "block" or kind == "if":
-                if len(open_) >= MAX_NESTING:
+                then_arm.pop()
+                if out[-1] is ELSE:
+                    out.pop()  # an empty else arm
+                append(END)
+            elif kind == "block":
+                if len(then_arm) >= MAX_NESTING:
                     raise MalformedBinary(pos - 1, f"blocks nested deeper than {MAX_NESTING}")
                 if pos >= end:
                     raise MalformedBinary(pos, "unexpected end of input")
-                bt = data[pos]
-                if bt not in _BLOCKTYPES:
-                    raise MalformedBinary(pos, f"invalid block type 0x{bt:02x}")
+                header = headers.get((opcode, data[pos]))
+                if header is None:
+                    raise MalformedBinary(pos, f"invalid block type 0x{data[pos]:02x}")
                 pos += 1
-                open_.append((opcode, (_BLOCKTYPES[bt],), out))
-                out = []
-                append = out.append
+                append(header)
+                then_arm.append(opcode == op.IF)
             elif kind == "else":
-                # an if whose args hold only its block type is in its then arm
-                if not open_ or open_[-1][0] != op.IF or len(open_[-1][1]) != 1:
+                if not then_arm or not then_arm[-1]:
                     raise MalformedBinary(pos - 1, "else outside if")
-                code, args, outer = open_[-1]
-                open_[-1] = (code, args + (tuple(out),), outer)
-                out = []
-                append = out.append
+                then_arm[-1] = False
+                append(ELSE)
             elif kind == "call_indirect":
                 typeidx, pos = uleb(data, pos, end, 32)
                 if pos >= end:

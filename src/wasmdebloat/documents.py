@@ -145,7 +145,6 @@ def trace_to_document(trace) -> str:
 
 def report_to_document(report: DebloatReport) -> str:
     s = report.stats
-    v = report.validation
     doc = {
         "toolVersion": report.tool_version,
         "timestamp": report.timestamp,
@@ -169,21 +168,26 @@ def report_to_document(report: DebloatReport) -> str:
             "callTargets": report.trace_summary.call_targets,
             "tableObserved": report.trace_summary.table_observed,
         },
-        "validation": {
-            "syntacticOk": v.syntactic_ok,
-            "behavioralOk": v.behavioral_ok,
-            "mismatches": [
-                {
-                    "invocation": mm.invocation_index,
-                    "field": mm.field,
-                    "original": mm.original,
-                    "debloated": mm.debloated,
-                }
-                for mm in v.mismatches
-            ],
-        },
+        "validation": verdict_to_json(report.validation),
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def verdict_to_json(v: ValidationVerdict) -> dict:
+    """The ``validation`` object of a report, also what ``validate`` prints."""
+    return {
+        "syntacticOk": v.syntactic_ok,
+        "behavioralOk": v.behavioral_ok,
+        "mismatches": [
+            {
+                "invocation": mm.invocation_index,
+                "field": mm.field,
+                "original": mm.original,
+                "debloated": mm.debloated,
+            }
+            for mm in v.mismatches
+        ],
+    }
 
 
 def report_from_document(text: str) -> DebloatReport:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from . import opcodes as op
 from .errors import EncodeError
-from .module import Expr, FuncType, GlobalType, Limits, Module, TableType, flat
+from .module import Expr, FuncType, GlobalType, Limits, Module, TableType
 
 _EXPORT_KIND_CODES = {"func": 0, "table": 1, "memory": 2, "global": 3}
-# immediate kind per opcode; flat()'s ELSE and END markers have none
+# immediate kind per opcode; the ELSE and END markers have none
 _IMM = {code: info.imm for code, info in op.OPS.items()} | {op.ELSE: "", op.END: ""}
 
 
@@ -94,17 +94,17 @@ class Writer:
 
 
 def write_expr(w: Writer, body: Expr) -> None:
-    """Write ``body`` and its final ``end`` in one loop over ``flat``."""
-    for instr in flat(body):
+    """Write ``body`` and its final ``end``."""
+    for instr in body:
         code = instr.opcode
         w.byte(code)
         imm = _IMM[code]
         if imm == "":
             continue
-        if imm == "block" or imm == "if":
+        if imm == "block":
             bt = instr.args[0]
             w.byte(op.BLOCKTYPE_EMPTY if bt is None else op.VALTYPE_CODES[bt])
-        elif imm in ("label", "func", "local", "global"):
+        elif imm == "index":
             w.u32(instr.args[0])
         elif imm == "br_table":
             labels, default = instr.args

@@ -7,16 +7,18 @@ so a function that traps immediately is still recorded as entered.
 
 Each function body is compiled once per instance, on first entry, into a
 flat list of small tuples (``_compile``), in one pass over the body's
-``module.flat`` order with an explicit control stack. Structured control
-flow becomes jumps: every ``br``, ``br_if``, ``br_table``, ``if``,
-``else`` and ``return`` carries a side-table entry with its target pc,
-the values it keeps and the values it drops, so the stack height to
-restore is fixed at compile time from the opcode stack signatures
-(Titzer, "A fast in-place interpreter for WebAssembly", OOPSLA 2022).
+instructions, which are stored in binary order, with an explicit control
+stack. Structured control flow becomes jumps: every ``br``, ``br_if``,
+``br_table``, ``if``, ``else`` and ``return`` carries a side-table entry
+with its target pc, the values it keeps and the values it drops, so the
+stack height to restore is fixed at compile time from the opcode stack
+signatures (Titzer, "A fast in-place interpreter for WebAssembly",
+OOPSLA 2022).
 One loop (``Instance._execute``) runs that code with an explicit operand
 stack and call stack: a branch raises no exception and a wasm call adds
 no Python frame, so nesting depth and call depth cost no Python
-recursion. Fuel is one unit per executed tree instruction.
+recursion. Fuel is one unit per executed instruction; ``else`` and
+``end`` cost nothing.
 
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Floats are materialized only
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 from . import opcodes as op
 from .errors import LinkError, SignatureMismatch, TrapError, UnknownExport
-from .module import Expr, FuncType, Function, Module, PAGE_SIZE, flat
+from .module import Expr, FuncType, Function, Module, PAGE_SIZE
 
 DEFAULT_FUEL = 10_000_000
 CALL_STACK_LIMIT = 256
@@ -109,18 +111,6 @@ class Value:
     @staticmethod
     def f64(x: float) -> "Value":
         return Value("f64", f64_to_bits(float(x)))
-
-    @staticmethod
-    def f32_bits(bits: int) -> "Value":
-        return Value("f32", bits & _M32)
-
-    @staticmethod
-    def f64_bits(bits: int) -> "Value":
-        return Value("f64", bits & _M64)
-
-    @staticmethod
-    def zero(valtype: str) -> "Value":
-        return Value(valtype, 0)
 
     def signed(self) -> int:
         if self.type == "i32":
@@ -615,8 +605,9 @@ def _sext(v: int, from_bits: int) -> int:
 # A function body compiles to a flat list of tuples whose first field is
 # one of the kinds below. The kinds from _JUMP on are pseudo-ops the
 # compiler adds (the jump over an else arm, the function's end); they cost
-# no fuel. Every other tuple stands for one tree instruction and costs one
-# unit when it executes; block and loop compile to a _NOP for that unit.
+# no fuel. Every other tuple stands for one body instruction other than
+# ELSE and END and costs one unit when it executes; block and loop compile
+# to a _NOP for that unit.
 
 (
     _BINARY,
@@ -678,11 +669,12 @@ _Control = namedtuple("_Control", "label keep height arity else_label", defaults
 
 
 def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
-    """Compile one body in a single pass over ``flat(fn.body)``.
+    """Compile one body in a single pass over its instructions.
 
     A construct's header pushes a ``_Control``, ``ELSE`` emits the jump
     over the else arm and places the else label, and ``END`` pops the
-    control and places its label unless a loop placed it at its start.
+    control and places its label unless a loop placed it at its start;
+    an ``if`` with no ``ELSE`` gets its else label there too.
     Branch tuples are ``(kind, target pc, keep, drop)``: the branch keeps
     the top ``keep`` values and discards the ``drop`` values beneath them,
     which restores the stack height its label had at entry. Both counts
@@ -706,13 +698,15 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
     n = len(ft.results)
     ctrl = [_Control(new_label(), n, 0, n)]
     h = 0  # static operand-stack height above the frame's base
-    for instr in flat(fn.body):
+    for instr in fn.body:
         opcode = instr.opcode
         args = instr.args
         if opcode == op.END:
             c = ctrl.pop()
             if pcs[c.label] is None:
                 pcs[c.label] = len(code)
+            if c.else_label is not None and pcs[c.else_label] is None:
+                pcs[c.else_label] = len(code)  # no else arm
             h = c.height + c.arity
             continue
         if opcode == op.ELSE:
@@ -762,10 +756,9 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
         elif opcode == op.IF:
             arity = 0 if args[0] is None else 1
             h -= 1
-            end = new_label()
-            else_label = new_label() if args[2] else end
+            else_label = new_label()
             code.append((_IF, else_label))
-            ctrl.append(_Control(end, arity, h, arity, else_label))
+            ctrl.append(_Control(new_label(), arity, h, arity, else_label))
         elif opcode == op.BR:
             code.append((_BR, *target(args[0], h)))
         elif opcode == op.BR_IF:

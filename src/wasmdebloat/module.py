@@ -1,17 +1,16 @@
 """In-memory representation of a WebAssembly 1.0 module.
 
 Everything is immutable: the debloater builds rewritten modules by
-constructing fresh instances, never by mutating decoded ones. Instruction
-bodies are tuples of ``Instruction``; block-structured instructions nest
-their bodies inside the ``args`` tuple, so a function body is a tree.
+constructing fresh instances, never by mutating decoded ones.
 
-No pass walks that tree by recursion. ``flat(body)`` yields a body in
-the binary format's order: a ``block``, ``loop`` or ``if`` (as it is in
-the tree), its contents, the ``ELSE`` marker before a non-empty else
-arm, then the ``END`` marker; the body's own final ``end`` is not
-yielded. ``nest`` rebuilds the tree from that order with an explicit
-stack, so ``nest(flat(b)) == b`` and a rewrite is ``nest(f(i) for i in
-flat(b))``.
+A function body or constant expression (``Expr``) is a tuple of
+``Instruction`` in the binary format's order. A ``block``, ``loop`` or
+``if`` header carries only its block type; the construct's contents
+follow it, the ``ELSE`` marker precedes a non-empty else arm, and the
+``END`` marker closes the construct. The expression's own final ``end``
+is not stored. Every pass walks a body with a plain ``for`` loop and
+keeps its own control stack where it needs one; a rewrite that maps
+instructions one to one is ``tuple(f(i) for i in body)``.
 
 Index spaces follow the binary format: imports come first, then the
 module's own definitions. ``Module.func_type_of`` resolves a combined
@@ -22,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace as _replace
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from . import opcodes as op
 
@@ -44,8 +42,6 @@ __all__ = [
     "PAGE_SIZE",
     "ELSE",
     "END",
-    "flat",
-    "nest",
 ]
 
 PAGE_SIZE = 65536
@@ -105,71 +101,18 @@ class Instruction(NamedTuple):
     """One instruction: a tuple, so it compares equal to ``(opcode, args)``."""
 
     opcode: int
-    # immediate layout depends on the opcode; block/loop carry
-    # (blocktype, body), if carries (blocktype, then_body, else_body),
-    # br_table carries (labels_tuple, default). Float consts are stored
-    # as raw bit patterns so round-trips never touch Python float.
+    # immediate layout depends on the opcode; block/loop/if carry
+    # (blocktype,), br_table carries (labels_tuple, default). Float consts
+    # are stored as raw bit patterns so round-trips never touch Python
+    # float.
     args: tuple = ()
 
 
 Expr = tuple[Instruction, ...]
 
-# the markers flat() puts between and after the arms of a construct
+# the markers that close a construct's then arm and the construct itself
 ELSE = Instruction(op.ELSE)
 END = Instruction(op.END)
-_STRUCTURED = frozenset((op.BLOCK, op.LOOP, op.IF))
-
-
-def flat(body: Expr) -> Iterator[Instruction]:
-    """The instructions of ``body`` in binary order, markers included."""
-    # the iterators of the arms entered and not yet finished, innermost last
-    todo = [iter(body)]
-    while todo:
-        for instr in todo[-1]:
-            yield instr
-            if instr.opcode in _STRUCTURED:
-                args = instr.args
-                if instr.opcode == op.IF and args[2]:
-                    todo.append(chain(args[1], (ELSE,), args[2], (END,)))
-                else:
-                    todo.append(chain(args[1], (END,)))
-                break
-        else:
-            todo.pop()
-
-
-def close_block(open_: list[tuple[int, tuple, list]], body: list) -> list:
-    """Finish the innermost open construct with ``body`` as its last arm,
-    add it to the enclosing list and return that list."""
-    code, args, outer = open_.pop()
-    args += (tuple(body),)
-    if code == op.IF and len(args) == 2:
-        args += ((),)  # no else arm
-    outer.append(Instruction(code, args))
-    return outer
-
-
-def nest(instrs: Iterable[Instruction]) -> Expr:
-    """Rebuild a body from its ``flat`` order: a construct takes only its
-    opcode and block type from its header, its arms from what follows."""
-    out: list[Instruction] = []
-    # per open construct: opcode, its args so far (the block type, then any
-    # finished arm), and the enclosing list
-    open_: list[tuple[int, tuple, list]] = []
-    for instr in instrs:
-        code = instr.opcode
-        if code in _STRUCTURED:
-            open_.append((code, instr.args[:1], out))
-            out = []
-        elif code == op.END:
-            out = close_block(open_, out)
-        elif code == op.ELSE:
-            code, args, outer = open_[-1]
-            open_[-1] = (code, args + (tuple(out),), outer)
-            out = []
-        else:
-            out.append(instr)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,8 @@ F64_CONST = 0x44
 @dataclass(frozen=True)
 class Op:
     name: str
-    # immediate layout: '' | 'block' | 'if' | 'label' | 'br_table' | 'func'
-    # | 'call_indirect' | 'local' | 'global' | 'memarg' | 'memidx'
+    # immediate layout: '' | 'block' (a block type) | 'index' (one u32)
+    # | 'br_table' | 'call_indirect' | 'memarg' | 'memidx'
     # | 'i32' | 'i64' | 'f32' | 'f64'
     imm: str = ""
     pops: tuple[str, ...] | None = None
@@ -120,20 +120,20 @@ OPS: dict[int, Op] = {
     NOP: Op("nop"),
     BLOCK: Op("block", "block"),
     LOOP: Op("loop", "block"),
-    IF: Op("if", "if"),
-    BR: Op("br", "label"),
-    BR_IF: Op("br_if", "label"),
+    IF: Op("if", "block"),
+    BR: Op("br", "index"),
+    BR_IF: Op("br_if", "index"),
     BR_TABLE: Op("br_table", "br_table"),
     RETURN: Op("return"),
-    CALL: Op("call", "func"),
+    CALL: Op("call", "index"),
     CALL_INDIRECT: Op("call_indirect", "call_indirect"),
     DROP: Op("drop"),
     SELECT: Op("select"),
-    LOCAL_GET: Op("local.get", "local"),
-    LOCAL_SET: Op("local.set", "local"),
-    LOCAL_TEE: Op("local.tee", "local"),
-    GLOBAL_GET: Op("global.get", "global"),
-    GLOBAL_SET: Op("global.set", "global"),
+    LOCAL_GET: Op("local.get", "index"),
+    LOCAL_SET: Op("local.set", "index"),
+    LOCAL_TEE: Op("local.tee", "index"),
+    GLOBAL_GET: Op("global.get", "index"),
+    GLOBAL_SET: Op("global.set", "index"),
     0x28: _load("i32.load", I32, 4),
     0x29: _load("i64.load", I64, 8),
     0x2A: _load("f32.load", F32, 4),

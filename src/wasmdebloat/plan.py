@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import opcodes as op
 from .errors import IndexOutOfRange
 from .interp import ExecutionTrace
-from .module import Module, flat
+from .module import Module
 
 
 class Disposition(enum.Enum):
@@ -90,7 +90,7 @@ def close_references(m: Module, roots: KeepRoots) -> KeepPlan:
     survivors = set(roots.decl_keep)
     type_refs = set()
     for f in body_keep:
-        for i in flat(m.functions[f - n_imports].body):
+        for i in m.functions[f - n_imports].body:
             if i.opcode == op.CALL:
                 survivors.add(i.args[0])
             elif i.opcode == op.CALL_INDIRECT:

@@ -15,7 +15,7 @@ from . import opcodes as op
 from .decode import Reader, section_sizes
 from .encode import Writer
 from .errors import MalformedBinary, PlanMismatch
-from .module import Expr, Function, Instruction, Module, flat, nest
+from .module import Expr, Function, Instruction, Module
 from .plan import Disposition, KeepPlan
 
 _STUB_BODY: Expr = (Instruction(op.UNREACHABLE),)
@@ -88,7 +88,7 @@ def _apply(m: Module, plan: KeepPlan) -> Module:
                 Function(
                     plan.type_remap[fn.type_index],
                     fn.locals,
-                    nest(_remap(i, plan) for i in flat(fn.body)),
+                    tuple(_remap(i, plan) for i in fn.body),
                 )
             )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import opcodes as op
-from .module import Expr, FuncType, Module, flat
+from .module import Expr, FuncType, Module
 
 MAX_MEMORY_PAGES = 65536
 
@@ -22,6 +22,8 @@ _CONST_OPCODES = {
     op.F32_CONST: "f32",
     op.F64_CONST: "f64",
 }
+# the opcodes that open a construct
+_OPENS = (op.BLOCK, op.LOOP, op.IF)
 
 
 # per opcode with a fixed stack signature (``Op.pops`` is not None),
@@ -68,7 +70,16 @@ def _check_limits(lim, cap: int | None, loc: str, errs: _Errors) -> None:
 def _check_const_expr(
     m: Module, expr: Expr, expected: str, loc: str, errs: _Errors
 ) -> None:
-    if len(expr) != 1:
+    # count the instructions outside any construct: a construct with its
+    # contents and its END is one instruction
+    top = depth = 0
+    for instr in expr:
+        if instr.opcode == op.END:
+            depth -= 1
+        elif instr.opcode != op.ELSE:
+            top += depth == 0
+            depth += instr.opcode in _OPENS
+    if top != 1:
         errs.append((loc, "constant expression must be a single instruction"))
         return
     instr = expr[0]
@@ -99,10 +110,13 @@ def _check_const_expr(
 class _BodyChecker:
     """Operand-stack type checker for one function body.
 
-    Runs over ``flat(body)`` with an explicit control stack, as in the
-    WebAssembly 1.0 validation appendix: a construct's header opens a
-    frame with a fresh operand stack, ``ELSE`` and ``END`` check the arm
-    they close, and ``END`` pushes the construct's results outside it.
+    Runs over the body's binary-order instructions with an explicit
+    control stack, as in the WebAssembly 1.0 validation appendix: a
+    construct's header opens a frame with a fresh operand stack, ``ELSE``
+    and ``END`` check the arm they close, and ``END`` pushes the
+    construct's results outside it. A body built by hand may be
+    unbalanced; a stray ``ELSE`` or ``END`` and a construct still open at
+    the body's end are reported as errors.
     """
 
     def __init__(
@@ -148,14 +162,14 @@ class _BodyChecker:
         """Check a body. Ops with a fixed stack signature are checked here:
         when the top of the stack is exactly what one pops, it pops and
         pushes in place; otherwise ``pop`` reports each mismatch."""
-        check, close_arm, pop, simple_ops = self.check_instr, self.close_arm, self.pop, _SIMPLE
+        check, close, pop, simple_ops = self.check_instr, self.close, self.pop, _SIMPLE
         stack = self.stack
-        for instr in flat(body):
+        for instr in body:
             code = instr.opcode
             simple = simple_ops[code]
             if simple is None:
                 if code == op.END or code == op.ELSE:
-                    close_arm(code == op.END)
+                    close(code)
                 else:
                     check(instr)
                 stack = self.stack  # a construct's header or end swaps it
@@ -172,13 +186,27 @@ class _BodyChecker:
             if memory and self.m.num_memories == 0:
                 self.error(f"{name}: module has no memory")
             stack += pushes
-        close_arm(True)  # the body's own end closes the function's frame
+        if len(self.ctrl) > 1:
+            self.error(f"{len(self.ctrl) - 1} construct(s) not closed at end of body")
+        else:
+            self.close_arm(True)  # the body's own end closes the function's frame
 
     def exit_block(self, results: tuple[str, ...], ctx: str) -> None:
         for t in reversed(results):
             self.pop(t, ctx)
         if self.stack and not self.dead:
             self.error(f"{ctx}: {len(self.stack)} extra value(s) on stack")
+
+    def close(self, code: int) -> None:
+        """Check an ELSE or END: one with no construct to close, or an ELSE
+        outside an if's then arm, is reported; any other closes the arm."""
+        name = "end" if code == op.END else "else"
+        if len(self.ctrl) == 1:
+            self.error(f"{name}: no open block, loop or if")
+        elif code == op.ELSE and self.ctrl[-1][3] != "if: then":
+            self.error("else outside if")
+        else:
+            self.close_arm(code == op.END)
 
     def close_arm(self, end: bool) -> None:
         """Check the arm an ELSE or END closes; END also closes its construct."""

@@ -21,6 +21,8 @@ from wasmdebloat.interp import (
 )
 from wasmdebloat.module import (
     DataSegment,
+    ELSE,
+    END,
     ElementSegment,
     Export,
     FuncType,
@@ -46,16 +48,21 @@ def ins(name, *args):
     return Instruction(op.NAME_TO_OPCODE[name], tuple(args))
 
 
+# block, loop and if_ return a construct's instructions in binary order;
+# splice them into a body with *
+
+
 def block(result, *body):
-    return Instruction(op.BLOCK, (result, tuple(body)))
+    return (Instruction(op.BLOCK, (result,)), *body, END)
 
 
 def loop(result, *body):
-    return Instruction(op.LOOP, (result, tuple(body)))
+    return (Instruction(op.LOOP, (result,)), *body, END)
 
 
 def if_(result, then, els=()):
-    return Instruction(op.IF, (result, tuple(then), tuple(els)))
+    els = (ELSE, *els) if els else ()
+    return (Instruction(op.IF, (result,)), *then, *els, END)
 
 
 def f32c(x):
@@ -276,9 +283,9 @@ def start_module():
 def loop_count_module():
     # sumto(n) = n + (n-1) + ... + 1, via a block/loop with br_if/br
     body = (
-        block(
+        *block(
             None,
-            loop(
+            *loop(
                 None,
                 ins("local.get", 0),
                 ins("i32.eqz"),
@@ -305,11 +312,11 @@ def loop_count_module():
 
 def br_table_module():
     body = (
-        block(
+        *block(
             None,
-            block(
+            *block(
                 None,
-                block(
+                *block(
                     None,
                     ins("local.get", 0),
                     ins("br_table", (0, 1), 2),
@@ -332,7 +339,7 @@ def br_table_module():
 def if_else_module():
     body = (
         ins("local.get", 0),
-        if_(I32, (ins("i32.const", 1),), (ins("i32.const", 0),)),
+        *if_(I32, (ins("i32.const", 1),), (ins("i32.const", 0),)),
     )
     return Module(
         types=(FuncType((I32,), (I32,)),),
@@ -594,9 +601,9 @@ def table_traps_module():
 
 def nested_blocks_module():
     body = (
-        block(
+        *block(
             I32,
-            block(
+            *block(
                 None,
                 ins("local.get", 0),
                 ins("br_if", 0),

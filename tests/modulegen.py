@@ -18,6 +18,8 @@ from wasmdebloat import opcodes as op
 from wasmdebloat.interp import Invocation, Value, Workload, f32_to_bits, f64_to_bits
 from wasmdebloat.module import (
     DataSegment,
+    ELSE,
+    END,
     ElementSegment,
     Export,
     FuncType,
@@ -216,11 +218,13 @@ class _Gen:
                 + (_ins("select"),)
             )
         if kind == "if":
-            return self.expr("i32", depth - 1, env) + (
-                Instruction(
-                    op.IF,
-                    (t, self.expr(t, depth - 1, env), self.expr(t, depth - 1, env)),
-                ),
+            return (
+                self.expr("i32", depth - 1, env)
+                + (Instruction(op.IF, (t,)),)
+                + self.expr(t, depth - 1, env)
+                + (ELSE,)
+                + self.expr(t, depth - 1, env)
+                + (END,)
             )
         if kind == "load":
             name, align = rng.choice(LOADS[t])

@@ -7,7 +7,7 @@ from wasmdebloat import decode, section_sizes
 from wasmdebloat.decode import MAX_NESTING
 from wasmdebloat import opcodes as op
 from wasmdebloat.errors import MalformedBinary
-from wasmdebloat.module import Export, FuncType, Instruction
+from wasmdebloat.module import END, Export, FuncType, Instruction
 
 HEADER = "0061736d01000000"
 
@@ -271,10 +271,8 @@ def test_section_sizes_aggregates_custom_sections():
 
 def test_block_nesting_is_bounded():
     m = decode(fx.nested_blocks_bytes(MAX_NESTING))
-    depth, body = 0, m.functions[0].body
-    while body:
-        depth, body = depth + 1, body[0].args[1]
-    assert depth == MAX_NESTING
+    header = Instruction(op.BLOCK, (None,))
+    assert m.functions[0].body == (header,) * MAX_NESTING + (END,) * MAX_NESTING
     with pytest.raises(MalformedBinary) as exc:
         decode(fx.nested_blocks_bytes(MAX_NESTING + 1))
     assert exc.value.reason == f"blocks nested deeper than {MAX_NESTING}"

@@ -16,8 +16,6 @@ from wasmdebloat.module import (
     Function,
     Instruction,
     Module,
-    flat,
-    nest,
 )
 
 
@@ -56,67 +54,75 @@ def test_round_trip_byte_fixtures():
             assert again == data, name
 
 
-def test_nest_inverts_flat():
-    bodies = [(name, fn.body) for name, m, _ in fx.PAIRS for fn in m.functions]
-    for seed in range(200):
-        m, _ = modulegen.generate_pair(seed)
-        bodies += [(f"seed {seed}", fn.body) for fn in m.functions]
-    for name, body in bodies:
-        assert nest(flat(body)) == body, name
+def test_decoded_bodies_are_balanced_binary_order():
+    modules = [(name, m) for name, m, _ in fx.PAIRS]
+    modules += [(f"seed {seed}", modulegen.generate_pair(seed)[0]) for seed in range(200)]
+    for name, m in modules:
+        for fn in decode(encode(m)).functions:
+            # per open construct: is it an if in its then arm
+            then_arm = []
+            prev = None
+            for instr in fn.body:
+                if instr == END:
+                    assert then_arm, name
+                    assert prev != ELSE, name  # an empty else arm is not stored
+                    then_arm.pop()
+                elif instr == ELSE:
+                    assert then_arm and then_arm[-1], name
+                    then_arm[-1] = False
+                elif instr.opcode in (op.BLOCK, op.LOOP, op.IF):
+                    assert len(instr.args) == 1, name
+                    then_arm.append(instr.opcode == op.IF)
+                prev = instr
+            assert not then_arm, name
 
 
-def _block(bt, *body):
-    return Instruction(op.BLOCK, (bt, body))
-
-
-def _loop(bt, *body):
-    return Instruction(op.LOOP, (bt, body))
-
-
-def _if(bt, then, else_=()):
-    return Instruction(op.IF, (bt, then, else_))
+def _one_body_bytes(body_hex):
+    """A module with one function (i32) -> () whose body, less its final
+    end, is ``body_hex``."""
+    body = bytes.fromhex("00" + body_hex + "0b")  # no locals
+    return (
+        bytes.fromhex("0061736d01000000 0105016001 7f00 03020100")
+        + bytes((op.SEC_CODE, len(body) + 2, 1, len(body)))
+        + body
+    )
 
 
 @pytest.mark.parametrize(
-    "body, expected",
+    "body_hex, expected, again_hex",
     [
-        # an if with an empty else arm writes no ELSE marker
+        # an if with an empty else arm: the ELSE is not stored or written
+        ("41010440 01 050b", ["i32.const", "if", "nop", END], "41010440 010b"),
+        ("41010440 010b", ["i32.const", "if", "nop", END], None),
+        # an empty else arm inside the then arm of an if with an else
         (
-            (ins("i32.const", 1), _if(None, (ins("nop"),))),
-            ["i32.const", "if", "nop", END],
+            "20000440 20000440 01050b 05 01 0b",
+            ["local.get", "if", "local.get", "if", "nop", END, ELSE, "nop", END],
+            "20000440 20000440 010b 05 01 0b",
         ),
         # an if/else inside a loop
         (
-            (
-                _loop(
-                    "i32",
-                    ins("local.get", 0),
-                    _if("i32", (ins("i32.const", 1),), (ins("i32.const", 2),)),
-                ),
-                ins("drop"),
-            ),
+            "037f 2000 047f 4101 05 4102 0b 0b 1a",
             ["loop", "local.get", "if", "i32.const", ELSE, "i32.const", END, END, "drop"],
+            None,
         ),
         # a br_table inside nested blocks
         (
-            (_block(None, _block(None, ins("local.get", 0), ins("br_table", (0, 1), 1))),),
+            "0240 0240 2000 0e02000101 0b 0b",
             ["block", "block", "local.get", "br_table", END, END],
+            None,
         ),
     ],
-    ids=["if-empty-else", "if-else-in-loop", "br_table-in-blocks"],
+    ids=["if-empty-else", "if-no-else", "empty-else-in-then-arm", "if-else-in-loop", "br_table-in-blocks"],
 )
-def test_flat_order_and_nest(body, expected):
-    seq = list(flat(body))
+def test_decode_keeps_binary_order(body_hex, expected, again_hex):
+    data = _one_body_bytes(body_hex)
+    body = decode(data).functions[0].body
     assert [
-        i if i in (ELSE, END) else op.OPS[i.opcode].name for i in seq
+        i if i in (ELSE, END) else op.OPS[i.opcode].name for i in body
     ] == expected
-    assert nest(seq) == body
-    # the binary format has the same order
-    m = Module(
-        types=(FuncType(("i32",), ()),),
-        functions=(Function(0, (), body),),
-    )
-    assert decode(encode(m)) == m
+    again = data if again_hex is None else _one_body_bytes(again_hex)
+    assert encode(decode(data)) == again
 
 
 def test_encoding_is_deterministic():
@@ -178,7 +184,9 @@ def test_minimal_leb_for_large_values():
 def test_if_without_else_omits_else_opcode():
     body = (
         ins("local.get", 0),
-        Instruction(op.IF, (None, (ins("nop"),), ())),
+        Instruction(op.IF, (None,)),
+        ins("nop"),
+        END,
     )
     m = Module(
         types=(FuncType(("i32",), ()),),

@@ -9,7 +9,6 @@ import pytest
 
 import fixturelib as fx
 from fixturelib import f32c, f64c, ins, inv, wl
-from wasmdebloat import opcodes as op
 from wasmdebloat.errors import SignatureMismatch, UnknownExport
 from wasmdebloat.interp import (
     DEFAULT_FUEL,
@@ -34,7 +33,6 @@ from wasmdebloat.module import (
     FuncType,
     Function,
     Import,
-    Instruction,
     Limits,
     MemType,
     Module,
@@ -156,7 +154,7 @@ def test_stack_exhaustion():
 def test_fuel_exhaustion_on_infinite_loop():
     m = Module(
         types=(FuncType((), ()),),
-        functions=(Function(0, (), (fx.loop(None, ins("br", 0)),)),),
+        functions=(Function(0, (), fx.loop(None, ins("br", 0))),),
         exports=(Export("f", "func", 0),),
     )
     out = run1(m, "f", fuel=1000)
@@ -554,7 +552,7 @@ def test_select_and_drop():
 def test_early_return():
     body = (
         ins("local.get", 0),
-        Instruction(op.IF, (None, (ins("i32.const", 1), ins("return")), ())),
+        *fx.if_(None, (ins("i32.const", 1), ins("return"))),
         ins("i32.const", 2),
     )
     m = Module(
@@ -809,9 +807,9 @@ def nested_recursion_module(blocks):
         ),
         (ins("i32.const", 0),),
     )
-    body = (ins("local.get", 0), inner)
+    body = (ins("local.get", 0), *inner)
     for _ in range(blocks):
-        body = (fx.block("i32", *body),)
+        body = fx.block("i32", *body)
     return Module(
         types=(FuncType(("i32",), ("i32",)),),
         functions=(Function(0, (), body),),
@@ -857,14 +855,14 @@ def parity_module():
     """acc += 3 for each odd k in n..1 and 1 for each even one, counting
     down with an if/else and a br_table back edge."""
     body = (
-        fx.block(
+        *fx.block(
             None,
-            fx.loop(
+            *fx.loop(
                 None,
                 ins("local.get", 0),
                 ins("i32.const", 1),
                 ins("i32.and"),
-                fx.if_(
+                *fx.if_(
                     None,
                     (ins("local.get", 1), ins("i32.const", 3), ins("i32.add"), ins("local.set", 1)),
                     (ins("local.get", 1), ins("i32.const", 1), ins("i32.add"), ins("local.set", 1)),

@@ -10,7 +10,7 @@ from wasmdebloat import apply_plan, close_references, consolidate, run_workload
 from wasmdebloat import opcodes as op
 from wasmdebloat.errors import IndexOutOfRange
 from wasmdebloat.interp import ExecutionTrace, Value
-from wasmdebloat.module import Export, FuncType, Function, Module, flat
+from wasmdebloat.module import Export, FuncType, Function, Module
 from wasmdebloat.plan import Disposition
 
 
@@ -168,7 +168,7 @@ def test_apply_plan_keeps_global_indices():
         return [
             (i.opcode, i.args)
             for fn in module.functions
-            for i in flat(fn.body)
+            for i in fn.body
             if i.opcode in (op.GLOBAL_GET, op.GLOBAL_SET)
         ]
 

@@ -1,11 +1,15 @@
 """Module validation: structural limits, index bounds, body typing."""
 
+import pytest
+
 import fixturelib as fx
 from fixturelib import block, if_, ins
 from wasmdebloat import decode, validate_module
 from wasmdebloat import opcodes as op
 from wasmdebloat.module import (
     DataSegment,
+    ELSE,
+    END,
     ElementSegment,
     Export,
     FuncType,
@@ -194,7 +198,7 @@ def test_if_with_result_requires_else():
             Function(
                 0,
                 (),
-                (ins("i32.const", 1), Instruction(op.IF, ("i32", (ins("i32.const", 2),), ()))),
+                (ins("i32.const", 1), *if_("i32", (ins("i32.const", 2),))),
             ),
         ),
     )
@@ -202,12 +206,10 @@ def test_if_with_result_requires_else():
 
 
 def test_br_table_label_types_must_agree():
-    body = (
-        block(
-            "i32",
-            block(None, ins("i32.const", 0), ins("br_table", (0,), 1)),
-            ins("i32.const", 1),
-        ),
+    body = block(
+        "i32",
+        *block(None, ins("i32.const", 0), ins("br_table", (0,), 1)),
+        ins("i32.const", 1),
     )
     m = Module(
         types=(FuncType((), ("i32",)),),
@@ -238,6 +240,63 @@ def test_global_init_constraints():
     assert first_error(m) == (
         "global[1].init",
         "constant expression may only read imported globals",
+    )
+
+
+@pytest.mark.parametrize(
+    "init_hex, message",
+    [
+        ("02400b", "block not allowed in constant expression"),
+        ("04400b", "if not allowed in constant expression"),
+        ("0440010501 0b", "if not allowed in constant expression"),
+        ("4100 02400b", "constant expression must be a single instruction"),
+    ],
+    ids=["block", "if", "if-else", "const-then-block"],
+)
+def test_constant_expression_counts_a_construct_as_one_instruction(init_hex, message):
+    # a global i32 initialised by the given instructions and its final end
+    init = bytes.fromhex(init_hex + "0b")
+    data = (
+        bytes.fromhex("0061736d01000000")
+        + bytes((op.SEC_GLOBAL, len(init) + 3, 1))
+        + bytes.fromhex("7f00")  # immutable i32
+        + init
+    )
+    assert errs(decode(data)) == (("global[0].init", message),)
+
+
+def _body_errors(*body):
+    m = Module(types=(FuncType((), ()),), functions=(Function(0, (), body),))
+    return errs(m)
+
+
+# hand-built bodies can be unbalanced, decoded ones cannot
+BLOCK = Instruction(op.BLOCK, (None,))
+IF = Instruction(op.IF, (None,))
+
+
+def test_end_without_open_construct():
+    assert _body_errors(ins("nop"), END) == (("func[0]", "end: no open block, loop or if"),)
+
+
+def test_else_without_open_construct():
+    assert _body_errors(ELSE, ins("nop")) == (("func[0]", "else: no open block, loop or if"),)
+
+
+def test_else_outside_if():
+    assert _body_errors(BLOCK, ELSE, END) == (("func[0]", "else outside if"),)
+    # a second else in one if
+    assert _body_errors(ins("i32.const", 1), IF, ELSE, ins("nop"), ELSE, END) == (
+        ("func[0]", "else outside if"),
+    )
+
+
+def test_construct_left_open_at_end_of_body():
+    assert _body_errors(BLOCK, END, BLOCK) == (
+        ("func[0]", "1 construct(s) not closed at end of body"),
+    )
+    assert _body_errors(ins("i32.const", 0), IF, BLOCK, BLOCK, END) == (
+        ("func[0]", "2 construct(s) not closed at end of body"),
     )
 
 
@@ -276,17 +335,13 @@ def test_setting_immutable_global_rejected():
 
 def test_branching_with_values():
     # br from a result-typed block carries the block result
-    body = (
-        block("i32", ins("i32.const", 4), ins("br", 0)),
-    )
+    body = block("i32", ins("i32.const", 4), ins("br", 0))
     m = Module(types=(FuncType((), ("i32",)),), functions=(Function(0, (), body),))
     assert validate_module(m).ok
     # loop labels have arity 0, so br 0 inside needs no value
-    body = (
-        block(
-            None,
-            fx.loop(None, ins("local.get", 0), ins("br_if", 1), ins("br", 0)),
-        ),
+    body = block(
+        None,
+        *fx.loop(None, ins("local.get", 0), ins("br_if", 1), ins("br", 0)),
     )
     m = Module(types=(FuncType(("i32",), ()),), functions=(Function(0, (), body),))
     assert validate_module(m).ok
