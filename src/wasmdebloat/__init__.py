@@ -41,8 +41,6 @@ from .interp import (
 from .module import Module
 from .pipeline import (
     DebloatReport,
-    Options,
-    ValidationFailed,
     ValidationVerdict,
     debloat_module,
     validate_behavior,
@@ -80,10 +78,8 @@ __all__ = [
     "stub_body",
     "apply_plan",
     "shrink_stats",
-    "Options",
     "DebloatReport",
     "ValidationVerdict",
-    "ValidationFailed",
     "debloat_module",
     "validate_behavior",
     "WasmDebloatError",

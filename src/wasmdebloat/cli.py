@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input errors (unreadable files, malformed
-modules or documents, unknown exports), 2 validation failure (the
-validate command, or debloat with --fail-on-behavior-change), 64 usage
-errors. Diagnostics go to stderr; documents go to stdout unless an
-output path was given.
+modules, documents that are not UTF-8 JSON of the documented shape,
+unknown exports), 2 validation failure (the validate command, or
+debloat with --fail-on-behavior-change), 64 usage errors. ``debloat``
+always writes the module and the report; the verdict in the report is
+on the written bytes, decoded again. Diagnostics go to stderr;
+documents go to stdout unless an output path was given.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from .documents import (
     verdict_to_json,
     workload_from_document,
 )
-from .errors import WasmDebloatError
+from .errors import DocumentError, WasmDebloatError
 from .interp import run_workload
 from .opcodes import SECTION_NAMES
-from .pipeline import Options, ValidationFailed, debloat_module, validate_behavior
-from .validate import validate_module
+from .pipeline import debloat_module, load_module, validate_behavior
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -78,7 +79,11 @@ def _build_parser() -> _Parser:
 
 
 def _read_workload(path: str):
-    return workload_from_document(Path(path).read_text("utf-8"))
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as e:
+        raise DocumentError(f"byte {e.start}", "workload is not UTF-8") from None
+    return workload_from_document(text)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -91,29 +96,24 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_debloat(args) -> int:
     data = Path(args.module).read_bytes()
     w = _read_workload(args.workload)
-    opts = Options(fail_on_behavior_change=args.fail_on_behavior_change)
-    code = EXIT_OK
-    try:
-        out_bytes, report = debloat_module(data, w, opts)
-    except ValidationFailed as e:
-        out_bytes, report = e.output, e.report
-        code = EXIT_VALIDATION
-        print(f"wasm-debloat: {e}", file=sys.stderr)
+    out_bytes, report = debloat_module(data, w)
     Path(args.out).write_bytes(out_bytes)
     _emit(report_to_document(report), args.report)
-    return code
+    verdict = report.validation
+    if args.fail_on_behavior_change and not verdict.fully_ok:
+        print(
+            f"wasm-debloat: behavior changed: {len(verdict.mismatches)} "
+            f"mismatch(es), syntactic_ok={verdict.syntactic_ok}",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
     data = Path(args.module).read_bytes()
     w = _read_workload(args.workload)
-    m = decode(data)
-    report = validate_module(m)
-    if not report.ok:
-        loc, msg = report.errors[0]
-        print(f"wasm-debloat: module invalid at {loc}: {msg}", file=sys.stderr)
-        return EXIT_INPUT
-    _, trace = run_workload(m, w)
+    _, trace = run_workload(load_module(data, "input"), w)
     _emit(trace_to_document(trace), args.out)
     return EXIT_OK
 

@@ -22,6 +22,18 @@ _INT_RANGES = {
     "i64": (-(1 << 63), (1 << 64) - 1),
 }
 _FLOAT_STRINGS = {"nan": math.nan, "inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
+# report keys of the ShrinkStats fields, in document order
+_STATS_KEYS = {
+    "functionsKeptBody": "functions_kept_body",
+    "functionsStubbed": "functions_stubbed",
+    "functionsRemoved": "functions_removed",
+    "importsRemoved": "imports_removed",
+    "typesRemoved": "types_removed",
+    "bytesBefore": "bytes_before",
+    "bytesAfter": "bytes_after",
+    "codeBytesBefore": "code_bytes_before",
+    "codeBytesAfter": "code_bytes_after",
+}
 
 
 def _require_keys(obj: dict, loc: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -31,6 +43,13 @@ def _require_keys(obj: dict, loc: str, required: tuple[str, ...], optional: tupl
     for key in required:
         if key not in obj:
             raise DocumentError(loc, f"missing field {key!r}")
+
+
+def _object(obj, loc: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    if not isinstance(obj, dict):
+        raise DocumentError(loc, "expected an object")
+    _require_keys(obj, loc, required, optional)
+    return obj
 
 
 def _plain_int(raw, loc: str) -> int:
@@ -101,9 +120,7 @@ def workload_from_document(text: str) -> Workload:
     parsed = []
     for i, inv in enumerate(invs):
         loc = f"$.invocations[{i}]"
-        if not isinstance(inv, dict):
-            raise DocumentError(loc, "expected an object")
-        _require_keys(inv, loc, ("func",), ("args",))
+        _object(inv, loc, ("func",), ("args",))
         func = inv["func"]
         if not isinstance(func, str) or not func:
             raise DocumentError(f"{loc}.func", "expected a non-empty string")
@@ -152,17 +169,7 @@ def report_to_document(report: DebloatReport) -> str:
         "stubRatio": report.stub_ratio,
         "removeRatio": report.remove_ratio,
         "bytesSavedPercent": report.bytes_saved_percent,
-        "stats": {
-            "functionsKeptBody": s.functions_kept_body,
-            "functionsStubbed": s.functions_stubbed,
-            "functionsRemoved": s.functions_removed,
-            "importsRemoved": s.imports_removed,
-            "typesRemoved": s.types_removed,
-            "bytesBefore": s.bytes_before,
-            "bytesAfter": s.bytes_after,
-            "codeBytesBefore": s.code_bytes_before,
-            "codeBytesAfter": s.code_bytes_after,
-        },
+        "stats": {key: getattr(s, field) for key, field in _STATS_KEYS.items()},
         "traceSummary": {
             "entered": report.trace_summary.entered,
             "callTargets": report.trace_summary.call_targets,
@@ -212,24 +219,21 @@ def report_from_document(text: str) -> DebloatReport:
             "validation",
         ),
     )
-    s = doc["stats"]
-    t = doc["traceSummary"]
-    v = doc["validation"]
-    stats = ShrinkStats(
-        functions_kept_body=s["functionsKeptBody"],
-        functions_stubbed=s["functionsStubbed"],
-        functions_removed=s["functionsRemoved"],
-        imports_removed=s["importsRemoved"],
-        types_removed=s["typesRemoved"],
-        bytes_before=s["bytesBefore"],
-        bytes_after=s["bytesAfter"],
-        code_bytes_before=s["codeBytesBefore"],
-        code_bytes_after=s["codeBytesAfter"],
+    s = _object(doc["stats"], "$.stats", tuple(_STATS_KEYS))
+    stats = ShrinkStats(**{field: s[key] for key, field in _STATS_KEYS.items()})
+    t = _object(
+        doc["traceSummary"], "$.traceSummary", ("entered", "callTargets", "tableObserved")
     )
-    mismatches = tuple(
-        Mismatch(mm["invocation"], mm["field"], mm["original"], mm["debloated"])
-        for mm in v["mismatches"]
+    v = _object(
+        doc["validation"], "$.validation", ("syntacticOk", "behavioralOk", "mismatches")
     )
+    if not isinstance(v["mismatches"], list):
+        raise DocumentError("$.validation.mismatches", "expected a list")
+    mismatches = []
+    keys = ("invocation", "field", "original", "debloated")
+    for i, mm in enumerate(v["mismatches"]):
+        _object(mm, f"$.validation.mismatches[{i}]", keys)
+        mismatches.append(Mismatch(*(mm[key] for key in keys)))
     return DebloatReport(
         stats=stats,
         keep_ratio=doc["keepRatio"],
@@ -237,7 +241,9 @@ def report_from_document(text: str) -> DebloatReport:
         remove_ratio=doc["removeRatio"],
         bytes_saved_percent=doc["bytesSavedPercent"],
         trace_summary=TraceSummary(t["entered"], t["callTargets"], t["tableObserved"]),
-        validation=ValidationVerdict(v["syntacticOk"], v["behavioralOk"], mismatches),
+        validation=ValidationVerdict(
+            v["syntacticOk"], v["behavioralOk"], tuple(mismatches)
+        ),
         tool_version=doc["toolVersion"],
         timestamp=doc["timestamp"],
     )

@@ -561,36 +561,22 @@ _UN = {
     op.NAME_TO_OPCODE["f64.reinterpret_i64"]: lambda a: a,
 }
 
-# loads: opcode -> (width, sign-extend source bits or None, result mask)
-_LOADS = {
-    op.NAME_TO_OPCODE["i32.load"]: (4, None, _M32),
-    op.NAME_TO_OPCODE["i64.load"]: (8, None, _M64),
-    op.NAME_TO_OPCODE["f32.load"]: (4, None, _M32),
-    op.NAME_TO_OPCODE["f64.load"]: (8, None, _M64),
-    op.NAME_TO_OPCODE["i32.load8_s"]: (1, 8, _M32),
-    op.NAME_TO_OPCODE["i32.load8_u"]: (1, None, _M32),
-    op.NAME_TO_OPCODE["i32.load16_s"]: (2, 16, _M32),
-    op.NAME_TO_OPCODE["i32.load16_u"]: (2, None, _M32),
-    op.NAME_TO_OPCODE["i64.load8_s"]: (1, 8, _M64),
-    op.NAME_TO_OPCODE["i64.load8_u"]: (1, None, _M64),
-    op.NAME_TO_OPCODE["i64.load16_s"]: (2, 16, _M64),
-    op.NAME_TO_OPCODE["i64.load16_u"]: (2, None, _M64),
-    op.NAME_TO_OPCODE["i64.load32_s"]: (4, 32, _M64),
-    op.NAME_TO_OPCODE["i64.load32_u"]: (4, None, _M64),
-}
-
-# stores: opcode -> width
-_STORES = {
-    op.NAME_TO_OPCODE["i32.store"]: 4,
-    op.NAME_TO_OPCODE["i64.store"]: 8,
-    op.NAME_TO_OPCODE["f32.store"]: 4,
-    op.NAME_TO_OPCODE["f64.store"]: 8,
-    op.NAME_TO_OPCODE["i32.store8"]: 1,
-    op.NAME_TO_OPCODE["i32.store16"]: 2,
-    op.NAME_TO_OPCODE["i64.store8"]: 1,
-    op.NAME_TO_OPCODE["i64.store16"]: 2,
-    op.NAME_TO_OPCODE["i64.store32"]: 4,
-}
+# derived from opcodes.OPS: loads, opcode -> (width, sign-extend source
+# bits or None, result mask); stores, opcode -> width; constants,
+# opcode -> value mask
+_LOADS: dict[int, tuple[int, int | None, int]] = {}
+_STORES: dict[int, int] = {}
+_CONST_MASKS: dict[int, int] = {}
+for _code, _info in op.OPS.items():
+    if _info.imm == "memarg" and not _info.pushes:
+        _STORES[_code] = _info.width
+    elif _info.imm == "memarg" or _info.imm in op.VAL_TYPES:
+        _mask = _M32 if _info.pushes[0] in (op.I32, op.F32) else _M64
+        if _info.imm == "memarg":
+            _sign = 8 * _info.width if _info.name.endswith("_s") else None
+            _LOADS[_code] = (_info.width, _sign, _mask)
+        else:
+            _CONST_MASKS[_code] = _mask
 
 
 def _sext(v: int, from_bits: int) -> int:
@@ -635,13 +621,6 @@ def _sext(v: int, from_bits: int) -> int:
     _JUMP,
     _END,
 ) = range(24)
-
-_CONST_MASKS = {
-    op.I32_CONST: _M32,
-    op.I64_CONST: _M64,
-    op.F32_CONST: _M32,
-    op.F64_CONST: _M64,
-}
 
 # kind and stack effect of the ops that have no signature in opcodes.OPS
 # and compile to (kind, *immediates)

@@ -1,10 +1,14 @@
 """End-to-end debloat: trace, rewrite, replay, report.
 
 The behavioral oracle is the observation log of the tracing run. The
-debloated module replays the same workload against the same fixed host;
-any divergence in outcomes, host-call sequences, final memory, or
-instantiation result is a mismatch. Trap comparison is by kind only:
-the trapping function's index is honestly different after remapping.
+verdict is always computed on bytes: ``debloat_module`` decodes the
+bytes it returns, ``validate_behavior`` the bytes it is given, and both
+pass the decoded module to ``behavior_verdict``. That module must be
+valid, and replaying the same workload against the same fixed host must
+reproduce the oracle; any divergence in outcomes, host-call sequences,
+final memory, or instantiation result is a mismatch. Trap comparison is
+by kind only: the trapping function's index is honestly different after
+remapping.
 
 Execution is deterministic, so the trace-phase log doubles as the
 oracle; the original module is not executed a second time.
@@ -17,7 +21,7 @@ from datetime import datetime, timezone
 
 from .decode import decode
 from .encode import encode
-from .errors import MalformedBinary, WasmDebloatError
+from .errors import MalformedBinary
 from .interp import (
     ExecutionTrace,
     LinkFailure,
@@ -31,11 +35,6 @@ from .module import Module
 from .plan import KeepPlan, close_references, consolidate
 from .shrink import ShrinkStats, apply_plan, shrink_stats
 from .validate import validate_module
-
-
-@dataclass(frozen=True)
-class Options:
-    fail_on_behavior_change: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,19 +76,6 @@ class DebloatReport:
     validation: ValidationVerdict
     tool_version: str
     timestamp: str
-
-
-class ValidationFailed(WasmDebloatError):
-    """The debloated artifact exists but did not reproduce the oracle."""
-
-    def __init__(self, output: bytes, report: DebloatReport):
-        mismatch_count = len(report.validation.mismatches)
-        super().__init__(
-            f"behavior changed: {mismatch_count} mismatch(es), "
-            f"syntactic_ok={report.validation.syntactic_ok}"
-        )
-        self.output = output
-        self.report = report
 
 
 def _render_outcome(outcome) -> str:
@@ -183,34 +169,39 @@ def compare_logs(
     return tuple(out)
 
 
-def _verdict(syntactic_ok: bool, mismatches: tuple[Mismatch, ...]) -> ValidationVerdict:
-    return ValidationVerdict(syntactic_ok, not mismatches, mismatches)
+def load_module(data: bytes, role: str) -> Module:
+    """Decode and validate ``data``; an invalid module raises
+    ``MalformedBinary`` naming its ``role`` ("input", "original")."""
+    m = decode(data)
+    report = validate_module(m)
+    if not report.ok:
+        loc, msg = report.errors[0]
+        raise MalformedBinary(0, f"{role} module invalid at {loc}: {msg}")
+    return m
 
 
-def _compare_or_flag(
-    syntactic_ok: bool, oracle: ObservationLog, debloated: Module, w: Workload
-) -> tuple[Mismatch, ...]:
+def behavior_verdict(
+    oracle: ObservationLog, debloated: Module, w: Workload
+) -> ValidationVerdict:
+    """Validate the decoded ``debloated`` module and, only if it is
+    valid, replay ``w`` on it and compare the log against ``oracle``."""
     # replaying an invalid module would hit undefined interpreter
     # behavior; the verdict records the invalidity instead
-    if not syntactic_ok:
-        return (Mismatch(-1, "syntactic", "valid module", "invalid module"),)
+    if not validate_module(debloated).ok:
+        flag = Mismatch(-1, "syntactic", "valid module", "invalid module")
+        return ValidationVerdict(False, False, (flag,))
     replay_log, _ = run_workload(debloated, w)
-    return compare_logs(oracle, replay_log)
+    mismatches = compare_logs(oracle, replay_log)
+    return ValidationVerdict(True, not mismatches, mismatches)
 
 
 def validate_behavior(
     original: bytes, debloated: bytes, w: Workload
 ) -> ValidationVerdict:
-    m_orig = decode(original)
-    orig_report = validate_module(m_orig)
-    if not orig_report.ok:
-        loc, msg = orig_report.errors[0]
-        raise MalformedBinary(0, f"original module invalid at {loc}: {msg}")
+    m_orig = load_module(original, "original")
     m_debl = decode(debloated)
-    syntactic_ok = validate_module(m_debl).ok
     log_orig, _ = run_workload(m_orig, w)
-    mismatches = _compare_or_flag(syntactic_ok, log_orig, m_debl, w)
-    return _verdict(syntactic_ok, mismatches)
+    return behavior_verdict(log_orig, m_debl, w)
 
 
 def build_report(
@@ -245,26 +236,14 @@ def build_report(
     )
 
 
-def debloat_module(
-    data: bytes, w: Workload, opts: Options = Options()
-) -> tuple[bytes, DebloatReport]:
-    m = decode(data)
-    report = validate_module(m)
-    if not report.ok:
-        loc, msg = report.errors[0]
-        raise MalformedBinary(0, f"input module invalid at {loc}: {msg}")
-
+def debloat_module(data: bytes, w: Workload) -> tuple[bytes, DebloatReport]:
+    """Trace ``w`` on ``data``, drop what it never reached, and judge
+    the bytes returned: the verdict in the report is on their decoding."""
+    m = load_module(data, "input")
     log, trace = run_workload(m, w)
     roots = consolidate(trace, m)
     plan = close_references(m, roots)
-    out_module = apply_plan(m, plan)
-    out_bytes = encode(out_module)
-
-    syntactic_ok = validate_module(out_module).ok
-    verdict = _verdict(syntactic_ok, _compare_or_flag(syntactic_ok, log, out_module, w))
-
+    out_bytes = encode(apply_plan(m, plan))
+    verdict = behavior_verdict(log, decode(out_bytes), w)
     stats = shrink_stats(data, out_bytes, plan)
-    final_report = build_report(m, plan, stats, verdict, trace)
-    if opts.fail_on_behavior_change and not verdict.fully_ok:
-        raise ValidationFailed(out_bytes, final_report)
-    return out_bytes, final_report
+    return out_bytes, build_report(m, plan, stats, verdict, trace)

@@ -15,13 +15,8 @@ from .module import Expr, FuncType, Module
 
 MAX_MEMORY_PAGES = 65536
 
-# instruction opcodes permitted inside constant expressions
-_CONST_OPCODES = {
-    op.I32_CONST: "i32",
-    op.I64_CONST: "i64",
-    op.F32_CONST: "f32",
-    op.F64_CONST: "f64",
-}
+# the t.const opcodes, permitted inside constant expressions -> t
+_CONST_OPCODES = {c: i.imm for c, i in op.OPS.items() if i.imm in op.VAL_TYPES}
 # the opcodes that open a construct
 _OPENS = (op.BLOCK, op.LOOP, op.IF)
 

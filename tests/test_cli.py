@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, documents, exit codes."""
 
+import importlib
 import json
 from dataclasses import replace
 
@@ -237,6 +238,38 @@ def test_fail_on_behavior_change_divergent_run(tmp_path, capsys, monkeypatch):
     assert out.exists()
     doc = json.loads(rep.read_text("utf-8"))
     assert doc["validation"]["behavioralOk"] is False
+
+
+def test_fail_on_behavior_change_sees_the_written_bytes(tmp_path, capsys, monkeypatch):
+    # the input is encoded before the encoder is broken; only the output
+    # carries the wrong constant
+    mod, wlf = write_pair(tmp_path, fx.calculator_module(), fx.CALCULATOR_WORKLOAD)
+    encoder = importlib.import_module("wasmdebloat.encode")
+    real = encoder.Writer.s32
+    monkeypatch.setattr(encoder.Writer, "s32", lambda w, v: real(w, v + 1))
+    rep = tmp_path / "r.json"
+    code = main(
+        ["debloat", "--module", mod, "--workload", wlf, "--out",
+         str(tmp_path / "o.wasm"), "--report", str(rep), "--fail-on-behavior-change"]
+    )
+    assert code == EXIT_VALIDATION
+    assert "wasm-debloat: behavior changed:" in capsys.readouterr().err
+    assert json.loads(rep.read_text("utf-8"))["validation"]["behavioralOk"] is False
+
+
+@pytest.mark.parametrize("command", ["debloat", "trace", "validate"])
+def test_workload_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    mod, _ = write_pair(tmp_path, fx.add_module(), fx.wl())
+    wlf = tmp_path / "bad.workload.json"
+    wlf.write_bytes(b"\xff\xfe\x7b")
+    argv = {
+        "debloat": ["debloat", "--module", mod, "--out", str(tmp_path / "o.wasm")],
+        "trace": ["trace", "--module", mod],
+        "validate": ["validate", "--original", mod, "--debloated", mod],
+    }[command]
+    code = main(argv + ["--workload", str(wlf)])
+    assert code == EXIT_INPUT
+    assert "wasm-debloat: error: byte 0: workload is not UTF-8" in capsys.readouterr().err
 
 
 def test_nesting_past_the_limit_is_an_input_error(tmp_path, capsys):

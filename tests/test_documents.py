@@ -291,3 +291,49 @@ def test_report_rejects_unknown_key():
     with pytest.raises(DocumentError) as exc:
         report_from_document('{"bogus": 1}')
     assert "unknown field 'bogus'" in str(exc.value)
+
+
+def _calculator_report_doc():
+    _, report = debloat_module(encode(fx.calculator_module()), fx.CALCULATOR_WORKLOAD)
+    return json.loads(report_to_document(report))
+
+
+def _mismatch_doc():
+    return {"invocation": 0, "field": "outcome", "original": "a", "debloated": "b"}
+
+
+@pytest.mark.parametrize(
+    "path, value, error",
+    [
+        (("stats",), {}, "$.stats: missing field 'functionsKeptBody'"),
+        (("stats",), [], "$.stats: expected an object"),
+        (("stats",), None, "$.stats: expected an object"),
+        (("stats", "extra"), 1, "$.stats: unknown field 'extra'"),
+        (("traceSummary",), [], "$.traceSummary: expected an object"),
+        (("traceSummary",), {"entered": 1}, "$.traceSummary: missing field 'callTargets'"),
+        (("validation",), None, "$.validation: expected an object"),
+        (("validation",), {}, "$.validation: missing field 'syntacticOk'"),
+        (("validation", "mismatches"), None, "$.validation.mismatches: expected a list"),
+        (("validation", "mismatches"), {}, "$.validation.mismatches: expected a list"),
+        (("validation", "mismatches"), [7], "$.validation.mismatches[0]: expected an object"),
+        (
+            ("validation", "mismatches"),
+            [_mismatch_doc(), {"field": "outcome"}],
+            "$.validation.mismatches[1]: missing field 'invocation'",
+        ),
+        (
+            ("validation", "mismatches"),
+            [dict(_mismatch_doc(), extra=1)],
+            "$.validation.mismatches[0]: unknown field 'extra'",
+        ),
+    ],
+)
+def test_report_rejects_bad_nested_objects(path, value, error):
+    doc = _calculator_report_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(DocumentError) as exc:
+        report_from_document(json.dumps(doc))
+    assert str(exc.value) == error

@@ -1,5 +1,6 @@
 """End-to-end debloating and the replay-based behavior check."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -14,8 +15,6 @@ from fixturelib import ins, inv, wl
 import wasmdebloat
 from wasmdebloat import (
     MalformedBinary,
-    Options,
-    ValidationFailed,
     debloat_module,
     decode,
     encode,
@@ -205,35 +204,55 @@ def sabotage_apply_plan(monkeypatch):
     monkeypatch.setattr(wasmdebloat.pipeline, "apply_plan", wrecked)
 
 
-def test_fail_on_behavior_change_raises(monkeypatch):
-    sabotage_apply_plan(monkeypatch)
-    with pytest.raises(ValidationFailed) as exc:
-        debloat_module(
-            fx.ADD_BYTES, ADD_WORKLOAD, Options(fail_on_behavior_change=True)
-        )
-    assert str(exc.value) == "behavior changed: 1 mismatch(es), syntactic_ok=True"
-    assert exc.value.report.validation.mismatches == (
-        Mismatch(0, "outcome", "Results[i32:5]", "Trap(unreachable)"),
-    )
-    # the artifact is still attached for inspection
-    wrecked = decode(exc.value.output)
-    assert wrecked.functions[0].body == (Instruction(op.UNREACHABLE),)
-
-
 def test_behavior_change_does_not_raise_by_default(monkeypatch):
     sabotage_apply_plan(monkeypatch)
     out, report = debloat_module(fx.ADD_BYTES, ADD_WORKLOAD)
     assert not report.validation.behavioral_ok
     assert report.validation.syntactic_ok
     assert not report.validation.fully_ok
+    assert report.validation.mismatches == (
+        Mismatch(0, "outcome", "Results[i32:5]", "Trap(unreachable)"),
+    )
+    # the artifact is returned for inspection
+    wrecked = decode(out)
+    assert wrecked.functions[0].body == (Instruction(op.UNREACHABLE),)
 
 
-def test_clean_run_never_raises_with_flag():
+def test_clean_runs_are_fully_ok():
     for name, m, w in fx.PAIRS:
-        out, report = debloat_module(
-            encode(m), w, Options(fail_on_behavior_change=True)
-        )
+        out, report = debloat_module(encode(m), w)
         assert report.validation.fully_ok, name
+
+
+# the encoder module, not the ``encode`` function the package re-exports
+encode_module = importlib.import_module("wasmdebloat.encode")
+
+
+def test_verdict_sees_a_wrong_constant_in_the_returned_bytes(monkeypatch):
+    data = encode(log_once_module(5))
+    real = encode_module.Writer.s32
+    monkeypatch.setattr(encode_module.Writer, "s32", lambda w, v: real(w, v + 1))
+    out, report = debloat_module(data, wl(inv("f")))
+    assert decode(out).functions[0].body[0] == ins("i32.const", 6)
+    assert report.validation.syntactic_ok
+    assert not report.validation.behavioral_ok
+    assert report.validation.mismatches == (
+        Mismatch(0, "hostCalls", "[env.log(i32:5)]", "[env.log(i32:6)]"),
+    )
+
+
+def test_returned_bytes_that_do_not_decode_raise(monkeypatch):
+    data = encode(log_once_module(5))
+    real = encode_module.write_expr
+
+    def drop_end(w, body):
+        real(w, body)
+        del w.buf[-1]
+
+    # the module has one expression, the body of f
+    monkeypatch.setattr(encode_module, "write_expr", drop_end)
+    with pytest.raises(MalformedBinary, match="unexpected end of input"):
+        debloat_module(data, wl(inv("f")))
 
 
 def test_calculator_report_numbers():
