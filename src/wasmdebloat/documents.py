@@ -1,10 +1,13 @@
 """JSON document formats: workloads, traces, reports.
 
-Parsing is strict: unknown keys are rejected and every error carries a
-JSON-path location. i64 values are written as decimal strings because
-plain JSON numbers lose precision past 53 bits; both forms are accepted
-on input. Non-finite floats are written as the strings "nan", "inf",
-"-inf".
+Workloads are read and written; traces and reports are only written.
+Workload parsing is strict: unknown keys are rejected, and every error
+is a ``DocumentError`` with a location, the line and column of a JSON
+syntax error or else a JSON path (``$`` for a number too long to convert
+or nesting too deep to parse). i64 values are written as decimal strings
+because plain JSON numbers lose precision past 53 bits; both forms are
+accepted on input. Non-finite floats are written as the strings "nan",
+"inf", "-inf".
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ import math
 
 from .errors import DocumentError
 from .interp import DEFAULT_FUEL, Invocation, Value, Workload
-from .pipeline import DebloatReport, Mismatch, TraceSummary, ValidationVerdict
-from .shrink import ShrinkStats
+from .pipeline import DebloatReport, ValidationVerdict
 
 _INT_RANGES = {
     "i32": (-(1 << 31), (1 << 32) - 1),
@@ -87,7 +89,10 @@ def value_from_json(obj, loc: str) -> Value:
         elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise DocumentError(loc, f"expected a number for {key}")
         else:
-            x = float(raw)
+            try:
+                x = float(raw)
+            except OverflowError:  # an integer literal past the f64 range
+                raise DocumentError(loc, f"{key} literal out of range") from None
         return Value.f32(x) if key == "f32" else Value.f64(x)
     raise DocumentError(loc, f"unknown value type {key!r}")
 
@@ -110,6 +115,10 @@ def workload_from_document(text: str) -> Workload:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"line {e.lineno}, column {e.colno}", e.msg) from None
+    except ValueError:  # CPython's limit on the digits of an integer
+        raise DocumentError("$", "integer literal has too many digits") from None
+    except RecursionError:
+        raise DocumentError("$", "document nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("$", "workload document must be an object")
     _require_keys(doc, "$", ("invocations",), ("fuel",))
@@ -171,9 +180,9 @@ def report_to_document(report: DebloatReport) -> str:
         "bytesSavedPercent": report.bytes_saved_percent,
         "stats": {key: getattr(s, field) for key, field in _STATS_KEYS.items()},
         "traceSummary": {
-            "entered": report.trace_summary.entered,
-            "callTargets": report.trace_summary.call_targets,
-            "tableObserved": report.trace_summary.table_observed,
+            "entered": len(report.trace.entered),
+            "callTargets": len(report.trace.call_targets),
+            "tableObserved": len(report.trace.table_observed),
         },
         "validation": verdict_to_json(report.validation),
     }
@@ -195,55 +204,3 @@ def verdict_to_json(v: ValidationVerdict) -> dict:
             for mm in v.mismatches
         ],
     }
-
-
-def report_from_document(text: str) -> DebloatReport:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"line {e.lineno}, column {e.colno}", e.msg) from None
-    if not isinstance(doc, dict):
-        raise DocumentError("$", "report document must be an object")
-    _require_keys(
-        doc,
-        "$",
-        (
-            "toolVersion",
-            "timestamp",
-            "keepRatio",
-            "stubRatio",
-            "removeRatio",
-            "bytesSavedPercent",
-            "stats",
-            "traceSummary",
-            "validation",
-        ),
-    )
-    s = _object(doc["stats"], "$.stats", tuple(_STATS_KEYS))
-    stats = ShrinkStats(**{field: s[key] for key, field in _STATS_KEYS.items()})
-    t = _object(
-        doc["traceSummary"], "$.traceSummary", ("entered", "callTargets", "tableObserved")
-    )
-    v = _object(
-        doc["validation"], "$.validation", ("syntacticOk", "behavioralOk", "mismatches")
-    )
-    if not isinstance(v["mismatches"], list):
-        raise DocumentError("$.validation.mismatches", "expected a list")
-    mismatches = []
-    keys = ("invocation", "field", "original", "debloated")
-    for i, mm in enumerate(v["mismatches"]):
-        _object(mm, f"$.validation.mismatches[{i}]", keys)
-        mismatches.append(Mismatch(*(mm[key] for key in keys)))
-    return DebloatReport(
-        stats=stats,
-        keep_ratio=doc["keepRatio"],
-        stub_ratio=doc["stubRatio"],
-        remove_ratio=doc["removeRatio"],
-        bytes_saved_percent=doc["bytesSavedPercent"],
-        trace_summary=TraceSummary(t["entered"], t["callTargets"], t["tableObserved"]),
-        validation=ValidationVerdict(
-            v["syntacticOk"], v["behavioralOk"], tuple(mismatches)
-        ),
-        tool_version=doc["toolVersion"],
-        timestamp=doc["timestamp"],
-    )

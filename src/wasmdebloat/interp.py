@@ -35,11 +35,10 @@ from dataclasses import dataclass
 
 from . import opcodes as op
 from .errors import LinkError, SignatureMismatch, TrapError, UnknownExport
-from .module import Expr, FuncType, Function, Module, PAGE_SIZE
+from .module import Expr, FuncType, Function, Module, MAX_PAGES, PAGE_SIZE
 
 DEFAULT_FUEL = 10_000_000
 CALL_STACK_LIMIT = 256
-MAX_PAGES = 65536
 
 TRAP_UNREACHABLE = "unreachable"
 TRAP_DIV_ZERO = "divide-by-zero"

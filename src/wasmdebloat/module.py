@@ -40,11 +40,14 @@ __all__ = [
     "Instruction",
     "Module",
     "PAGE_SIZE",
+    "MAX_PAGES",
     "ELSE",
     "END",
 ]
 
 PAGE_SIZE = 65536
+# the most pages a 32-bit memory can address (4 GiB)
+MAX_PAGES = 65536
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ remapping.
 
 Execution is deterministic, so the trace-phase log doubles as the
 oracle; the original module is not executed a second time.
+
+A ``DebloatReport`` holds only facts: the shrink stats, the execution
+trace and the verdict. A ``ValidationVerdict`` holds only its
+mismatches. Every ratio and every ok flag is a property computed from
+those facts, so no two fields of a report can disagree.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .interp import (
     run_workload,
 )
 from .module import Module
-from .plan import KeepPlan, close_references, consolidate
+from .plan import close_references, consolidate
 from .shrink import ShrinkStats, apply_plan, shrink_stats
 from .validate import validate_module
 
@@ -49,33 +54,48 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class ValidationVerdict:
-    syntactic_ok: bool
-    behavioral_ok: bool
     mismatches: tuple[Mismatch, ...]
 
     @property
-    def fully_ok(self) -> bool:
-        return self.syntactic_ok and self.behavioral_ok
+    def syntactic_ok(self) -> bool:
+        return all(mm.field != "syntactic" for mm in self.mismatches)
 
+    @property
+    def behavioral_ok(self) -> bool:
+        return not self.mismatches
 
-@dataclass(frozen=True)
-class TraceSummary:
-    entered: int
-    call_targets: int
-    table_observed: int
+    # an invalid module is also a behavior change: any mismatch fails both
+    fully_ok = behavioral_ok
 
 
 @dataclass(frozen=True)
 class DebloatReport:
     stats: ShrinkStats
-    keep_ratio: float
-    stub_ratio: float
-    remove_ratio: float
-    bytes_saved_percent: float
-    trace_summary: TraceSummary
+    trace: ExecutionTrace
     validation: ValidationVerdict
     tool_version: str
     timestamp: str
+
+    def _percent_of_functions(self, count: int, if_none: float) -> float:
+        s = self.stats
+        defined = s.functions_kept_body + s.functions_stubbed + s.functions_removed
+        return 100.0 * count / defined if defined else if_none
+
+    @property
+    def keep_ratio(self) -> float:
+        return self._percent_of_functions(self.stats.functions_kept_body, 100.0)
+
+    @property
+    def stub_ratio(self) -> float:
+        return self._percent_of_functions(self.stats.functions_stubbed, 0.0)
+
+    @property
+    def remove_ratio(self) -> float:
+        return self._percent_of_functions(self.stats.functions_removed, 0.0)
+
+    @property
+    def bytes_saved_percent(self) -> float:
+        return 100.0 * (1.0 - self.stats.bytes_after / self.stats.bytes_before)
 
 
 def _render_outcome(outcome) -> str:
@@ -189,10 +209,9 @@ def behavior_verdict(
     # behavior; the verdict records the invalidity instead
     if not validate_module(debloated).ok:
         flag = Mismatch(-1, "syntactic", "valid module", "invalid module")
-        return ValidationVerdict(False, False, (flag,))
+        return ValidationVerdict((flag,))
     replay_log, _ = run_workload(debloated, w)
-    mismatches = compare_logs(oracle, replay_log)
-    return ValidationVerdict(True, not mismatches, mismatches)
+    return ValidationVerdict(compare_logs(oracle, replay_log))
 
 
 def validate_behavior(
@@ -205,31 +224,13 @@ def validate_behavior(
 
 
 def build_report(
-    m: Module,
-    plan: KeepPlan,
-    stats: ShrinkStats,
-    verdict: ValidationVerdict,
-    trace: ExecutionTrace,
+    stats: ShrinkStats, verdict: ValidationVerdict, trace: ExecutionTrace
 ) -> DebloatReport:
     from . import __version__
 
-    defined = len(m.functions)
-    if defined:
-        keep = 100.0 * stats.functions_kept_body / defined
-        stub = 100.0 * stats.functions_stubbed / defined
-        remove = 100.0 * stats.functions_removed / defined
-    else:
-        keep, stub, remove = 100.0, 0.0, 0.0
-    saved = 100.0 * (1.0 - stats.bytes_after / stats.bytes_before)
     return DebloatReport(
         stats=stats,
-        keep_ratio=keep,
-        stub_ratio=stub,
-        remove_ratio=remove,
-        bytes_saved_percent=saved,
-        trace_summary=TraceSummary(
-            len(trace.entered), len(trace.call_targets), len(trace.table_observed)
-        ),
+        trace=trace,
         validation=verdict,
         tool_version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -246,4 +247,4 @@ def debloat_module(data: bytes, w: Workload) -> tuple[bytes, DebloatReport]:
     out_bytes = encode(apply_plan(m, plan))
     verdict = behavior_verdict(log, decode(out_bytes), w)
     stats = shrink_stats(data, out_bytes, plan)
-    return out_bytes, build_report(m, plan, stats, verdict, trace)
+    return out_bytes, build_report(stats, verdict, trace)

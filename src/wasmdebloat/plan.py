@@ -39,12 +39,16 @@ class KeepPlan:
     dispositions: tuple[Disposition, ...]
     func_remap: dict[int, int]
     type_remap: dict[int, int]
-    removed_imports: frozenset[int]
     num_func_imports: int
     num_types: int  # in the module the plan was made for
 
     def disposition(self, funcidx: int) -> Disposition:
         return self.dispositions[funcidx]
+
+    @property
+    def removed_imports(self) -> frozenset[int]:
+        imports = self.dispositions[: self.num_func_imports]
+        return frozenset(f for f, d in enumerate(imports) if d == Disposition.REMOVE)
 
 
 def _static_func_roots(m: Module) -> set[int]:
@@ -116,14 +120,10 @@ def close_references(m: Module, roots: KeepRoots) -> KeepPlan:
             type_refs.add(m.func_type_index(f))
     type_remap = {old: new for new, old in enumerate(sorted(type_refs))}
 
-    removed_imports = frozenset(
-        f for f in range(n_imports) if dispositions[f] == Disposition.REMOVE
-    )
     return KeepPlan(
         dispositions=tuple(dispositions),
         func_remap=func_remap,
         type_remap=type_remap,
-        removed_imports=removed_imports,
         num_func_imports=n_imports,
         num_types=len(m.types),
     )

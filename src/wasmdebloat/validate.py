@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import opcodes as op
-from .module import Expr, FuncType, Module
-
-MAX_MEMORY_PAGES = 65536
+from .module import Expr, FuncType, Module, MAX_PAGES
 
 # the t.const opcodes, permitted inside constant expressions -> t
 _CONST_OPCODES = {c: i.imm for c, i in op.OPS.items() if i.imm in op.VAL_TYPES}
@@ -354,7 +352,7 @@ def validate_module(m: Module) -> ValidationReport:
         elif imp.kind == "table":
             _check_limits(imp.desc.limits, None, loc, errs)
         elif imp.kind == "memory":
-            _check_limits(imp.desc.limits, MAX_MEMORY_PAGES, loc, errs)
+            _check_limits(imp.desc.limits, MAX_PAGES, loc, errs)
         elif imp.desc.mutable:
             errs.append((loc, "mutable global import"))
 
@@ -365,7 +363,7 @@ def validate_module(m: Module) -> ValidationReport:
     for i, tt in enumerate(m.tables):
         _check_limits(tt.limits, None, f"table[{i}]", errs)
     for i, mt in enumerate(m.memories):
-        _check_limits(mt.limits, MAX_MEMORY_PAGES, f"memory[{i}]", errs)
+        _check_limits(mt.limits, MAX_PAGES, f"memory[{i}]", errs)
 
     for i, g in enumerate(m.globals):
         _check_const_expr(m, g.init, g.type.valtype, f"global[{i}].init", errs)

@@ -8,7 +8,8 @@ surface (control flow, memory, tables, globals, imports, traps).
 
 PAIRS lists (name, module, workload) for every fixture that can be
 executed against the fixed host. ROUND_TRIP_MODULES and BYTE_FIXTURES
-feed the encode/decode suites.
+feed the encode/decode suites. HOSTILE_WORKLOADS feeds the workload
+parser and CLI tests.
 """
 
 from wasmdebloat import opcodes as op
@@ -834,6 +835,20 @@ PAIRS = [
     ("i64-host", i64_host_module(), wl(inv("notify64", i64v(1 << 40)))),
     ("calculator", calculator_module(), CALCULATOR_WORKLOAD),
 ]
+
+# workload texts that json.loads or float() reject with an exception of
+# their own, and the DocumentError each must become
+HOSTILE_WORKLOADS = {
+    "huge-f64": (
+        '{"invocations": [{"func": "f", "args": [{"f64": %s}]}]}' % ("9" * 400),
+        "$.invocations[0].args[0]: f64 literal out of range",
+    ),
+    "long-fuel": (
+        '{"invocations": [], "fuel": %s}' % ("1" * 5001),
+        "$: integer literal has too many digits",
+    ),
+    "deep-nesting": ("[" * 100_000, "$: document nested too deeply"),
+}
 
 
 def _check_fixtures():

@@ -272,6 +272,17 @@ def test_workload_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
     assert "wasm-debloat: error: byte 0: workload is not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", sorted(fx.HOSTILE_WORKLOADS))
+def test_hostile_workload_is_an_input_error(tmp_path, capsys, case):
+    text, error = fx.HOSTILE_WORKLOADS[case]
+    mod, _ = write_pair(tmp_path, fx.calculator_module(), fx.wl())
+    wlf = tmp_path / "hostile.workload.json"
+    wlf.write_text(text, "utf-8")
+    code = main(["trace", "--module", mod, "--workload", str(wlf)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"wasm-debloat: error: {error}\n"
+
+
 def test_nesting_past_the_limit_is_an_input_error(tmp_path, capsys):
     mod = tmp_path / "deep.wasm"
     mod.write_bytes(fx.nested_blocks_bytes(30_000))

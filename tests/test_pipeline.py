@@ -24,7 +24,7 @@ from wasmdebloat import (
 from wasmdebloat import interp, validate_module
 from wasmdebloat import opcodes as op
 from wasmdebloat.decode import MAX_NESTING
-from wasmdebloat.interp import Value
+from wasmdebloat.interp import ExecutionTrace, Value
 from wasmdebloat.module import (
     Export,
     FuncType,
@@ -35,7 +35,7 @@ from wasmdebloat.module import (
     MemType,
     Module,
 )
-from wasmdebloat.pipeline import Mismatch, TraceSummary, ValidationVerdict
+from wasmdebloat.pipeline import Mismatch, ValidationVerdict
 
 ADD_WORKLOAD = wl(inv("add", Value.i32(2), Value.i32(3)))
 
@@ -260,7 +260,8 @@ def test_calculator_report_numbers():
     assert report.keep_ratio == 40.0
     assert report.stub_ratio == 30.0
     assert report.remove_ratio == 30.0
-    assert report.trace_summary == TraceSummary(4, 1, 1)
+    t = report.trace
+    assert (len(t.entered), len(t.call_targets), len(t.table_observed)) == (4, 1, 1)
     assert report.stats.bytes_before == len(encode(fx.calculator_module()))
     assert report.stats.bytes_after == len(out)
     expected_saved = 100.0 * (
@@ -279,7 +280,7 @@ def test_empty_module_report_is_all_keep():
     assert report.stub_ratio == 0.0
     assert report.remove_ratio == 0.0
     assert report.bytes_saved_percent == 0.0
-    assert report.trace_summary == TraceSummary(0, 0, 0)
+    assert report.trace == ExecutionTrace(frozenset(), frozenset(), frozenset())
     assert report.validation.fully_ok
 
 
@@ -310,11 +311,15 @@ def test_debloated_output_is_canonical():
 
 
 def test_fully_ok_property():
-    assert ValidationVerdict(True, True, ()).fully_ok
-    assert not ValidationVerdict(False, True, ()).fully_ok
-    assert not ValidationVerdict(
-        True, False, (Mismatch(0, "outcome", "a", "b"),)
-    ).fully_ok
+    # the three states behavior_verdict produces, decided by the mismatches
+    def flags(*mismatches):
+        v = ValidationVerdict(mismatches)
+        return v.syntactic_ok, v.behavioral_ok, v.fully_ok
+
+    invalid = Mismatch(-1, "syntactic", "valid module", "invalid module")
+    assert flags() == (True, True, True)
+    assert flags(Mismatch(0, "outcome", "a", "b")) == (True, False, False)
+    assert flags(invalid) == (False, False, False)
 
 
 def test_matching_run_computes_no_memory_digest(monkeypatch):
