@@ -3,11 +3,12 @@
 Workloads are read and written; traces and reports are only written.
 Workload parsing is strict: unknown keys are rejected, and every error
 is a ``DocumentError`` with a location, the line and column of a JSON
-syntax error or else a JSON path (``$`` for a number too long to convert
-or nesting too deep to parse). i64 values are written as decimal strings
-because plain JSON numbers lose precision past 53 bits; both forms are
-accepted on input. Non-finite floats are written as the strings "nan",
-"inf", "-inf".
+syntax error or else a JSON path (``$`` for a number too long to convert,
+nesting too deep to parse, or a NaN or Infinity literal, which JSON does
+not have). i64 values are written as decimal strings because plain JSON
+numbers lose precision past 53 bits; both forms are accepted on input.
+Non-finite floats are written and read as the strings "nan", "inf",
+"-inf".
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ _INT_RANGES = {
     "i64": (-(1 << 63), (1 << 64) - 1),
 }
 _FLOAT_STRINGS = {"nan": math.nan, "inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
+# the literals json.loads accepts although JSON has none, and their strings
+_NON_JSON = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 # report keys of the ShrinkStats fields, in document order
 _STATS_KEYS = {
     "functionsKeptBody": "functions_kept_body",
@@ -110,9 +113,13 @@ def value_to_json(v: Value) -> dict:
     return {v.type: x}
 
 
+def _reject_constant(literal: str):
+    raise DocumentError("$", f'{literal} is not JSON; write the string "{_NON_JSON[literal]}"')
+
+
 def workload_from_document(text: str) -> Workload:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise DocumentError(f"line {e.lineno}, column {e.colno}", e.msg) from None
     except ValueError:  # CPython's limit on the digits of an integer

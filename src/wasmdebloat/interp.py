@@ -18,7 +18,13 @@ One loop (``Instance._execute``) runs that code with an explicit operand
 stack and call stack: a branch raises no exception and a wasm call adds
 no Python frame, so nesting depth and call depth cost no Python
 recursion. Fuel is one unit per executed instruction; ``else`` and
-``end`` cost nothing.
+``end`` cost nothing. The compiler cuts each body into straight-line runs
+and the loop charges a whole run once, at its head. Fuel stays exact:
+fuel that does not cover a run traps at the instruction where charging
+one unit at a time would, and a trap inside a run refunds the
+instructions after it. Within a run, a constant with the binop after it,
+or a ``local.get``, a constant and a binop, execute as one fused op
+(superinstructions: Ertl & Gregg, PLDI 2003; wasm3's fused ops).
 
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Floats are materialized only
@@ -32,6 +38,7 @@ import math
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 
 from . import opcodes as op
 from .errors import LinkError, SignatureMismatch, TrapError, UnknownExport
@@ -588,11 +595,13 @@ def _sext(v: int, from_bits: int) -> int:
 # compiled form
 #
 # A function body compiles to a flat list of tuples whose first field is
-# one of the kinds below. The kinds from _JUMP on are pseudo-ops the
-# compiler adds (the jump over an else arm, the function's end); they cost
-# no fuel. Every other tuple stands for one body instruction other than
-# ELSE and END and costs one unit when it executes; block and loop compile
-# to a _NOP for that unit.
+# one of the kinds below. Fuel is one unit per body instruction other than
+# ELSE and END, and _UNITS gives each kind's units: a fused kind stands for
+# two or three instructions, block and loop compile to a _NOP for their
+# unit, and the kinds from _RUN on are pseudo-ops the compiler adds (the
+# head of a straight-line run, the fuel trap, the jump over an else arm,
+# the function's end) that cost nothing themselves. A run head charges
+# its whole run at once.
 
 (
     _BINARY,
@@ -617,9 +626,15 @@ def _sext(v: int, from_bits: int) -> int:
     _MEMORY_SIZE,
     _MEMORY_GROW,
     _UNREACHABLE,
+    _CONST_BINARY,  # const c; binop f: (kind, f, c)
+    _LOCAL_CONST_BINARY,  # local.get i; const c; binop f: (kind, i, f, c)
+    _RUN,
+    _OUT_OF_FUEL,
     _JUMP,
     _END,
-) = range(24)
+) = range(28)
+
+_UNITS = (1,) * _CONST_BINARY + (2, 3) + (0,) * 4
 
 # kind and stack effect of the ops that have no signature in opcodes.OPS
 # and compile to (kind, *immediates)
@@ -634,6 +649,12 @@ _UNTYPED = {
     op.NOP: (_NOP, 0),
     op.UNREACHABLE: (_UNREACHABLE, 0),
 }
+
+# ops after which a new straight-line run begins: branches, calls, and
+# loop, whose label follows its _NOP
+_ENDS_RUN = frozenset(
+    (op.BR, op.BR_IF, op.BR_TABLE, op.RETURN, op.IF, op.CALL, op.CALL_INDIRECT, op.LOOP)
+)
 
 # wasm frames the call stack may hold besides the running one
 _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
@@ -660,10 +681,22 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
     keeps no label stack. ``br_table`` holds one ``(pc, keep, drop)`` per
     label plus the default; ``if`` and the else-jump hold a target pc.
     Labels are numbered as they open and resolved to pcs at the end.
+
+    The code is cut into straight-line runs: one begins at the body's
+    start, at every placed label, and after every branch, ``if``,
+    else-jump and call, so control enters a run only at its start and
+    leaves it only after its last op or by a trap. The first op of each
+    run is a ``(_RUN, units)`` head carrying the fuel of the whole run; a
+    run of pseudo-ops only gets none. Within a run, a ``const`` and the
+    binop right after it fuse into one ``_CONST_BINARY``, and with a
+    ``local.get`` right before them into one ``_LOCAL_CONST_BINARY``.
+    As fusion never crosses a run head, no label lands between the fused
+    instructions.
     """
     ft = m.types[fn.type_index]
     code: list[tuple] = []
     pcs: list[int | None] = []  # label id -> pc, set once known
+    in_run = False  # whether the next op continues the last run
 
     def new_label(pc: int | None = None) -> int:
         pcs.append(pc)
@@ -683,16 +716,22 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
             c = ctrl.pop()
             if pcs[c.label] is None:
                 pcs[c.label] = len(code)
+                in_run = False
             if c.else_label is not None and pcs[c.else_label] is None:
                 pcs[c.else_label] = len(code)  # no else arm
+                in_run = False
             h = c.height + c.arity
             continue
         if opcode == op.ELSE:
             c = ctrl[-1]
             code.append((_JUMP, c.label))
             pcs[c.else_label] = len(code)
+            in_run = False
             h = c.height
             continue
+        if not in_run:
+            code.append((_RUN,))  # its units are counted at the end
+        in_run = opcode not in _ENDS_RUN
         info = op.OPS[opcode]
         if opcode in _UNTYPED:
             kind, effect = _UNTYPED[opcode]
@@ -701,7 +740,15 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
         elif info.pops is not None:
             h += len(info.pushes) - len(info.pops)
             if opcode in _BIN:
-                code.append((_BINARY, _BIN[opcode]))
+                f = _BIN[opcode]
+                if code[-1][0] != _CONST:
+                    code.append((_BINARY, f))
+                else:
+                    imm = code.pop()[1]
+                    if code[-1][0] == _LOCAL_GET:
+                        code[-1] = (_LOCAL_CONST_BINARY, code[-1][1], f, imm)
+                    else:
+                        code.append((_CONST_BINARY, f, imm))
             elif opcode in _UN:
                 code.append((_UNARY, _UN[opcode]))
             elif opcode in _LOADS:
@@ -766,7 +813,30 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
             code[i] = (k, pcs[ins[1]])
         elif k == _BR_TABLE:
             code[i] = (k, tuple(map(resolve, ins[1])), resolve(ins[2]))
+        elif k == _RUN:
+            code[i] = (k, _units(code, i + 1))
     return code
+
+
+def _units(code: list[tuple], pc: int) -> int:
+    """The fuel units of the ops from ``pc`` up to the next run head."""
+    n = 0
+    for ins in islice(code, pc, None):
+        if ins[0] == _RUN:
+            break
+        n += _UNITS[ins[0]]
+    return n
+
+
+def _out_of_fuel(code: list[tuple], pc: int, fuel: int) -> tuple[list[tuple], int]:
+    """``fuel`` does not pay for the run that starts at ``pc``: return a
+    copy of ``code`` cut short by an _OUT_OF_FUEL trap in place of the
+    first op that fuel does not cover, and the fuel left before that op.
+    """
+    while fuel >= _UNITS[code[pc][0]]:
+        fuel -= _UNITS[code[pc][0]]
+        pc += 1
+    return code[:pc] + [(_OUT_OF_FUEL,)], fuel
 
 
 def _unwind(stack: list[int], keep: int, drop: int) -> None:
@@ -932,21 +1002,24 @@ class Instance:
                 ins = code[pc]
                 pc += 1
                 k = ins[0]
-                # pseudo-ops never trap here and refund their unit below
-                if fuel <= 0 and k < _JUMP:
-                    raise TrapError(TRAP_FUEL_EXHAUSTED)
-                fuel -= 1
-                if k == _BINARY:
+                if k == _LOCAL_GET:
+                    stack.append(locals_[ins[1]])
+                elif k == _RUN:
+                    fuel -= ins[1]
+                    if fuel < 0:
+                        code, fuel = _out_of_fuel(code, pc, fuel + ins[1])
+                elif k == _CONST_BINARY:
+                    stack[-1] = ins[1](stack[-1], ins[2])
+                elif k == _LOCAL_CONST_BINARY:
+                    stack.append(ins[2](locals_[ins[1]], ins[3]))
+                elif k == _BINARY:
                     b = stack.pop()
                     stack[-1] = ins[1](stack[-1], b)
-                elif k == _LOCAL_GET:
-                    stack.append(locals_[ins[1]])
-                elif k == _CONST:
-                    stack.append(ins[1])
                 elif k == _LOCAL_SET:
                     locals_[ins[1]] = stack.pop()
+                elif k == _CONST:
+                    stack.append(ins[1])
                 elif k == _END:
-                    fuel += 1
                     if not frames:
                         return stack
                     code, pc, locals_, funcidx = frames.pop()
@@ -1013,7 +1086,6 @@ class Instance:
                     if not stack.pop():
                         pc = ins[1]
                 elif k == _JUMP:
-                    fuel += 1
                     pc = ins[1]
                 elif k == _NOP:
                     pass
@@ -1048,9 +1120,15 @@ class Instance:
                         stack[-1] = current
                 elif k == _UNREACHABLE:
                     raise TrapError(TRAP_UNREACHABLE)
+                elif k == _OUT_OF_FUEL:
+                    # 0 also when fuel ran out inside a fused op; fuel that
+                    # was negative at the run's head stays as it was
+                    fuel = min(fuel, 0)
+                    raise TrapError(TRAP_FUEL_EXHAUSTED)
                 else:
                     raise AssertionError(f"unhandled compiled op {ins!r}")
         except TrapError as t:
+            fuel += _units(code, pc)  # the rest of the run did not execute
             if t.function_index is None:
                 t.function_index = funcidx
             raise

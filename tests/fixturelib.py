@@ -837,7 +837,8 @@ PAIRS = [
 ]
 
 # workload texts that json.loads or float() reject with an exception of
-# their own, and the DocumentError each must become
+# their own, or that json.loads accepts although they are not JSON, and
+# the DocumentError each must become
 HOSTILE_WORKLOADS = {
     "huge-f64": (
         '{"invocations": [{"func": "f", "args": [{"f64": %s}]}]}' % ("9" * 400),
@@ -848,6 +849,14 @@ HOSTILE_WORKLOADS = {
         "$: integer literal has too many digits",
     ),
     "deep-nesting": ("[" * 100_000, "$: document nested too deeply"),
+    "nan-literal": (
+        '{"invocations": [{"func": "f", "args": [{"f64": NaN}]}]}',
+        '$: NaN is not JSON; write the string "nan"',
+    ),
+    "infinity-literal": (
+        '{"invocations": [{"func": "f", "args": [{"f32": -Infinity}, {"f64": Infinity}]}]}',
+        '$: -Infinity is not JSON; write the string "-inf"',
+    ),
 }
 
 

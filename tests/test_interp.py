@@ -9,6 +9,7 @@ import pytest
 
 import fixturelib as fx
 from fixturelib import f32c, f64c, ins, inv, wl
+from wasmdebloat import interp
 from wasmdebloat.errors import SignatureMismatch, UnknownExport
 from wasmdebloat.interp import (
     DEFAULT_FUEL,
@@ -897,6 +898,121 @@ def test_fuel_of_if_else_and_br_table_is_hand_counted():
         out, used = fuel_used(m, "parity", (Value.i32(n),), fuel=expected - 1)
         assert out == Trap("fuel-exhausted", 0)
         assert used == expected - 1
+
+
+def store_then_divide_module():
+    """f(a, d) stores 42 at a + 4, then returns 100 / d + 1: ten units in
+    one straight-line run, where the address is a fused local.get;
+    i32.const; i32.add and the last two instructions a fused i32.const;
+    i32.add."""
+    body = (
+        ins("local.get", 0),
+        ins("i32.const", 4),
+        ins("i32.add"),
+        ins("i32.const", 42),
+        ins("i32.store", 2, 0),
+        ins("i32.const", 100),
+        ins("local.get", 1),
+        ins("i32.div_u"),
+        ins("i32.const", 1),
+        ins("i32.add"),
+    )
+    return Module(
+        types=(FuncType(("i32", "i32"), ("i32",)),),
+        functions=(Function(0, (), body),),
+        memories=(MemType(Limits(1)),),
+        exports=(Export("f", "func", 0),),
+    )
+
+
+@pytest.mark.parametrize(
+    "d, used, outcome",
+    [
+        # all ten units
+        (5, 10, Results((Value.i32(21),))),
+        # the div_u is the eighth unit; the two after it are not charged
+        (0, 8, Trap("divide-by-zero", 0)),
+    ],
+)
+def test_fuel_is_exact_across_fused_ops_and_a_mid_run_trap(d, used, outcome):
+    m = store_then_divide_module()
+    # up to one more than the whole run, so that the run is charged at
+    # its head and a trap refunds what it did not execute
+    for fuel in range(12):
+        inst = instantiate(m)
+        out = invoke(inst, "f", (Value.i32(8), Value.i32(d)), fuel)
+        stored = int.from_bytes(inst.mem[12:16], "little")
+        if fuel >= used:
+            assert (out, inst.fuel, stored) == (outcome, fuel - used, 42)
+        else:
+            # the store is the fifth unit; fuel that runs out inside a
+            # fused op leaves 0, as it does between single instructions
+            expected = (Trap("fuel-exhausted", 0), 0, 42 if fuel >= 5 else 0)
+            assert (out, inst.fuel, stored) == expected
+
+
+def if_then_add_module():
+    """g(c, x) = x + (c ? 10 : 7); the if's end label lands on the add."""
+    body = (
+        ins("local.get", 1),
+        ins("local.get", 0),
+        *fx.if_("i32", (ins("i32.const", 10),), (ins("i32.const", 7),)),
+        ins("i32.add"),
+    )
+    return Module(
+        types=(FuncType(("i32", "i32"), ("i32",)),),
+        functions=(Function(0, (), body),),
+        exports=(Export("g", "func", 0),),
+    )
+
+
+@pytest.mark.parametrize("c, result", [(1, 40), (0, 37)])
+def test_a_label_before_a_binop_keeps_both_arms_right(c, result):
+    m = if_then_add_module()
+    # two local.gets, the if, one const in either arm and the add
+    used = 5
+    for fuel in range(used + 2):
+        out, spent = fuel_used(m, "g", (Value.i32(c), Value.i32(30)), fuel)
+        if fuel >= used:
+            assert (out, spent) == (Results((Value.i32(result),)), used)
+        else:
+            assert (out, spent) == (Trap("fuel-exhausted", 0), fuel)
+
+
+def compiled_kinds(m):
+    """The kinds of function 0's compiled code, with each run head's units."""
+    inst = instantiate(m)
+    code = interp._compile(m, m.functions[0], inst._type_ids)
+    return [t[:2] if t[0] == interp._RUN else t[0] for t in code]
+
+
+def test_runs_and_fusion_in_the_compiled_code():
+    assert compiled_kinds(store_then_divide_module()) == [
+        (interp._RUN, 10),
+        interp._LOCAL_CONST_BINARY,
+        interp._CONST,
+        interp._STORE,
+        interp._CONST,
+        interp._LOCAL_GET,
+        interp._BINARY,
+        interp._CONST_BINARY,
+        interp._END,
+    ]
+    # the else arm's const and the add after the label stay apart
+    assert compiled_kinds(if_then_add_module()) == [
+        (interp._RUN, 3),
+        interp._LOCAL_GET,
+        interp._LOCAL_GET,
+        interp._IF,
+        (interp._RUN, 1),
+        interp._CONST,
+        interp._JUMP,
+        (interp._RUN, 1),
+        interp._CONST,
+        (interp._RUN, 1),
+        interp._BINARY,
+        interp._END,
+    ]
 
 
 def test_failed_indirect_type_check_observes_slot_without_calling():
