@@ -20,6 +20,7 @@ from .errors import DocumentError
 from .interp import DEFAULT_FUEL, Invocation, Value, Workload
 from .pipeline import DebloatReport, ValidationVerdict
 
+# the upper bound is also the mask of the type's bits
 _INT_RANGES = {
     "i32": (-(1 << 31), (1 << 32) - 1),
     "i64": (-(1 << 63), (1 << 64) - 1),
@@ -50,46 +51,33 @@ def _require_keys(obj: dict, loc: str, required: tuple[str, ...], optional: tupl
             raise DocumentError(loc, f"missing field {key!r}")
 
 
-def _object(obj, loc: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    if not isinstance(obj, dict):
-        raise DocumentError(loc, "expected an object")
-    _require_keys(obj, loc, required, optional)
-    return obj
-
-
-def _plain_int(raw, loc: str) -> int:
-    # bool is an int subclass; JSON true/false must not pass as numbers
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise DocumentError(loc, "expected an integer")
-    return raw
-
-
 def value_from_json(obj, loc: str) -> Value:
+    # exact types: JSON true/false (bool, an int subclass) are not numbers
     if not isinstance(obj, dict) or len(obj) != 1:
         raise DocumentError(
             loc, 'expected a single-key value object like {"i32": 1}'
         )
     ((key, raw),) = obj.items()
     if key in _INT_RANGES:
-        if isinstance(raw, str):
+        if type(raw) is str:
             if key != "i64":
                 raise DocumentError(loc, f"{key} must be a JSON integer")
             try:
                 raw = int(raw, 10)
             except ValueError:
                 raise DocumentError(loc, f"bad i64 literal {raw!r}") from None
-        else:
-            raw = _plain_int(raw, loc)
+        elif type(raw) is not int:
+            raise DocumentError(loc, "expected an integer")
         lo, hi = _INT_RANGES[key]
         if not lo <= raw <= hi:
             raise DocumentError(loc, f"{key} literal {raw} out of range")
-        return Value.i32(raw) if key == "i32" else Value.i64(raw)
+        return Value(key, raw & hi)
     if key in ("f32", "f64"):
-        if isinstance(raw, str):
+        if type(raw) is str:
             if raw not in _FLOAT_STRINGS:
                 raise DocumentError(loc, f"bad {key} literal {raw!r}")
             x = _FLOAT_STRINGS[raw]
-        elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        elif type(raw) is not float and type(raw) is not int:
             raise DocumentError(loc, f"expected a number for {key}")
         else:
             try:
@@ -133,24 +121,34 @@ def workload_from_document(text: str) -> Workload:
     invs = doc["invocations"]
     if not isinstance(invs, list):
         raise DocumentError("$.invocations", "expected a list")
+    # a check raises a location relative to the invocation ("" for an
+    # argument, whose index is j); only an error builds the full location
     parsed = []
     for i, inv in enumerate(invs):
-        loc = f"$.invocations[{i}]"
-        _object(inv, loc, ("func",), ("args",))
-        func = inv["func"]
-        if not isinstance(func, str) or not func:
-            raise DocumentError(f"{loc}.func", "expected a non-empty string")
-        raw_args = inv.get("args", [])
-        if not isinstance(raw_args, list):
-            raise DocumentError(f"{loc}.args", "expected a list")
-        args = tuple(
-            value_from_json(a, f"{loc}.args[{j}]") for j, a in enumerate(raw_args)
-        )
-        parsed.append(Invocation(func, args))
+        j = None  # the index of the argument being parsed
+        try:
+            if type(inv) is not dict:
+                raise DocumentError("", "expected an object")
+            _require_keys(inv, "", ("func",), ("args",))
+            func = inv["func"]
+            if type(func) is not str or not func:
+                raise DocumentError(".func", "expected a non-empty string")
+            raw_args = inv.get("args", [])
+            if type(raw_args) is not list:
+                raise DocumentError(".args", "expected a list")
+            args = []
+            for j, a in enumerate(raw_args):
+                args.append(value_from_json(a, ""))
+        except DocumentError as e:
+            where = e.location if j is None else f".args[{j}]"
+            raise DocumentError(f"$.invocations[{i}]{where}", e.reason) from None
+        parsed.append(Invocation(func, tuple(args)))
 
     fuel = DEFAULT_FUEL
     if "fuel" in doc:
-        fuel = _plain_int(doc["fuel"], "$.fuel")
+        fuel = doc["fuel"]
+        if type(fuel) is not int:
+            raise DocumentError("$.fuel", "expected an integer")
         if fuel <= 0:
             raise DocumentError("$.fuel", "fuel must be positive")
     return Workload(tuple(parsed), fuel)

@@ -29,7 +29,9 @@ or a ``local.get``, a constant and a binop, execute as one fused op
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Floats are materialized only
 inside the numeric helpers, and every arithmetic NaN is canonicalized so
-observation logs are deterministic.
+observation logs are deterministic. The run records (``Value``,
+``Results``, ``HostCall``, ``ObservationLog``, ...) are ``NamedTuple``s,
+so they compare equal to plain tuples: ``Value("i32", 1) == ("i32", 1)``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from __future__ import annotations
 import math
 import struct
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from . import opcodes as op
 from .errors import LinkError, SignatureMismatch, TrapError, UnknownExport
@@ -97,8 +99,7 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(NamedTuple):
     type: str
     bits: int
 
@@ -138,49 +139,41 @@ class Value:
         return f"{self.type}:{self.to_float()!r}"
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(NamedTuple):
     func: str
     args: tuple[Value, ...] = ()
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(NamedTuple):
     invocations: tuple[Invocation, ...] = ()
     fuel: int = DEFAULT_FUEL
 
 
-@dataclass(frozen=True)
-class Results:
+class Results(NamedTuple):
     values: tuple[Value, ...] = ()
 
 
-@dataclass(frozen=True)
-class Trap:
+class Trap(NamedTuple):
     kind: str
     function_index: int | None = None
 
 
-@dataclass(frozen=True)
-class LinkFailure:
+class LinkFailure(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True)
-class HostCall:
+class HostCall(NamedTuple):
     name: str
     args: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
-class InvocationRecord:
+class InvocationRecord(NamedTuple):
     invocation: Invocation
     outcome: Results | Trap
     host_calls: tuple[HostCall, ...]
 
 
-@dataclass(frozen=True)
-class ObservationLog:
+class ObservationLog(NamedTuple):
     records: tuple[InvocationRecord, ...]
     # the memory as the run left it; None without a memory or when
     # instantiation failed
@@ -195,15 +188,13 @@ class ObservationLog:
         return None if self.final_memory is None else fnv1a_64(self.final_memory)
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     entered: frozenset[int]
     call_targets: frozenset[int]
     table_observed: frozenset[int]
 
 
-@dataclass(frozen=True)
-class HostFunc:
+class HostFunc(NamedTuple):
     type: FuncType
     call: object  # callable(args: tuple[Value, ...]) -> tuple[Value, ...]
 
@@ -659,6 +650,8 @@ _ENDS_RUN = frozenset(
 # wasm frames the call stack may hold besides the running one
 _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
 
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
 
 # a function body, block, loop or if the compiler is inside: the label a
 # branch to it goes to, the values such a branch carries, the static
@@ -863,8 +856,12 @@ class Instance:
         self.call_targets: set[int] = set()
         self.table_observed: set[int] = set()
         self.fuel = 0
-        self._exports = {e.name: e for e in m.exports}
-        self._host_funcs: list[HostFunc] = []
+        # function export name -> (function index, type)
+        self._exports = {
+            e.name: (e.index, m.func_type_of(e.index)) for e in m.exports if e.kind == "func"
+        }
+        # per imported function: its "module.name" and what implements it
+        self._host_funcs: list[tuple[str, HostFunc]] = []
         self._n_imports = m.num_func_imports
         # per combined function index: (code, zeroed locals), compiled on
         # first entry
@@ -891,7 +888,7 @@ class Instance:
                     f"import {imp.module}.{imp.name}: host provides "
                     f"{hf.type}, module expects {expected}"
                 )
-            self._host_funcs.append(hf)
+            self._host_funcs.append((f"{imp.module}.{imp.name}", hf))
 
         canon: dict[FuncType, int] = {}
         self._type_ids = [canon.setdefault(ft, len(canon)) for ft in m.types]
@@ -922,7 +919,8 @@ class Instance:
 
         if m.start is not None:
             self.fuel = fuel
-            self._call_index(m.start, [])
+            run = self._call_host if m.start < self._n_imports else self._execute
+            run(m.start, [])
 
     def _eval_const(self, expr: Expr) -> int:
         instr = expr[0]
@@ -937,26 +935,21 @@ class Instance:
 
     def invoke(self, export_name: str, args: tuple[Value, ...], fuel: int) -> Results:
         exp = self._exports.get(export_name)
-        if exp is None or exp.kind != "func":
+        if exp is None:
             raise UnknownExport(export_name)
-        ft = self.module.func_type_of(exp.index)
-        got = tuple(v.type for v in args)
+        funcidx, ft = exp
+        got = tuple([v.type for v in args])
         if got != ft.params:
             raise SignatureMismatch(str(ft), f"({', '.join(got)})")
         self.fuel = fuel
-        raw = self._call_index(exp.index, [v.bits for v in args])
-        return Results(tuple(Value(t, bits) for t, bits in zip(ft.results, raw)))
-
-    def _call_index(self, funcidx: int, raw_args: list[int]) -> list[int]:
-        if funcidx < self._n_imports:
-            return self._call_host(funcidx, raw_args)
-        return self._execute(funcidx, raw_args)
+        run = self._call_host if funcidx < self._n_imports else self._execute
+        raw = run(funcidx, [v.bits for v in args])
+        return Results(tuple(map(Value, ft.results, raw)))
 
     def _call_host(self, funcidx: int, raw_args: list[int]) -> list[int]:
-        imp = self.module.func_imports[funcidx]
-        hf = self._host_funcs[funcidx]
-        args = tuple(Value(t, bits) for t, bits in zip(hf.type.params, raw_args))
-        self.host_log.append(HostCall(f"{imp.module}.{imp.name}", args))
+        name, hf = self._host_funcs[funcidx]
+        args = tuple(map(Value, hf.type.params, raw_args))
+        self.host_log.append(HostCall(name, args))
         try:
             results = hf.call(args)
         except TrapError as t:
@@ -1116,7 +1109,9 @@ class Instance:
                     if current + delta > cap:
                         stack[-1] = _M32  # -1
                     else:
-                        mem.extend(bytes(delta * PAGE_SIZE))
+                        # page by page: no temporary as large as the growth
+                        for _ in range(delta):
+                            mem += _ZERO_PAGE
                         stack[-1] = current
                 elif k == _UNREACHABLE:
                     raise TrapError(TRAP_UNREACHABLE)
@@ -1173,12 +1168,13 @@ def run_workload(
 
     records: list[InvocationRecord] = []
     if failure is None:
+        host_log = inst.host_log
+        fuel = w.fuel
         for inv in w.invocations:
-            mark = len(inst.host_log)
-            outcome = invoke(inst, inv.func, inv.args, w.fuel)
-            records.append(
-                InvocationRecord(inv, outcome, tuple(inst.host_log[mark:]))
-            )
+            mark = len(host_log)
+            # through invoke, whose spans perfbench counts per invocation
+            outcome = invoke(inst, inv.func, inv.args, fuel)
+            records.append(InvocationRecord(inv, outcome, tuple(host_log[mark:])))
 
     log = ObservationLog(
         records=tuple(records),

@@ -159,6 +159,72 @@ def test_structural_errors():
     assert str(e) == "$.invocations[0].args: expected a list"
 
 
+# (the third invocation, the location and the reason of its error); it
+# follows an invocation with three arguments and one with none, so an
+# index left over from an earlier invocation names the wrong place
+_LATER_ERRORS = {
+    "unknown-field": (
+        '{"func": "f", "args": [{"i32": 1}, {"i32": 2}], "extra": 1}',
+        "$.invocations[2]: unknown field 'extra'",
+    ),
+    "not-an-object": ("7", "$.invocations[2]: expected an object"),
+    "missing-func": (
+        '{"args": [{"i32": 1}, {"i32": 2}]}',
+        "$.invocations[2]: missing field 'func'",
+    ),
+    "empty-func": (
+        '{"func": "", "args": [{"i32": 1}, {"i32": 2}]}',
+        "$.invocations[2].func: expected a non-empty string",
+    ),
+    "args-not-a-list": (
+        '{"func": "f", "args": {"i32": 1}}',
+        "$.invocations[2].args: expected a list",
+    ),
+    "non-object-value": (
+        '{"func": "f", "args": [{"i32": 1}, 5]}',
+        '$.invocations[2].args[1]: expected a single-key value object like {"i32": 1}',
+    ),
+    "i32-string": (
+        '{"func": "f", "args": [{"i32": 1}, {"i32": "5"}]}',
+        "$.invocations[2].args[1]: i32 must be a JSON integer",
+    ),
+    "bool-integer": (
+        '{"func": "f", "args": [{"i32": 1}, {"i64": true}]}',
+        "$.invocations[2].args[1]: expected an integer",
+    ),
+    "bad-i64": (
+        '{"func": "f", "args": [{"i32": 1}, {"i64": "12x"}]}',
+        "$.invocations[2].args[1]: bad i64 literal '12x'",
+    ),
+    "out-of-range": (
+        '{"func": "f", "args": [{"i32": 1}, {"i32": 4294967296}]}',
+        "$.invocations[2].args[1]: i32 literal 4294967296 out of range",
+    ),
+    "unknown-type": (
+        '{"func": "f", "args": [{"i32": 1}, {"v128": 0}]}',
+        "$.invocations[2].args[1]: unknown value type 'v128'",
+    ),
+    "bad-float-string": (
+        '{"func": "f", "args": [{"i32": 1}, {"f64": "huge"}]}',
+        "$.invocations[2].args[1]: bad f64 literal 'huge'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LATER_ERRORS))
+def test_errors_name_the_place_in_a_later_invocation(case):
+    bad, error = _LATER_ERRORS[case]
+    text = (
+        '{"invocations": ['
+        '{"func": "a", "args": [{"i32": 1}, {"i64": "2"}, {"f32": 0.5}]}, '
+        '{"func": "b"}, '
+        "%s]}" % bad
+    )
+    e = parse_err(text)
+    assert str(e) == error
+    assert e.location == error.split(": ")[0]
+
+
 def test_fuel_validation():
     for bad in ("0", "-5"):
         e = parse_err('{"invocations": [], "fuel": %s}' % bad)

@@ -110,6 +110,45 @@ def test_signature_mismatch_raises():
         run1(fx.add_module(), "add", Value.i64(1), Value.i64(2))
 
 
+def test_memory_export_is_not_a_function_export():
+    m = Module(
+        types=(FuncType((), ()),),
+        functions=(Function(0, (), ()),),
+        memories=(MemType(Limits(1)),),
+        exports=(Export("mem", "memory", 0), Export("f", "func", 0)),
+    )
+    inst = instantiate(m)
+    assert invoke(inst, "f") == Results(())
+    with pytest.raises(UnknownExport) as exc:
+        invoke(inst, "mem")
+    assert str(exc.value) == "unknown function export: 'mem'"
+
+
+def test_reexported_host_import_logs_its_call():
+    m = Module(
+        types=(FuncType(("i32",), ()),),
+        imports=(Import("env", "log", "func", 0),),
+        exports=(Export("log", "func", 0),),
+    )
+    log, trace = run_workload(m, wl(inv("log", Value.i32(-7))))
+    rec = log.records[0]
+    assert rec.outcome == Results(())
+    assert rec.host_calls == (HostCall("env.log", (Value("i32", 0xFFFFFFF9),)),)
+    assert trace.entered == frozenset()
+
+
+@pytest.mark.parametrize(
+    "args, got",
+    [((1,), "(i32)"), ((1, 2, 3), "(i32, i32, i32)"), ((), "()")],
+)
+def test_wrong_argument_count_message(args, got):
+    with pytest.raises(SignatureMismatch) as exc:
+        run1(fx.add_module(), "add", *map(Value.i32, args))
+    assert str(exc.value) == (
+        f"signature mismatch: expected (i32, i32) -> (i32), got {got}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # traps
 
