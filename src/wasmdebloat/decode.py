@@ -9,6 +9,8 @@ minimal forms, so byte-identity with arbitrary inputs is not promised.
 One reader pair, ``_uleb`` and ``_sleb``, reads every LEB128 integer,
 through ``Reader.u32`` or directly in ``read_expr``. Only a one-byte
 immediate, which can break no bound, is read inline in ``read_expr``.
+``MAX_LOCALS`` caps the expanded locals of all bodies together, so a
+short input cannot declare a million locals in each of many bodies.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .module import (
 MAGIC = b"\x00asm"
 VERSION = b"\x01\x00\x00\x00"
 
-# expanded-locals cap per function; far beyond realistic modules, small
-# enough that a hostile count can't balloon memory
+# expanded-locals cap over all function bodies of a module; far beyond
+# realistic modules, small enough that hostile counts can't balloon memory
 MAX_LOCALS = 1_000_000
 
 # deepest block/loop/if nesting accepted in one body: a cap on hostile
@@ -412,11 +414,11 @@ def decode(data: bytes) -> Module:
                 out.append(ElementSegment(table_index, offset, funcs))
             elements = tuple(out)
         elif sec_id == op.SEC_CODE:
+            total = 0  # expanded locals so far, over every body
             for _ in range(sub.u32()):
                 body_size = sub.u32()
                 body_r = _section_reader(sub, body_size)
                 local_groups = []
-                total = 0
                 for _ in range(body_r.u32()):
                     at = body_r.pos
                     count = body_r.u32()

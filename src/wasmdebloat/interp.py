@@ -892,9 +892,7 @@ class Instance:
 
         canon: dict[FuncType, int] = {}
         self._type_ids = [canon.setdefault(ft, len(canon)) for ft in m.types]
-        self._func_sigs = [self._type_ids[imp.desc] for imp in m.func_imports] + [
-            self._type_ids[fn.type_index] for fn in m.functions
-        ]
+        self._func_sigs = [self._type_ids[t] for t in m.func_type_indices]
 
         self.globals = [self._eval_const(g.init) for g in m.globals]
         if m.tables:

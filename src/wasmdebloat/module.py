@@ -13,8 +13,12 @@ keeps its own control stack where it needs one; a rewrite that maps
 instructions one to one is ``tuple(f(i) for i in body)``.
 
 Index spaces follow the binary format: imports come first, then the
-module's own definitions. ``Module.func_type_of`` resolves a combined
-function index to its signature regardless of which side it lives on.
+module's own definitions. ``Module`` builds each combined index space
+once, on first use, and writes the imports-first rule only there:
+``func_type_indices`` holds every function's type index and
+``global_types`` every global's type, and ``num_tables`` and
+``num_memories`` count both sides. ``Module.func_type_of`` resolves a
+combined function index to its signature.
 """
 
 from __future__ import annotations
@@ -160,53 +164,37 @@ class Module:
     # non-name custom sections survive decode/encode untouched
     custom_sections: tuple[tuple[str, bytes], ...] = ()
 
-    def imported(self, kind: str) -> tuple[Import, ...]:
-        return tuple(imp for imp in self.imports if imp.kind == kind)
-
-    # cached: calls and type lookups ask for these on every function index
+    # cached: validation and the interpreter index these per instruction
     @cached_property
-    def func_imports(self) -> tuple[Import, ...]:
-        return self.imported("func")
+    def func_type_indices(self) -> tuple[int, ...]:
+        """The type index of every function, by combined index."""
+        imports = tuple(imp.desc for imp in self.imports if imp.kind == "func")
+        return imports + tuple(fn.type_index for fn in self.functions)
 
     @cached_property
-    def num_func_imports(self) -> int:
-        return len(self.func_imports)
+    def global_types(self) -> tuple[GlobalType, ...]:
+        """The type of every global, by combined index."""
+        imports = tuple(imp.desc for imp in self.imports if imp.kind == "global")
+        return imports + tuple(g.type for g in self.globals)
+
+    @cached_property
+    def num_tables(self) -> int:
+        return sum(imp.kind == "table" for imp in self.imports) + len(self.tables)
+
+    @cached_property
+    def num_memories(self) -> int:
+        return sum(imp.kind == "memory" for imp in self.imports) + len(self.memories)
 
     @property
     def num_funcs(self) -> int:
-        return self.num_func_imports + len(self.functions)
+        return len(self.func_type_indices)
 
-    def func_type_index(self, index: int) -> int:
-        """Type index of the function at a combined index."""
-        n = self.num_func_imports
-        if index < n:
-            desc = self.func_imports[index].desc
-            assert isinstance(desc, int)
-            return desc
-        return self.functions[index - n].type_index
+    @property
+    def num_func_imports(self) -> int:
+        return self.num_funcs - len(self.functions)
 
     def func_type_of(self, index: int) -> FuncType:
-        return self.types[self.func_type_index(index)]
-
-    def global_type(self, index: int) -> GlobalType:
-        imps = self.imported("global")
-        if index < len(imps):
-            desc = imps[index].desc
-            assert isinstance(desc, GlobalType)
-            return desc
-        return self.globals[index - len(imps)].type
-
-    @property
-    def num_globals(self) -> int:
-        return len(self.imported("global")) + len(self.globals)
-
-    @property
-    def num_tables(self) -> int:
-        return len(self.imported("table")) + len(self.tables)
-
-    @property
-    def num_memories(self) -> int:
-        return len(self.imported("memory")) + len(self.memories)
+        return self.types[self.func_type_indices[index]]
 
     def with_(self, **changes) -> "Module":
         return _replace(self, **changes)

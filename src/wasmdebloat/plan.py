@@ -117,7 +117,7 @@ def close_references(m: Module, roots: KeepRoots) -> KeepPlan:
     for f in range(n):
         if dispositions[f] != Disposition.REMOVE:
             func_remap[f] = len(func_remap)
-            type_refs.add(m.func_type_index(f))
+            type_refs.add(m.func_type_indices[f])
     type_remap = {old: new for new, old in enumerate(sorted(type_refs))}
 
     return KeepPlan(

@@ -83,11 +83,10 @@ def _check_const_expr(
         return
     if instr.opcode == op.GLOBAL_GET:
         idx = instr.args[0]
-        imported = m.imported("global")
-        if idx >= len(imported):
+        if idx >= len(m.global_types) - len(m.globals):
             errs.append((loc, "constant expression may only read imported globals"))
             return
-        gt = imported[idx].desc
+        gt = m.global_types[idx]
         if gt.mutable:
             errs.append((loc, "constant expression reads a mutable global"))
         elif gt.valtype != expected:
@@ -275,7 +274,7 @@ class _BodyChecker:
                 self.error(f"{name}: function index {idx} out of range")
                 self.mark_dead()
                 return
-            typeidx = self.m.func_type_index(idx)
+            typeidx = self.m.func_type_indices[idx]
             if typeidx >= len(self.m.types):
                 self.error(f"{name}: function {idx} has type index {typeidx} out of range")
                 self.mark_dead()
@@ -314,11 +313,11 @@ class _BodyChecker:
                 self.stack.append(t)
         elif code in (op.GLOBAL_GET, op.GLOBAL_SET):
             idx = instr.args[0]
-            if idx >= self.m.num_globals:
+            if idx >= len(self.m.global_types):
                 self.error(f"{name}: global index {idx} out of range")
                 self.mark_dead()
                 return
-            gt = self.m.global_type(idx)
+            gt = self.m.global_types[idx]
             if code == op.GLOBAL_GET:
                 self.stack.append(gt.valtype)
             else:
@@ -342,11 +341,9 @@ def validate_module(m: Module) -> ValidationReport:
         if len(ft.results) > 1:
             errs.append((f"type[{i}]", "more than one result"))
 
-    n_func_imports = 0
     for i, imp in enumerate(m.imports):
         loc = f"import[{i}]"
         if imp.kind == "func":
-            n_func_imports += 1
             if imp.desc >= len(m.types):
                 errs.append((loc, f"type index {imp.desc} out of range"))
         elif imp.kind == "table":
@@ -372,7 +369,7 @@ def validate_module(m: Module) -> ValidationReport:
         "func": m.num_funcs,
         "table": m.num_tables,
         "memory": m.num_memories,
-        "global": m.num_globals,
+        "global": len(m.global_types),
     }
     seen_names: set[str] = set()
     for i, exp in enumerate(m.exports):
@@ -382,14 +379,14 @@ def validate_module(m: Module) -> ValidationReport:
         seen_names.add(exp.name)
         if exp.index >= counts[exp.kind]:
             errs.append((loc, f"{exp.kind} index {exp.index} out of bounds"))
-        if exp.kind == "global" and exp.index < m.num_globals:
-            if m.global_type(exp.index).mutable:
+        if exp.kind == "global" and exp.index < len(m.global_types):
+            if m.global_types[exp.index].mutable:
                 errs.append((loc, "mutable global export"))
 
     if m.start is not None:
         if m.start >= m.num_funcs:
             errs.append(("start", f"function index {m.start} out of bounds"))
-        elif (typeidx := m.func_type_index(m.start)) >= len(m.types):
+        elif (typeidx := m.func_type_indices[m.start]) >= len(m.types):
             errs.append(("start", f"function {m.start} has type index {typeidx} out of range"))
         else:
             ft = m.types[typeidx]
@@ -412,7 +409,7 @@ def validate_module(m: Module) -> ValidationReport:
         _check_const_expr(m, seg.offset, "i32", f"{loc}.offset", errs)
 
     for i, fn in enumerate(m.functions):
-        loc = f"func[{n_func_imports + i}]"
+        loc = f"func[{m.num_func_imports + i}]"
         if fn.type_index >= len(m.types):
             errs.append((loc, f"type index {fn.type_index} out of range"))
             continue

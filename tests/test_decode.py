@@ -157,6 +157,14 @@ def test_too_many_locals():
     assert exc.value.reason == "too many locals"
 
 
+def test_too_many_locals_over_all_bodies():
+    # two bodies of 600_000 i32 locals each: under the cap one by one, over
+    # it together; the second body's count (at offset 31) is refused
+    body = "0601c0cf247f0b"
+    data = hx(HEADER, "010401600000", "0303020000", "0a0f02", body, body)
+    expect_malformed(data, 31, "too many locals")
+
+
 def test_malformed_utf8_name():
     data = hx(HEADER, "07050101ff0000")
     with pytest.raises(MalformedBinary) as exc:

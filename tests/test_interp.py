@@ -9,7 +9,7 @@ import pytest
 
 import fixturelib as fx
 from fixturelib import f32c, f64c, ins, inv, wl
-from wasmdebloat import interp
+from wasmdebloat import interp, validate_module
 from wasmdebloat.errors import SignatureMismatch, UnknownExport
 from wasmdebloat.interp import (
     DEFAULT_FUEL,
@@ -357,6 +357,18 @@ def test_floor_ceil_trunc():
     )
 
 
+@pytest.mark.parametrize("op_name", ["ceil", "floor", "nearest"])
+def test_rounding_of_nan_and_infinities(op_name):
+    for t, nan, canon, inf, ninf in (
+        ("f32", 0xFFC00123, 0x7FC00000, 0x7F800000, 0xFF800000),
+        ("f64", 0xFFF8000000000123, 0x7FF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000),
+    ):
+        m = unop_module(t, t, f"{t}.{op_name}")
+        assert run1(m, "f", Value(t, nan)) == Results((Value(t, canon),)), t
+        assert run1(m, "f", Value(t, inf)) == Results((Value(t, inf),)), t
+        assert run1(m, "f", Value(t, ninf)) == Results((Value(t, ninf),)), t
+
+
 def test_copysign_and_neg():
     m = binop_module("f32", "f32.copysign")
     assert run1(m, "f", Value.f32(2.0), Value.f32(-0.0)) == Results(
@@ -425,6 +437,12 @@ def test_demote_promote():
     assert run1(m, "f", Value.f64(0.1)) == Results((Value("f32", 0x3DCCCCCD),))
     m = unop_module("f32", "f64", "f64.promote_f32")
     assert run1(m, "f", Value.f32(1.5)) == Results((Value.f64(1.5),))
+
+
+def test_demote_out_of_range_gives_infinities():
+    m = unop_module("f64", "f32", "f32.demote_f64")
+    assert run1(m, "f", Value.f64(1e300)) == Results((Value("f32", 0x7F800000),))
+    assert run1(m, "f", Value.f64(-1e300)) == Results((Value("f32", 0xFF800000),))
 
 
 def test_reinterpret_is_bitwise():
@@ -602,6 +620,51 @@ def test_early_return():
     )
     assert run1(m, "f", Value.i32(1)) == Results((Value.i32(1),))
     assert run1(m, "f", Value.i32(0)) == Results((Value.i32(2),))
+
+
+def branch_module(*tail):
+    """f(i32) -> i32: a block (result i32) holding 1 and 2, then ``tail``."""
+    body = fx.block("i32", ins("i32.const", 1), ins("i32.const", 2), *tail)
+    return Module(
+        types=(FuncType(("i32",), ("i32",)),),
+        functions=(Function(0, (), body),),
+        exports=(Export("f", "func", 0),),
+    )
+
+
+# each branch below leaves 1 under the 2 it carries: taking it, with each
+# of the arguments, must drop the 1 and keep the 2
+@pytest.mark.parametrize(
+    "tail, args",
+    [
+        ((ins("br", 0),), (0, 1)),
+        ((ins("local.get", 0), ins("br_if", 0), ins("drop")), (1, 5)),
+        ((ins("local.get", 0), ins("br_table", (0,), 0)), (0, 5)),
+    ],
+    ids=["br", "br_if", "br_table"],
+)
+def test_taken_branch_drops_the_values_below_its_result(tail, args):
+    m = branch_module(*tail)
+    assert validate_module(m).ok
+    for arg in args:
+        assert run1(m, "f", Value.i32(arg)) == Results((Value.i32(2),)), arg
+
+
+def test_br_if_not_taken_keeps_the_stack():
+    m = branch_module(ins("local.get", 0), ins("br_if", 0), ins("drop"))
+    assert run1(m, "f", Value.i32(0)) == Results((Value.i32(1),))
+
+
+def test_return_from_a_block_keeps_only_the_results():
+    consts = (ins("i32.const", 1), ins("i32.const", 2), ins("i32.const", 3))
+    body = (*fx.block(None, *consts, ins("return")), ins("unreachable"))
+    m = Module(
+        types=(FuncType((), ("i32",)),),
+        functions=(Function(0, (), body),),
+        exports=(Export("f", "func", 0),),
+    )
+    assert validate_module(m).ok
+    assert run1(m, "f") == Results((Value.i32(3),))
 
 
 def test_local_tee_keeps_value():

@@ -29,11 +29,13 @@ from wasmdebloat.module import (
     Export,
     FuncType,
     Function,
+    GlobalType,
     Import,
     Instruction,
     Limits,
     MemType,
     Module,
+    TableType,
 )
 from wasmdebloat.pipeline import Mismatch, ValidationVerdict
 
@@ -222,6 +224,29 @@ def test_clean_runs_are_fully_ok():
     for name, m, w in fx.PAIRS:
         out, report = debloat_module(encode(m), w)
         assert report.validation.fully_ok, name
+
+
+def test_non_function_imports_survive_a_failed_link():
+    # the default host provides no memory, table or global: both runs stop
+    # at the first of them, and the debloater keeps all three imports
+    imports = (
+        Import("env", "mem", "memory", MemType(Limits(1))),
+        Import("env", "tab", "table", TableType(Limits(1, 2))),
+        Import("env", "g", "global", GlobalType("i64", False)),
+    )
+    m = Module(
+        types=(FuncType((), ("i32",)),),
+        imports=imports,
+        functions=(Function(0, (), (ins("i32.const", 1),)),) * 2,
+        exports=(Export("f", "func", 0),),
+    )
+    w = wl(inv("f"))
+    out, report = debloat_module(encode(m), w)
+    assert report.validation.fully_ok
+    assert decode(out).imports == imports
+    failure = interp.LinkFailure("unsatisfied memory import env.mem")
+    assert run_workload(m, w)[0].instantiation_error == failure
+    assert run_workload(decode(out), w)[0].instantiation_error == failure
 
 
 # the encoder module, not the ``encode`` function the package re-exports

@@ -444,3 +444,82 @@ def test_memory_op_errors_in_order():
     assert body_errors(
         (ins("i32.const", 1), ins("memory.grow"), ins("drop"))
     ) == ["memory.grow: module has no memory"]
+
+
+def test_br_if_to_a_result_label_leaves_its_values():
+    # a br_if that is not taken leaves the label's values on the stack
+    head = (ins("i32.const", 1), ins("i32.const", 0), ins("br_if", 0))
+    m = Module(
+        types=(FuncType((), ("i32",)),),
+        functions=(Function(0, (), block("i32", *head)),),
+    )
+    assert validate_module(m).ok
+    m = Module(
+        types=(FuncType((), ("i32",)),),
+        functions=(Function(0, (), block("i32", *head, ins("i64.eqz"))),),
+    )
+    assert errs(m) == (("func[0]", "i64.eqz: expected i64, got i32"),)
+
+
+def _global_import(valtype, mutable):
+    return Import("env", "g", "global", GlobalType(valtype, mutable))
+
+
+def test_const_expr_reading_imported_globals():
+    read_g0 = (Global(GlobalType("i32", False), (ins("global.get", 0),)),)
+    m = Module(imports=(_global_import("i32", True),), globals=read_g0)
+    assert errs(m) == (
+        ("import[0]", "mutable global import"),
+        ("global[0].init", "constant expression reads a mutable global"),
+    )
+    m = Module(imports=(_global_import("i64", False),), globals=read_g0)
+    assert errs(m) == (("global[0].init", "constant expression yields i64, expected i32"),)
+
+
+def test_limits_of_table_and_memory_imports():
+    m = Module(imports=(Import("env", "t", "table", TableType(Limits(2, 1))),))
+    assert errs(m) == (("import[0]", "limits maximum below minimum"),)
+    m = Module(imports=(Import("env", "m", "memory", MemType(Limits(65537))),))
+    assert errs(m) == (("import[0]", "limits minimum 65537 exceeds 65536"),)
+
+
+def test_start_index_out_of_bounds():
+    m = Module(
+        types=(FuncType((), ()),),
+        imports=(Import("env", "f", "func", 0),),
+        functions=(Function(0, (), ()),),
+        start=2,
+    )
+    assert errs(m) == (("start", "function index 2 out of bounds"),)
+
+
+class _CountingImports(tuple):
+    """Imports that count how often a pass iterates over them."""
+
+    scans = 0
+
+    def __iter__(self):
+        type(self).scans += 1
+        return super().__iter__()
+
+
+def _import_scans(n):
+    """How often validating a body of n loads and n global reads iterates
+    over the module's imports."""
+    _CountingImports.scans = 0
+    imports = _CountingImports((
+        Import("env", "mem", "memory", MemType(Limits(1))),
+        Import("env", "g", "global", GlobalType("i32", False)),
+    ))
+    body = (ins("global.get", 0), ins("i32.load", 2, 0), ins("drop")) * n
+    m = Module(
+        types=(FuncType((), ()),),
+        imports=imports,
+        functions=(Function(0, (), body),),
+    )
+    assert validate_module(m).ok
+    return _CountingImports.scans
+
+
+def test_validation_scans_imports_a_fixed_number_of_times():
+    assert _import_scans(200) == _import_scans(2000)
