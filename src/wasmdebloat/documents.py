@@ -1,20 +1,21 @@
 """JSON document formats: workloads, traces, reports.
 
 Workloads are read and written; traces and reports are only written.
-Workload parsing is strict: unknown keys are rejected, and every error
-is a ``DocumentError`` with a location, the line and column of a JSON
-syntax error or else a JSON path (``$`` for a number too long to convert,
-nesting too deep to parse, or a NaN or Infinity literal, which JSON does
-not have). i64 values are written as decimal strings because plain JSON
-numbers lose precision past 53 bits; both forms are accepted on input.
-Non-finite floats are written and read as the strings "nan", "inf",
-"-inf".
+Workload parsing is strict: unknown or repeated keys are rejected, and
+every error is a ``DocumentError`` with a location, the line and column
+of a JSON syntax error or else a JSON path (``$`` for a number too long
+to convert, nesting too deep to parse, or a NaN or Infinity literal,
+which JSON does not have). i64 values are written as decimal strings
+because plain JSON numbers lose precision past 53 bits; both forms are
+accepted on input. Non-finite floats are written and read as the strings
+"nan", "inf", "-inf".
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 from .errors import DocumentError
 from .interp import DEFAULT_FUEL, Invocation, Value, Workload
@@ -26,6 +27,7 @@ _INT_RANGES = {
     "i64": (-(1 << 63), (1 << 64) - 1),
 }
 _FLOAT_STRINGS = {"nan": math.nan, "inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
+_VALUE_OBJECT = 'expected a single-key value object like {"i32": 1}'
 # the literals json.loads accepts although JSON has none, and their strings
 _NON_JSON = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 # report keys of the ShrinkStats fields, in document order
@@ -51,13 +53,26 @@ def _require_keys(obj: dict, loc: str, required: tuple[str, ...], optional: tupl
             raise DocumentError(loc, f"missing field {key!r}")
 
 
+def _fields(obj, loc: str, expected: str) -> dict:
+    """The fields of a parsed JSON object, which json.loads leaves as a
+    tuple of (key, value) pairs so that a repeated key shows."""
+    if type(obj) is not tuple:
+        raise DocumentError(loc, expected)
+    fields = dict(obj)
+    if len(fields) < len(obj):
+        key = next(k for k, n in Counter(k for k, _ in obj).items() if n > 1)
+        raise DocumentError(loc, f"duplicate field {key!r}")
+    return fields
+
+
 def value_from_json(obj, loc: str) -> Value:
+    # one parsed pair needs no dict; _fields names a repeated key
+    pairs = tuple(obj.items()) if type(obj) is dict else obj
+    if type(pairs) is not tuple or len(pairs) != 1:
+        _fields(pairs, loc, _VALUE_OBJECT)
+        raise DocumentError(loc, _VALUE_OBJECT)
+    ((key, raw),) = pairs
     # exact types: JSON true/false (bool, an int subclass) are not numbers
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise DocumentError(
-            loc, 'expected a single-key value object like {"i32": 1}'
-        )
-    ((key, raw),) = obj.items()
     if key in _INT_RANGES:
         if type(raw) is str:
             if key != "i64":
@@ -107,15 +122,14 @@ def _reject_constant(literal: str):
 
 def workload_from_document(text: str) -> Workload:
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=tuple)
     except json.JSONDecodeError as e:
         raise DocumentError(f"line {e.lineno}, column {e.colno}", e.msg) from None
     except ValueError:  # CPython's limit on the digits of an integer
         raise DocumentError("$", "integer literal has too many digits") from None
     except RecursionError:
         raise DocumentError("$", "document nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise DocumentError("$", "workload document must be an object")
+    doc = _fields(doc, "$", "workload document must be an object")
     _require_keys(doc, "$", ("invocations",), ("fuel",))
 
     invs = doc["invocations"]
@@ -127,8 +141,7 @@ def workload_from_document(text: str) -> Workload:
     for i, inv in enumerate(invs):
         j = None  # the index of the argument being parsed
         try:
-            if type(inv) is not dict:
-                raise DocumentError("", "expected an object")
+            inv = _fields(inv, "", "expected an object")
             _require_keys(inv, "", ("func",), ("args",))
             func = inv["func"]
             if type(func) is not str or not func:

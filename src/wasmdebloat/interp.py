@@ -5,26 +5,26 @@ ran (the execution trace) and what the run observably did (the
 observation log). Entry probes fire before the first body instruction,
 so a function that traps immediately is still recorded as entered.
 
-Each function body is compiled once per instance, on first entry, into a
-flat list of small tuples (``_compile``), in one pass over the body's
-instructions, which are stored in binary order, with an explicit control
-stack. Structured control flow becomes jumps: every ``br``, ``br_if``,
-``br_table``, ``if``, ``else`` and ``return`` carries a side-table entry
-with its target pc, the values it keeps and the values it drops, so the
-stack height to restore is fixed at compile time from the opcode stack
-signatures (Titzer, "A fast in-place interpreter for WebAssembly",
-OOPSLA 2022).
+Each function body is compiled once per instance, on first entry, in one
+pass over its instructions, which are stored in binary order, with an
+explicit control stack (``_compile``), into a list of straight-line runs
+``(units, ops, exit)``: the run's fuel, its ops, and the one transfer
+that leaves it. Structured control flow becomes exits: every ``br``,
+``br_if``, ``br_table``, ``if``, ``else`` and ``return`` carries a
+side-table entry with its target run, the values it keeps and the values
+it drops, so the stack height to restore is fixed at compile time from
+the opcode stack signatures (Titzer, "A fast in-place interpreter for
+WebAssembly", OOPSLA 2022).
 One loop (``Instance._execute``) runs that code with an explicit operand
 stack and call stack: a branch raises no exception and a wasm call adds
 no Python frame, so nesting depth and call depth cost no Python
 recursion. Fuel is one unit per executed instruction; ``else`` and
-``end`` cost nothing. The compiler cuts each body into straight-line runs
-and the loop charges a whole run once, at its head. Fuel stays exact:
-fuel that does not cover a run traps at the instruction where charging
-one unit at a time would, and a trap inside a run refunds the
-instructions after it. Within a run, a constant with the binop after it,
-or a ``local.get``, a constant and a binop, execute as one fused op
-(superinstructions: Ertl & Gregg, PLDI 2003; wasm3's fused ops).
+``end`` cost nothing. The loop charges a run once, as it fetches it, and
+fuel stays exact: fuel that does not cover a run runs the ops it pays
+for and then traps, and a trap inside a run refunds the rest of the run.
+Within a run, a constant with the binop after it, or a ``local.get``, a
+constant and a binop, execute as one fused op (superinstructions: Ertl &
+Gregg, PLDI 2003; wasm3's fused ops).
 
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Floats are materialized only
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import struct
 from collections import namedtuple
-from itertools import islice
 from typing import NamedTuple
 
 from . import opcodes as op
@@ -90,13 +89,6 @@ def f64_from_bits(bits: int) -> float:
 
 def f64_to_bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", x))[0]
-
-
-def fnv1a_64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for b in data:
-        h = ((h ^ b) * 0x100000001B3) & _M64
-    return h
 
 
 class Value(NamedTuple):
@@ -180,12 +172,6 @@ class ObservationLog(NamedTuple):
     final_memory: bytearray | None
     instantiation_error: Trap | LinkFailure | None = None
     instantiation_host_calls: tuple[HostCall, ...] = ()
-
-    @property
-    def final_memory_digest(self) -> int | None:
-        """FNV-1a 64 of ``final_memory``, computed on each read: logs are
-        compared by their bytes, so only a rendered mismatch needs it."""
-        return None if self.final_memory is None else fnv1a_64(self.final_memory)
 
 
 class ExecutionTrace(NamedTuple):
@@ -585,14 +571,14 @@ def _sext(v: int, from_bits: int) -> int:
 # ---------------------------------------------------------------------------
 # compiled form
 #
-# A function body compiles to a flat list of tuples whose first field is
-# one of the kinds below. Fuel is one unit per body instruction other than
-# ELSE and END, and _UNITS gives each kind's units: a fused kind stands for
-# two or three instructions, block and loop compile to a _NOP for their
-# unit, and the kinds from _RUN on are pseudo-ops the compiler adds (the
-# head of a straight-line run, the fuel trap, the jump over an else arm,
-# the function's end) that cost nothing themselves. A run head charges
-# its whole run at once.
+# A body compiles to a list of runs (units, ops, exit); control enters a
+# run only at its start. ``ops`` holds tuples whose first field is an op
+# kind; ``exit`` is a tuple whose first field is a kind from _BR on. Fuel
+# is one unit per body instruction other than ELSE and END, and _UNITS
+# gives each kind's units: a fused kind stands for two or three
+# instructions, block and loop compile to a _NOP for their unit, and
+# _JUMP (over an else arm), _NEXT (to the next run), _END and the fuel
+# trap cost nothing.
 
 (
     _BINARY,
@@ -601,12 +587,6 @@ def _sext(v: int, from_bits: int) -> int:
     _LOCAL_SET,
     _LOCAL_TEE,
     _CONST,
-    _CALL,
-    _CALL_INDIRECT,
-    _BR_IF,
-    _BR,
-    _BR_TABLE,
-    _IF,
     _LOAD,
     _STORE,
     _GLOBAL_GET,
@@ -619,13 +599,19 @@ def _sext(v: int, from_bits: int) -> int:
     _UNREACHABLE,
     _CONST_BINARY,  # const c; binop f: (kind, f, c)
     _LOCAL_CONST_BINARY,  # local.get i; const c; binop f: (kind, i, f, c)
-    _RUN,
-    _OUT_OF_FUEL,
+    _BR,
+    _BR_IF,
+    _BR_TABLE,
+    _IF,
+    _CALL,
+    _CALL_INDIRECT,
     _JUMP,
+    _NEXT,
     _END,
+    _OUT_OF_FUEL,
 ) = range(28)
 
-_UNITS = (1,) * _CONST_BINARY + (2, 3) + (0,) * 4
+_UNITS = (1,) * _CONST_BINARY + (2, 3) + (1,) * (_JUMP - _BR) + (0,) * 4
 
 # kind and stack effect of the ops that have no signature in opcodes.OPS
 # and compile to (kind, *immediates)
@@ -640,12 +626,6 @@ _UNTYPED = {
     op.NOP: (_NOP, 0),
     op.UNREACHABLE: (_UNREACHABLE, 0),
 }
-
-# ops after which a new straight-line run begins: branches, calls, and
-# loop, whose label follows its _NOP
-_ENDS_RUN = frozenset(
-    (op.BR, op.BR_IF, op.BR_TABLE, op.RETURN, op.IF, op.CALL, op.CALL_INDIRECT, op.LOOP)
-)
 
 # wasm frames the call stack may hold besides the running one
 _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
@@ -663,33 +643,29 @@ _Control = namedtuple("_Control", "label keep height arity else_label", defaults
 def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
     """Compile one body in a single pass over its instructions.
 
-    A construct's header pushes a ``_Control``, ``ELSE`` emits the jump
-    over the else arm and places the else label, and ``END`` pops the
-    control and places its label unless a loop placed it at its start;
-    an ``if`` with no ``ELSE`` gets its else label there too.
-    Branch tuples are ``(kind, target pc, keep, drop)``: the branch keeps
+    Each op goes into the run being built. A branch, ``if``, call or
+    else-jump becomes the run's exit and closes it, and placing a label
+    closes it with _NEXT, so every label starts a run. A construct's header
+    pushes a ``_Control``, ``ELSE`` closes the then arm and places the else
+    label, and ``END`` pops the control and places its label unless a loop
+    placed it at its start; an ``if`` with no ``ELSE`` gets its else label
+    there too. The body's label goes to a last run that holds only _END.
+    Branch exits are ``(kind, target run, keep, drop)``: the branch keeps
     the top ``keep`` values and discards the ``drop`` values beneath them,
     which restores the stack height its label had at entry. Both counts
     come from the static stack heights of validated code, so the loop
-    keeps no label stack. ``br_table`` holds one ``(pc, keep, drop)`` per
-    label plus the default; ``if`` and the else-jump hold a target pc.
-    Labels are numbered as they open and resolved to pcs at the end.
-
-    The code is cut into straight-line runs: one begins at the body's
-    start, at every placed label, and after every branch, ``if``,
-    else-jump and call, so control enters a run only at its start and
-    leaves it only after its last op or by a trap. The first op of each
-    run is a ``(_RUN, units)`` head carrying the fuel of the whole run; a
-    run of pseudo-ops only gets none. Within a run, a ``const`` and the
-    binop right after it fuse into one ``_CONST_BINARY``, and with a
-    ``local.get`` right before them into one ``_LOCAL_CONST_BINARY``.
-    As fusion never crosses a run head, no label lands between the fused
-    instructions.
+    keeps no label stack. ``br_table`` holds one ``(run, keep, drop)`` per
+    label plus the default; ``if`` and the else-jump hold a target run.
+    Labels are numbered as they open and resolved to runs at the end.
+    Within a run, a ``const`` and the binop right after it fuse into one
+    ``_CONST_BINARY``, and with a ``local.get`` right before them into one
+    ``_LOCAL_CONST_BINARY``; as every label starts a run, no label lands
+    between fused instructions.
     """
     ft = m.types[fn.type_index]
-    code: list[tuple] = []
-    pcs: list[int | None] = []  # label id -> pc, set once known
-    in_run = False  # whether the next op continues the last run
+    runs: list[tuple] = []
+    ops: list[tuple] = []  # the ops of the run being built
+    pcs: list[int | None] = []  # label id -> run index, set once known
 
     def new_label(pc: int | None = None) -> int:
         pcs.append(pc)
@@ -698,6 +674,16 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
     def target(depth: int, h: int) -> tuple[int, int, int]:
         c = ctrl[-1 - depth]
         return (c.label, c.keep, h - c.keep - c.height)
+
+    def close(exit_: tuple) -> None:
+        units = sum(_UNITS[ins[0]] for ins in ops) + _UNITS[exit_[0]]
+        runs.append((units, tuple(ops), exit_))
+        ops.clear()
+
+    def place(label: int) -> None:
+        if ops:
+            close((_NEXT,))
+        pcs[label] = len(runs)
 
     n = len(ft.results)
     ctrl = [_Control(new_label(), n, 0, n)]
@@ -708,128 +694,110 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
         if opcode == op.END:
             c = ctrl.pop()
             if pcs[c.label] is None:
-                pcs[c.label] = len(code)
-                in_run = False
+                place(c.label)
             if c.else_label is not None and pcs[c.else_label] is None:
-                pcs[c.else_label] = len(code)  # no else arm
-                in_run = False
+                place(c.else_label)  # no else arm
             h = c.height + c.arity
             continue
         if opcode == op.ELSE:
             c = ctrl[-1]
-            code.append((_JUMP, c.label))
-            pcs[c.else_label] = len(code)
-            in_run = False
+            close((_JUMP, c.label))
+            place(c.else_label)
             h = c.height
             continue
-        if not in_run:
-            code.append((_RUN,))  # its units are counted at the end
-        in_run = opcode not in _ENDS_RUN
         info = op.OPS[opcode]
         if opcode in _UNTYPED:
             kind, effect = _UNTYPED[opcode]
             h += effect
-            code.append((kind, *args))
+            ops.append((kind, *args))
         elif info.pops is not None:
             h += len(info.pushes) - len(info.pops)
             if opcode in _BIN:
                 f = _BIN[opcode]
-                if code[-1][0] != _CONST:
-                    code.append((_BINARY, f))
+                if not ops or ops[-1][0] != _CONST:
+                    ops.append((_BINARY, f))
                 else:
-                    imm = code.pop()[1]
-                    if code[-1][0] == _LOCAL_GET:
-                        code[-1] = (_LOCAL_CONST_BINARY, code[-1][1], f, imm)
+                    imm = ops.pop()[1]
+                    if ops and ops[-1][0] == _LOCAL_GET:
+                        ops[-1] = (_LOCAL_CONST_BINARY, ops[-1][1], f, imm)
                     else:
-                        code.append((_CONST_BINARY, f, imm))
+                        ops.append((_CONST_BINARY, f, imm))
             elif opcode in _UN:
-                code.append((_UNARY, _UN[opcode]))
+                ops.append((_UNARY, _UN[opcode]))
             elif opcode in _LOADS:
-                code.append((_LOAD, args[1], *_LOADS[opcode]))
+                ops.append((_LOAD, args[1], *_LOADS[opcode]))
             elif opcode in _STORES:
                 width = _STORES[opcode]
-                code.append((_STORE, args[1], width, (1 << 8 * width) - 1))
+                ops.append((_STORE, args[1], width, (1 << 8 * width) - 1))
             elif opcode == op.MEMORY_SIZE:
-                code.append((_MEMORY_SIZE,))
+                ops.append((_MEMORY_SIZE,))
             elif opcode == op.MEMORY_GROW:
-                code.append((_MEMORY_GROW,))
+                ops.append((_MEMORY_GROW,))
             else:
-                code.append((_CONST, args[0] & _CONST_MASKS[opcode]))
+                ops.append((_CONST, args[0] & _CONST_MASKS[opcode]))
         elif opcode == op.CALL:
             callee = m.func_type_of(args[0])
             h += len(callee.results) - len(callee.params)
-            code.append((_CALL, args[0], len(callee.params)))
+            close((_CALL, args[0], len(callee.params)))
         elif opcode == op.CALL_INDIRECT:
             callee = m.types[args[0]]
             h += len(callee.results) - len(callee.params) - 1
-            code.append((_CALL_INDIRECT, type_ids[args[0]], len(callee.params)))
+            close((_CALL_INDIRECT, type_ids[args[0]], len(callee.params)))
         elif opcode == op.BLOCK or opcode == op.LOOP:
             arity = 0 if args[0] is None else 1
-            code.append((_NOP,))
+            ops.append((_NOP,))
             if opcode == op.LOOP:
                 # a branch back re-enters the body, past the loop's _NOP
-                ctrl.append(_Control(new_label(len(code)), 0, h, arity))
+                close((_NEXT,))
+                ctrl.append(_Control(new_label(len(runs)), 0, h, arity))
             else:
                 ctrl.append(_Control(new_label(), arity, h, arity))
         elif opcode == op.IF:
             arity = 0 if args[0] is None else 1
             h -= 1
             else_label = new_label()
-            code.append((_IF, else_label))
+            close((_IF, else_label))
             ctrl.append(_Control(new_label(), arity, h, arity, else_label))
         elif opcode == op.BR:
-            code.append((_BR, *target(args[0], h)))
+            close((_BR, *target(args[0], h)))
         elif opcode == op.BR_IF:
             h -= 1
-            code.append((_BR_IF, *target(args[0], h)))
+            close((_BR_IF, *target(args[0], h)))
         elif opcode == op.BR_TABLE:
             h -= 1
             labels, default = args
-            code.append(
-                (_BR_TABLE, tuple(target(d, h) for d in labels), target(default, h))
-            )
+            close((_BR_TABLE, tuple(target(d, h) for d in labels), target(default, h)))
         elif opcode == op.RETURN:
-            code.append((_BR, *target(len(ctrl) - 1, h)))
+            close((_BR, *target(len(ctrl) - 1, h)))
         else:
             raise AssertionError(f"unhandled opcode 0x{opcode:02x}")
-    pcs[ctrl[0].label] = len(code)
-    code.append((_END,))  # the function label's pc is this _END
+    if ops:
+        close((_END,))
+    pcs[ctrl[0].label] = len(runs)
+    close((_END,))
 
     def resolve(t: tuple[int, int, int]) -> tuple[int, int, int]:
         return (pcs[t[0]], t[1], t[2])
 
-    for i, ins in enumerate(code):
-        k = ins[0]
-        if k == _BR or k == _BR_IF:
-            code[i] = (k, *resolve(ins[1:]))
-        elif k == _IF or k == _JUMP:
-            code[i] = (k, pcs[ins[1]])
-        elif k == _BR_TABLE:
-            code[i] = (k, tuple(map(resolve, ins[1])), resolve(ins[2]))
-        elif k == _RUN:
-            code[i] = (k, _units(code, i + 1))
-    return code
+    for i, (units, run_ops, exit_) in enumerate(runs):
+        k = exit_[0]
+        if k == _BR_TABLE:
+            exit_ = (k, tuple(map(resolve, exit_[1])), resolve(exit_[2]))
+        elif k in (_BR, _BR_IF, _IF, _JUMP):
+            exit_ = (k, pcs[exit_[1]], *exit_[2:])
+        runs[i] = (units, run_ops, exit_)
+    return runs
 
 
-def _units(code: list[tuple], pc: int) -> int:
-    """The fuel units of the ops from ``pc`` up to the next run head."""
+def _fuel_prefix(ops: tuple, exit_: tuple, fuel: int) -> tuple[tuple, tuple, int]:
+    """``fuel`` does not pay for the run: the ops it pays for, the fuel
+    trap as the exit after them, and the fuel they leave."""
+    run = ops + (exit_,)
     n = 0
-    for ins in islice(code, pc, None):
-        if ins[0] == _RUN:
-            break
-        n += _UNITS[ins[0]]
-    return n
-
-
-def _out_of_fuel(code: list[tuple], pc: int, fuel: int) -> tuple[list[tuple], int]:
-    """``fuel`` does not pay for the run that starts at ``pc``: return a
-    copy of ``code`` cut short by an _OUT_OF_FUEL trap in place of the
-    first op that fuel does not cover, and the fuel left before that op.
-    """
-    while fuel >= _UNITS[code[pc][0]]:
-        fuel -= _UNITS[code[pc][0]]
-        pc += 1
-    return code[:pc] + [(_OUT_OF_FUEL,)], fuel
+    while fuel >= _UNITS[run[n][0]]:
+        fuel -= _UNITS[run[n][0]]
+        n += 1
+    return ops[:n], (_OUT_OF_FUEL,), fuel
 
 
 def _unwind(stack: list[int], keep: int, drop: int) -> None:
@@ -990,33 +958,89 @@ class Instance:
         fuel = self.fuel
         try:
             while True:
-                ins = code[pc]
+                units, ops, exit_ = code[pc]
                 pc += 1
-                k = ins[0]
-                if k == _LOCAL_GET:
-                    stack.append(locals_[ins[1]])
-                elif k == _RUN:
-                    fuel -= ins[1]
-                    if fuel < 0:
-                        code, fuel = _out_of_fuel(code, pc, fuel + ins[1])
-                elif k == _CONST_BINARY:
-                    stack[-1] = ins[1](stack[-1], ins[2])
-                elif k == _LOCAL_CONST_BINARY:
-                    stack.append(ins[2](locals_[ins[1]], ins[3]))
-                elif k == _BINARY:
-                    b = stack.pop()
-                    stack[-1] = ins[1](stack[-1], b)
-                elif k == _LOCAL_SET:
-                    locals_[ins[1]] = stack.pop()
-                elif k == _CONST:
-                    stack.append(ins[1])
-                elif k == _END:
-                    if not frames:
-                        return stack
-                    code, pc, locals_, funcidx = frames.pop()
+                fuel -= units
+                # a run that costs nothing runs even on a negative budget
+                if fuel < 0 and units:
+                    ops, exit_, fuel = _fuel_prefix(ops, exit_, fuel + units)
+                for ins in ops:
+                    k = ins[0]
+                    if k == _LOCAL_GET:
+                        stack.append(locals_[ins[1]])
+                    elif k == _CONST_BINARY:
+                        stack[-1] = ins[1](stack[-1], ins[2])
+                    elif k == _LOCAL_CONST_BINARY:
+                        stack.append(ins[2](locals_[ins[1]], ins[3]))
+                    elif k == _BINARY:
+                        b = stack.pop()
+                        stack[-1] = ins[1](stack[-1], b)
+                    elif k == _LOCAL_SET:
+                        locals_[ins[1]] = stack.pop()
+                    elif k == _CONST:
+                        stack.append(ins[1])
+                    elif k == _LOCAL_TEE:
+                        locals_[ins[1]] = stack[-1]
+                    elif k == _STORE:
+                        value = stack.pop()
+                        addr = stack.pop() + ins[1]
+                        width = ins[2]
+                        if addr + width > len(mem):
+                            raise TrapError(TRAP_OOB_MEMORY)
+                        mem[addr : addr + width] = (value & ins[3]).to_bytes(width, "little")
+                    elif k == _LOAD:
+                        addr = stack[-1] + ins[1]
+                        width = ins[2]
+                        if addr + width > len(mem):
+                            raise TrapError(TRAP_OOB_MEMORY)
+                        raw = int.from_bytes(mem[addr : addr + width], "little")
+                        if ins[3] is not None:
+                            raw = _sext(raw, ins[3]) & ins[4]
+                        stack[-1] = raw
+                    elif k == _UNARY:
+                        stack[-1] = ins[1](stack[-1])
+                    elif k == _NOP:
+                        pass
+                    elif k == _GLOBAL_GET:
+                        stack.append(globals_[ins[1]])
+                    elif k == _GLOBAL_SET:
+                        globals_[ins[1]] = stack.pop()
+                    elif k == _DROP:
+                        stack.pop()
+                    elif k == _SELECT:
+                        cond = stack.pop()
+                        v2 = stack.pop()
+                        if not cond:
+                            stack[-1] = v2
+                    elif k == _MEMORY_SIZE:
+                        stack.append(len(mem) // PAGE_SIZE)
+                    elif k == _MEMORY_GROW:
+                        delta = stack[-1]
+                        current = len(mem) // PAGE_SIZE
+                        cap = self.module.memories[0].limits.maximum
+                        cap = MAX_PAGES if cap is None else min(cap, MAX_PAGES)
+                        if current + delta > cap:
+                            stack[-1] = _M32  # -1
+                        else:
+                            # page by page: no temporary as large as the growth
+                            for _ in range(delta):
+                                mem += _ZERO_PAGE
+                            stack[-1] = current
+                    elif k == _UNREACHABLE:
+                        raise TrapError(TRAP_UNREACHABLE)
+                    else:
+                        raise AssertionError(f"unhandled compiled op {ins!r}")
+                k = exit_[0]
+                if k == _NEXT:
+                    pass
+                elif k == _BR_IF or k == _BR:
+                    if k == _BR or stack.pop():
+                        if exit_[3]:
+                            _unwind(stack, exit_[2], exit_[3])
+                        pc = exit_[1]
                 elif k == _CALL or k == _CALL_INDIRECT:
                     if k == _CALL:
-                        callee = ins[1]
+                        callee = exit_[1]
                     else:
                         i = stack.pop()
                         if i >= len(table):
@@ -1025,12 +1049,12 @@ class Instance:
                         if callee is None:
                             raise TrapError(TRAP_UNDEFINED_ELEMENT)
                         table_observed.add(callee)
-                        if func_sigs[callee] != ins[1]:
+                        if func_sigs[callee] != exit_[1]:
                             raise TrapError(TRAP_CALL_TYPE)
                     if len(frames) >= _MAX_SUSPENDED:
                         raise TrapError(TRAP_STACK_EXHAUSTED)
                     call_targets.add(callee)
-                    argc = ins[2]
+                    argc = exit_[2]
                     if argc:
                         call_args = stack[-argc:]
                         del stack[-argc:]
@@ -1044,84 +1068,32 @@ class Instance:
                         code, locals_ = self._enter(callee, call_args)
                         pc = 0
                         funcidx = callee
-                elif k == _LOCAL_TEE:
-                    locals_[ins[1]] = stack[-1]
-                elif k == _BR_IF:
-                    if stack.pop():
-                        if ins[3]:
-                            _unwind(stack, ins[2], ins[3])
-                        pc = ins[1]
-                elif k == _BR:
-                    if ins[3]:
-                        _unwind(stack, ins[2], ins[3])
-                    pc = ins[1]
-                elif k == _STORE:
-                    value = stack.pop()
-                    addr = stack.pop() + ins[1]
-                    width = ins[2]
-                    if addr + width > len(mem):
-                        raise TrapError(TRAP_OOB_MEMORY)
-                    mem[addr : addr + width] = (value & ins[3]).to_bytes(width, "little")
-                elif k == _LOAD:
-                    addr = stack[-1] + ins[1]
-                    width = ins[2]
-                    if addr + width > len(mem):
-                        raise TrapError(TRAP_OOB_MEMORY)
-                    raw = int.from_bytes(mem[addr : addr + width], "little")
-                    if ins[3] is not None:
-                        raw = _sext(raw, ins[3]) & ins[4]
-                    stack[-1] = raw
-                elif k == _UNARY:
-                    stack[-1] = ins[1](stack[-1])
-                elif k == _IF:
-                    if not stack.pop():
-                        pc = ins[1]
-                elif k == _JUMP:
-                    pc = ins[1]
-                elif k == _NOP:
-                    pass
+                elif k == _END:
+                    if not frames:
+                        return stack
+                    code, pc, locals_, funcidx = frames.pop()
+                elif k == _IF or k == _JUMP:
+                    if k == _JUMP or not stack.pop():
+                        pc = exit_[1]
                 elif k == _BR_TABLE:
                     i = stack.pop()
-                    labels = ins[1]
-                    pc, keep, drop = labels[i] if i < len(labels) else ins[2]
+                    labels = exit_[1]
+                    pc, keep, drop = labels[i] if i < len(labels) else exit_[2]
                     if drop:
                         _unwind(stack, keep, drop)
-                elif k == _GLOBAL_GET:
-                    stack.append(globals_[ins[1]])
-                elif k == _GLOBAL_SET:
-                    globals_[ins[1]] = stack.pop()
-                elif k == _DROP:
-                    stack.pop()
-                elif k == _SELECT:
-                    cond = stack.pop()
-                    v2 = stack.pop()
-                    if not cond:
-                        stack[-1] = v2
-                elif k == _MEMORY_SIZE:
-                    stack.append(len(mem) // PAGE_SIZE)
-                elif k == _MEMORY_GROW:
-                    delta = stack[-1]
-                    current = len(mem) // PAGE_SIZE
-                    cap = self.module.memories[0].limits.maximum
-                    cap = MAX_PAGES if cap is None else min(cap, MAX_PAGES)
-                    if current + delta > cap:
-                        stack[-1] = _M32  # -1
-                    else:
-                        # page by page: no temporary as large as the growth
-                        for _ in range(delta):
-                            mem += _ZERO_PAGE
-                        stack[-1] = current
-                elif k == _UNREACHABLE:
-                    raise TrapError(TRAP_UNREACHABLE)
                 elif k == _OUT_OF_FUEL:
                     # 0 also when fuel ran out inside a fused op; fuel that
-                    # was negative at the run's head stays as it was
+                    # was negative at the run's fetch stays as it was
                     fuel = min(fuel, 0)
                     raise TrapError(TRAP_FUEL_EXHAUSTED)
                 else:
-                    raise AssertionError(f"unhandled compiled op {ins!r}")
+                    raise AssertionError(f"unhandled compiled exit {exit_!r}")
         except TrapError as t:
-            fuel += _units(code, pc)  # the rest of the run did not execute
+            if k < _BR:
+                # an op trapped: the ops after it and the exit did not run;
+                # each op is its own tuple, so identity finds the one
+                after = next(j for j, o in enumerate(ops) if o is ins) + 1
+                fuel += sum(_UNITS[o[0]] for o in ops[after:]) + _UNITS[exit_[0]]
             if t.function_index is None:
                 t.function_index = funcidx
             raise

@@ -44,7 +44,7 @@ from .validate import validate_module
 
 @dataclass(frozen=True)
 class Mismatch:
-    # -1 marks whole-run fields (instantiation, digest); invocations
+    # -1 marks whole-run fields (instantiation, final memory); invocations
     # count from 0
     invocation_index: int
     field: str
@@ -116,8 +116,22 @@ def _render_host_calls(calls) -> str:
     )
 
 
-def _render_digest(d: int | None) -> str:
-    return "absent" if d is None else f"0x{d:016x}"
+def _first_difference(a: bytes, b: bytes) -> int | None:
+    """The first offset below both lengths where ``a`` and ``b`` differ: a
+    bisection of slice comparisons, which run at memcmp speed."""
+    lo, hi = 0, min(len(a), len(b))
+    if a[:hi] == b[:hi]:
+        return None
+    while hi - lo > 1:  # a[:lo] == b[:lo] and a[lo:hi] != b[lo:hi]
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if a[lo:mid] == b[lo:mid] else (lo, mid)
+    return lo
+
+
+def _render_memory(mem: bytes | None, at: int | None) -> str:
+    if mem is None:
+        return "absent"
+    return f"{len(mem)} bytes" + ("" if at is None else f", 0x{mem[at]:02x} at offset {at}")
 
 
 def _outcomes_equal(a, b) -> bool:
@@ -177,15 +191,10 @@ def compare_logs(
                     _render_host_calls(rb.host_calls),
                 )
             )
-    if original.final_memory != debloated.final_memory:
-        out.append(
-            Mismatch(
-                -1,
-                "finalMemoryDigest",
-                _render_digest(original.final_memory_digest),
-                _render_digest(debloated.final_memory_digest),
-            )
-        )
+    a, b = original.final_memory, debloated.final_memory
+    if a != b:
+        at = None if a is None or b is None else _first_difference(a, b)
+        out.append(Mismatch(-1, "finalMemory", _render_memory(a, at), _render_memory(b, at)))
     return tuple(out)
 
 

@@ -50,14 +50,18 @@ class ValidationReport:
 _Errors = list[tuple[str, str]]
 
 
-def _check_limits(lim, cap: int | None, loc: str, errs: _Errors) -> None:
-    if cap is not None and lim.minimum > cap:
-        errs.append((loc, f"limits minimum {lim.minimum} exceeds {cap}"))
+# V8's limit; instantiation allocates every element a table starts with
+MAX_TABLE_ELEMENTS = 10_000_000
+
+
+def _check_limits(lim, min_cap: int, max_cap: int | None, loc: str, errs: _Errors) -> None:
+    if lim.minimum > min_cap:
+        errs.append((loc, f"limits minimum {lim.minimum} exceeds {min_cap}"))
     if lim.maximum is not None:
         if lim.maximum < lim.minimum:
             errs.append((loc, "limits maximum below minimum"))
-        if cap is not None and lim.maximum > cap:
-            errs.append((loc, f"limits maximum {lim.maximum} exceeds {cap}"))
+        if max_cap is not None and lim.maximum > max_cap:
+            errs.append((loc, f"limits maximum {lim.maximum} exceeds {max_cap}"))
 
 
 def _check_const_expr(
@@ -347,9 +351,9 @@ def validate_module(m: Module) -> ValidationReport:
             if imp.desc >= len(m.types):
                 errs.append((loc, f"type index {imp.desc} out of range"))
         elif imp.kind == "table":
-            _check_limits(imp.desc.limits, None, loc, errs)
+            _check_limits(imp.desc.limits, MAX_TABLE_ELEMENTS, None, loc, errs)
         elif imp.kind == "memory":
-            _check_limits(imp.desc.limits, MAX_PAGES, loc, errs)
+            _check_limits(imp.desc.limits, MAX_PAGES, MAX_PAGES, loc, errs)
         elif imp.desc.mutable:
             errs.append((loc, "mutable global import"))
 
@@ -358,9 +362,9 @@ def validate_module(m: Module) -> ValidationReport:
     if m.num_memories > 1:
         errs.append(("memory", "more than one memory"))
     for i, tt in enumerate(m.tables):
-        _check_limits(tt.limits, None, f"table[{i}]", errs)
+        _check_limits(tt.limits, MAX_TABLE_ELEMENTS, None, f"table[{i}]", errs)
     for i, mt in enumerate(m.memories):
-        _check_limits(mt.limits, MAX_PAGES, f"memory[{i}]", errs)
+        _check_limits(mt.limits, MAX_PAGES, MAX_PAGES, f"memory[{i}]", errs)
 
     for i, g in enumerate(m.globals):
         _check_const_expr(m, g.init, g.type.valtype, f"global[{i}].init", errs)

@@ -837,8 +837,8 @@ PAIRS = [
 ]
 
 # workload texts that json.loads or float() reject with an exception of
-# their own, or that json.loads accepts although they are not JSON, and
-# the DocumentError each must become
+# their own, or that json.loads accepts although they are not JSON or
+# repeat a key (it keeps the last), and the DocumentError each must become
 HOSTILE_WORKLOADS = {
     "huge-f64": (
         '{"invocations": [{"func": "f", "args": [{"f64": %s}]}]}' % ("9" * 400),
@@ -856,6 +856,18 @@ HOSTILE_WORKLOADS = {
     "infinity-literal": (
         '{"invocations": [{"func": "f", "args": [{"f32": -Infinity}, {"f64": Infinity}]}]}',
         '$: -Infinity is not JSON; write the string "-inf"',
+    ),
+    "duplicate-document-keys": (
+        '{"invocations": [{"func": "f"}], "invocations": [], "fuel": 5, "fuel": 7}',
+        "$: duplicate field 'invocations'",
+    ),
+    "duplicate-invocation-key": (
+        '{"invocations": [{"func": "f", "args": [], "func": "g"}]}',
+        "$.invocations[0]: duplicate field 'func'",
+    ),
+    "duplicate-value-key": (
+        '{"invocations": [{"func": "f", "args": [{"i32": 1}, {"i32": 1, "i32": 2}]}]}',
+        "$.invocations[0].args[1]: duplicate field 'i32'",
     ),
 }
 

@@ -316,3 +316,15 @@ def test_function_with_bad_type_index_is_an_input_error(tmp_path, capsys, data, 
     )
     assert code == EXIT_INPUT
     assert f"input module invalid at {error}" in capsys.readouterr().err
+
+
+def test_table_past_the_element_limit_is_an_input_error(tmp_path, capsys):
+    # instantiating this table would allocate 2**32 - 1 elements
+    m = fx.add_module().with_(tables=(fx.TableType(fx.Limits(0xFFFFFFFF)),))
+    mod, wlf = write_pair(tmp_path, m, fx.wl())
+    out = tmp_path / "o.wasm"
+    code = main(["debloat", "--module", mod, "--workload", wlf, "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input module invalid at table[0]: limits minimum 4294967295 exceeds 10000000" in err
+    assert not out.exists()

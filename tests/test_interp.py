@@ -8,6 +8,7 @@ rounds independently of the interpreter's own arithmetic.
 import pytest
 
 import fixturelib as fx
+import modulegen
 from fixturelib import f32c, f64c, ins, inv, wl
 from wasmdebloat import interp, validate_module
 from wasmdebloat.errors import SignatureMismatch, UnknownExport
@@ -22,7 +23,6 @@ from wasmdebloat.interp import (
     Workload,
     f32_to_bits,
     f64_to_bits,
-    fnv1a_64,
     instantiate,
     invoke,
     run_workload,
@@ -770,7 +770,7 @@ def test_element_checks_precede_data_writes():
 
 
 # ---------------------------------------------------------------------------
-# workload runs, traces, digests
+# workload runs, traces, final memory
 
 
 def test_run_workload_records_all_invocations():
@@ -778,7 +778,7 @@ def test_run_workload_records_all_invocations():
     assert len(log.records) == 2
     assert log.records[0].outcome == Results((Value.i32(5),))
     assert log.records[1].outcome == Results((Value.i32(0),))
-    assert log.final_memory_digest is None  # no memory
+    assert log.final_memory is None  # no memory
     assert trace.entered == frozenset({0})
     assert trace.call_targets == frozenset()
     assert trace.table_observed == frozenset()
@@ -837,16 +837,10 @@ def test_workload_fuel_applies_per_invocation():
     assert log.records[1].outcome == Results((Value.i32(1),))
 
 
-def test_fnv1a_64_published_vectors():
-    assert fnv1a_64(b"") == 0xCBF29CE484222325
-    assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a_64(b"foobar") == 0x85944171F73967E8
-
-
 def test_final_memory_digest_of_initial_image():
     # one page, "hello" written at offset 8, rest zero
     log, _ = run_workload(fx.memory_data_module(), wl())
-    assert log.final_memory_digest == 0x2C6B82FCAE61D379
+    assert log.final_memory == bytes(8) + b"hello" + bytes(65536 - 13)
 
 
 def test_digest_changes_when_memory_changes():
@@ -854,11 +848,11 @@ def test_digest_changes_when_memory_changes():
     after, _ = run_workload(
         fx.memory_data_module(), wl(inv("poke", Value.i32(0), Value.i32(1)))
     )
-    assert base.final_memory_digest != after.final_memory_digest
+    assert base.final_memory != after.final_memory
     again, _ = run_workload(
         fx.memory_data_module(), wl(inv("poke", Value.i32(0), Value.i32(1)))
     )
-    assert after.final_memory_digest == again.final_memory_digest
+    assert after.final_memory == again.final_memory
 
 
 def test_digest_absent_when_instantiation_fails():
@@ -866,7 +860,7 @@ def test_digest_absent_when_instantiation_fails():
         data=(DataSegment(0, (ins("i32.const", 65535),), b"hello"),)
     )
     log, _ = run_workload(m, wl())
-    assert log.final_memory_digest is None
+    assert log.final_memory is None
 
 
 # ---------------------------------------------------------------------------
@@ -952,6 +946,35 @@ def test_fuel_of_sumto_is_hand_counted():
         out, used = fuel_used(m, "sumto", (Value.i32(n),), fuel=expected - 1)
         assert out == Trap("fuel-exhausted", 0)
         assert used == expected - 1
+
+
+def test_fuel_an_invocation_uses_is_the_least_budget_that_reproduces_it():
+    cases = [(m, w) for _, m, w in fx.PAIRS]
+    for trap_free in (False, True):
+        cases += [modulegen.generate_pair(seed, trap_free=trap_free) for seed in range(100)]
+    checked = 0
+    for m, w in cases:
+        if run_workload(m, w)[0].instantiation_error is not None:
+            continue
+
+        def replay(i, budget):
+            """Invocation i with ``budget``, after the ones before it with
+            the workload's fuel: its outcome and the fuel it leaves."""
+            inst = instantiate(m, None, w.fuel)
+            for before in w.invocations[:i]:
+                invoke(inst, before.func, before.args, w.fuel)
+            return invoke(inst, w.invocations[i].func, w.invocations[i].args, budget), inst.fuel
+
+        for i in range(len(w.invocations)):
+            outcome, left = replay(i, w.fuel)
+            used = w.fuel - left
+            if isinstance(outcome, Trap) and outcome.kind == "fuel-exhausted":
+                continue
+            assert replay(i, used) == (outcome, 0)
+            short, _ = replay(i, used - 1)
+            assert isinstance(short, Trap) and short.kind == "fuel-exhausted"
+            checked += 1
+    assert checked == 666
 
 
 def parity_module():
@@ -1081,39 +1104,37 @@ def test_a_label_before_a_binop_keeps_both_arms_right(c, result):
             assert (out, spent) == (Trap("fuel-exhausted", 0), fuel)
 
 
-def compiled_kinds(m):
-    """The kinds of function 0's compiled code, with each run head's units."""
+def compiled_runs(m):
+    """Function 0's compiled runs as (units, op kinds, exit kind)."""
     inst = instantiate(m)
-    code = interp._compile(m, m.functions[0], inst._type_ids)
-    return [t[:2] if t[0] == interp._RUN else t[0] for t in code]
+    runs = interp._compile(m, m.functions[0], inst._type_ids)
+    return [(units, tuple(o[0] for o in ops), exit_[0]) for units, ops, exit_ in runs]
 
 
 def test_runs_and_fusion_in_the_compiled_code():
-    assert compiled_kinds(store_then_divide_module()) == [
-        (interp._RUN, 10),
-        interp._LOCAL_CONST_BINARY,
-        interp._CONST,
-        interp._STORE,
-        interp._CONST,
-        interp._LOCAL_GET,
-        interp._BINARY,
-        interp._CONST_BINARY,
-        interp._END,
+    assert compiled_runs(store_then_divide_module()) == [
+        (
+            10,
+            (
+                interp._LOCAL_CONST_BINARY,
+                interp._CONST,
+                interp._STORE,
+                interp._CONST,
+                interp._LOCAL_GET,
+                interp._BINARY,
+                interp._CONST_BINARY,
+            ),
+            interp._END,
+        ),
+        (0, (), interp._END),  # where a return goes
     ]
     # the else arm's const and the add after the label stay apart
-    assert compiled_kinds(if_then_add_module()) == [
-        (interp._RUN, 3),
-        interp._LOCAL_GET,
-        interp._LOCAL_GET,
-        interp._IF,
-        (interp._RUN, 1),
-        interp._CONST,
-        interp._JUMP,
-        (interp._RUN, 1),
-        interp._CONST,
-        (interp._RUN, 1),
-        interp._BINARY,
-        interp._END,
+    assert compiled_runs(if_then_add_module()) == [
+        (3, (interp._LOCAL_GET, interp._LOCAL_GET), interp._IF),
+        (1, (interp._CONST,), interp._JUMP),
+        (1, (interp._CONST,), interp._NEXT),
+        (1, (interp._BINARY,), interp._END),
+        (0, (), interp._END),
     ]
 
 

@@ -62,6 +62,16 @@ def test_memory_page_limits():
     assert validate_module(m).ok
 
 
+def test_table_minimum_limit():
+    m = Module(tables=(TableType(Limits(10_000_001)),))
+    assert first_error(m) == ("table[0]", "limits minimum 10000001 exceeds 10000000")
+    m = Module(imports=(Import("env", "t", "table", TableType(Limits(0xFFFFFFFF))),))
+    assert errs(m) == (("import[0]", "limits minimum 4294967295 exceeds 10000000"),)
+    # the maximum is not capped
+    m = Module(tables=(TableType(Limits(10_000_000, 0xFFFFFFFF)),))
+    assert validate_module(m).ok
+
+
 def test_limits_maximum_below_minimum():
     m = Module(memories=(MemType(Limits(2, 1)),))
     assert first_error(m) == ("memory[0]", "limits maximum below minimum")
