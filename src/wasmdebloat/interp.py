@@ -27,9 +27,15 @@ constant and a binop, execute as one fused op (superinstructions: Ertl &
 Gregg, PLDI 2003; wasm3's fused ops).
 
 Numbers are carried as raw bit patterns (unsigned ints); types are
-static and were established by validation. Floats are materialized only
-inside the numeric helpers, and every arithmetic NaN is canonicalized so
-observation logs are deterministic. The run records (``Value``,
+static and were established by validation. Each numeric operator is
+written once for both widths, generic over N as the spec defines it
+(WebAssembly Core Specification 1.0, section 4.3), and built for each
+width (``_int_ops``, ``_float_ops``). Floats are materialized only
+inside the operators, and every arithmetic NaN is canonicalized so
+observation logs are deterministic. A load or store is one ``struct``
+call behind an explicit bounds check, so a store that traps writes
+nothing. The table keeps only the slots element segments fill. The run
+records (``Value``,
 ``Results``, ``HostCall``, ``ObservationLog``, ...) are ``NamedTuple``s,
 so they compare equal to plain tuples: ``Value("i32", 1) == ("i32", 1)``.
 """
@@ -203,66 +209,11 @@ def default_host() -> HostConfig:
 
 # ---------------------------------------------------------------------------
 # numeric semantics
-
-
-def _idiv_s(a: int, b: int, bits: int) -> int:
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    sa = a - (1 << bits) if a & half else a
-    sb = b - (1 << bits) if b & half else b
-    if sb == 0:
-        raise TrapError(TRAP_DIV_ZERO)
-    if sa == -half and sb == -1:
-        raise TrapError(TRAP_INT_OVERFLOW)
-    q = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        q = -q
-    return q & mask
-
-
-def _irem_s(a: int, b: int, bits: int) -> int:
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    sa = a - (1 << bits) if a & half else a
-    sb = b - (1 << bits) if b & half else b
-    if sb == 0:
-        raise TrapError(TRAP_DIV_ZERO)
-    r = abs(sa) % abs(sb)
-    if sa < 0:
-        r = -r
-    return r & mask
-
-
-def _idiv_u(a: int, b: int) -> int:
-    if b == 0:
-        raise TrapError(TRAP_DIV_ZERO)
-    return a // b
-
-
-def _irem_u(a: int, b: int) -> int:
-    if b == 0:
-        raise TrapError(TRAP_DIV_ZERO)
-    return a % b
-
-
-def _clz(v: int, bits: int) -> int:
-    return bits - v.bit_length()
-
-
-def _ctz(v: int, bits: int) -> int:
-    return (v & -v).bit_length() - 1 if v else bits
-
-
-def _rotl(v: int, k: int, bits: int) -> int:
-    k %= bits
-    mask = (1 << bits) - 1
-    return ((v << k) | (v >> (bits - k))) & mask
-
-
-def _rotr(v: int, k: int, bits: int) -> int:
-    k %= bits
-    mask = (1 << bits) - 1
-    return ((v >> k) | (v << (bits - k))) & mask
+#
+# Operators work on raw bits. Each is written once, for the N its builder
+# is called with: _int_ops(32) and _int_ops(64) give the i32 and i64
+# operators, _float_ops the f32 and f64 ones; the helpers below them are
+# the width-free float steps. Loads and stores are struct calls (_MEMORY).
 
 
 def _fdiv(a: float, b: float) -> float:
@@ -326,15 +277,6 @@ def _fnearest(x: float) -> float:
     return _round_sign(round(x), x)  # Python round ties to even
 
 
-def _trunc_to_int(x: float, lo: int, hi: int) -> int:
-    if math.isnan(x) or math.isinf(x):
-        raise TrapError(TRAP_INT_OVERFLOW)
-    v = int(x)
-    if not lo <= v <= hi:
-        raise TrapError(TRAP_INT_OVERFLOW)
-    return v
-
-
 def _int_to_f32_bits(n: int) -> int:
     """Round an arbitrary integer to the nearest f32 (ties to even).
 
@@ -373,199 +315,182 @@ def _bool(x: bool) -> int:
     return 1 if x else 0
 
 
-def _f32bin(fn):
-    return lambda a, b: _f32_result(fn(f32_from_bits(a), f32_from_bits(b)))
+def _int_ops(bits: int) -> dict[str, object]:
+    """The iN operators for N = ``bits``, by name without the type prefix."""
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)  # the sign bit: (u ^ half) - half is u read signed
+
+    def div_s(a: int, b: int) -> int:
+        if b == 0:
+            raise TrapError(TRAP_DIV_ZERO)
+        a, b = (a ^ half) - half, (b ^ half) - half
+        if a == -half and b == -1:
+            raise TrapError(TRAP_INT_OVERFLOW)
+        q = abs(a) // abs(b)
+        return (-q if (a < 0) != (b < 0) else q) & mask
+
+    def rem_s(a: int, b: int) -> int:
+        if b == 0:
+            raise TrapError(TRAP_DIV_ZERO)
+        a, b = (a ^ half) - half, (b ^ half) - half
+        r = abs(a) % abs(b)
+        return (-r if a < 0 else r) & mask
+
+    def div_u(a: int, b: int) -> int:
+        if b == 0:
+            raise TrapError(TRAP_DIV_ZERO)
+        return a // b
+
+    def rem_u(a: int, b: int) -> int:
+        if b == 0:
+            raise TrapError(TRAP_DIV_ZERO)
+        return a % b
+
+    def rotl(a: int, k: int) -> int:
+        k %= bits
+        return ((a << k) | (a >> (bits - k))) & mask
+
+    def rotr(a: int, k: int) -> int:
+        k %= bits
+        return ((a >> k) | (a << (bits - k))) & mask
+
+    # flipping the sign bit maps signed order onto unsigned order
+    return {
+        "eqz": lambda a: _bool(a == 0),
+        "eq": lambda a, b: _bool(a == b),
+        "ne": lambda a, b: _bool(a != b),
+        "lt_s": lambda a, b: _bool(a ^ half < b ^ half),
+        "lt_u": lambda a, b: _bool(a < b),
+        "gt_s": lambda a, b: _bool(a ^ half > b ^ half),
+        "gt_u": lambda a, b: _bool(a > b),
+        "le_s": lambda a, b: _bool(a ^ half <= b ^ half),
+        "le_u": lambda a, b: _bool(a <= b),
+        "ge_s": lambda a, b: _bool(a ^ half >= b ^ half),
+        "ge_u": lambda a, b: _bool(a >= b),
+        "clz": lambda a: bits - a.bit_length(),
+        "ctz": lambda a: (a & -a).bit_length() - 1 if a else bits,
+        "popcnt": lambda a: bin(a).count("1"),
+        "add": lambda a, b: (a + b) & mask,
+        "sub": lambda a, b: (a - b) & mask,
+        "mul": lambda a, b: (a * b) & mask,
+        "div_s": div_s,
+        "div_u": div_u,
+        "rem_s": rem_s,
+        "rem_u": rem_u,
+        "and": lambda a, b: a & b,
+        "or": lambda a, b: a | b,
+        "xor": lambda a, b: a ^ b,
+        "shl": lambda a, b: (a << b % bits) & mask,
+        "shr_s": lambda a, b: ((a ^ half) - half >> b % bits) & mask,
+        "shr_u": lambda a, b: a >> b % bits,
+        "rotl": rotl,
+        "rotr": rotr,
+    }
 
 
-def _f64bin(fn):
-    return lambda a, b: _f64_result(fn(f64_from_bits(a), f64_from_bits(b)))
+def _float_ops(read, result, sign: int) -> dict[str, object]:
+    """The fN operators, by name without the type prefix: ``read`` turns
+    fN bits into a float, ``result`` a float into canonical fN bits, and
+    ``sign`` is the sign bit."""
+    magnitude = sign - 1
+    return {
+        "eq": lambda a, b: _bool(read(a) == read(b)),
+        "ne": lambda a, b: _bool(read(a) != read(b)),
+        "lt": lambda a, b: _bool(read(a) < read(b)),
+        "gt": lambda a, b: _bool(read(a) > read(b)),
+        "le": lambda a, b: _bool(read(a) <= read(b)),
+        "ge": lambda a, b: _bool(read(a) >= read(b)),
+        "abs": lambda a: a & magnitude,
+        "neg": lambda a: a ^ sign,
+        "ceil": lambda a: result(_fceil(read(a))),
+        "floor": lambda a: result(_ffloor(read(a))),
+        "trunc": lambda a: result(_ftrunc(read(a))),
+        "nearest": lambda a: result(_fnearest(read(a))),
+        "sqrt": lambda a: result(_fsqrt(read(a))),
+        "add": lambda a, b: result(read(a) + read(b)),
+        "sub": lambda a, b: result(read(a) - read(b)),
+        "mul": lambda a, b: result(read(a) * read(b)),
+        "div": lambda a, b: result(_fdiv(read(a), read(b))),
+        "min": lambda a, b: result(_fmin(read(a), read(b))),
+        "max": lambda a, b: result(_fmax(read(a), read(b))),
+        "copysign": lambda a, b: (a & magnitude) | (b & sign),
+    }
 
 
-def _f32cmp(fn):
-    return lambda a, b: _bool(fn(f32_from_bits(a), f32_from_bits(b)))
+def _trunc(read, bits: int, signed: bool):
+    """``iN.trunc_fM_sx`` for N = ``bits``: ``read`` gives the fM float."""
+    mask = (1 << bits) - 1
+    lo, hi = (-(1 << bits - 1), mask >> 1) if signed else (0, mask)
+
+    def trunc(a: int) -> int:
+        x = read(a)
+        if math.isnan(x) or math.isinf(x):
+            raise TrapError(TRAP_INT_OVERFLOW)
+        v = int(x)
+        if not lo <= v <= hi:
+            raise TrapError(TRAP_INT_OVERFLOW)
+        return v & mask
+
+    return trunc
 
 
-def _f64cmp(fn):
-    return lambda a, b: _bool(fn(f64_from_bits(a), f64_from_bits(b)))
+# binary operators (opcode -> f(a, b)) and unary ones (opcode -> f(a)),
+# each on raw bits and returning raw bits
+_BIN: dict[int, object] = {}
+_UN: dict[int, object] = {}
+for _t, _ops in (
+    ("i32", _int_ops(32)),
+    ("i64", _int_ops(64)),
+    ("f32", _float_ops(f32_from_bits, _f32_result, 0x80000000)),
+    ("f64", _float_ops(f64_from_bits, _f64_result, 0x8000000000000000)),
+):
+    for _name, _f in _ops.items():
+        _code = op.NAME_TO_OPCODE[f"{_t}.{_name}"]
+        (_BIN if len(op.OPS[_code].pops) == 2 else _UN)[_code] = _f
+for _bits in (32, 64):
+    for _t, _read in (("f32", f32_from_bits), ("f64", f64_from_bits)):
+        for _sx in ("s", "u"):
+            _code = op.NAME_TO_OPCODE[f"i{_bits}.trunc_{_t}_{_sx}"]
+            _UN[_code] = _trunc(_read, _bits, _sx == "s")
+_UN.update(
+    {
+        op.NAME_TO_OPCODE["i32.wrap_i64"]: lambda a: a & _M32,
+        op.NAME_TO_OPCODE["i64.extend_i32_s"]: lambda a: _s32(a) & _M64,
+        op.NAME_TO_OPCODE["i64.extend_i32_u"]: lambda a: a,
+        op.NAME_TO_OPCODE["f32.convert_i32_s"]: lambda a: _int_to_f32_bits(_s32(a)),
+        op.NAME_TO_OPCODE["f32.convert_i32_u"]: lambda a: _int_to_f32_bits(a),
+        op.NAME_TO_OPCODE["f32.convert_i64_s"]: lambda a: _int_to_f32_bits(_s64(a)),
+        op.NAME_TO_OPCODE["f32.convert_i64_u"]: lambda a: _int_to_f32_bits(a),
+        op.NAME_TO_OPCODE["f32.demote_f64"]: lambda a: _f32_result(f64_from_bits(a)),
+        op.NAME_TO_OPCODE["f64.convert_i32_s"]: lambda a: f64_to_bits(float(_s32(a))),
+        op.NAME_TO_OPCODE["f64.convert_i32_u"]: lambda a: f64_to_bits(float(a)),
+        op.NAME_TO_OPCODE["f64.convert_i64_s"]: lambda a: f64_to_bits(float(_s64(a))),
+        op.NAME_TO_OPCODE["f64.convert_i64_u"]: lambda a: f64_to_bits(float(a)),
+        op.NAME_TO_OPCODE["f64.promote_f32"]: lambda a: _f64_result(f32_from_bits(a)),
+        op.NAME_TO_OPCODE["i32.reinterpret_f32"]: lambda a: a,
+        op.NAME_TO_OPCODE["i64.reinterpret_f64"]: lambda a: a,
+        op.NAME_TO_OPCODE["f32.reinterpret_i32"]: lambda a: a,
+        op.NAME_TO_OPCODE["f64.reinterpret_i64"]: lambda a: a,
+    }
+)
 
-
-def _f32un(fn):
-    return lambda a: _f32_result(fn(f32_from_bits(a)))
-
-
-def _f64un(fn):
-    return lambda a: _f64_result(fn(f64_from_bits(a)))
-
-
-_BIN = {
-    op.NAME_TO_OPCODE["i32.eq"]: lambda a, b: _bool(a == b),
-    op.NAME_TO_OPCODE["i32.ne"]: lambda a, b: _bool(a != b),
-    op.NAME_TO_OPCODE["i32.lt_s"]: lambda a, b: _bool(_s32(a) < _s32(b)),
-    op.NAME_TO_OPCODE["i32.lt_u"]: lambda a, b: _bool(a < b),
-    op.NAME_TO_OPCODE["i32.gt_s"]: lambda a, b: _bool(_s32(a) > _s32(b)),
-    op.NAME_TO_OPCODE["i32.gt_u"]: lambda a, b: _bool(a > b),
-    op.NAME_TO_OPCODE["i32.le_s"]: lambda a, b: _bool(_s32(a) <= _s32(b)),
-    op.NAME_TO_OPCODE["i32.le_u"]: lambda a, b: _bool(a <= b),
-    op.NAME_TO_OPCODE["i32.ge_s"]: lambda a, b: _bool(_s32(a) >= _s32(b)),
-    op.NAME_TO_OPCODE["i32.ge_u"]: lambda a, b: _bool(a >= b),
-    op.NAME_TO_OPCODE["i64.eq"]: lambda a, b: _bool(a == b),
-    op.NAME_TO_OPCODE["i64.ne"]: lambda a, b: _bool(a != b),
-    op.NAME_TO_OPCODE["i64.lt_s"]: lambda a, b: _bool(_s64(a) < _s64(b)),
-    op.NAME_TO_OPCODE["i64.lt_u"]: lambda a, b: _bool(a < b),
-    op.NAME_TO_OPCODE["i64.gt_s"]: lambda a, b: _bool(_s64(a) > _s64(b)),
-    op.NAME_TO_OPCODE["i64.gt_u"]: lambda a, b: _bool(a > b),
-    op.NAME_TO_OPCODE["i64.le_s"]: lambda a, b: _bool(_s64(a) <= _s64(b)),
-    op.NAME_TO_OPCODE["i64.le_u"]: lambda a, b: _bool(a <= b),
-    op.NAME_TO_OPCODE["i64.ge_s"]: lambda a, b: _bool(_s64(a) >= _s64(b)),
-    op.NAME_TO_OPCODE["i64.ge_u"]: lambda a, b: _bool(a >= b),
-    op.NAME_TO_OPCODE["i32.add"]: lambda a, b: (a + b) & _M32,
-    op.NAME_TO_OPCODE["i32.sub"]: lambda a, b: (a - b) & _M32,
-    op.NAME_TO_OPCODE["i32.mul"]: lambda a, b: (a * b) & _M32,
-    op.NAME_TO_OPCODE["i32.div_s"]: lambda a, b: _idiv_s(a, b, 32),
-    op.NAME_TO_OPCODE["i32.div_u"]: _idiv_u,
-    op.NAME_TO_OPCODE["i32.rem_s"]: lambda a, b: _irem_s(a, b, 32),
-    op.NAME_TO_OPCODE["i32.rem_u"]: _irem_u,
-    op.NAME_TO_OPCODE["i32.and"]: lambda a, b: a & b,
-    op.NAME_TO_OPCODE["i32.or"]: lambda a, b: a | b,
-    op.NAME_TO_OPCODE["i32.xor"]: lambda a, b: a ^ b,
-    op.NAME_TO_OPCODE["i32.shl"]: lambda a, b: (a << (b % 32)) & _M32,
-    op.NAME_TO_OPCODE["i32.shr_s"]: lambda a, b: (_s32(a) >> (b % 32)) & _M32,
-    op.NAME_TO_OPCODE["i32.shr_u"]: lambda a, b: a >> (b % 32),
-    op.NAME_TO_OPCODE["i32.rotl"]: lambda a, b: _rotl(a, b, 32),
-    op.NAME_TO_OPCODE["i32.rotr"]: lambda a, b: _rotr(a, b, 32),
-    op.NAME_TO_OPCODE["i64.add"]: lambda a, b: (a + b) & _M64,
-    op.NAME_TO_OPCODE["i64.sub"]: lambda a, b: (a - b) & _M64,
-    op.NAME_TO_OPCODE["i64.mul"]: lambda a, b: (a * b) & _M64,
-    op.NAME_TO_OPCODE["i64.div_s"]: lambda a, b: _idiv_s(a, b, 64),
-    op.NAME_TO_OPCODE["i64.div_u"]: _idiv_u,
-    op.NAME_TO_OPCODE["i64.rem_s"]: lambda a, b: _irem_s(a, b, 64),
-    op.NAME_TO_OPCODE["i64.rem_u"]: _irem_u,
-    op.NAME_TO_OPCODE["i64.and"]: lambda a, b: a & b,
-    op.NAME_TO_OPCODE["i64.or"]: lambda a, b: a | b,
-    op.NAME_TO_OPCODE["i64.xor"]: lambda a, b: a ^ b,
-    op.NAME_TO_OPCODE["i64.shl"]: lambda a, b: (a << (b % 64)) & _M64,
-    op.NAME_TO_OPCODE["i64.shr_s"]: lambda a, b: (_s64(a) >> (b % 64)) & _M64,
-    op.NAME_TO_OPCODE["i64.shr_u"]: lambda a, b: a >> (b % 64),
-    op.NAME_TO_OPCODE["i64.rotl"]: lambda a, b: _rotl(a, b, 64),
-    op.NAME_TO_OPCODE["i64.rotr"]: lambda a, b: _rotr(a, b, 64),
-    op.NAME_TO_OPCODE["f32.eq"]: _f32cmp(lambda a, b: a == b),
-    op.NAME_TO_OPCODE["f32.ne"]: _f32cmp(lambda a, b: a != b),
-    op.NAME_TO_OPCODE["f32.lt"]: _f32cmp(lambda a, b: a < b),
-    op.NAME_TO_OPCODE["f32.gt"]: _f32cmp(lambda a, b: a > b),
-    op.NAME_TO_OPCODE["f32.le"]: _f32cmp(lambda a, b: a <= b),
-    op.NAME_TO_OPCODE["f32.ge"]: _f32cmp(lambda a, b: a >= b),
-    op.NAME_TO_OPCODE["f64.eq"]: _f64cmp(lambda a, b: a == b),
-    op.NAME_TO_OPCODE["f64.ne"]: _f64cmp(lambda a, b: a != b),
-    op.NAME_TO_OPCODE["f64.lt"]: _f64cmp(lambda a, b: a < b),
-    op.NAME_TO_OPCODE["f64.gt"]: _f64cmp(lambda a, b: a > b),
-    op.NAME_TO_OPCODE["f64.le"]: _f64cmp(lambda a, b: a <= b),
-    op.NAME_TO_OPCODE["f64.ge"]: _f64cmp(lambda a, b: a >= b),
-    op.NAME_TO_OPCODE["f32.add"]: _f32bin(lambda a, b: a + b),
-    op.NAME_TO_OPCODE["f32.sub"]: _f32bin(lambda a, b: a - b),
-    op.NAME_TO_OPCODE["f32.mul"]: _f32bin(lambda a, b: a * b),
-    op.NAME_TO_OPCODE["f32.div"]: _f32bin(_fdiv),
-    op.NAME_TO_OPCODE["f32.min"]: _f32bin(_fmin),
-    op.NAME_TO_OPCODE["f32.max"]: _f32bin(_fmax),
-    op.NAME_TO_OPCODE["f32.copysign"]: lambda a, b: (a & 0x7FFFFFFF)
-    | (b & 0x80000000),
-    op.NAME_TO_OPCODE["f64.add"]: _f64bin(lambda a, b: a + b),
-    op.NAME_TO_OPCODE["f64.sub"]: _f64bin(lambda a, b: a - b),
-    op.NAME_TO_OPCODE["f64.mul"]: _f64bin(lambda a, b: a * b),
-    op.NAME_TO_OPCODE["f64.div"]: _f64bin(_fdiv),
-    op.NAME_TO_OPCODE["f64.min"]: _f64bin(_fmin),
-    op.NAME_TO_OPCODE["f64.max"]: _f64bin(_fmax),
-    op.NAME_TO_OPCODE["f64.copysign"]: lambda a, b: (a & 0x7FFFFFFFFFFFFFFF)
-    | (b & 0x8000000000000000),
-}
-
-_UN = {
-    op.NAME_TO_OPCODE["i32.eqz"]: lambda a: _bool(a == 0),
-    op.NAME_TO_OPCODE["i64.eqz"]: lambda a: _bool(a == 0),
-    op.NAME_TO_OPCODE["i32.clz"]: lambda a: _clz(a, 32),
-    op.NAME_TO_OPCODE["i32.ctz"]: lambda a: _ctz(a, 32),
-    op.NAME_TO_OPCODE["i32.popcnt"]: lambda a: bin(a).count("1"),
-    op.NAME_TO_OPCODE["i64.clz"]: lambda a: _clz(a, 64),
-    op.NAME_TO_OPCODE["i64.ctz"]: lambda a: _ctz(a, 64),
-    op.NAME_TO_OPCODE["i64.popcnt"]: lambda a: bin(a).count("1"),
-    op.NAME_TO_OPCODE["f32.abs"]: lambda a: a & 0x7FFFFFFF,
-    op.NAME_TO_OPCODE["f32.neg"]: lambda a: a ^ 0x80000000,
-    op.NAME_TO_OPCODE["f32.ceil"]: _f32un(_fceil),
-    op.NAME_TO_OPCODE["f32.floor"]: _f32un(_ffloor),
-    op.NAME_TO_OPCODE["f32.trunc"]: _f32un(_ftrunc),
-    op.NAME_TO_OPCODE["f32.nearest"]: _f32un(_fnearest),
-    op.NAME_TO_OPCODE["f32.sqrt"]: _f32un(_fsqrt),
-    op.NAME_TO_OPCODE["f64.abs"]: lambda a: a & 0x7FFFFFFFFFFFFFFF,
-    op.NAME_TO_OPCODE["f64.neg"]: lambda a: a ^ 0x8000000000000000,
-    op.NAME_TO_OPCODE["f64.ceil"]: _f64un(_fceil),
-    op.NAME_TO_OPCODE["f64.floor"]: _f64un(_ffloor),
-    op.NAME_TO_OPCODE["f64.trunc"]: _f64un(_ftrunc),
-    op.NAME_TO_OPCODE["f64.nearest"]: _f64un(_fnearest),
-    op.NAME_TO_OPCODE["f64.sqrt"]: _f64un(_fsqrt),
-    op.NAME_TO_OPCODE["i32.wrap_i64"]: lambda a: a & _M32,
-    op.NAME_TO_OPCODE["i32.trunc_f32_s"]: lambda a: (
-        _trunc_to_int(f32_from_bits(a), -(1 << 31), (1 << 31) - 1) & _M32
-    ),
-    op.NAME_TO_OPCODE["i32.trunc_f32_u"]: lambda a: _trunc_to_int(
-        f32_from_bits(a), 0, (1 << 32) - 1
-    ),
-    op.NAME_TO_OPCODE["i32.trunc_f64_s"]: lambda a: (
-        _trunc_to_int(f64_from_bits(a), -(1 << 31), (1 << 31) - 1) & _M32
-    ),
-    op.NAME_TO_OPCODE["i32.trunc_f64_u"]: lambda a: _trunc_to_int(
-        f64_from_bits(a), 0, (1 << 32) - 1
-    ),
-    op.NAME_TO_OPCODE["i64.extend_i32_s"]: lambda a: _s32(a) & _M64,
-    op.NAME_TO_OPCODE["i64.extend_i32_u"]: lambda a: a,
-    op.NAME_TO_OPCODE["i64.trunc_f32_s"]: lambda a: (
-        _trunc_to_int(f32_from_bits(a), -(1 << 63), (1 << 63) - 1) & _M64
-    ),
-    op.NAME_TO_OPCODE["i64.trunc_f32_u"]: lambda a: _trunc_to_int(
-        f32_from_bits(a), 0, (1 << 64) - 1
-    ),
-    op.NAME_TO_OPCODE["i64.trunc_f64_s"]: lambda a: (
-        _trunc_to_int(f64_from_bits(a), -(1 << 63), (1 << 63) - 1) & _M64
-    ),
-    op.NAME_TO_OPCODE["i64.trunc_f64_u"]: lambda a: _trunc_to_int(
-        f64_from_bits(a), 0, (1 << 64) - 1
-    ),
-    op.NAME_TO_OPCODE["f32.convert_i32_s"]: lambda a: _int_to_f32_bits(_s32(a)),
-    op.NAME_TO_OPCODE["f32.convert_i32_u"]: lambda a: _int_to_f32_bits(a),
-    op.NAME_TO_OPCODE["f32.convert_i64_s"]: lambda a: _int_to_f32_bits(_s64(a)),
-    op.NAME_TO_OPCODE["f32.convert_i64_u"]: lambda a: _int_to_f32_bits(a),
-    op.NAME_TO_OPCODE["f32.demote_f64"]: lambda a: _f32_result(f64_from_bits(a)),
-    op.NAME_TO_OPCODE["f64.convert_i32_s"]: lambda a: f64_to_bits(float(_s32(a))),
-    op.NAME_TO_OPCODE["f64.convert_i32_u"]: lambda a: f64_to_bits(float(a)),
-    op.NAME_TO_OPCODE["f64.convert_i64_s"]: lambda a: f64_to_bits(float(_s64(a))),
-    op.NAME_TO_OPCODE["f64.convert_i64_u"]: lambda a: f64_to_bits(float(a)),
-    op.NAME_TO_OPCODE["f64.promote_f32"]: lambda a: _f64_result(f32_from_bits(a)),
-    op.NAME_TO_OPCODE["i32.reinterpret_f32"]: lambda a: a,
-    op.NAME_TO_OPCODE["i64.reinterpret_f64"]: lambda a: a,
-    op.NAME_TO_OPCODE["f32.reinterpret_i32"]: lambda a: a,
-    op.NAME_TO_OPCODE["f64.reinterpret_i64"]: lambda a: a,
-}
-
-# derived from opcodes.OPS: loads, opcode -> (width, sign-extend source
-# bits or None, result mask); stores, opcode -> width; constants,
-# opcode -> value mask
-_LOADS: dict[int, tuple[int, int | None, int]] = {}
-_STORES: dict[int, int] = {}
+# derived from opcodes.OPS: memory accesses, opcode -> (width, the
+# struct's unpack_from for a load or pack_into for a store, value mask);
+# a load's mask turns a sign-extended read into the result type's bits, a
+# store's drops the bits the width truncates; constants, opcode -> mask
+_MEMORY: dict[int, tuple[int, object, int]] = {}
 _CONST_MASKS: dict[int, int] = {}
 for _code, _info in op.OPS.items():
-    if _info.imm == "memarg" and not _info.pushes:
-        _STORES[_code] = _info.width
-    elif _info.imm == "memarg" or _info.imm in op.VAL_TYPES:
-        _mask = _M32 if _info.pushes[0] in (op.I32, op.F32) else _M64
-        if _info.imm == "memarg":
-            _sign = 8 * _info.width if _info.name.endswith("_s") else None
-            _LOADS[_code] = (_info.width, _sign, _mask)
+    if _info.imm == "memarg":
+        _fmt = ("bhiq" if _info.name.endswith("_s") else "BHIQ")[_info.width.bit_length() - 1]
+        _s = struct.Struct("<" + _fmt)
+        if _info.pushes:
+            _mask = _M32 if _info.pushes[0] in (op.I32, op.F32) else _M64
+            _MEMORY[_code] = (_info.width, _s.unpack_from, _mask)
         else:
-            _CONST_MASKS[_code] = _mask
-
-
-def _sext(v: int, from_bits: int) -> int:
-    if v & (1 << (from_bits - 1)):
-        return v - (1 << from_bits)
-    return v
+            _MEMORY[_code] = (_info.width, _s.pack_into, (1 << 8 * _info.width) - 1)
+    elif _info.imm in op.VAL_TYPES:
+        _CONST_MASKS[_code] = _M32 if _info.pushes[0] in (op.I32, op.F32) else _M64
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +649,8 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
                         ops.append((_CONST_BINARY, f, imm))
             elif opcode in _UN:
                 ops.append((_UNARY, _UN[opcode]))
-            elif opcode in _LOADS:
-                ops.append((_LOAD, args[1], *_LOADS[opcode]))
-            elif opcode in _STORES:
-                width = _STORES[opcode]
-                ops.append((_STORE, args[1], width, (1 << 8 * width) - 1))
+            elif opcode in _MEMORY:
+                ops.append((_LOAD if info.pushes else _STORE, args[1], *_MEMORY[opcode]))
             elif opcode == op.MEMORY_SIZE:
                 ops.append((_MEMORY_SIZE,))
             elif opcode == op.MEMORY_GROW:
@@ -817,7 +739,9 @@ class Instance:
         self.module = m
         self.host = default_host() if host is None else host
         self.mem: bytearray | None = None
-        self.table: list[int | None] | None = None
+        # the table's size and its filled slots: slot -> function index
+        self.table_size = 0
+        self.table: dict[int, int] = {}
         self.globals: list[int] = []
         self.host_log: list[HostCall] = []
         self.entered: set[int] = set()
@@ -864,14 +788,14 @@ class Instance:
 
         self.globals = [self._eval_const(g.init) for g in m.globals]
         if m.tables:
-            self.table = [None] * m.tables[0].limits.minimum
+            self.table_size = m.tables[0].limits.minimum
         if m.memories:
             self.mem = bytearray(m.memories[0].limits.minimum * PAGE_SIZE)
 
         # all segment bounds are checked before any writes happen
         elem_offsets = [self._eval_const(seg.offset) for seg in m.elements]
         for seg, off in zip(m.elements, elem_offsets):
-            if self.table is None or off + len(seg.func_indices) > len(self.table):
+            if off + len(seg.func_indices) > self.table_size:
                 raise TrapError(TRAP_OOB_TABLE)
         data_offsets = [self._eval_const(seg.offset) for seg in m.data]
         for seg, off in zip(m.data, data_offsets):
@@ -948,6 +872,7 @@ class Instance:
         table_observed = self.table_observed
         mem = self.mem
         table = self.table
+        table_size = self.table_size
         globals_ = self.globals
         stack: list[int] = []
         frames: list[tuple] = []  # suspended callers: (code, pc, locals, funcidx)
@@ -984,19 +909,14 @@ class Instance:
                     elif k == _STORE:
                         value = stack.pop()
                         addr = stack.pop() + ins[1]
-                        width = ins[2]
-                        if addr + width > len(mem):
+                        if addr + ins[2] > len(mem):
                             raise TrapError(TRAP_OOB_MEMORY)
-                        mem[addr : addr + width] = (value & ins[3]).to_bytes(width, "little")
+                        ins[3](mem, addr, value & ins[4])
                     elif k == _LOAD:
                         addr = stack[-1] + ins[1]
-                        width = ins[2]
-                        if addr + width > len(mem):
+                        if addr + ins[2] > len(mem):
                             raise TrapError(TRAP_OOB_MEMORY)
-                        raw = int.from_bytes(mem[addr : addr + width], "little")
-                        if ins[3] is not None:
-                            raw = _sext(raw, ins[3]) & ins[4]
-                        stack[-1] = raw
+                        stack[-1] = ins[3](mem, addr)[0] & ins[4]
                     elif k == _UNARY:
                         stack[-1] = ins[1](stack[-1])
                     elif k == _NOP:
@@ -1043,9 +963,9 @@ class Instance:
                         callee = exit_[1]
                     else:
                         i = stack.pop()
-                        if i >= len(table):
+                        if i >= table_size:
                             raise TrapError(TRAP_OOB_TABLE)
-                        callee = table[i]
+                        callee = table.get(i)
                         if callee is None:
                             raise TrapError(TRAP_UNDEFINED_ELEMENT)
                         table_observed.add(callee)

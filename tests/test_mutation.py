@@ -1,18 +1,25 @@
 """Fixed-seed byte mutations of valid modules.
 
 Whatever bytes come in, decoding and then validating must end in a
-module and a validation report, or in ``MalformedBinary``; any other
-exception is a bug.
+module and a validation report, or in ``MalformedBinary``; debloating
+them with the original's workload must end in a result or in a
+``WasmDebloatError``; and the CLI must exit with a documented code. Any
+other exception is a bug.
 """
 
 import random
 
 import fixturelib as fx
 import modulegen
-from wasmdebloat import decode, encode, validate_module
-from wasmdebloat.errors import MalformedBinary
+from wasmdebloat import cli, debloat_module, decode, encode, validate_module
+from wasmdebloat.documents import workload_to_document
+from wasmdebloat.errors import MalformedBinary, WasmDebloatError
+from wasmdebloat.interp import Workload
 
 MUTANTS = 10_000
+PIPELINE_MUTANTS = 5_000
+CLI_EVERY = 25  # the CLI runs every 25th pipeline mutant, 200 in all
+MAX_FUEL = 100_000
 # the opcodes of block, loop, if, else and end
 CONTROL_BYTES = (0x02, 0x03, 0x04, 0x05, 0x0B)
 
@@ -48,3 +55,39 @@ def test_mutated_modules_decode_and_validate_or_are_malformed():
         decoded += 1
     # enough mutants get past the decoder to exercise the validator
     assert decoded > MUTANTS // 10
+
+
+def test_mutated_modules_debloat_or_raise_a_package_error(tmp_path):
+    originals = [(encode(m), w) for _, m, w in fx.PAIRS]
+    originals += [
+        (encode(m), w) for m, w in (modulegen.generate_pair(seed) for seed in range(8))
+    ]
+    rng = random.Random(20202)
+    debloated = 0
+    for i in range(PIPELINE_MUTANTS):
+        data, w = rng.choice(originals)
+        data = mutate(data, rng)
+        w = Workload(w.invocations, min(w.fuel, MAX_FUEL))
+        try:
+            debloat_module(data, w)
+            debloated += 1
+        except WasmDebloatError:
+            pass
+        except Exception as e:
+            raise AssertionError(f"{type(e).__name__} on {data.hex()}") from e
+        if i % CLI_EVERY:
+            continue
+        (tmp_path / "in.wasm").write_bytes(data)
+        (tmp_path / "workload.json").write_text(workload_to_document(w))
+        code = cli.main(
+            [
+                "debloat",
+                *("--module", str(tmp_path / "in.wasm")),
+                *("--workload", str(tmp_path / "workload.json")),
+                *("--out", str(tmp_path / "out.wasm")),
+                *("--report", str(tmp_path / "report.json")),
+            ]
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT), (code, data.hex())
+    # enough mutants get through to exercise the whole pipeline
+    assert debloated > PIPELINE_MUTANTS // 100

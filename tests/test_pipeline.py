@@ -21,7 +21,7 @@ from wasmdebloat import (
     run_workload,
     validate_behavior,
 )
-from wasmdebloat import interp, validate_module
+from wasmdebloat import interp, validate, validate_module
 from wasmdebloat import opcodes as op
 from wasmdebloat.decode import MAX_NESTING
 from wasmdebloat.interp import ExecutionTrace, Value
@@ -415,3 +415,39 @@ def test_deepest_nesting_needs_no_recursion_limit():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+# runs in a fresh interpreter, so its peak RSS is one debloat's
+_TABLE_PEAK_SCRIPT = """
+import resource, sys
+from wasmdebloat import debloat_module, encode
+from wasmdebloat.interp import Invocation, Workload
+from wasmdebloat.module import Export, FuncType, Function, Limits, Module, TableType
+m = Module(
+    types=(FuncType((), ()),),
+    functions=(Function(0, (), ()),),
+    tables=(TableType(Limits(int(sys.argv[1]))),),
+    exports=(Export("f", "func", 0),),
+)
+out, report = debloat_module(encode(m), Workload((Invocation("f"),)))
+assert report.validation.fully_ok
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_a_table_costs_only_the_slots_element_segments_fill():
+    # both instances of a debloat hold the table; at the most elements
+    # validation allows, the peak stays within 5 MB of a 16-element table's
+    src = Path(__file__).resolve().parent.parent / "src"
+    peaks_kb = []
+    for elements in (16, validate.MAX_TABLE_ELEMENTS):
+        done = subprocess.run(
+            [sys.executable, "-c", _TABLE_PEAK_SCRIPT, str(elements)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        peaks_kb.append(int(done.stdout))
+    assert abs(peaks_kb[1] - peaks_kb[0]) < 5 * 1024, peaks_kb
