@@ -11,9 +11,19 @@ through ``Reader.u32`` or directly in ``read_expr``. Only a one-byte
 immediate, which can break no bound, is read inline in ``read_expr``.
 ``MAX_LOCALS`` caps the expanded locals of all bodies together, so a
 short input cannot declare a million locals in each of many bodies.
+
+``_SECTIONS`` maps each non-custom section id to the ``Module`` field it
+fills and the ``Reader`` method that reads one item of its vector, so
+``decode`` writes the vector framing and the section order once. Start
+holds one index, not a vector, and has no item reader. The function and
+code sections both fill ``functions``: type indices and bodies are
+joined after the walk. One walk over the section headers, ``_sections``,
+serves both ``decode`` and ``section_sizes``.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from . import opcodes as op
 from .errors import MalformedBinary
@@ -48,7 +58,7 @@ MAX_LOCALS = 1_000_000
 # size of explicit stacks, not the Python recursion depth.
 MAX_NESTING = 6_000
 
-_IMPORT_KINDS = {0: "func", 1: "table", 2: "memory", 3: "global"}
+_EXTERN_KINDS = {0: "func", 1: "table", 2: "memory", 3: "global"}
 _BLOCKTYPES = {op.BLOCKTYPE_EMPTY: None, **op.CODE_VALTYPES}
 
 # read_expr's dispatch, indexed by opcode byte: the opcode's immediate
@@ -116,12 +126,16 @@ def _sleb(data: bytes, pos: int, end: int, bits: int) -> tuple[int, int]:
 
 
 class Reader:
-    __slots__ = ("data", "pos", "end")
+    # locals_left: how many more expanded locals code entries read through
+    # this reader may declare; the code section's reader counts them over
+    # all of its bodies
+    __slots__ = ("data", "pos", "end", "locals_left")
 
     def __init__(self, data: bytes, start: int = 0, end: int | None = None):
         self.data = data
         self.pos = start
         self.end = len(data) if end is None else end
+        self.locals_left = MAX_LOCALS
 
     def eof(self) -> bool:
         return self.pos >= self.end
@@ -143,6 +157,14 @@ class Reader:
     def u32(self) -> int:
         value, self.pos = _uleb(self.data, self.pos, self.end, 32)
         return value
+
+    def sub(self, size: int) -> Reader:
+        """A reader over the next ``size`` bytes, which this one skips."""
+        if self.pos + size > self.end:
+            raise MalformedBinary(self.pos, "section extends past end of input")
+        sub = Reader(self.data, self.pos, self.pos + size)
+        self.pos += size
+        return sub
 
     def name(self) -> str:
         start = self.pos
@@ -182,6 +204,78 @@ class Reader:
         if self.byte() != op.FUNCREF_CODE:
             raise MalformedBinary(start, "invalid table element type")
         return TableType(self.limits())
+
+    def mem_type(self) -> MemType:
+        return MemType(self.limits())
+
+    def extern_kind(self, what: str) -> str:
+        """The kind of an import or export (``what``)."""
+        start = self.pos
+        code = self.byte()
+        kind = _EXTERN_KINDS.get(code)
+        if kind is None:
+            raise MalformedBinary(start, f"invalid {what} kind 0x{code:02x}")
+        return kind
+
+    def vector(self, read_item) -> tuple:
+        """A vector: its length, then that many items read by ``read_item``."""
+        return tuple([read_item(self) for _ in range(self.u32())])
+
+    def func_type(self) -> FuncType:
+        start = self.pos
+        if self.byte() != op.FUNCTYPE_CODE:
+            raise MalformedBinary(start, "expected functype (0x60)")
+        return FuncType(self.vector(Reader.valtype), self.vector(Reader.valtype))
+
+    def import_(self) -> Import:
+        module = self.name()
+        name = self.name()
+        kind = self.extern_kind("import")
+        return Import(module, name, kind, _IMPORT_DESCS[kind](self))
+
+    def global_(self) -> Global:
+        return Global(self.global_type(), read_expr(self))
+
+    def export(self) -> Export:
+        name = self.name()
+        kind = self.extern_kind("export")
+        return Export(name, kind, self.u32())
+
+    def element_segment(self) -> ElementSegment:
+        table_index = self.u32()
+        offset = read_expr(self)
+        return ElementSegment(table_index, offset, self.vector(Reader.u32))
+
+    def code_entry(self) -> tuple[tuple[str, ...], Expr]:
+        """One body's expanded locals and instructions. The locals count
+        against ``locals_left`` before they are expanded."""
+        body = self.sub(self.u32())
+        groups = []
+        for _ in range(body.u32()):
+            at = body.pos
+            count = body.u32()
+            if count > self.locals_left:
+                raise MalformedBinary(at, "too many locals")
+            self.locals_left -= count
+            groups.append((count, body.valtype()))
+        locals_ = tuple(vt for count, vt in groups for _ in range(count))
+        instructions = read_expr(body)
+        if body.pos != body.end:
+            raise MalformedBinary(body.pos, "function body size mismatch")
+        return locals_, instructions
+
+    def data_segment(self) -> DataSegment:
+        memory_index = self.u32()
+        offset = read_expr(self)
+        return DataSegment(memory_index, offset, self.raw(self.u32()))
+
+
+_IMPORT_DESCS = {
+    "func": Reader.u32,
+    "table": Reader.table_type,
+    "memory": Reader.mem_type,
+    "global": Reader.global_type,
+}
 
 
 def read_expr(r: Reader) -> Expr:
@@ -294,175 +388,65 @@ def read_expr(r: Reader) -> Expr:
         r.pos = pos
 
 
-def _check_header(r: Reader) -> None:
+_SECTIONS = {
+    op.SEC_TYPE: ("types", Reader.func_type),
+    op.SEC_IMPORT: ("imports", Reader.import_),
+    op.SEC_FUNCTION: ("functions", Reader.u32),
+    op.SEC_TABLE: ("tables", Reader.table_type),
+    op.SEC_MEMORY: ("memories", Reader.mem_type),
+    op.SEC_GLOBAL: ("globals", Reader.global_),
+    op.SEC_EXPORT: ("exports", Reader.export),
+    op.SEC_START: ("start", None),
+    op.SEC_ELEMENT: ("elements", Reader.element_segment),
+    op.SEC_CODE: ("functions", Reader.code_entry),
+    op.SEC_DATA: ("data", Reader.data_segment),
+}
+
+
+def _sections(data: bytes) -> Iterator[tuple[int, int, Reader]]:
+    """Each section of the module ``data``: the offset of its id byte,
+    the id, and a reader over its contents. Checks the module header,
+    rejects unknown ids and bounds each size by the input."""
+    r = Reader(data)
     if r.raw(4) != MAGIC:
         raise MalformedBinary(0, "bad magic")
     if r.raw(4) != VERSION:
         raise MalformedBinary(4, "unsupported version")
-
-
-def _section_reader(r: Reader, size: int) -> Reader:
-    if r.pos + size > r.end:
-        raise MalformedBinary(r.pos, "section extends past end of input")
-    sub = Reader(r.data, r.pos, r.pos + size)
-    r.pos += size
-    return sub
-
-
-def _finish_section(sub: Reader, sec_id: int) -> None:
-    if sub.pos != sub.end:
-        raise MalformedBinary(
-            sub.pos, f"section size mismatch in {op.SECTION_NAMES[sec_id]} section"
-        )
-
-
-def decode(data: bytes) -> Module:
-    r = Reader(data)
-    _check_header(r)
-
-    types: tuple[FuncType, ...] = ()
-    imports: tuple[Import, ...] = ()
-    func_type_indices: tuple[int, ...] = ()
-    tables: tuple[TableType, ...] = ()
-    memories: tuple[MemType, ...] = ()
-    globals_: tuple[Global, ...] = ()
-    exports: tuple[Export, ...] = ()
-    start: int | None = None
-    elements: tuple[ElementSegment, ...] = ()
-    data_segs: tuple[DataSegment, ...] = ()
-    customs: list[tuple[str, bytes]] = []
-    bodies: list[tuple[tuple[str, ...], tuple[Instruction, ...]]] = []
-
-    last_section = 0
     while not r.eof():
         sec_start = r.pos
         sec_id = r.byte()
         if sec_id > op.SEC_DATA:
             raise MalformedBinary(sec_start, f"unknown section id {sec_id}")
-        size = r.u32()
-        sub = _section_reader(r, size)
+        yield sec_start, sec_id, r.sub(r.u32())
+
+
+def decode(data: bytes) -> Module:
+    contents: dict[int, object] = {}
+    customs: list[tuple[str, bytes]] = []
+    last_section = 0
+    for sec_start, sec_id, sub in _sections(data):
         if sec_id == op.SEC_CUSTOM:
-            name = sub.name()
-            customs.append((name, sub.raw(sub.end - sub.pos)))
+            customs.append((sub.name(), sub.raw(sub.end - sub.pos)))
             continue
         if sec_id <= last_section:
             raise MalformedBinary(sec_start, "section out of order")
         last_section = sec_id
+        read_item = _SECTIONS[sec_id][1]
+        contents[sec_id] = sub.u32() if read_item is None else sub.vector(read_item)
+        if sub.pos != sub.end:
+            raise MalformedBinary(
+                sub.pos, f"section size mismatch in {op.SECTION_NAMES[sec_id]} section"
+            )
 
-        if sec_id == op.SEC_TYPE:
-            out = []
-            for _ in range(sub.u32()):
-                at = sub.pos
-                if sub.byte() != op.FUNCTYPE_CODE:
-                    raise MalformedBinary(at, "expected functype (0x60)")
-                params = tuple(sub.valtype() for _ in range(sub.u32()))
-                results = tuple(sub.valtype() for _ in range(sub.u32()))
-                out.append(FuncType(params, results))
-            types = tuple(out)
-        elif sec_id == op.SEC_IMPORT:
-            out = []
-            for _ in range(sub.u32()):
-                mod_name = sub.name()
-                item_name = sub.name()
-                at = sub.pos
-                kind_byte = sub.byte()
-                kind = _IMPORT_KINDS.get(kind_byte)
-                if kind is None:
-                    raise MalformedBinary(at, f"invalid import kind 0x{kind_byte:02x}")
-                desc: object
-                if kind == "func":
-                    desc = sub.u32()
-                elif kind == "table":
-                    desc = sub.table_type()
-                elif kind == "memory":
-                    desc = MemType(sub.limits())
-                else:
-                    desc = sub.global_type()
-                out.append(Import(mod_name, item_name, kind, desc))
-            imports = tuple(out)
-        elif sec_id == op.SEC_FUNCTION:
-            func_type_indices = tuple(sub.u32() for _ in range(sub.u32()))
-        elif sec_id == op.SEC_TABLE:
-            tables = tuple(sub.table_type() for _ in range(sub.u32()))
-        elif sec_id == op.SEC_MEMORY:
-            memories = tuple(MemType(sub.limits()) for _ in range(sub.u32()))
-        elif sec_id == op.SEC_GLOBAL:
-            out = []
-            for _ in range(sub.u32()):
-                gt = sub.global_type()
-                out.append(Global(gt, read_expr(sub)))
-            globals_ = tuple(out)
-        elif sec_id == op.SEC_EXPORT:
-            out = []
-            for _ in range(sub.u32()):
-                name = sub.name()
-                at = sub.pos
-                kind_byte = sub.byte()
-                kind = _IMPORT_KINDS.get(kind_byte)
-                if kind is None:
-                    raise MalformedBinary(at, f"invalid export kind 0x{kind_byte:02x}")
-                out.append(Export(name, kind, sub.u32()))
-            exports = tuple(out)
-        elif sec_id == op.SEC_START:
-            start = sub.u32()
-        elif sec_id == op.SEC_ELEMENT:
-            out = []
-            for _ in range(sub.u32()):
-                table_index = sub.u32()
-                offset = read_expr(sub)
-                funcs = tuple(sub.u32() for _ in range(sub.u32()))
-                out.append(ElementSegment(table_index, offset, funcs))
-            elements = tuple(out)
-        elif sec_id == op.SEC_CODE:
-            total = 0  # expanded locals so far, over every body
-            for _ in range(sub.u32()):
-                body_size = sub.u32()
-                body_r = _section_reader(sub, body_size)
-                local_groups = []
-                for _ in range(body_r.u32()):
-                    at = body_r.pos
-                    count = body_r.u32()
-                    total += count
-                    if total > MAX_LOCALS:
-                        raise MalformedBinary(at, "too many locals")
-                    local_groups.append((count, body_r.valtype()))
-                locals_ = tuple(
-                    vt for count, vt in local_groups for _ in range(count)
-                )
-                body = read_expr(body_r)
-                if body_r.pos != body_r.end:
-                    raise MalformedBinary(body_r.pos, "function body size mismatch")
-                bodies.append((locals_, body))
-        elif sec_id == op.SEC_DATA:
-            out = []
-            for _ in range(sub.u32()):
-                memory_index = sub.u32()
-                offset = read_expr(sub)
-                payload = sub.raw(sub.u32())
-                out.append(DataSegment(memory_index, offset, payload))
-            data_segs = tuple(out)
-        _finish_section(sub, sec_id)
-
-    if len(func_type_indices) != len(bodies):
-        raise MalformedBinary(
-            len(data), "function and code section counts disagree"
-        )
-    functions = tuple(
-        Function(ti, locs, body)
-        for ti, (locs, body) in zip(func_type_indices, bodies)
-    )
+    type_indices = contents.pop(op.SEC_FUNCTION, ())
+    bodies = contents.pop(op.SEC_CODE, ())
+    if len(type_indices) != len(bodies):
+        raise MalformedBinary(len(data), "function and code section counts disagree")
+    functions = tuple(Function(ti, *code) for ti, code in zip(type_indices, bodies))
     return Module(
-        types=types,
-        imports=imports,
         functions=functions,
-        tables=tables,
-        memories=memories,
-        globals=globals_,
-        exports=exports,
-        start=start,
-        elements=elements,
-        data=data_segs,
         custom_sections=tuple(customs),
+        **{_SECTIONS[sec_id][0]: value for sec_id, value in contents.items()},
     )
 
 
@@ -472,16 +456,7 @@ def section_sizes(data: bytes) -> dict[int, int]:
     Custom sections aggregate under id 0. Totals plus the 8-byte module
     header always equal the input length.
     """
-    r = Reader(data)
-    _check_header(r)
     sizes: dict[int, int] = {}
-    while not r.eof():
-        sec_start = r.pos
-        sec_id = r.byte()
-        if sec_id > op.SEC_DATA:
-            raise MalformedBinary(sec_start, f"unknown section id {sec_id}")
-        size = r.u32()
-        _section_reader(r, size)
-        total = r.pos - sec_start
-        sizes[sec_id] = sizes.get(sec_id, 0) + total
+    for sec_start, sec_id, sub in _sections(data):
+        sizes[sec_id] = sizes.get(sec_id, 0) + sub.end - sec_start
     return sizes

@@ -4,15 +4,38 @@ Deterministic: sections in canonical id order, empty sections omitted,
 minimal-length LEB128 throughout. Custom sections are appended after the
 data section in their recorded order; their position relative to other
 sections is not part of the Module representation.
+
+``_SECTIONS`` lists the sections in that order, each with the ``Module``
+field it writes and the ``Writer`` method that writes one item, so
+``encode`` writes the vector framing and the rule that empty sections
+are left out once. Start, which holds one index rather than a vector, is
+the one exception. The function and code sections both write
+``functions``: a type index per function, then its locals and body.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from . import opcodes as op
 from .errors import EncodeError
-from .module import Expr, FuncType, GlobalType, Limits, Module, TableType
+from .module import (
+    DataSegment,
+    ElementSegment,
+    Export,
+    Expr,
+    FuncType,
+    Function,
+    Global,
+    GlobalType,
+    Import,
+    Limits,
+    MemType,
+    Module,
+    TableType,
+)
 
-_EXPORT_KIND_CODES = {"func": 0, "table": 1, "memory": 2, "global": 3}
+_EXTERN_KIND_CODES = {"func": 0, "table": 1, "memory": 2, "global": 3}
 # immediate kind per opcode; the ELSE and END markers have none
 _IMM = {code: info.imm for code, info in op.OPS.items()} | {op.ELSE: "", op.END: ""}
 
@@ -67,12 +90,9 @@ class Writer:
         self.byte(op.VALTYPE_CODES[vt])
 
     def limits(self, lim: Limits) -> None:
-        if lim.maximum is None:
-            self.byte(0x00)
-            self.u32(lim.minimum)
-        else:
-            self.byte(0x01)
-            self.u32(lim.minimum)
+        self.byte(0x00 if lim.maximum is None else 0x01)
+        self.u32(lim.minimum)
+        if lim.maximum is not None:
             self.u32(lim.maximum)
 
     def table_type(self, tt: TableType) -> None:
@@ -83,14 +103,85 @@ class Writer:
         self.valtype(gt.valtype)
         self.byte(0x01 if gt.mutable else 0x00)
 
+    def mem_type(self, mt: MemType) -> None:
+        self.limits(mt.limits)
+
+    def vector(self, write_item, items) -> None:
+        """A vector: its length, then each item written by ``write_item``."""
+        self.u32(len(items))
+        for item in items:
+            write_item(self, item)
+
     def func_type(self, ft: FuncType) -> None:
         self.byte(op.FUNCTYPE_CODE)
-        self.u32(len(ft.params))
-        for vt in ft.params:
-            self.valtype(vt)
-        self.u32(len(ft.results))
-        for vt in ft.results:
-            self.valtype(vt)
+        self.vector(Writer.valtype, ft.params)
+        self.vector(Writer.valtype, ft.results)
+
+    def import_(self, imp: Import) -> None:
+        self.name(imp.module)
+        self.name(imp.name)
+        self.byte(_EXTERN_KIND_CODES[imp.kind])
+        _IMPORT_DESCS[imp.kind](self, imp.desc)
+
+    def function(self, fn: Function) -> None:
+        self.u32(fn.type_index)
+
+    def global_(self, g: Global) -> None:
+        self.global_type(g.type)
+        write_expr(self, g.init)
+
+    def export(self, exp: Export) -> None:
+        self.name(exp.name)
+        self.byte(_EXTERN_KIND_CODES[exp.kind])
+        self.u32(exp.index)
+
+    def element_segment(self, seg: ElementSegment) -> None:
+        self.u32(seg.table_index)
+        write_expr(self, seg.offset)
+        self.vector(Writer.u32, seg.func_indices)
+
+    def code_entry(self, fn: Function) -> None:
+        entry = Writer()
+        # runs of equal types, each one (count, type) group
+        groups = [(len(list(run)), vt) for vt, run in groupby(fn.locals)]
+        entry.vector(Writer.local_group, groups)
+        write_expr(entry, fn.body)
+        self.u32(len(entry.buf))
+        self.raw(entry.buf)
+
+    def local_group(self, group: tuple[int, str]) -> None:
+        count, vt = group
+        self.u32(count)
+        self.valtype(vt)
+
+    def data_segment(self, seg: DataSegment) -> None:
+        self.u32(seg.memory_index)
+        write_expr(self, seg.offset)
+        self.u32(len(seg.data))
+        self.raw(seg.data)
+
+
+_IMPORT_DESCS = {
+    "func": Writer.u32,
+    "table": Writer.table_type,
+    "memory": Writer.mem_type,
+    "global": Writer.global_type,
+}
+
+# the writer of one item is None for start, one index rather than a vector
+_SECTIONS = (
+    (op.SEC_TYPE, "types", Writer.func_type),
+    (op.SEC_IMPORT, "imports", Writer.import_),
+    (op.SEC_FUNCTION, "functions", Writer.function),
+    (op.SEC_TABLE, "tables", Writer.table_type),
+    (op.SEC_MEMORY, "memories", Writer.mem_type),
+    (op.SEC_GLOBAL, "globals", Writer.global_),
+    (op.SEC_EXPORT, "exports", Writer.export),
+    (op.SEC_START, "start", None),
+    (op.SEC_ELEMENT, "elements", Writer.element_segment),
+    (op.SEC_CODE, "functions", Writer.code_entry),
+    (op.SEC_DATA, "data", Writer.data_segment),
+)
 
 
 def write_expr(w: Writer, body: Expr) -> None:
@@ -108,9 +199,7 @@ def write_expr(w: Writer, body: Expr) -> None:
             w.u32(instr.args[0])
         elif imm == "br_table":
             labels, default = instr.args
-            w.u32(len(labels))
-            for label in labels:
-                w.u32(label)
+            w.vector(Writer.u32, labels)
             w.u32(default)
         elif imm == "call_indirect":
             w.u32(instr.args[0])
@@ -134,129 +223,25 @@ def write_expr(w: Writer, body: Expr) -> None:
     w.byte(op.END)
 
 
-def _group_locals(locals_: tuple[str, ...]) -> list[tuple[int, str]]:
-    groups: list[tuple[int, str]] = []
-    for vt in locals_:
-        if groups and groups[-1][1] == vt:
-            groups[-1] = (groups[-1][0] + 1, vt)
-        else:
-            groups.append((1, vt))
-    return groups
-
-
 def _section(out: Writer, sec_id: int, payload: Writer) -> None:
     out.byte(sec_id)
     out.u32(len(payload.buf))
-    out.raw(bytes(payload.buf))
+    out.raw(payload.buf)
 
 
 def encode(m: Module) -> bytes:
     out = Writer()
     out.raw(b"\x00asm\x01\x00\x00\x00")
-
-    if m.types:
+    for sec_id, field, write_item in _SECTIONS:
+        value = getattr(m, field)
+        if value is None or write_item is not None and not value:
+            continue
         w = Writer()
-        w.u32(len(m.types))
-        for ft in m.types:
-            w.func_type(ft)
-        _section(out, op.SEC_TYPE, w)
-
-    if m.imports:
-        w = Writer()
-        w.u32(len(m.imports))
-        for imp in m.imports:
-            w.name(imp.module)
-            w.name(imp.name)
-            w.byte(_EXPORT_KIND_CODES[imp.kind])
-            if imp.kind == "func":
-                assert isinstance(imp.desc, int)
-                w.u32(imp.desc)
-            elif imp.kind == "table":
-                w.table_type(imp.desc)
-            elif imp.kind == "memory":
-                w.limits(imp.desc.limits)
-            else:
-                w.global_type(imp.desc)
-        _section(out, op.SEC_IMPORT, w)
-
-    if m.functions:
-        w = Writer()
-        w.u32(len(m.functions))
-        for fn in m.functions:
-            w.u32(fn.type_index)
-        _section(out, op.SEC_FUNCTION, w)
-
-    if m.tables:
-        w = Writer()
-        w.u32(len(m.tables))
-        for tt in m.tables:
-            w.table_type(tt)
-        _section(out, op.SEC_TABLE, w)
-
-    if m.memories:
-        w = Writer()
-        w.u32(len(m.memories))
-        for mt in m.memories:
-            w.limits(mt.limits)
-        _section(out, op.SEC_MEMORY, w)
-
-    if m.globals:
-        w = Writer()
-        w.u32(len(m.globals))
-        for g in m.globals:
-            w.global_type(g.type)
-            write_expr(w, g.init)
-        _section(out, op.SEC_GLOBAL, w)
-
-    if m.exports:
-        w = Writer()
-        w.u32(len(m.exports))
-        for exp in m.exports:
-            w.name(exp.name)
-            w.byte(_EXPORT_KIND_CODES[exp.kind])
-            w.u32(exp.index)
-        _section(out, op.SEC_EXPORT, w)
-
-    if m.start is not None:
-        w = Writer()
-        w.u32(m.start)
-        _section(out, op.SEC_START, w)
-
-    if m.elements:
-        w = Writer()
-        w.u32(len(m.elements))
-        for seg in m.elements:
-            w.u32(seg.table_index)
-            write_expr(w, seg.offset)
-            w.u32(len(seg.func_indices))
-            for idx in seg.func_indices:
-                w.u32(idx)
-        _section(out, op.SEC_ELEMENT, w)
-
-    if m.functions:
-        w = Writer()
-        w.u32(len(m.functions))
-        for fn in m.functions:
-            entry = Writer()
-            groups = _group_locals(fn.locals)
-            entry.u32(len(groups))
-            for count, vt in groups:
-                entry.u32(count)
-                entry.valtype(vt)
-            write_expr(entry, fn.body)
-            w.u32(len(entry.buf))
-            w.raw(bytes(entry.buf))
-        _section(out, op.SEC_CODE, w)
-
-    if m.data:
-        w = Writer()
-        w.u32(len(m.data))
-        for seg in m.data:
-            w.u32(seg.memory_index)
-            write_expr(w, seg.offset)
-            w.u32(len(seg.data))
-            w.raw(seg.data)
-        _section(out, op.SEC_DATA, w)
+        if write_item is None:
+            w.u32(value)
+        else:
+            w.vector(write_item, value)
+        _section(out, sec_id, w)
 
     for name, payload in m.custom_sections:
         w = Writer()

@@ -21,7 +21,7 @@ those facts, so no two fields of a report can disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 from .decode import decode
@@ -252,6 +252,11 @@ def debloat_module(data: bytes, w: Workload) -> tuple[bytes, DebloatReport]:
     m = load_module(data, "input")
     log, trace = run_workload(m, w)
     roots = consolidate(trace, m)
+    if isinstance(log.instantiation_error, LinkFailure):
+        # nothing ran, and the output must fail to link as the input does:
+        # a link error names an import by name and type, not by index
+        imports = frozenset(range(m.num_func_imports))
+        roots = replace(roots, decl_keep=roots.decl_keep | imports)
     plan = close_references(m, roots)
     out_bytes = encode(apply_plan(m, plan))
     verdict = behavior_verdict(log, decode(out_bytes), w)

@@ -319,3 +319,19 @@ def test_malformed_immediates_in_a_body():
         ("20ffffffff0f", 2**32 - 1),
     ]:
         assert decode(one_body(code + "0b")).functions[0].body[0].args == (value,)
+
+
+def test_section_item_errors():
+    # each item starts at offset 11, after the section id, size and count
+    cases = [
+        # import "m" "f" of kind 0x04
+        (hx(HEADER, "0206", "01016d016604"), 15, "invalid import kind 0x04"),
+        # memory whose limits flag is 0x02
+        (hx(HEADER, "0503", "010200"), 11, "invalid limits flag 0x02"),
+        # i32 global whose mutability flag is 0x02
+        (hx(HEADER, "0606", "017f0241000b"), 12, "invalid mutability flag 0x02"),
+        # table of element type 0x6f
+        (hx(HEADER, "0404", "016f0001"), 11, "invalid table element type"),
+    ]
+    for data, offset, reason in cases:
+        expect_malformed(data, offset, reason)

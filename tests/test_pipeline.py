@@ -278,6 +278,24 @@ def test_non_function_imports_survive_a_failed_link():
     assert run_workload(decode(out), w)[0].instantiation_error == failure
 
 
+
+def test_function_imports_survive_a_failed_link():
+    # the default host lacks env.lkg, so nothing runs and the trace is
+    # empty; the output must still fail to link on that import
+    m = Module(
+        types=(FuncType((), ()),),
+        imports=(Import("env", "lkg", "func", 0),),
+        functions=(Function(0, (), (ins("call", 0),)),),
+        exports=(Export("f", "func", 1),),
+    )
+    w = wl(inv("f"))
+    out, report = debloat_module(encode(m), w)
+    assert report.validation.behavioral_ok
+    assert decode(out).imports == m.imports
+    failure = interp.LinkFailure("unknown import env.lkg")
+    assert run_workload(m, w)[0].instantiation_error == failure
+    assert run_workload(decode(out), w)[0].instantiation_error == failure
+
 # the encoder module, not the ``encode`` function the package re-exports
 encode_module = importlib.import_module("wasmdebloat.encode")
 
