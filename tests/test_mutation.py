@@ -7,6 +7,7 @@ them with the original's workload must end in a result or in a
 other exception is a bug.
 """
 
+import hashlib
 import random
 
 import fixturelib as fx
@@ -39,22 +40,45 @@ def mutate(data, rng):
     return bytes(b)
 
 
-def test_mutated_modules_decode_and_validate_or_are_malformed():
+def decode_originals():
+    """The encodings of ``fx.PAIRS`` and of ``generate_pair`` seeds 0-7."""
     originals = [encode(m) for _, m, _ in fx.PAIRS]
-    originals += [encode(modulegen.generate_pair(seed)[0]) for seed in range(8)]
+    return originals + [encode(modulegen.generate_pair(seed)[0]) for seed in range(8)]
+
+
+def decode_mutants():
+    """The fixed-seed mutants that the decode and validate tests share."""
+    originals = decode_originals()
     rng = random.Random(20201)
-    decoded = 0
-    for _ in range(MUTANTS):
-        data = mutate(rng.choice(originals), rng)
+    return [mutate(rng.choice(originals), rng) for _ in range(MUTANTS)]
+
+
+# the outcome of every mutant, hashed: ("malformed", offset, reason), or
+# the re-encoded module and its full error list. A change to the decoder
+# or the validator that moves one offset, reason or error message fails
+# here. The counts say how many mutants end each way.
+OUTCOME_DIGEST = "29c45796502ba9bd490fd370810f2fb4318bdf68bf766236aee0876b494c3b0d"
+OUTCOME_COUNTS = {"malformed": 8865, "invalid": 531, "valid": 604}
+
+
+def test_mutated_modules_decode_and_validate_or_are_malformed():
+    digest = hashlib.sha256()
+    counts = dict.fromkeys(OUTCOME_COUNTS, 0)
+    for data in decode_mutants():
         try:
-            validate_module(decode(data))
-        except MalformedBinary:
-            continue
+            m = decode(data)
+            errors = validate_module(m).errors
+        except MalformedBinary as e:
+            outcome = ("malformed", e.offset, e.reason)
+            counts["malformed"] += 1
         except Exception as e:
             raise AssertionError(f"{type(e).__name__} on {data.hex()}") from e
-        decoded += 1
-    # enough mutants get past the decoder to exercise the validator
-    assert decoded > MUTANTS // 10
+        else:
+            outcome = (encode(m), errors)
+            counts["invalid" if errors else "valid"] += 1
+        digest.update(repr(outcome).encode())
+    assert counts == OUTCOME_COUNTS
+    assert digest.hexdigest() == OUTCOME_DIGEST
 
 
 def test_mutated_modules_debloat_or_raise_a_package_error(tmp_path):
