@@ -1,28 +1,32 @@
 """Binary decoder for WebAssembly 1.0 modules.
 
-Structural concerns only: grammar, LEB128 bounds, section ordering and
-sizing, opcode coverage. Index bounds and typing live in validate.
+One pass checks the structure and the operand-stack types of function
+bodies. Binary order puts every section a body's types depend on before
+the code section, so ``_functions`` checks each body as it reads it,
+with ``walk_expr``, the one loop over expression bytes. It records the
+type errors on the module (``Module.body_errors``) for validate, and
+builds the instructions only when ``Function.body`` is first read.
 
 LEB128 integers are accepted in non-minimal (padded) encodings as long as
 they fit the declared bit width and byte budget; the encoder always emits
 minimal forms, so byte-identity with arbitrary inputs is not promised.
-One reader pair, ``_uleb`` and ``_sleb``, reads every LEB128 integer,
-through ``Reader.u32`` or directly in ``read_expr``. Only a one-byte
-immediate, which can break no bound, is read inline in ``read_expr``.
-``MAX_LOCALS`` caps the expanded locals of all bodies together, so a
-short input cannot declare a million locals in each of many bodies.
+``_uleb`` and ``_sleb`` read every LEB128 integer of more than one byte
+that is read at all: ``walk_expr`` skips a constant it does not build
+when it is too short to break its bound. ``MAX_LOCALS`` caps the expanded
+locals of all bodies together, so a short input cannot declare a million
+locals in each of many bodies.
 
 ``_SECTIONS`` maps each non-custom section id to the ``Module`` field it
 fills and the ``Reader`` method that reads one item of its vector, so
 ``decode`` writes the vector framing and the section order once. Start
-holds one index, not a vector, and has no item reader. The function and
-code sections both fill ``functions``: type indices and bodies are
-joined after the walk. One walk over the section headers, ``_sections``,
-serves both ``decode`` and ``section_sizes``.
+holds one index, not a vector; ``_functions`` reads the code section.
+One walk over the section headers, ``_sections``, serves both ``decode``
+and ``section_sizes``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 from . import opcodes as op
@@ -61,22 +65,26 @@ MAX_NESTING = 6_000
 _EXTERN_KINDS = {0: "func", 1: "table", 2: "memory", 3: "global"}
 _BLOCKTYPES = {op.BLOCKTYPE_EMPTY: None, **op.CODE_VALTYPES}
 
-# read_expr's dispatch, indexed by opcode byte: the opcode's immediate
-# kind (``Op.imm``), and "else"/"end" for those two bytes. None marks a
-# byte that is no opcode.
+# walk_expr's dispatch, indexed by opcode byte: "op" for an instruction with a
+# fixed stack signature and no immediate, the immediate kind (``Op.imm``)
+# for one with an immediate, "bare" for any other, and "else"/"end" for
+# those two bytes. None marks a byte that is no opcode.
 _KIND: list[str | None] = [None] * 256
+# per opcode with a fixed stack signature (``Op.pops`` is not None): minus
+# the number of values it pops, the types it pops (bottom first, a list
+# to compare with the top of the stack), the types it pushes, and the
+# natural alignment exponent of a memory access
+_SIMPLE: list[tuple | None] = [None] * 256
 for _code, _info in op.OPS.items():
-    _KIND[_code] = _info.imm
+    _KIND[_code] = _info.imm or ("bare" if _info.pops is None else "op")
+    if _info.pops is not None:
+        _natural = _info.width.bit_length() - 1
+        _SIMPLE[_code] = (-len(_info.pops), list(_info.pops), _info.pushes, _natural)
+_NAMES = [op.OPS[c].name if c in op.OPS else None for c in range(256)]
 _KIND[op.ELSE] = "else"
 _KIND[op.END] = "end"
-# every immediate-free instruction decoded is one of these shared objects
-_BARE = [Instruction(c) if k in ("", "memidx") else None for c, k in enumerate(_KIND)]
-# and every block, loop and if header one of these, per (opcode, block type byte)
-_HEADERS = {
-    (code, bt): Instruction(code, (_BLOCKTYPES[bt],))
-    for code in (op.BLOCK, op.LOOP, op.IF)
-    for bt in _BLOCKTYPES
-}
+# every immediate-free instruction built is one of these shared objects
+_BARE = [Instruction(c) if k in ("op", "bare", "memidx") else None for c, k in enumerate(_KIND)]
 
 
 def _uleb(data: bytes, pos: int, end: int, bits: int) -> tuple[int, int]:
@@ -126,16 +134,12 @@ def _sleb(data: bytes, pos: int, end: int, bits: int) -> tuple[int, int]:
 
 
 class Reader:
-    # locals_left: how many more expanded locals code entries read through
-    # this reader may declare; the code section's reader counts them over
-    # all of its bodies
-    __slots__ = ("data", "pos", "end", "locals_left")
+    __slots__ = ("data", "pos", "end")
 
     def __init__(self, data: bytes, start: int = 0, end: int | None = None):
         self.data = data
         self.pos = start
         self.end = len(data) if end is None else end
-        self.locals_left = MAX_LOCALS
 
     def eof(self) -> bool:
         return self.pos >= self.end
@@ -155,7 +159,11 @@ class Reader:
         return bytes(chunk)
 
     def u32(self) -> int:
-        value, self.pos = _uleb(self.data, self.pos, self.end, 32)
+        pos = self.pos
+        if pos < self.end and (value := self.data[pos]) < 0x80:
+            self.pos = pos + 1
+        else:
+            value, self.pos = _uleb(self.data, pos, self.end, 32)
         return value
 
     def sub(self, size: int) -> Reader:
@@ -246,24 +254,6 @@ class Reader:
         offset = read_expr(self)
         return ElementSegment(table_index, offset, self.vector(Reader.u32))
 
-    def code_entry(self) -> tuple[tuple[str, ...], Expr]:
-        """One body's expanded locals and instructions. The locals count
-        against ``locals_left`` before they are expanded."""
-        body = self.sub(self.u32())
-        groups = []
-        for _ in range(body.u32()):
-            at = body.pos
-            count = body.u32()
-            if count > self.locals_left:
-                raise MalformedBinary(at, "too many locals")
-            self.locals_left -= count
-            groups.append((count, body.valtype()))
-        locals_ = tuple(vt for count, vt in groups for _ in range(count))
-        instructions = read_expr(body)
-        if body.pos != body.end:
-            raise MalformedBinary(body.pos, "function body size mismatch")
-        return locals_, instructions
-
     def data_segment(self) -> DataSegment:
         memory_index = self.u32()
         offset = read_expr(self)
@@ -278,114 +268,347 @@ _IMPORT_DESCS = {
 }
 
 
-def read_expr(r: Reader) -> Expr:
-    """Read instructions up to the expression's final ``end``.
+def body_context(m: Module, type_indices: tuple[int, ...] = ()) -> tuple:
+    """What typing a body needs of its module ``m``: the types, every
+    function's type index (``type_indices`` are those of functions ``m``
+    does not hold yet, numbered after its own), every global's type, and
+    whether there is a table and a memory."""
+    func_types = m.func_type_indices + type_indices
+    return m.types, func_types, m.global_types, m.num_tables > 0, m.num_memories > 0
 
-    One loop over the bytes, on local copies of the reader's state; the
-    reader's position is written back on return and on error. The
-    instructions go to one list in binary order (see ``module``). Per
-    open construct a flag says whether it is an ``if`` still in its then
-    arm, the one place an ``else`` may stand; an ``else`` followed at once
-    by its ``end`` is not stored. One-byte LEB128 immediates are read
-    inline, longer ones by ``_uleb``/``_sleb``.
+
+_NO_CONTEXT = body_context(Module())  # for a walk of the structure only
+
+
+def read_expr(r: Reader) -> Expr:
+    """Read the instructions of an expression up to its final ``end``."""
+    return walk_expr(r, _NO_CONTEXT, None, (), [], True)
+
+
+def _pop(stack: list[str], dead: bool, expect: str | None, ctx: str, msgs: list[str]) -> str:
+    """Pop an operand of type ``expect`` (None: any) for ``ctx``. Dead
+    code may pop any type below the bottom of its stack."""
+    if not stack:
+        if not dead:
+            msgs.append(f"{ctx}: operand stack underflow")
+        return expect or "unknown"
+    t = stack.pop()
+    if expect is not None and t != expect:
+        msgs.append(f"{ctx}: expected {expect}, got {t}")
+    return t
+
+
+def _pop_all(stack: list[str], dead: bool, types, ctx: str, msgs: list[str]) -> None:
+    for t in reversed(types):
+        _pop(stack, dead, t, ctx, msgs)
+
+
+def _close_arm(ctrl: list, stack: list[str], dead: bool, end: bool, msgs: list[str]):
+    """Check that the arm an ``else`` or ``end`` closes leaves exactly its
+    results; ``end`` also closes its construct. Returns the stack and dead
+    flag to go on with."""
+    saved, was_dead, results, arm, label = ctrl[-1]
+    _pop_all(stack, dead, results, arm, msgs)
+    if stack and not dead:
+        msgs.append(f"{arm}: {len(stack)} extra value(s) on stack")
+    if not end:
+        ctrl[-1] = (saved, was_dead, results, "if: else", label)
+        return [], False
+    if arm == "if: then" and results:
+        # a result-typed if needs an else arm; an empty one reports the arity
+        _pop_all([], False, results, "if: else", msgs)
+    ctrl.pop()
+    saved += results
+    return saved, was_dead
+
+
+def _dead(stack: list[str], msgs: list[str] | None = None, msg: str = "") -> bool:
+    """Report ``msg``, if any, and type the rest of the arm as dead code."""
+    if msgs is not None:
+        msgs.append(msg)
+    stack.clear()
+    return True
+
+
+def walk_expr(
+    r: Reader, ctx: tuple, type_index, locals_: tuple, msgs: list, build=False, final_end=True
+) -> Expr | None:
+    """The one loop over an expression's bytes. It raises
+    ``MalformedBinary`` for the structure, appends a body's type errors to
+    ``msgs`` in the order found and, with ``build``, returns the
+    instructions (see ``module``). The reader's position is written back.
+
+    Typing follows the WebAssembly 1.0 validation appendix, with code after
+    ``unreachable``, ``br``, ``br_table`` and ``return`` typed
+    polymorphically (``dead``). A body without a valid type (``type_index``
+    None, out of range, or naming more than one result, reported on the
+    type) is walked for its structure only. Without ``final_end``, for a
+    body built by hand and encoded, the end of the bytes closes the body,
+    and an unbalanced ``else`` or ``end`` is a type error, not malformed.
     """
+    types = ctx[0]
+    if type_index is not None and type_index < len(types) and len(types[type_index].results) < 2:
+        locals_, results = types[type_index].params + locals_, types[type_index].results
+    else:
+        if type_index is not None and type_index >= len(types):
+            msgs.append(f"type index {type_index} out of range")
+        ctx, locals_, results, msgs = _NO_CONTEXT, (), (), []
     data, pos, end = r.data, r.pos, r.end
-    kinds, bare, headers, uleb, sleb = _KIND, _BARE, _HEADERS, _uleb, _sleb
-    # tuple.__new__ skips the Python-level __new__ of the named tuple
-    new, Instr = tuple.__new__, Instruction
+    types, func_types, global_types, has_table, has_memory = ctx
+    new, Instr = tuple.__new__, Instruction  # skips the named tuple's __new__
     out: list[Instruction] = []
     append = out.append
-    # per open construct, innermost last: is it an if in its then arm
-    then_arm: list[bool] = []
+    stack: list[str] = []
+    dead = False
+    # per open construct, the function's own first: the enclosing stack
+    # and dead flag to restore, its result types, its current arm ("if:
+    # then" is the one place an else may stand) and its label's types
+    ctrl: list[tuple] = [([], False, results, "function end", results)]
     try:
         while True:
             if pos >= end:
-                raise MalformedBinary(pos, "unexpected end of input")
+                if final_end:
+                    raise MalformedBinary(pos, "unexpected end of input")
+                if len(ctrl) > 1:
+                    msgs.append(f"{len(ctrl) - 1} construct(s) not closed at end of body")
+                else:
+                    _close_arm(ctrl, stack, dead, True, msgs)
+                return None
             opcode = data[pos]
             pos += 1
-            kind = kinds[opcode]
-            if kind == "":
-                append(bare[opcode])
-            elif kind == "i32" or kind == "i64":
-                if pos < end and (v := data[pos]) < 0x80:
-                    pos += 1
-                    if v >= 0x40:
-                        v -= 0x80
+            kind = _KIND[opcode]
+            if kind == "op":
+                cut, pops, pushes, _ = _SIMPLE[opcode]
+                if stack[cut:] == pops:  # the operands are the top of the stack
+                    stack[cut:] = pushes
                 else:
-                    v, pos = sleb(data, pos, end, 32 if kind == "i32" else 64)
-                append(new(Instr, (opcode, (v,))))
+                    _pop_all(stack, dead, pops, _NAMES[opcode], msgs)
+                    stack += pushes
+                if build:
+                    append(_BARE[opcode])
+            elif kind == "i32" or kind == "i64":
+                # read only if built, unterminated or long enough to overflow
+                at = pos
+                while pos < end and data[pos] >= 0x80:
+                    pos += 1
+                pos += 1
+                if build or pos > end or pos - at >= (5 if kind == "i32" else 10):
+                    v, pos = _sleb(data, at, end, 32 if kind == "i32" else 64)
+                    if build:
+                        append(new(Instr, (opcode, (v,))))
+                stack.append(kind)
             elif kind == "index":
                 if pos < end and (v := data[pos]) < 0x80:
                     pos += 1
                 else:
-                    v, pos = uleb(data, pos, end, 32)
-                append(new(Instr, (opcode, (v,))))
-            elif kind == "memarg":
-                if pos < end and (align := data[pos]) < 0x80:
-                    pos += 1
-                else:
-                    align, pos = uleb(data, pos, end, 32)
-                if pos < end and (offset := data[pos]) < 0x80:
-                    pos += 1
-                else:
-                    offset, pos = uleb(data, pos, end, 32)
-                append(new(Instr, (opcode, (align, offset))))
+                    v, pos = _uleb(data, pos, end, 32)
+                name = _NAMES[opcode]
+                if opcode == op.LOCAL_GET and v < len(locals_):
+                    stack.append(locals_[v])
+                elif opcode in (op.LOCAL_GET, op.LOCAL_SET, op.LOCAL_TEE):
+                    if v >= len(locals_):
+                        dead = _dead(stack, msgs, f"{name}: local index {v} out of range")
+                    else:
+                        _pop(stack, dead, locals_[v], name, msgs)
+                        if opcode == op.LOCAL_TEE:
+                            stack.append(locals_[v])
+                elif opcode == op.CALL:
+                    if v >= len(func_types):
+                        dead = _dead(stack, msgs, f"{name}: function index {v} out of range")
+                    elif (t := func_types[v]) >= len(types):
+                        msg = f"{name}: function {v} has type index {t} out of range"
+                        dead = _dead(stack, msgs, msg)
+                    else:
+                        _pop_all(stack, dead, types[t].params, name, msgs)
+                        stack += types[t].results
+                elif opcode in (op.GLOBAL_GET, op.GLOBAL_SET):
+                    if v >= len(global_types):
+                        dead = _dead(stack, msgs, f"{name}: global index {v} out of range")
+                    elif opcode == op.GLOBAL_GET:
+                        stack.append(global_types[v].valtype)
+                    else:
+                        if not global_types[v].mutable:
+                            msgs.append(f"{name}: global {v} is immutable")
+                        _pop(stack, dead, global_types[v].valtype, name, msgs)
+                else:  # br or br_if
+                    if opcode == op.BR_IF:
+                        _pop(stack, dead, "i32", name, msgs)
+                    if v >= len(ctrl):
+                        msgs.append(f"{name}: label depth {v} out of range")
+                    else:
+                        label = ctrl[-1 - v][4]
+                        _pop_all(stack, dead, label, name, msgs)
+                        if opcode == op.BR_IF:
+                            stack += label
+                    if opcode == op.BR:
+                        dead = _dead(stack)
+                if build:
+                    append(new(Instr, (opcode, (v,))))
             elif kind == "end":
-                if not then_arm:
-                    return tuple(out)
-                then_arm.pop()
-                if out[-1] is ELSE:
-                    out.pop()  # an empty else arm
-                append(END)
+                if len(ctrl) > 1:
+                    stack, dead = _close_arm(ctrl, stack, dead, True, msgs)
+                    if build:
+                        if out[-1] is ELSE:
+                            out.pop()  # an empty else arm
+                        append(END)
+                elif final_end:
+                    _close_arm(ctrl, stack, dead, True, msgs)
+                    return tuple(out) if build else None
+                else:
+                    msgs.append("end: no open block, loop or if")
             elif kind == "block":
-                if len(then_arm) >= MAX_NESTING:
+                if final_end and len(ctrl) > MAX_NESTING:
                     raise MalformedBinary(pos - 1, f"blocks nested deeper than {MAX_NESTING}")
                 if pos >= end:
                     raise MalformedBinary(pos, "unexpected end of input")
-                header = headers.get((opcode, data[pos]))
-                if header is None:
+                if data[pos] not in _BLOCKTYPES:
                     raise MalformedBinary(pos, f"invalid block type 0x{data[pos]:02x}")
+                bt = _BLOCKTYPES[data[pos]]
                 pos += 1
-                append(header)
-                then_arm.append(opcode == op.IF)
+                arm = _NAMES[opcode]
+                if opcode == op.IF:
+                    _pop(stack, dead, "i32", arm, msgs)
+                    arm = "if: then"
+                arity = () if bt is None else (bt,)
+                ctrl.append((stack, dead, arity, arm, () if opcode == op.LOOP else arity))
+                stack, dead = [], False
+                if build:
+                    append(new(Instr, (opcode, (bt,))))
+            elif kind == "memarg" or kind == "memidx":
+                name = _NAMES[opcode]
+                if kind == "memidx":
+                    if pos >= end:
+                        raise MalformedBinary(pos, "unexpected end of input")
+                    if data[pos] != 0x00:
+                        raise MalformedBinary(pos, "zero byte expected (memory index)")
+                    pos += 1
+                    instr = _BARE[opcode]
+                else:
+                    align, pos = _uleb(data, pos, end, 32)
+                    offset, pos = _uleb(data, pos, end, 32)
+                    instr = new(Instr, (opcode, (align, offset)))
+                _, pops, pushes, natural = _SIMPLE[opcode]
+                _pop_all(stack, dead, pops, name, msgs)
+                stack += pushes
+                if kind == "memarg" and align > natural:
+                    msgs.append(f"{name}: alignment 2**{align} over natural {1 << natural}")
+                if not has_memory:
+                    msgs.append(f"{name}: module has no memory")
+                if build:
+                    append(instr)
+            elif kind == "bare":  # unreachable, nop, return, drop, select
+                if opcode == op.DROP:
+                    _pop(stack, dead, None, "drop", msgs)
+                elif opcode == op.SELECT:
+                    _pop(stack, dead, "i32", "select", msgs)
+                    t1 = _pop(stack, dead, None, "select", msgs)
+                    t2 = _pop(stack, dead, t1 if t1 != "unknown" else None, "select", msgs)
+                    stack.append(t2 if t1 == "unknown" else t1)
+                elif opcode != op.NOP:  # unreachable or return
+                    if opcode == op.RETURN:
+                        _pop_all(stack, dead, results, "return", msgs)
+                    dead = _dead(stack)
+                if build:
+                    append(_BARE[opcode])
             elif kind == "else":
-                if not then_arm or not then_arm[-1]:
+                if len(ctrl) > 1 and ctrl[-1][3] == "if: then":
+                    stack, dead = _close_arm(ctrl, stack, dead, False, msgs)
+                    if build:
+                        append(ELSE)
+                elif final_end:
                     raise MalformedBinary(pos - 1, "else outside if")
-                then_arm[-1] = False
-                append(ELSE)
+                elif len(ctrl) > 1:
+                    msgs.append("else outside if")
+                else:
+                    msgs.append("else: no open block, loop or if")
             elif kind == "call_indirect":
-                typeidx, pos = uleb(data, pos, end, 32)
+                t, pos = _uleb(data, pos, end, 32)
                 if pos >= end:
                     raise MalformedBinary(pos, "unexpected end of input")
                 if data[pos] != 0x00:
                     raise MalformedBinary(pos, "zero byte expected after call_indirect")
                 pos += 1
-                append(new(Instr, (opcode, (typeidx,))))
-            elif kind == "memidx":
-                if pos >= end:
-                    raise MalformedBinary(pos, "unexpected end of input")
-                if data[pos] != 0x00:
-                    raise MalformedBinary(pos, "zero byte expected (memory index)")
-                pos += 1
-                append(bare[opcode])
+                if not has_table:
+                    msgs.append("call_indirect: module has no table")
+                if t >= len(types):
+                    dead = _dead(stack, msgs, f"call_indirect: type index {t} out of range")
+                else:
+                    _pop(stack, dead, "i32", "call_indirect", msgs)
+                    _pop_all(stack, dead, types[t].params, "call_indirect", msgs)
+                    stack += types[t].results
+                if build:
+                    append(new(Instr, (opcode, (t,))))
             elif kind == "br_table":
-                count, pos = uleb(data, pos, end, 32)
+                count, pos = _uleb(data, pos, end, 32)
                 labels = []
                 for _ in range(count):
-                    label, pos = uleb(data, pos, end, 32)
-                    labels.append(label)
-                default, pos = uleb(data, pos, end, 32)
-                append(new(Instr, (opcode, (tuple(labels), default))))
+                    depth, pos = _uleb(data, pos, end, 32)
+                    labels.append(depth)
+                default, pos = _uleb(data, pos, end, 32)
+                _pop(stack, dead, "i32", "br_table", msgs)
+                if default >= len(ctrl):
+                    msgs.append(f"br_table: label depth {default} out of range")
+                else:
+                    label = ctrl[-1 - default][4]
+                    for depth in labels:
+                        if depth >= len(ctrl):
+                            msgs.append(f"br_table: label depth {depth} out of range")
+                        elif ctrl[-1 - depth][4] != label:
+                            msgs.append(f"br_table: label type mismatch at depth {depth}")
+                    _pop_all(stack, dead, label, "br_table", msgs)
+                dead = _dead(stack)
+                if build:
+                    append(new(Instr, (opcode, (tuple(labels), default))))
             elif kind == "f32" or kind == "f64":
                 n = 4 if kind == "f32" else 8
                 if pos + n > end:
                     raise MalformedBinary(pos, "unexpected end of input")
-                append(new(Instr, (opcode, (int.from_bytes(data[pos : pos + n], "little"),))))
+                stack.append(kind)
+                if build:
+                    bits = int.from_bytes(data[pos : pos + n], "little")
+                    append(new(Instr, (opcode, (bits,))))
                 pos += n
             else:
                 raise MalformedBinary(pos - 1, f"unknown opcode 0x{opcode:02x}")
     finally:
         r.pos = pos
+
+
+def _functions(r: Reader, contents: dict[int, object], errs: list) -> tuple[Function, ...]:
+    """The code section: each body is checked as it is read, its type
+    errors going to ``errs``, and becomes a ``Function`` that builds its
+    instructions on first read (a body past the function section's count
+    has no type index)."""
+    type_indices = contents.get(op.SEC_FUNCTION, ())
+    before = Module(**{_SECTIONS[s][0]: v for s, v in contents.items() if s != op.SEC_FUNCTION})
+    ctx = body_context(before, type_indices)
+    functions = []
+    locals_left = MAX_LOCALS  # over all bodies
+    for i in range(r.u32()):
+        body = r.sub(r.u32())
+        groups = []
+        for _ in range(body.u32()):
+            at = body.pos
+            count = body.u32()
+            if count > locals_left:
+                raise MalformedBinary(at, "too many locals")
+            locals_left -= count
+            groups.append((count, body.valtype()))
+        locals_ = tuple(vt for count, vt in groups for _ in range(count))
+        start = body.pos
+        type_index = type_indices[i] if i < len(type_indices) else None
+        msgs: list[str] = []
+        walk_expr(body, ctx, type_index, locals_, msgs)
+        if body.pos != body.end:
+            raise MalformedBinary(body.pos, "function body size mismatch")
+        errs += [(f"func[{before.num_funcs + i}]", msg) for msg in msgs]
+        read_body = partial(_expr, r.data, start, body.end)
+        functions.append(Function.decoded(type_index, locals_, read_body))
+    return tuple(functions)
+
+
+def _expr(data: bytes, start: int, end: int) -> Expr:
+    return read_expr(Reader(data, start, end))
 
 
 _SECTIONS = {
@@ -398,7 +621,7 @@ _SECTIONS = {
     op.SEC_EXPORT: ("exports", Reader.export),
     op.SEC_START: ("start", None),
     op.SEC_ELEMENT: ("elements", Reader.element_segment),
-    op.SEC_CODE: ("functions", Reader.code_entry),
+    op.SEC_CODE: ("functions", None),  # read by _functions
     op.SEC_DATA: ("data", Reader.data_segment),
 }
 
@@ -407,7 +630,7 @@ def _sections(data: bytes) -> Iterator[tuple[int, int, Reader]]:
     """Each section of the module ``data``: the offset of its id byte,
     the id, and a reader over its contents. Checks the module header,
     rejects unknown ids and bounds each size by the input."""
-    r = Reader(data)
+    r = Reader(bytes(data))  # immutable: decoded bodies are read again when built
     if r.raw(4) != MAGIC:
         raise MalformedBinary(0, "bad magic")
     if r.raw(4) != VERSION:
@@ -423,6 +646,7 @@ def _sections(data: bytes) -> Iterator[tuple[int, int, Reader]]:
 def decode(data: bytes) -> Module:
     contents: dict[int, object] = {}
     customs: list[tuple[str, bytes]] = []
+    errs: list[tuple[str, str]] = []  # the bodies' type errors
     last_section = 0
     for sec_start, sec_id, sub in _sections(data):
         if sec_id == op.SEC_CUSTOM:
@@ -432,22 +656,26 @@ def decode(data: bytes) -> Module:
             raise MalformedBinary(sec_start, "section out of order")
         last_section = sec_id
         read_item = _SECTIONS[sec_id][1]
-        contents[sec_id] = sub.u32() if read_item is None else sub.vector(read_item)
+        if sec_id == op.SEC_CODE:
+            contents[sec_id] = _functions(sub, contents, errs)
+        else:
+            contents[sec_id] = sub.u32() if read_item is None else sub.vector(read_item)
         if sub.pos != sub.end:
             raise MalformedBinary(
                 sub.pos, f"section size mismatch in {op.SECTION_NAMES[sec_id]} section"
             )
 
     type_indices = contents.pop(op.SEC_FUNCTION, ())
-    bodies = contents.pop(op.SEC_CODE, ())
-    if len(type_indices) != len(bodies):
+    functions = contents.pop(op.SEC_CODE, ())
+    if len(type_indices) != len(functions):
         raise MalformedBinary(len(data), "function and code section counts disagree")
-    functions = tuple(Function(ti, *code) for ti, code in zip(type_indices, bodies))
-    return Module(
+    m = Module(
         functions=functions,
         custom_sections=tuple(customs),
         **{_SECTIONS[sec_id][0]: value for sec_id, value in contents.items()},
     )
+    object.__setattr__(m, "body_errors", tuple(errs))
+    return m
 
 
 def section_sizes(data: bytes) -> dict[int, int]:

@@ -10,7 +10,8 @@ follow it, the ``ELSE`` marker precedes a non-empty else arm, and the
 ``END`` marker closes the construct. The expression's own final ``end``
 is not stored. Every pass walks a body with a plain ``for`` loop and
 keeps its own control stack where it needs one; a rewrite that maps
-instructions one to one is ``tuple(f(i) for i in body)``.
+instructions one to one is ``tuple(f(i) for i in body)``. A decoded
+function keeps its validated bytes and builds its body on first read.
 
 Index spaces follow the binary format: imports come first, then the
 module's own definitions. ``Module`` builds each combined index space
@@ -142,11 +143,30 @@ class DataSegment:
     data: bytes
 
 
+class _BodyOnFirstRead:
+    """``Function.body`` of a decoded function: the first read builds it
+    with the reader ``decode`` left and keeps it. A body given at
+    construction shadows this descriptor, which has no ``__set__``."""
+
+    def __get__(self, fn, owner=None):
+        if fn is None:
+            raise AttributeError("body")  # so dataclass sees no default
+        body = fn.__dict__["body"] = fn.__dict__["_read_body"]()
+        return body
+
+
 @dataclass(frozen=True)
 class Function:
     type_index: int
     locals: tuple[str, ...]  # expanded, one entry per local
-    body: Expr
+    body: Expr = _BodyOnFirstRead()
+
+    @classmethod
+    def decoded(cls, type_index: int, locals_: tuple[str, ...], read_body) -> Function:
+        """A function whose body ``read_body()`` builds on first read."""
+        fn = object.__new__(cls)
+        fn.__dict__.update(type_index=type_index, locals=locals_, _read_body=read_body)
+        return fn
 
 
 @dataclass(frozen=True)
@@ -163,6 +183,10 @@ class Module:
     data: tuple[DataSegment, ...] = ()
     # non-name custom sections survive decode/encode untouched
     custom_sections: tuple[tuple[str, bytes], ...] = ()
+
+    # not a field: set only on a module decode returns, so that any other,
+    # from with_ or dataclasses.replace too, has no body errors recorded
+    body_errors = None
 
     # cached: validation and the interpreter index these per instruction
     @cached_property

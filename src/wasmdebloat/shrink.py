@@ -81,8 +81,7 @@ def _apply(m: Module, plan: KeepPlan) -> Module:
         if disp == Disposition.REMOVE:
             continue
         if disp == Disposition.STUB:
-            fn = stub_body(fn)
-            new_functions.append(replace(fn, type_index=plan.type_remap[fn.type_index]))
+            new_functions.append(Function(plan.type_remap[fn.type_index], (), _STUB_BODY))
         else:
             new_functions.append(
                 Function(

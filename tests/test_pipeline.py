@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fixturelib as fx
+import modulegen
 from fixturelib import ins, inv, wl
 import wasmdebloat
 from wasmdebloat import (
@@ -325,6 +326,19 @@ def test_returned_bytes_that_do_not_decode_raise(monkeypatch):
     monkeypatch.setattr(encode_module, "write_expr", drop_end)
     with pytest.raises(MalformedBinary, match="unexpected end of input"):
         debloat_module(data, wl(inv("f")))
+
+
+def test_debloating_generated_pairs_is_idempotent_and_behavior_preserving():
+    pairs = [(name, m, w) for name, m, w in fx.PAIRS]
+    for seed in range(200):
+        for trap_free in (False, True):
+            m, w = modulegen.generate_pair(seed, trap_free=trap_free)
+            pairs.append((f"seed {seed}, trap_free={trap_free}", m, w))
+    for name, m, w in pairs:
+        out, report = debloat_module(encode(m), w)
+        assert report.validation.behavioral_ok, name
+        assert debloat_module(out, w)[0] == out, name
+    assert len(pairs) == 430
 
 
 def test_calculator_report_numbers():
