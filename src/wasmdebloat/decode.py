@@ -80,9 +80,9 @@ for _code, _info in op.OPS.items():
     if _info.pops is not None:
         _natural = _info.width.bit_length() - 1
         _SIMPLE[_code] = (-len(_info.pops), list(_info.pops), _info.pushes, _natural)
-_NAMES = [op.OPS[c].name if c in op.OPS else None for c in range(256)]
 _KIND[op.ELSE] = "else"
 _KIND[op.END] = "end"
+_NAMES = [op.OPS[c].name if c in op.OPS else None for c in range(256)]
 # every immediate-free instruction built is one of these shared objects
 _BARE = [Instruction(c) if k in ("op", "bare", "memidx") else None for c, k in enumerate(_KIND)]
 

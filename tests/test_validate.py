@@ -4,7 +4,7 @@ import pytest
 
 import fixturelib as fx
 from fixturelib import block, if_, ins
-from wasmdebloat import decode, validate_module
+from wasmdebloat import decode, encode, validate_module
 from wasmdebloat import opcodes as op
 from wasmdebloat.module import (
     DataSegment,
@@ -151,6 +151,19 @@ def test_memory_ops_require_memory():
         functions=(Function(0, (), (ins("i32.const", 0), ins("i32.load", 2, 0))),),
     )
     assert first_error(m) == ("func[0]", "i32.load: module has no memory")
+
+
+def test_a_changed_decoded_module_is_checked_again():
+    # decode records the body errors of the module it returns; a module
+    # made from that one must not report them as its own
+    load = Function(0, (), (ins("i32.const", 0), ins("i32.load", 2, 0)))
+    m = decode(encode(Module(
+        types=(FuncType((), ("i32",)),),
+        memories=(MemType(Limits(1)),),
+        functions=(load,),
+    )))
+    assert validate_module(m).ok
+    assert errs(m.with_(memories=())) == (("func[0]", "i32.load: module has no memory"),)
 
 
 def test_call_indirect_requires_table():
