@@ -10,7 +10,7 @@ builds the instructions only when ``Function.body`` is first read.
 LEB128 integers are accepted in non-minimal (padded) encodings as long as
 they fit the declared bit width and byte budget; the encoder always emits
 minimal forms, so byte-identity with arbitrary inputs is not promised.
-``_uleb`` and ``_sleb`` read every LEB128 integer of more than one byte
+``_leb``, signed or not, reads every LEB128 integer of more than one byte
 that is read at all: ``walk_expr`` skips a constant it does not build
 when it is too short to break its bound. ``MAX_LOCALS`` caps the expanded
 locals of all bodies together, so a short input cannot declare a million
@@ -87,9 +87,9 @@ _NAMES = [op.OPS[c].name if c in op.OPS else None for c in range(256)]
 _BARE = [Instruction(c) if k in ("op", "bare", "memidx") else None for c, k in enumerate(_KIND)]
 
 
-def _uleb(data: bytes, pos: int, end: int, bits: int) -> tuple[int, int]:
-    """The unsigned LEB128 integer of at most ``bits`` bits at ``pos``,
-    and the position after it. The only unsigned LEB128 reader."""
+def _leb(data: bytes, pos: int, end: int, bits: int, signed: bool = False) -> tuple[int, int]:
+    """The LEB128 integer, ``signed`` or not, of at most ``bits`` bits at
+    ``pos``, and the position after it. The only LEB128 reader."""
     start = pos
     stop = pos + (bits + 6) // 7  # one past the last byte a value may use
     result = shift = 0
@@ -99,36 +99,17 @@ def _uleb(data: bytes, pos: int, end: int, bits: int) -> tuple[int, int]:
         b = data[pos]
         pos += 1
         result |= (b & 0x7F) << shift
-        if b < 0x80:
-            break
-        if pos >= stop:
-            raise MalformedBinary(start, "integer representation too long")
-        shift += 7
-    if result >> bits:
-        raise MalformedBinary(start, "integer too large")
-    return result, pos
-
-
-def _sleb(data: bytes, pos: int, end: int, bits: int) -> tuple[int, int]:
-    """The signed LEB128 integer of at most ``bits`` bits at ``pos``, and
-    the position after it. The only signed LEB128 reader."""
-    start = pos
-    stop = pos + (bits + 6) // 7
-    result = shift = 0
-    while True:
-        if pos >= end:
-            raise MalformedBinary(pos, "unexpected end of input")
-        b = data[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
         shift += 7
         if b < 0x80:
             break
         if pos >= stop:
             raise MalformedBinary(start, "integer representation too long")
-    if b & 0x40:
-        result -= 1 << shift  # sign-extend from the last byte's bit 6
-    if not -(1 << (bits - 1)) <= result < 1 << (bits - 1):
+    lo = 0
+    if signed:
+        lo = -(1 << (bits - 1))
+        if b & 0x40:
+            result -= 1 << shift  # sign-extend from the last byte's bit 6
+    if not lo <= result < lo + (1 << bits):
         raise MalformedBinary(start, "integer too large")
     return result, pos
 
@@ -163,7 +144,7 @@ class Reader:
         if pos < self.end and (value := self.data[pos]) < 0x80:
             self.pos = pos + 1
         else:
-            value, self.pos = _uleb(self.data, pos, self.end, 32)
+            value, self.pos = _leb(self.data, pos, self.end, 32)
         return value
 
     def sub(self, size: int) -> Reader:
@@ -393,7 +374,7 @@ def walk_expr(
                     pos += 1
                 pos += 1
                 if build or pos > end or pos - at >= (5 if kind == "i32" else 10):
-                    v, pos = _sleb(data, at, end, 32 if kind == "i32" else 64)
+                    v, pos = _leb(data, at, end, 32 if kind == "i32" else 64, True)
                     if build:
                         append(new(Instr, (opcode, (v,))))
                 stack.append(kind)
@@ -401,7 +382,7 @@ def walk_expr(
                 if pos < end and (v := data[pos]) < 0x80:
                     pos += 1
                 else:
-                    v, pos = _uleb(data, pos, end, 32)
+                    v, pos = _leb(data, pos, end, 32)
                 name = _NAMES[opcode]
                 if opcode == op.LOCAL_GET and v < len(locals_):
                     stack.append(locals_[v])
@@ -484,8 +465,8 @@ def walk_expr(
                     pos += 1
                     instr = _BARE[opcode]
                 else:
-                    align, pos = _uleb(data, pos, end, 32)
-                    offset, pos = _uleb(data, pos, end, 32)
+                    align, pos = _leb(data, pos, end, 32)
+                    offset, pos = _leb(data, pos, end, 32)
                     instr = new(Instr, (opcode, (align, offset)))
                 _, pops, pushes, natural = _SIMPLE[opcode]
                 _pop_all(stack, dead, pops, name, msgs)
@@ -522,7 +503,7 @@ def walk_expr(
                 else:
                     msgs.append("else: no open block, loop or if")
             elif kind == "call_indirect":
-                t, pos = _uleb(data, pos, end, 32)
+                t, pos = _leb(data, pos, end, 32)
                 if pos >= end:
                     raise MalformedBinary(pos, "unexpected end of input")
                 if data[pos] != 0x00:
@@ -539,12 +520,12 @@ def walk_expr(
                 if build:
                     append(new(Instr, (opcode, (t,))))
             elif kind == "br_table":
-                count, pos = _uleb(data, pos, end, 32)
+                count, pos = _leb(data, pos, end, 32)
                 labels = []
                 for _ in range(count):
-                    depth, pos = _uleb(data, pos, end, 32)
+                    depth, pos = _leb(data, pos, end, 32)
                     labels.append(depth)
-                default, pos = _uleb(data, pos, end, 32)
+                default, pos = _leb(data, pos, end, 32)
                 _pop(stack, dead, "i32", "br_table", msgs)
                 if default >= len(ctrl):
                     msgs.append(f"br_table: label depth {default} out of range")
