@@ -188,8 +188,10 @@ def write_expr(w: Writer, body: Expr) -> None:
     """Write ``body`` and its final ``end``."""
     for instr in body:
         code = instr.opcode
+        imm = _IMM.get(code)
+        if imm is None:
+            raise EncodeError(f"unknown opcode 0x{code:02x}")
         w.byte(code)
-        imm = _IMM[code]
         if imm == "":
             continue
         if imm == "block":

@@ -4,7 +4,8 @@ Errors are data, not exceptions: every problem is collected into a
 ValidationReport as a (location, message) pair. Bodies are type-checked
 by decode's one loop over their bytes: for a module straight from
 ``decode``, ``validate_module`` reads the errors decode recorded; for any
-other module it runs that loop over each body's ``write_expr`` bytes.
+other module it runs that loop over each body's ``write_expr`` bytes, and
+a body that ``write_expr`` cannot encode is one error at its ``func[i]``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from . import opcodes as op
 from .decode import Reader, body_context, walk_expr
 from .encode import Writer, write_expr
+from .errors import EncodeError
 from .module import Expr, Module, MAX_PAGES
 
 # the t.const opcodes, permitted inside constant expressions -> t
@@ -166,10 +168,14 @@ def validate_module(m: Module) -> ValidationReport:
         return ValidationReport(tuple(errs) + m.body_errors)
     ctx = body_context(m)
     for i, fn in enumerate(m.functions):
-        w = Writer()
-        write_expr(w, fn.body)
+        loc, w = f"func[{m.num_func_imports + i}]", Writer()
+        try:
+            write_expr(w, fn.body)
+        except EncodeError as e:  # a hand-built body the binary format cannot hold
+            errs.append((loc, str(e)))
+            continue
         # without the final end: the end of the bytes closes an unbalanced body
         r, msgs = Reader(w.buf, 0, len(w.buf) - 1), []
         walk_expr(r, ctx, fn.type_index, fn.locals, msgs, final_end=False)
-        errs += [(f"func[{m.num_func_imports + i}]", msg) for msg in msgs]
+        errs += [(loc, msg) for msg in msgs]
     return ValidationReport(tuple(errs))

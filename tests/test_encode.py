@@ -5,7 +5,7 @@ import pytest
 import fixturelib as fx
 import modulegen
 from fixturelib import ins
-from wasmdebloat import decode, encode
+from wasmdebloat import decode, encode, validate_module
 from wasmdebloat import opcodes as op
 from wasmdebloat.errors import EncodeError
 from wasmdebloat.module import (
@@ -205,6 +205,18 @@ def test_index_out_of_u32_range_rejected():
     )
     with pytest.raises(EncodeError):
         encode(m)
+
+
+def test_a_body_that_cannot_be_encoded_is_one_validation_error():
+    def module(*body):
+        return Module(types=(FuncType((), ()),), functions=(Function(0, (), body),))
+
+    too_wide = module(ins("i32.const", 2**40), ins("drop"))
+    unknown = module(Instruction(0xFC))
+    assert validate_module(too_wide).errors == (("func[0]", "s32 out of range: 1099511627776"),)
+    assert validate_module(unknown).errors == (("func[0]", "unknown opcode 0xfc"),)
+    with pytest.raises(EncodeError, match="unknown opcode 0xfc"):
+        encode(unknown)
 
 
 def test_block_round_trips_structured():
