@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,7 @@ import fixturelib as fx
 import wasmdebloat
 from wasmdebloat import decode, encode, validate_module
 from wasmdebloat import opcodes as op
-from wasmdebloat.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from wasmdebloat.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, entry, main
 from wasmdebloat.documents import workload_to_document
 from wasmdebloat.module import Instruction
 
@@ -204,6 +205,16 @@ def test_usage_errors_exit_64(capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage: wasm-debloat")
         assert ": error:" in err
+
+
+def test_console_script_exits_with_the_code_of_main(tmp_path, capsys, monkeypatch):
+    mod, _ = write_pair(tmp_path, fx.calculator_module(), fx.wl())
+    for argv, expected in ((["bogus"], EXIT_USAGE), (["stats", "--module", mod], EXIT_OK)):
+        monkeypatch.setattr(sys, "argv", ["wasm-debloat", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == expected
+    assert json.loads(capsys.readouterr().out)["functionsDefined"] == 10
 
 
 def test_fail_on_behavior_change_clean_run(tmp_path, capsys):
