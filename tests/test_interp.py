@@ -426,6 +426,23 @@ def test_convert_i32_to_f32_rounds_ties_to_even():
     )
 
 
+# integers that would round the wrong way through f64 first: the nearest
+# f64 is a tie between two f32s. The bits are V8's.
+@pytest.mark.parametrize(
+    "opname, n, bits",
+    [
+        ("f32.convert_i64_s", 0x0020000020000001, 0x5A000001),
+        ("f32.convert_i64_s", 0xFFDFFFFFDFFFFFFF, 0xDA000001),
+        ("f32.convert_i64_u", 0x0020000020000001, 0x5A000001),
+        ("f32.convert_i64_u", 0x8000008000000001, 0x5F000001),
+        ("f32.convert_i64_u", 0xFFFFFF7FFFFFFFFF, 0x5F7FFFFF),
+    ],
+)
+def test_convert_i64_to_f32_rounds_once(opname, n, bits):
+    m = unop_module("i64", "f32", opname)
+    assert run1(m, "f", Value.i64(n)) == Results((Value("f32", bits),))
+
+
 def test_convert_i64_to_f64_rounds():
     m = unop_module("i64", "f64", "f64.convert_i64_s")
     # 2**53 + 1 is not representable; ties-to-even drops to 2**53

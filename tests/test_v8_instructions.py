@@ -78,7 +78,9 @@ def _f64(x):
 
 # 28 operands per type: zeros, ones, the width's extremes, shift counts
 # around the width, NaNs with payloads, infinities, rounding ties and the
-# boundaries of every truncation
+# boundaries of every truncation. i64 has four more, after the rest so the
+# CONST_POSITIONS keep their operands: integers whose f32 conversion, if
+# rounded to f64 first, lands on a tie and rounds the wrong way
 FLOATS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1.5, 2.5, -2.5, float("inf"), float("-inf"))
 GRID = {
     "i32": (
@@ -94,6 +96,8 @@ GRID = {
         0xFFFFFFFFFFFFFFBF, 0xFFFFFFFF80000000, 0xFFFFFFFF7FFFFFFF,
         0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x00000000DEADBEEF,
         0xDEADBEEF00000000, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA, 0xFF, 0x8000,
+        0x0020000020000001, 0xFFDFFFFFDFFFFFFF, 0x8000008000000001,
+        0xFFFFFF7FFFFFFFFF,
     ),
     "f32": tuple(map(_f32, FLOATS))
     + (
@@ -250,7 +254,8 @@ def test_every_numeric_instruction_load_and_store_agrees_with_v8(tmp_path):
     data, sigs, calls, exact = build()
     theirs = _v8(data, sigs, calls, tmp_path)
     ours = _ours(data, sigs, calls)
-    assert len(theirs) == len(ours) == len(calls)
+    # pinned so that a grid or an export that drops out shows
+    assert len(theirs) == len(ours) == len(calls) == 74_244
     mismatches, nan_tolerated = [], 0
     for (name, args), a, b in zip(calls, ours, theirs):
         if a == b:
