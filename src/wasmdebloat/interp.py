@@ -2,8 +2,7 @@
 
 Executes a workload against one instance while recording which functions
 ran (the execution trace) and what the run observably did (the
-observation log). Entry probes fire before the first body instruction,
-so a function that traps immediately is still recorded as entered.
+observation log).
 
 Each function body is compiled once per instance, on first entry, in one
 pass over its instructions, which are stored in binary order, with an
@@ -15,6 +14,8 @@ side-table entry with its target run, the values it keeps and the values
 it drops, so the stack height to restore is fixed at compile time from
 the opcode stack signatures (Titzer, "A fast in-place interpreter for
 WebAssembly", OOPSLA 2022).
+That first compile also records the function as entered, before its first
+instruction runs, so a function that traps at once is still entered.
 One loop (``Instance._execute``) runs that code with an explicit operand
 stack and call stack: a branch raises no exception and a wasm call adds
 no Python frame, so nesting depth and call depth cost no Python
@@ -32,10 +33,12 @@ written once for both widths, generic over N as the spec defines it
 (WebAssembly Core Specification 1.0, section 4.3), and built for each
 width (``_int_ops``, ``_float_ops``). Floats are materialized only
 inside the operators, and every arithmetic NaN is canonicalized so
-observation logs are deterministic. A load or store is one ``struct``
-call behind an explicit bounds check, so a store that traps writes
-nothing. The table keeps only the slots element segments fill. The run
-records (``Value``,
+observation logs are deterministic. An integer converts to f32 in one
+rounding, through round-to-odd (Boldo & Melquiond, "Emulation of FMA and
+correctly rounded sums: proved algorithms using rounding to odd", IEEE
+Trans. Computers 2008). A load or store is one ``struct`` call behind an
+explicit bounds check, so a store that traps writes nothing. The table
+keeps only the slots element segments fill. The run records (``Value``,
 ``Results``, ``HostCall``, ``ObservationLog``, ...) are ``NamedTuple``s,
 so they compare equal to plain tuples: ``Value("i32", 1) == ("i32", 1)``.
 """
@@ -240,67 +243,29 @@ def _fmin(a: float, b: float) -> float:
     return a if a < b else b
 
 
-def _fmax(a: float, b: float) -> float:
-    if math.isnan(a) or math.isnan(b):
-        return math.nan
-    if a == b:
-        return a if math.copysign(1.0, a) > 0 else b
-    return a if a > b else b
+def _rounding(to_int):
+    """The float rounding ``to_int`` gives (ceil, floor, trunc, nearest):
+    NaNs and infinities stay as they are, and a zero keeps its sign."""
 
+    def rounded(x: float) -> float:
+        if math.isnan(x) or math.isinf(x):
+            return x
+        r = to_int(x)
+        return math.copysign(0.0, x) if r == 0 else float(r)
 
-def _round_sign(r: int, x: float) -> float:
-    # ceil/floor/trunc/nearest must keep the zero's sign
-    return math.copysign(0.0, x) if r == 0 else float(r)
-
-
-def _fceil(x: float) -> float:
-    if math.isnan(x) or math.isinf(x):
-        return x
-    return _round_sign(math.ceil(x), x)
-
-
-def _ffloor(x: float) -> float:
-    if math.isnan(x) or math.isinf(x):
-        return x
-    return _round_sign(math.floor(x), x)
-
-
-def _ftrunc(x: float) -> float:
-    if math.isnan(x) or math.isinf(x):
-        return x
-    return _round_sign(int(x), x)
-
-
-def _fnearest(x: float) -> float:
-    if math.isnan(x) or math.isinf(x):
-        return x
-    return _round_sign(round(x), x)  # Python round ties to even
+    return rounded
 
 
 def _int_to_f32_bits(n: int) -> int:
-    """Round an arbitrary integer to the nearest f32 (ties to even).
-
-    Going through a Python float first would round twice (64 then 32
-    bits), which is wrong for some 25+ significant-bit integers.
-    """
-    if n == 0:
-        return 0
-    sign = 0x80000000 if n < 0 else 0
+    """Round an integer to the nearest f32, ties to even, in one rounding:
+    float(n) would round to 53 bits and then to 24, and can make a tie the
+    second rounding breaks the wrong way. Round-to-odd keeps the top 53
+    bits of |n| and ORs every bit below them into the last one kept; that
+    float is exact, and rounding it to f32 rounds n."""
     m = abs(n)
-    nb = m.bit_length()
-    if nb <= 24:
-        f = m << (24 - nb)
-    else:
-        shift = nb - 24
-        f = m >> shift
-        rem = m & ((1 << shift) - 1)
-        half = 1 << (shift - 1)
-        if rem > half or (rem == half and f & 1):
-            f += 1
-            if f == 1 << 24:
-                f >>= 1
-                nb += 1
-    return sign | ((nb - 1 + 127) << 23) | (f & 0x7FFFFF)
+    shift = max(m.bit_length() - 53, 0)
+    odd = math.ldexp((m >> shift) | bool(m & ((1 << shift) - 1)), shift)
+    return f32_to_bits(-odd if n < 0 else odd)
 
 
 def _f32_result(x: float) -> int:
@@ -393,6 +358,8 @@ def _float_ops(read, result, sign: int) -> dict[str, object]:
     fN bits into a float, ``result`` a float into canonical fN bits, and
     ``sign`` is the sign bit."""
     magnitude = sign - 1
+    # Python's round ties to even
+    ceil, floor, trunc, nearest = map(_rounding, (math.ceil, math.floor, int, round))
     return {
         "eq": lambda a, b: _bool(read(a) == read(b)),
         "ne": lambda a, b: _bool(read(a) != read(b)),
@@ -402,17 +369,18 @@ def _float_ops(read, result, sign: int) -> dict[str, object]:
         "ge": lambda a, b: _bool(read(a) >= read(b)),
         "abs": lambda a: a & magnitude,
         "neg": lambda a: a ^ sign,
-        "ceil": lambda a: result(_fceil(read(a))),
-        "floor": lambda a: result(_ffloor(read(a))),
-        "trunc": lambda a: result(_ftrunc(read(a))),
-        "nearest": lambda a: result(_fnearest(read(a))),
+        "ceil": lambda a: result(ceil(read(a))),
+        "floor": lambda a: result(floor(read(a))),
+        "trunc": lambda a: result(trunc(read(a))),
+        "nearest": lambda a: result(nearest(read(a))),
         "sqrt": lambda a: result(_fsqrt(read(a))),
         "add": lambda a, b: result(read(a) + read(b)),
         "sub": lambda a, b: result(read(a) - read(b)),
         "mul": lambda a, b: result(read(a) * read(b)),
         "div": lambda a, b: result(_fdiv(read(a), read(b))),
         "min": lambda a, b: result(_fmin(read(a), read(b))),
-        "max": lambda a, b: result(_fmax(read(a), read(b))),
+        # max(a, b) = -min(-a, -b), NaNs and the zeros' signs included
+        "max": lambda a, b: result(-_fmin(-read(a), -read(b))),
         "copysign": lambda a, b: (a & magnitude) | (b & sign),
     }
 
@@ -813,13 +781,10 @@ class Instance:
             run(m.start, [])
 
     def _eval_const(self, expr: Expr) -> int:
+        # a t.const: a global.get may only read an imported global, and a
+        # global import fails to link before any initializer runs
         instr = expr[0]
-        mask = _CONST_MASKS.get(instr.opcode)
-        if mask is not None:
-            return instr.args[0] & mask
-        # global.get of an imported global; unreachable with the fixed
-        # host (global imports fail linking), kept for completeness
-        raise LinkError("initializer references an unavailable global")
+        return instr.args[0] & _CONST_MASKS[instr.opcode]
 
     # -- invocation
 
@@ -847,9 +812,12 @@ class Instance:
         return [v.bits for v in results]
 
     def _enter(self, funcidx: int, args: list[int]) -> tuple[list[tuple], list[int]]:
-        """The compiled code of a defined function and its fresh locals."""
+        """The compiled code of a defined function and its fresh locals.
+        The first entry compiles the body, and records the function as
+        entered: the trace needs no probe on later calls."""
         compiled = self._compiled[funcidx]
         if compiled is None:
+            self.entered.add(funcidx)
             fn = self.module.functions[funcidx - self._n_imports]
             compiled = (_compile(self.module, fn, self._type_ids), [0] * len(fn.locals))
             self._compiled[funcidx] = compiled
@@ -867,7 +835,6 @@ class Instance:
         """
         n_imports = self._n_imports
         func_sigs = self._func_sigs
-        entered = self.entered
         call_targets = self.call_targets
         table_observed = self.table_observed
         mem = self.mem
@@ -877,7 +844,6 @@ class Instance:
         stack: list[int] = []
         frames: list[tuple] = []  # suspended callers: (code, pc, locals, funcidx)
 
-        entered.add(funcidx)
         code, locals_ = self._enter(funcidx, args)
         pc = 0
         fuel = self.fuel
@@ -983,7 +949,6 @@ class Instance:
                     if callee < n_imports:
                         stack.extend(self._call_host(callee, call_args))
                     else:
-                        entered.add(callee)
                         frames.append((code, pc, locals_, funcidx))
                         code, locals_ = self._enter(callee, call_args)
                         pc = 0

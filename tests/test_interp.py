@@ -945,6 +945,41 @@ def test_call_depth_limit(blocks):
     assert run1(m, "rec", Value.i32(256)) == Trap("stack-exhausted", 0)
 
 
+def test_a_body_that_traps_at_once_is_entered():
+    m = Module(
+        types=(FuncType((), ()),),
+        functions=(Function(0, (), (ins("unreachable"),)),),
+        exports=(Export("f", "func", 0),),
+    )
+    log, trace = run_workload(m, wl(inv("f")))
+    assert log.records[0].outcome == Trap("unreachable", 0)
+    assert trace.entered == frozenset({0})
+
+
+def test_a_call_refused_for_depth_does_not_enter_its_callee():
+    # rec(n) = rec(n - 1), and rec(0) calls f1
+    rec = (
+        ins("local.get", 0),
+        *fx.if_(
+            "i32",
+            (ins("local.get", 0), ins("i32.const", 1), ins("i32.sub"), ins("call", 0)),
+            (ins("call", 1),),
+        ),
+    )
+    m = Module(
+        types=(FuncType(("i32",), ("i32",)), FuncType((), ("i32",))),
+        functions=(Function(0, (), rec), Function(1, (), (ins("i32.const", 7),))),
+        exports=(Export("rec", "func", 0),),
+    )
+    # rec(254) calls f1 from the 255th frame: f1 is the 256th
+    log, trace = run_workload(m, wl(inv("rec", Value.i32(254))))
+    assert log.records[0].outcome == Results((Value.i32(7),))
+    assert trace.entered == trace.call_targets == frozenset({0, 1})
+    log, trace = run_workload(m, wl(inv("rec", Value.i32(255))))
+    assert log.records[0].outcome == Trap("stack-exhausted", 0)
+    assert trace.entered == trace.call_targets == frozenset({0})
+
+
 def fuel_used(m, name, args, fuel=DEFAULT_FUEL):
     inst = instantiate(m)
     out = invoke(inst, name, args, fuel)
