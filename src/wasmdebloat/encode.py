@@ -185,7 +185,8 @@ _SECTIONS = (
 
 
 def write_expr(w: Writer, body: Expr) -> None:
-    """Write ``body`` and its final ``end``."""
+    """Write ``body`` and its final ``end``. An immediate of the wrong shape
+    for its opcode raises ``EncodeError`` naming the mnemonic."""
     for instr in body:
         code = instr.opcode
         imm = _IMM.get(code)
@@ -194,34 +195,37 @@ def write_expr(w: Writer, body: Expr) -> None:
         w.byte(code)
         if imm == "":
             continue
-        if imm == "block":
-            bt = instr.args[0]
-            w.byte(op.BLOCKTYPE_EMPTY if bt is None else op.VALTYPE_CODES[bt])
-        elif imm == "index":
-            w.u32(instr.args[0])
-        elif imm == "br_table":
-            labels, default = instr.args
-            w.vector(Writer.u32, labels)
-            w.u32(default)
-        elif imm == "call_indirect":
-            w.u32(instr.args[0])
-            w.byte(0x00)
-        elif imm == "memarg":
-            align, offset = instr.args
-            w.u32(align)
-            w.u32(offset)
-        elif imm == "memidx":
-            w.byte(0x00)
-        elif imm == "i32":
-            w.s32(instr.args[0])
-        elif imm == "i64":
-            w.s64(instr.args[0])
-        elif imm == "f32":
-            w.raw(instr.args[0].to_bytes(4, "little"))
-        elif imm == "f64":
-            w.raw(instr.args[0].to_bytes(8, "little"))
-        else:
-            raise AssertionError(f"unhandled immediate kind {imm!r}")
+        try:
+            if imm == "block":
+                bt = instr.args[0]
+                w.byte(op.BLOCKTYPE_EMPTY if bt is None else op.VALTYPE_CODES[bt])
+            elif imm == "index":
+                w.u32(instr.args[0])
+            elif imm == "br_table":
+                labels, default = instr.args
+                w.vector(Writer.u32, labels)
+                w.u32(default)
+            elif imm == "call_indirect":
+                w.u32(instr.args[0])
+                w.byte(0x00)
+            elif imm == "memarg":
+                align, offset = instr.args
+                w.u32(align)
+                w.u32(offset)
+            elif imm == "memidx":
+                w.byte(0x00)
+            elif imm == "i32":
+                w.s32(instr.args[0])
+            elif imm == "i64":
+                w.s64(instr.args[0])
+            elif imm == "f32":
+                w.raw(instr.args[0].to_bytes(4, "little"))
+            elif imm == "f64":
+                w.raw(instr.args[0].to_bytes(8, "little"))
+            else:
+                raise AssertionError(f"unhandled immediate kind {imm!r}")
+        except (AttributeError, LookupError, OverflowError, TypeError, ValueError):
+            raise EncodeError(f"{op.OPS[code].name}: malformed immediate {instr.args!r}") from None
     w.byte(op.END)
 
 

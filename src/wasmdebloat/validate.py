@@ -5,7 +5,8 @@ ValidationReport as a (location, message) pair. Bodies are type-checked
 by decode's one loop over their bytes: for a module straight from
 ``decode``, ``validate_module`` reads the errors decode recorded; for any
 other module it runs that loop over each body's ``write_expr`` bytes, and
-a body that ``write_expr`` cannot encode is one error at its ``func[i]``.
+a body that ``write_expr`` cannot encode is one error at its ``func[i]``;
+a constant expression it cannot encode is one error at its location.
 """
 
 from __future__ import annotations
@@ -67,27 +68,30 @@ def _check_const_expr(
         errs.append((loc, "constant expression must be a single instruction"))
         return
     instr = expr[0]
+    if instr.opcode not in _CONST_OPCODES and instr.opcode != op.GLOBAL_GET:
+        name = op.OPS[instr.opcode].name if instr.opcode in op.OPS else hex(instr.opcode)
+        errs.append((loc, f"{name} not allowed in constant expression"))
+        return
+    if m.body_errors is None:  # hand-built: an immediate may not be encodable
+        try:
+            write_expr(Writer(), expr)
+        except EncodeError as e:
+            errs.append((loc, str(e)))
+            return
     if instr.opcode in _CONST_OPCODES:
         got = _CONST_OPCODES[instr.opcode]
         if got != expected:
             errs.append((loc, f"constant expression yields {got}, expected {expected}"))
         return
-    if instr.opcode == op.GLOBAL_GET:
-        idx = instr.args[0]
-        if idx >= len(m.global_types) - len(m.globals):
-            errs.append((loc, "constant expression may only read imported globals"))
-            return
-        gt = m.global_types[idx]
-        if gt.mutable:
-            errs.append((loc, "constant expression reads a mutable global"))
-        elif gt.valtype != expected:
-            errs.append((
-                loc,
-                f"constant expression yields {gt.valtype}, expected {expected}",
-            ))
+    idx = instr.args[0]
+    if idx >= len(m.global_types) - len(m.globals):
+        errs.append((loc, "constant expression may only read imported globals"))
         return
-    name = op.OPS[instr.opcode].name if instr.opcode in op.OPS else hex(instr.opcode)
-    errs.append((loc, f"{name} not allowed in constant expression"))
+    gt = m.global_types[idx]
+    if gt.mutable:
+        errs.append((loc, "constant expression reads a mutable global"))
+    elif gt.valtype != expected:
+        errs.append((loc, f"constant expression yields {gt.valtype}, expected {expected}"))
 
 
 def validate_module(m: Module) -> ValidationReport:

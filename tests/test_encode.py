@@ -14,6 +14,8 @@ from wasmdebloat.module import (
     Export,
     FuncType,
     Function,
+    Global,
+    GlobalType,
     Instruction,
     Module,
 )
@@ -217,6 +219,35 @@ def test_a_body_that_cannot_be_encoded_is_one_validation_error():
     assert validate_module(unknown).errors == (("func[0]", "unknown opcode 0xfc"),)
     with pytest.raises(EncodeError, match="unknown opcode 0xfc"):
         encode(unknown)
+
+
+@pytest.mark.parametrize(
+    "where, instr",
+    [
+        ("func", ins("block", "v128")),
+        ("func", ins("f32.const", -1)),
+        ("func", ins("f64.const", 2**64)),
+        ("func", ins("i32.const")),
+        ("func", ins("i32.const", "x")),
+        ("func", ins("call", "0")),
+        ("func", ins("local.get", None)),
+        ("func", ins("br_table", 0, 0)),
+        ("func", ins("i32.load", 2)),
+        ("global", ins("global.get")),
+        ("global", ins("global.get", "x")),
+    ],
+)
+def test_an_immediate_of_the_wrong_shape_is_one_validation_error(where, instr):
+    if where == "func":
+        m = Module(types=(FuncType((), ()),), functions=(Function(0, (), (instr, END)),))
+        loc = "func[0]"
+    else:
+        m = Module(globals=(Global(GlobalType("i32", False), (instr,)),))
+        loc = "global[0].init"
+    name = op.OPS[instr.opcode].name
+    assert validate_module(m).errors == ((loc, f"{name}: malformed immediate {instr.args!r}"),)
+    with pytest.raises(EncodeError, match=f"^{name}: "):
+        encode(m)
 
 
 def test_block_round_trips_structured():
