@@ -239,7 +239,7 @@ def test_a_body_that_cannot_be_encoded_is_one_validation_error():
 )
 def test_an_immediate_of_the_wrong_shape_is_one_validation_error(where, instr):
     if where == "func":
-        m = Module(types=(FuncType((), ()),), functions=(Function(0, (), (instr, END)),))
+        m = Module(types=(FuncType((), ()),), functions=(Function(0, (), (instr,)),))
         loc = "func[0]"
     else:
         m = Module(globals=(Global(GlobalType("i32", False), (instr,)),))

@@ -975,6 +975,7 @@ def test_a_call_refused_for_depth_does_not_enter_its_callee():
     log, trace = run_workload(m, wl(inv("rec", Value.i32(254))))
     assert log.records[0].outcome == Results((Value.i32(7),))
     assert trace.entered == trace.call_targets == frozenset({0, 1})
+    # from rec(255), f1 would be the 257th
     log, trace = run_workload(m, wl(inv("rec", Value.i32(255))))
     assert log.records[0].outcome == Trap("stack-exhausted", 0)
     assert trace.entered == trace.call_targets == frozenset({0})
