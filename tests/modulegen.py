@@ -7,6 +7,16 @@ out-of-range table indices) so every invocation returns results; the
 default mode includes them, which is fine for replay comparisons because
 traps are deterministic.
 
+With control_flow=True the bodies also branch: ``block`` and ``loop``
+with results, ``br``, ``br_if`` and ``br_table`` to any depth (with
+values to carry and values to drop when they leave an operand position),
+``return`` and ``memory.grow``. Each loop counts a fresh local down from
+a small constant, and its back edge is the only branch to its label. In
+that mode no NaN's bits escape: a float passes through a select on
+``x == x`` before a reinterpret, a float store or the sign operand of a
+copysign, since WebAssembly lets an operator return any NaN. The default
+output does not depend on this code, byte for byte.
+
 Generated calls always target functions at strictly lower indices, so
 every body terminates without fuel pressure. Every module is checked
 with validate_module before it is returned.
@@ -123,9 +133,10 @@ def _ins(name, *args):
 
 
 class _Gen:
-    def __init__(self, rng, trap_free):
+    def __init__(self, rng, trap_free, control_flow=False):
         self.rng = rng
         self.trap_free = trap_free
+        self.control_flow = control_flow
         self.types = []
         self.imports = []
         self.import_types = []
@@ -179,6 +190,10 @@ class _Gen:
                     choices.append("msize")
             if any(f[1].results == (t,) for f in env["callees"]):
                 choices += ["call", "call"]
+            if self.control_flow:
+                choices += ["block", "loop"]
+                if self.has_memory and t == "i32":
+                    choices.append("grow")
         kind = rng.choice(choices)
         if kind == "const":
             return self.const(t)
@@ -192,11 +207,12 @@ class _Gen:
             pool = SAFE_BINOPS[t]
             if not self.trap_free and TRAPPING_BINOPS[t] and rng.random() < 0.25:
                 pool = TRAPPING_BINOPS[t]
-            return (
-                self.expr(t, depth - 1, env)
-                + self.expr(t, depth - 1, env)
-                + (_ins(rng.choice(pool)),)
-            )
+            a = self.expr(t, depth - 1, env)
+            b = self.expr(t, depth - 1, env)
+            name = rng.choice(pool)
+            if name.endswith("copysign"):
+                b = self.no_nan(t, b, env)
+            return a + b + (_ins(name),)
         if kind == "cmp":
             u = rng.choice(VALTYPES)
             return (
@@ -209,7 +225,10 @@ class _Gen:
             if not self.trap_free and TRAPPING_CONVERSIONS[t] and rng.random() < 0.2:
                 pool = TRAPPING_CONVERSIONS[t]
             src, name = rng.choice(pool)
-            return self.expr(src, depth - 1, env) + (_ins(name),)
+            operand = self.expr(src, depth - 1, env)
+            if "reinterpret" in name:
+                operand = self.no_nan(src, operand, env)
+            return operand + (_ins(name),)
         if kind == "select":
             return (
                 self.expr(t, depth - 1, env)
@@ -218,14 +237,38 @@ class _Gen:
                 + (_ins("select"),)
             )
         if kind == "if":
+            cond = self.expr("i32", depth - 1, env)
+            env["labels"].append((t, True))
+            then = self.expr(t, depth - 1, env)
+            els = self.expr(t, depth - 1, env)
+            env["labels"].pop()
+            return cond + (Instruction(op.IF, (t,)),) + then + (ELSE,) + els + (END,)
+        if kind == "block":
+            env["labels"].append((t, True))
+            body = self.statements(env, depth - 1, rng.randint(0, 1))
+            if rng.random() < 0.35:
+                body += self.ending(env)
+            else:
+                body += self.expr(t, depth - 1, env)
+            env["labels"].pop()
+            return (Instruction(op.BLOCK, (t,)),) + body + (END,)
+        if kind == "loop":
+            counter = self.fresh_local("i32", env)
+            env["labels"].append((None, False))
+            body = self.statements(env, depth - 1, rng.randint(0, 2))
+            result = self.expr(t, depth - 1, env)
+            env["labels"].pop()
             return (
-                self.expr("i32", depth - 1, env)
-                + (Instruction(op.IF, (t,)),)
-                + self.expr(t, depth - 1, env)
-                + (ELSE,)
-                + self.expr(t, depth - 1, env)
+                (_ins("i32.const", rng.randint(1, 3)), _ins("local.set", counter))
+                + (Instruction(op.LOOP, (t,)),)
+                + body
+                + (_ins("local.get", counter), _ins("i32.const", 1), _ins("i32.sub"))
+                + (_ins("local.tee", counter), _ins("br_if", 0))
+                + result
                 + (END,)
             )
+        if kind == "grow":
+            return (_ins("i32.const", rng.choice((0, 1, 1, 2, -1))), _ins("memory.grow"))
         if kind == "load":
             name, align = rng.choice(LOADS[t])
             return (_ins("i32.const", rng.randrange(0, 512)), _ins(name, align, 0))
@@ -238,7 +281,50 @@ class _Gen:
             out += self.expr(p, depth - 1, env)
         return out + (_ins("call", idx),)
 
-    def statement(self, env):
+    def fresh_local(self, t, env):
+        """A local of type ``t`` that no random statement writes."""
+        env["hidden"].append(t)
+        return len(env["locals"]) + len(env["hidden"]) - 1
+
+    def no_nan(self, t, code, env):
+        """``code``, pushing a ``t``, made to push 0 in place of a NaN."""
+        if not self.control_flow or t not in ("f32", "f64"):
+            return code
+        k = self.fresh_local(t, env)
+        zero = Instruction(op.F32_CONST if t == "f32" else op.F64_CONST, (0,))
+        check = (_ins("local.get", k), _ins("local.get", k), _ins(f"{t}.eq"), _ins("select"))
+        return code + (_ins("local.tee", k), zero) + check
+
+    def values(self, label_type, env):
+        return self.expr(label_type, 1, env) if label_type else ()
+
+    def ending(self, env):
+        """A ``br``, ``br_table`` or ``return`` that closes the code before
+        it, carrying the values of a label that random branches may take."""
+        rng = self.rng
+        labels = env["labels"]
+        targets = [(len(labels) - 1 - i, lt) for i, (lt, ok) in enumerate(labels) if ok]
+        kind = rng.choice(("br", "br_table", "return"))
+        if kind == "return":
+            return self.values(labels[0][0], env) + (_ins("return"),)
+        depth, lt = rng.choice(targets)
+        if kind == "br":
+            return self.values(lt, env) + (_ins("br", depth),)
+        same = [d for d, u in targets if u == lt]
+        table = tuple(rng.choice(same) for _ in range(rng.randint(0, 3)))
+        if rng.random() < 0.7:
+            index = (_ins("i32.const", rng.randint(0, len(table) + 1)),)
+        else:
+            index = self.expr("i32", 1, env)
+        return self.values(lt, env) + index + (_ins("br_table", table, depth),)
+
+    def statements(self, env, depth, n):
+        out = ()
+        for _ in range(n):
+            out += self.statement(env, depth)
+        return out
+
+    def statement(self, env, depth=2):
         rng = self.rng
         if not self.trap_free and rng.random() < 0.05:
             return (_ins("unreachable"),)
@@ -259,6 +345,8 @@ class _Gen:
         void_callees = [f for f in env["callees"] if f[1].results == ()]
         if void_callees:
             kinds.append("callv")
+        if self.control_flow:
+            kinds += ["br_if", "block", "if"] if depth > 0 else ["br_if"]
         kind = rng.choice(kinds)
         if kind == "drop":
             return self.expr(rng.choice(VALTYPES), 2, env) + (_ins("drop"),)
@@ -273,7 +361,7 @@ class _Gen:
             name, align = rng.choice(STORES[t])
             return (
                 (_ins("i32.const", rng.randrange(0, 512)),)
-                + self.expr(t, 1, env)
+                + self.no_nan(t, self.expr(t, 1, env), env)
                 + (_ins(name, align, 0),)
             )
         if kind == "log":
@@ -282,6 +370,27 @@ class _Gen:
             return self.expr("i64", 1, env) + (_ins("call", self.log64_index),)
         if kind == "abort":
             return (_ins("call", self.abort_index),)
+        if kind == "br_if":
+            labels = env["labels"]
+            depth, lt = rng.choice(
+                [(len(labels) - 1 - i, lt) for i, (lt, ok) in enumerate(labels) if ok]
+            )
+            drop = (_ins("drop"),) if lt else ()
+            cond = self.expr("i32", 1, env)
+            return self.values(lt, env) + cond + (_ins("br_if", depth),) + drop
+        if kind in ("block", "if"):
+            env["labels"].append((None, True))
+            arms = []
+            for _ in range(1 if kind == "block" else 2):
+                arm = self.statements(env, depth - 1, rng.randint(1, 2))
+                if rng.random() < 0.4:
+                    arm += self.ending(env)
+                arms.append(arm)
+            env["labels"].pop()
+            if kind == "block":
+                return (Instruction(op.BLOCK, (None,)),) + arms[0] + (END,)
+            cond = self.expr("i32", 1, env)
+            return cond + (Instruction(op.IF, (None,)),) + arms[0] + (ELSE,) + arms[1] + (END,)
         idx, ft = rng.choice(void_callees)
         out = ()
         for p in ft.params:
@@ -291,13 +400,21 @@ class _Gen:
     def body(self, ft, callees):
         rng = self.rng
         locals_ = tuple(rng.choice(VALTYPES) for _ in range(rng.randint(0, 3)))
-        env = {"locals": tuple(ft.params) + locals_, "callees": callees}
+        env = {
+            "locals": tuple(ft.params) + locals_,
+            "callees": callees,
+            # from the body's outward: (the values a branch carries, whether
+            # a random branch may take it); a loop's is its back edge's only
+            "labels": [(ft.results[0] if ft.results else None, True)],
+            # loop counters and NaN checks, declared after the others
+            "hidden": [],
+        }
         out = ()
         for _ in range(rng.randint(1, 3)):
             out += self.statement(env)
         if ft.results:
             out += self.expr(ft.results[0], 3, env)
-        return locals_, out
+        return locals_ + tuple(env["hidden"]), out
 
     def random_functype(self):
         rng = self.rng
@@ -306,10 +423,10 @@ class _Gen:
         return FuncType(params, results)
 
 
-def generate_pair(seed, trap_free=False, max_defined=8):
+def generate_pair(seed, trap_free=False, max_defined=8, control_flow=False):
     """Return (module, workload) for the given seed, always valid."""
     rng = random.Random(seed)
-    g = _Gen(rng, trap_free)
+    g = _Gen(rng, trap_free, control_flow)
 
     if rng.random() < 0.4:
         g.log_index = g.add_import("log", FuncType(("i32",), ()))
