@@ -10,7 +10,7 @@ import pytest
 import fixturelib as fx
 import modulegen
 from fixturelib import f32c, f64c, ins, inv, wl
-from wasmdebloat import interp, validate_module
+from wasmdebloat import debloat_module, decode, encode, interp, validate_module
 from wasmdebloat.errors import SignatureMismatch, UnknownExport
 from wasmdebloat.interp import (
     DEFAULT_FUEL,
@@ -1127,6 +1127,80 @@ def test_fuel_is_exact_across_fused_ops_and_a_mid_run_trap(d, used, outcome):
             # fused op leaves 0, as it does between single instructions
             expected = (Trap("fuel-exhausted", 0), 0, 42 if fuel >= 5 else 0)
             assert (out, inst.fuel, stored) == expected
+
+
+def load_then_divide_module():
+    """f(a, d) stores 11 at 0, sets x to the i32 at a plus 1, stores x at
+    4 and returns 100 / d: fourteen units, where the load can trap inside
+    the add it feeds and the div_s is the last value of the body."""
+    body = (
+        ins("i32.const", 0),
+        ins("i32.const", 11),
+        ins("i32.store", 2, 0),
+        ins("local.get", 0),
+        ins("i32.load", 2, 0),
+        ins("i32.const", 1),
+        ins("i32.add"),
+        ins("local.set", 2),
+        ins("i32.const", 4),
+        ins("local.get", 2),
+        ins("i32.store", 2, 0),
+        ins("i32.const", 100),
+        ins("local.get", 1),
+        ins("i32.div_s"),
+    )
+    return Module(
+        types=(FuncType(("i32", "i32"), ("i32",)),),
+        functions=(Function(0, ("i32",), body),),
+        memories=(MemType(Limits(1)),),
+        exports=(Export("f", "func", 0),),
+    )
+
+
+@pytest.mark.parametrize(
+    "a, d, used, outcome",
+    [
+        (0, 5, 14, Results((Value.i32(20),))),
+        # the load is the fifth unit, and traps before the add after it
+        (65533, 5, 5, Trap("out-of-bounds-memory", 0)),
+        # the div_s is the last unit
+        (0, 0, 14, Trap("divide-by-zero", 0)),
+    ],
+)
+def test_fuel_is_exact_where_a_load_traps_under_an_add_and_a_div_traps_last(a, d, used, outcome):
+    m = load_then_divide_module()
+    for fuel in range(used + 2):
+        inst = instantiate(m)
+        out = invoke(inst, "f", (Value.i32(a), Value.i32(d)), fuel)
+        mem = int.from_bytes(inst.mem[0:4], "little"), int.from_bytes(inst.mem[4:8], "little")
+        # the first store is the third unit, the second the eleventh
+        ran = min(fuel, used)
+        stored = (11 if ran >= 3 else 0, 12 if ran >= 11 else 0)
+        if fuel >= used:
+            assert (out, inst.fuel, mem) == (outcome, fuel - used, stored)
+        else:
+            assert (out, inst.fuel, mem) == (Trap("fuel-exhausted", 0), 0, stored)
+
+
+@pytest.mark.parametrize("alternate", [False, True])
+def test_an_operand_tree_50000_deep_runs_and_debloats(alternate):
+    # all the constants and then all the adds, or a const and an add in
+    # turn: either way the last add's operand tree is 50,000 deep
+    n = 50_000
+    if alternate:
+        body = (ins("i32.const", 1),) + (ins("i32.const", 1), ins("i32.add")) * (n - 1)
+    else:
+        body = (ins("i32.const", 1),) * n + (ins("i32.add"),) * (n - 1)
+    m = Module(
+        types=(FuncType((), ("i32",)),),
+        functions=(Function(0, (), body),),
+        exports=(Export("f", "func", 0),),
+    )
+    w = wl(inv("f"))
+    out, report = debloat_module(encode(m), w)
+    assert report.validation.behavioral_ok
+    log, _ = run_workload(decode(out), w)
+    assert log.records[0].outcome == Results((Value.i32(n),))
 
 
 def if_then_add_module():
