@@ -87,6 +87,8 @@ class Writer:
         self.raw(raw)
 
     def valtype(self, vt: str) -> None:
+        if vt not in op.VALTYPE_CODES:
+            raise EncodeError(f"not a WebAssembly 1.0 value type: {vt!r}")
         self.byte(op.VALTYPE_CODES[vt])
 
     def limits(self, lim: Limits) -> None:

@@ -100,6 +100,8 @@ def validate_module(m: Module) -> ValidationReport:
     for i, ft in enumerate(m.types):
         if len(ft.results) > 1:
             errs.append((f"type[{i}]", "more than one result"))
+        if bad := set(ft.params + ft.results).difference(op.VAL_TYPES):
+            errs.append((f"type[{i}]", f"not a WebAssembly 1.0 value type: {min(bad)!r}"))
 
     for i, imp in enumerate(m.imports):
         loc = f"import[{i}]"
@@ -173,6 +175,9 @@ def validate_module(m: Module) -> ValidationReport:
     ctx = body_context(m)
     for i, fn in enumerate(m.functions):
         loc, w = f"func[{m.num_func_imports + i}]", Writer()
+        if bad := set(fn.locals).difference(op.VAL_TYPES):
+            errs.append((loc, f"local: not a WebAssembly 1.0 value type: {min(bad)!r}"))
+            continue
         try:
             write_expr(w, fn.body)
         except EncodeError as e:  # a hand-built body the binary format cannot hold

@@ -250,6 +250,21 @@ def test_an_immediate_of_the_wrong_shape_is_one_validation_error(where, instr):
         encode(m)
 
 
+@pytest.mark.parametrize(
+    "params, locals_, loc",
+    [(("v128",), (), "type[0]"), (("i32", "funcref"), (), "type[0]"), ((), ("i32", "v128"), "func[0]")],
+)
+def test_a_type_not_in_webassembly_1_0_is_one_validation_error(params, locals_, loc):
+    m = Module(types=(FuncType(params, ()),), functions=(Function(0, locals_, ()),))
+    bad = params[-1] if params else locals_[-1]
+    message = f"not a WebAssembly 1.0 value type: {bad!r}"
+    if loc == "func[0]":
+        message = "local: " + message
+    assert validate_module(m).errors == ((loc, message),)
+    with pytest.raises(EncodeError, match=f"value type: {bad!r}"):
+        encode(m)
+
+
 def test_block_round_trips_structured():
     m = fx.nested_blocks_module()
     again = decode(encode(m))
