@@ -4,28 +4,27 @@ Executes a workload against one instance while recording which functions
 ran (the execution trace) and what the run observably did (the
 observation log).
 
-Each function body is compiled once per instance, on first entry, in one
-pass over its instructions, which are stored in binary order, with an
-explicit control stack (``_compile``), into a list of straight-line runs
-``(units, ops, exit)``: the run's fuel, its ops, and the one transfer
-that leaves it. Structured control flow becomes exits: every ``br``,
-``br_if``, ``br_table``, ``if``, ``else`` and ``return`` carries a
-side-table entry with its target run, the values it keeps and the values
-it drops, so the stack height to restore is fixed at compile time from
-the opcode stack signatures (Titzer, "A fast in-place interpreter for
-WebAssembly", OOPSLA 2022).
-That first compile also records the function as entered, before its first
-instruction runs, so a function that traps at once is still entered.
-One loop (``Instance._execute``) runs that code with an explicit operand
-stack and call stack: a branch raises no exception and a wasm call adds
-no Python frame, so nesting depth and call depth cost no Python
-recursion. Fuel is one unit per executed instruction; ``else`` and
-``end`` cost nothing. The loop charges a run once, as it fetches it, and
-fuel stays exact: fuel that does not cover a run runs the ops it pays
-for and then traps, and a trap inside a run refunds the rest of the run.
-Within a run, a constant with the binop after it, or a ``local.get``, a
-constant and a binop, execute as one fused op (superinstructions: Ertl &
-Gregg, PLDI 2003; wasm3's fused ops).
+Each function body is compiled once per instance, on first entry, which
+also records it as entered, into straight-line runs that each end in one
+transfer (``_compile``). Every ``br``, ``br_if``, ``br_table``, ``if``,
+``else`` and ``return`` carries a side-table entry with its target run,
+the values it keeps and the values it drops, fixed at compile time
+(Titzer, "A fast in-place interpreter for WebAssembly", OOPSLA 2022).
+In a run, an instruction's closure takes as children the closures that
+compute its operands (closure generation: Feeley & Lapalme, "Using
+closures for code generation", Computer Languages 1987; ``_run_compiler``):
+``local.get 1; local.get 0; i32.add; local.set 1`` is one closure. A
+producer folds into its consumer only if no instruction between them can
+trap or writes a local, a global or memory; otherwise, at the run's end
+and past _MAX_DEPTH levels (a Python frame each), its tree becomes a
+statement that pushes its value. One loop (``Instance._execute``) runs
+that code with an explicit operand stack and call stack: a branch raises
+no exception and a wasm call adds no Python frame, so nesting depth and
+call depth cost no Python recursion. Fuel is one unit per executed
+instruction; ``else`` and ``end`` cost nothing. The loop charges a run
+once, as it fetches it, and fuel stays exact: a closure that traps
+refunds the units of the run after its own, and fuel that does not cover
+a run runs the instructions it pays for, compiled as a run, then traps.
 
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Each numeric operator is
@@ -48,6 +47,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import namedtuple
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import opcodes as op
@@ -402,10 +402,9 @@ def _trunc(read, bits: int, signed: bool):
     return trunc
 
 
-# binary operators (opcode -> f(a, b)) and unary ones (opcode -> f(a)),
-# each on raw bits and returning raw bits
-_BIN: dict[int, object] = {}
-_UN: dict[int, object] = {}
+# the operators, opcode -> f(a, b) or f(a), on raw bits and returning raw
+# bits
+_OPERATORS: dict[int, object] = {}
 for _t, _ops in (
     ("i32", _int_ops(32)),
     ("i64", _int_ops(64)),
@@ -414,13 +413,13 @@ for _t, _ops in (
 ):
     for _name, _f in _ops.items():
         _code = op.NAME_TO_OPCODE[f"{_t}.{_name}"]
-        (_BIN if len(op.OPS[_code].pops) == 2 else _UN)[_code] = _f
+        _OPERATORS[_code] = _f
 for _bits in (32, 64):
     for _t, _read in (("f32", f32_from_bits), ("f64", f64_from_bits)):
         for _sx in ("s", "u"):
             _code = op.NAME_TO_OPCODE[f"i{_bits}.trunc_{_t}_{_sx}"]
-            _UN[_code] = _trunc(_read, _bits, _sx == "s")
-_UN.update(
+            _OPERATORS[_code] = _trunc(_read, _bits, _sx == "s")
+_OPERATORS.update(
     {
         op.NAME_TO_OPCODE["i32.wrap_i64"]: lambda a: a & _M32,
         op.NAME_TO_OPCODE["i64.extend_i32_s"]: lambda a: _s32(a) & _M64,
@@ -464,61 +463,21 @@ for _code, _info in op.OPS.items():
 # ---------------------------------------------------------------------------
 # compiled form
 #
-# A body compiles to a list of runs (units, ops, exit); control enters a
-# run only at its start. ``ops`` holds tuples whose first field is an op
-# kind; ``exit`` is a tuple whose first field is a kind from _BR on. Fuel
-# is one unit per body instruction other than ELSE and END, and _UNITS
-# gives each kind's units: a fused kind stands for two or three
-# instructions, block and loop compile to a _NOP for their unit, and
-# _JUMP (over an else arm), _NEXT (to the next run), _END and the fuel
-# trap cost nothing.
+# A body compiles to runs (units, statements, exit, body), entered only at
+# their start: ``body`` is the instructions before the exit, a fuel unit
+# each, and a statement a closure of the frame's locals that returns the
+# value it pushes, or None. An exit's first field is a kind below; _JUMP
+# (over an else arm), _NEXT, _END and the fuel trap cost no unit.
 
-(
-    _BINARY,
-    _UNARY,
-    _LOCAL_GET,
-    _LOCAL_SET,
-    _LOCAL_TEE,
-    _CONST,
-    _LOAD,
-    _STORE,
-    _GLOBAL_GET,
-    _GLOBAL_SET,
-    _DROP,
-    _SELECT,
-    _NOP,
-    _MEMORY_SIZE,
-    _MEMORY_GROW,
-    _UNREACHABLE,
-    _CONST_BINARY,  # const c; binop f: (kind, f, c)
-    _LOCAL_CONST_BINARY,  # local.get i; const c; binop f: (kind, i, f, c)
-    _BR,
-    _BR_IF,
-    _BR_TABLE,
-    _IF,
-    _CALL,
-    _CALL_INDIRECT,
-    _JUMP,
-    _NEXT,
-    _END,
-    _OUT_OF_FUEL,
-) = range(28)
+_BR, _BR_IF, _BR_TABLE, _IF, _CALL, _CALL_INDIRECT, _JUMP, _NEXT, _END, _OUT_OF_FUEL = range(10)
 
-_UNITS = (1,) * _CONST_BINARY + (2, 3) + (1,) * (_JUMP - _BR) + (0,) * 4
+# the deepest operand tree that one closure computes
+_MAX_DEPTH = 32
 
-# kind and stack effect of the ops that have no signature in opcodes.OPS
-# and compile to (kind, *immediates)
-_UNTYPED = {
-    op.LOCAL_GET: (_LOCAL_GET, 1),
-    op.LOCAL_SET: (_LOCAL_SET, -1),
-    op.LOCAL_TEE: (_LOCAL_TEE, 0),
-    op.GLOBAL_GET: (_GLOBAL_GET, 1),
-    op.GLOBAL_SET: (_GLOBAL_SET, -1),
-    op.DROP: (_DROP, -1),
-    op.SELECT: (_SELECT, -2),
-    op.NOP: (_NOP, 0),
-    op.UNREACHABLE: (_UNREACHABLE, 0),
-}
+# the operators that can trap; the instructions that can trap or write
+_TRAPPING = {c for c in _OPERATORS if op.OPS[c].name[4:].startswith(("div_", "rem_", "trunc_"))}
+_EFFECTS = {*_TRAPPING, *_MEMORY, op.UNREACHABLE, op.MEMORY_GROW}
+_EFFECTS |= {op.GLOBAL_SET, op.LOCAL_SET, op.LOCAL_TEE}
 
 # wasm frames the call stack may hold besides the running one
 _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
@@ -526,39 +485,184 @@ _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
-# a function body, block, loop or if the compiler is inside: the label a
-# branch to it goes to, the values such a branch carries, the static
-# operand-stack height at entry, the values it leaves on the stack, and
-# the label a false if condition goes to
+def _trap(kind: str, pos: int) -> TrapError:
+    """A trap at unit ``pos`` of its run: the loop refunds the units after."""
+    t = TrapError(kind)
+    t.pos = pos
+    return t
+
+
+def _fn(get):
+    """An operand, a constant or a closure, as a closure from the locals."""
+    return (lambda L: get) if type(get) is int else get
+
+
+def _operator(f, kids: list, pos: int | None):
+    """``f`` of the operands ``kids``; an ``f`` that can trap, at ``pos``."""
+    if pos is not None:
+        kids = [_fn(k) for k in kids]
+        def guarded(L):
+            values = [k(L) for k in kids]
+            try:
+                return f(*values)
+            except TrapError as t:
+                raise _trap(t.kind, pos) from None
+        return guarded
+    a, b = _fn(kids[0]), kids[-1]
+    if len(kids) == 1:
+        return lambda L: f(a(L))
+    if type(b) is int:
+        return lambda L: f(a(L), b)
+    return lambda L: f(a(L), b(L))
+
+
+def _run_compiler(inst: Instance):
+    """A compiler of straight-line runs, folding operand trees as the
+    module docstring says: ``add(instr, at)`` compiles the run's next
+    instruction, its unit ``at``, and returns its effect on the stack
+    height; ``end()`` returns the run's statements."""
+    stack, mem, globals_ = inst._stack, inst.mem, inst.globals
+    limit = inst.module.memories[0].limits.maximum if inst.module.memories else None
+    cap = MAX_PAGES if limit is None else min(limit, MAX_PAGES)
+    stmts: list = []
+    # the operands not computed yet, above the stack's: (constant or closure, depth)
+    pend: list[tuple] = []
+
+    def flush(upto: int | None = None) -> None:
+        stmts.extend([_fn(t[0]) for t in pend[:upto]])
+        del pend[:upto]
+
+    def operands(k: int, effect: bool) -> tuple[list, int]:
+        """The top ``k`` operands, bottom first, and the depth of a tree over
+        them, for an instruction that can trap or writes (``effect``) or not.
+        If one is on the stack, all go there, and the first child takes them."""
+        n = min(k, len(pend))
+        if effect and len(pend) > n:
+            flush(len(pend) - n)
+        kids, depth = [], 1
+        for get, d in pend[len(pend) - n :]:
+            kids.append(get)
+            depth = max(depth, d + 1)
+        if n == k and depth <= _MAX_DEPTH:
+            del pend[len(pend) - n :]
+            return kids, depth
+        flush()
+        if k == 1:
+            return [lambda L: stack.pop()], 2
+        taken: list[int] = []
+        def take(L):
+            taken[:], stack[-k:] = stack[-k:], ()
+            return taken[0]
+        return [take] + [lambda L, j=j: taken[j] for j in range(1, k)], 2
+
+    def closure(opcode: int, args: tuple, kids: list, pos: int):
+        """An instruction's closure over its operands' closures."""
+        a, b, c = [_fn(k) for k in kids] + [None] * (3 - len(kids))
+        i = args[0] if args else None
+        if opcode in _MEMORY:
+            offset, width, access, mask = args[1], *_MEMORY[opcode]
+            if op.OPS[opcode].pushes:
+                def load(L):
+                    addr = a(L) + offset
+                    if addr + width > len(mem):
+                        raise _trap(TRAP_OOB_MEMORY, pos)
+                    return access(mem, addr)[0] & mask
+                return load
+            def store(L):
+                addr, value = a(L) + offset, b(L)
+                if addr + width > len(mem):
+                    raise _trap(TRAP_OOB_MEMORY, pos)
+                access(mem, addr, value & mask)
+            return store
+        if opcode == op.MEMORY_GROW:
+            def grow(L):
+                delta, current = a(L), len(mem) // PAGE_SIZE
+                if current + delta > cap:
+                    return _M32  # -1
+                for _ in range(delta):  # no temporary as large as the growth
+                    mem.extend(_ZERO_PAGE)
+                return current
+            return grow
+        if opcode == op.LOCAL_TEE:
+            def tee(L):
+                L[i] = v = a(L)
+                return v
+            return tee
+        if opcode == op.LOCAL_SET:
+            def set_local(L):
+                L[i] = a(L)
+            return set_local
+        if opcode == op.GLOBAL_SET:
+            return lambda L: globals_.__setitem__(i, a(L))
+        if opcode == op.DROP:
+            return lambda L: None if a(L) else None  # a(L) for what it does
+        if opcode == op.SELECT:  # a(L), b(L), then c(L)
+            return lambda L: (a(L), b(L))[not c(L)]
+        if opcode == op.MEMORY_SIZE:
+            return lambda L: len(mem) // PAGE_SIZE
+        if opcode == op.GLOBAL_GET:
+            return lambda L: globals_[i]
+        def unreachable(L):
+            raise _trap(TRAP_UNREACHABLE, pos)
+        return unreachable
+
+    def add(instr, at: int) -> int:
+        opcode, args = instr
+        if opcode == op.LOCAL_GET or opcode in _CONST_MASKS:
+            leaf = itemgetter(args[0]) if opcode == op.LOCAL_GET else args[0] & _CONST_MASKS[opcode]
+            pend.append((leaf, 1))
+            return 1
+        info = op.OPS[opcode]
+        if info.pops is not None:
+            k, pushes = len(info.pops), len(info.pushes)
+        elif opcode in (op.NOP, op.BLOCK, op.LOOP):
+            return 0
+        else:
+            k = 3 if opcode == op.SELECT else 0 if opcode in (op.GLOBAL_GET, op.UNREACHABLE) else 1
+            pushes = int(opcode in (op.SELECT, op.GLOBAL_GET, op.LOCAL_TEE))
+        kids, depth = operands(k, opcode in _EFFECTS)
+        if opcode in _OPERATORS:
+            node = _operator(_OPERATORS[opcode], kids, at if opcode in _TRAPPING else None)
+        else:
+            node = closure(opcode, args, kids, at)
+        if pushes:
+            pend.append((node, depth))
+        else:
+            stmts.append(node)
+        return pushes - k
+
+    def end() -> tuple:
+        flush()
+        run, stmts[:] = tuple(stmts), ()
+        return run
+
+    return add, end
+
+
+# a body, block, loop or if the compiler is inside: the label a branch to
+# it goes to, the values the branch carries, the static stack height at
+# entry, the values it leaves, and the label a false if condition goes to
 _Control = namedtuple("_Control", "label keep height arity else_label", defaults=(None,))
 
 
-def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
+def _compile(inst: Instance, fn: Function) -> list[tuple]:
     """Compile one body in a single pass over its instructions.
 
-    Each op goes into the run being built. A branch, ``if``, call or
-    else-jump becomes the run's exit and closes it, and placing a label
-    closes it with _NEXT, so every label starts a run. A construct's header
-    pushes a ``_Control``, ``ELSE`` closes the then arm and places the else
-    label, and ``END`` pops the control and places its label unless a loop
-    placed it at its start; an ``if`` with no ``ELSE`` gets its else label
-    there too. The body's label goes to a last run that holds only _END.
-    Branch exits are ``(kind, target run, keep, drop)``: the branch keeps
-    the top ``keep`` values and discards the ``drop`` values beneath them,
-    which restores the stack height its label had at entry. Both counts
-    come from the static stack heights of validated code, so the loop
-    keeps no label stack. ``br_table`` holds one ``(run, keep, drop)`` per
-    label plus the default; ``if`` and the else-jump hold a target run.
-    Labels are numbered as they open and resolved to runs at the end.
-    Within a run, a ``const`` and the binop right after it fuse into one
-    ``_CONST_BINARY``, and with a ``local.get`` right before them into one
-    ``_LOCAL_CONST_BINARY``; as every label starts a run, no label lands
-    between fused instructions.
+    A branch, ``if``, call or else-jump ends the run as its exit; ``loop``
+    and ``END`` end it with _NEXT, so every label starts a run. A header
+    pushes a ``_Control``; ``END`` pops it and places its label (a loop's
+    is at its start) and an ``if``'s else label. Branch exits are ``(kind,
+    target run, keep, drop)``: keep the top ``keep`` values and drop the
+    ``drop`` beneath them, back to the label's height at entry, from the
+    static heights of validated code; ``br_table`` holds one per label and
+    the default. Labels are numbered as they open and resolved at the end.
     """
-    ft = m.types[fn.type_index]
+    m = inst.module
     runs: list[tuple] = []
-    ops: list[tuple] = []  # the ops of the run being built
+    body: list = []  # the instructions of the run being built
+    add, end = _run_compiler(inst)
     pcs: list[int | None] = []  # label id -> run index, set once known
+    h = 0  # static operand-stack height above the frame's base
 
     def new_label(pc: int | None = None) -> int:
         pcs.append(pc)
@@ -568,63 +672,36 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
         c = ctrl[-1 - depth]
         return (c.label, c.keep, h - c.keep - c.height)
 
-    def close(exit_: tuple) -> None:
-        units = sum(_UNITS[ins[0]] for ins in ops) + _UNITS[exit_[0]]
-        runs.append((units, tuple(ops), exit_))
-        ops.clear()
+    def close(exit_: tuple, unit: int = 1) -> None:
+        runs.append((len(body) + unit, end(), exit_, tuple(body)))
+        body.clear()
 
-    def place(label: int) -> None:
-        if ops:
-            close((_NEXT,))
-        pcs[label] = len(runs)
-
-    n = len(ft.results)
+    n = len(m.types[fn.type_index].results)
     ctrl = [_Control(new_label(), n, 0, n)]
-    h = 0  # static operand-stack height above the frame's base
     for instr in fn.body:
-        opcode = instr.opcode
-        args = instr.args
+        opcode, args = instr
         if opcode == op.END:
             c = ctrl.pop()
-            if pcs[c.label] is None:
-                place(c.label)
-            if c.else_label is not None and pcs[c.else_label] is None:
-                place(c.else_label)  # no else arm
+            if body:
+                close((_NEXT,), 0)
+            for label in (c.label, c.else_label):
+                if label is not None and pcs[label] is None:
+                    pcs[label] = len(runs)
             h = c.height + c.arity
-            continue
-        if opcode == op.ELSE:
+        elif opcode == op.ELSE:
             c = ctrl[-1]
-            close((_JUMP, c.label))
-            place(c.else_label)
+            close((_JUMP, c.label), 0)
+            pcs[c.else_label] = len(runs)
             h = c.height
-            continue
-        info = op.OPS[opcode]
-        if opcode in _UNTYPED:
-            kind, effect = _UNTYPED[opcode]
-            h += effect
-            ops.append((kind, *args))
-        elif info.pops is not None:
-            h += len(info.pushes) - len(info.pops)
-            if opcode in _BIN:
-                f = _BIN[opcode]
-                if not ops or ops[-1][0] != _CONST:
-                    ops.append((_BINARY, f))
-                else:
-                    imm = ops.pop()[1]
-                    if ops and ops[-1][0] == _LOCAL_GET:
-                        ops[-1] = (_LOCAL_CONST_BINARY, ops[-1][1], f, imm)
-                    else:
-                        ops.append((_CONST_BINARY, f, imm))
-            elif opcode in _UN:
-                ops.append((_UNARY, _UN[opcode]))
-            elif opcode in _MEMORY:
-                ops.append((_LOAD if info.pushes else _STORE, args[1], *_MEMORY[opcode]))
-            elif opcode == op.MEMORY_SIZE:
-                ops.append((_MEMORY_SIZE,))
-            elif opcode == op.MEMORY_GROW:
-                ops.append((_MEMORY_GROW,))
-            else:
-                ops.append((_CONST, args[0] & _CONST_MASKS[opcode]))
+        elif not op.LOOP < opcode <= op.CALL_INDIRECT:
+            body.append(instr)
+            h += add(instr, len(body))
+            if opcode == op.LOOP:  # a branch back re-enters past its unit
+                close((_NEXT,), 0)
+                ctrl.append(_Control(new_label(len(runs)), 0, h, 0 if args[0] is None else 1))
+            elif opcode == op.BLOCK:
+                arity = 0 if args[0] is None else 1
+                ctrl.append(_Control(new_label(), arity, h, arity))
         elif opcode == op.CALL:
             callee = m.func_type_of(args[0])
             h += len(callee.results) - len(callee.params)
@@ -632,16 +709,7 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
         elif opcode == op.CALL_INDIRECT:
             callee = m.types[args[0]]
             h += len(callee.results) - len(callee.params) - 1
-            close((_CALL_INDIRECT, type_ids[args[0]], len(callee.params)))
-        elif opcode == op.BLOCK or opcode == op.LOOP:
-            arity = 0 if args[0] is None else 1
-            ops.append((_NOP,))
-            if opcode == op.LOOP:
-                # a branch back re-enters the body, past the loop's _NOP
-                close((_NEXT,))
-                ctrl.append(_Control(new_label(len(runs)), 0, h, arity))
-            else:
-                ctrl.append(_Control(new_label(), arity, h, arity))
+            close((_CALL_INDIRECT, inst._type_ids[args[0]], len(callee.params)))
         elif opcode == op.IF:
             arity = 0 if args[0] is None else 1
             h -= 1
@@ -661,33 +729,22 @@ def _compile(m: Module, fn: Function, type_ids: list[int]) -> list[tuple]:
             close((_BR, *target(len(ctrl) - 1, h)))
         else:
             raise AssertionError(f"unhandled opcode 0x{opcode:02x}")
-    if ops:
-        close((_END,))
+    if body:
+        close((_END,), 0)
     pcs[ctrl[0].label] = len(runs)
-    close((_END,))
+    close((_END,), 0)
 
     def resolve(t: tuple[int, int, int]) -> tuple[int, int, int]:
         return (pcs[t[0]], t[1], t[2])
 
-    for i, (units, run_ops, exit_) in enumerate(runs):
+    for i, (units, stmts, exit_, run_body) in enumerate(runs):
         k = exit_[0]
         if k == _BR_TABLE:
             exit_ = (k, tuple(map(resolve, exit_[1])), resolve(exit_[2]))
         elif k in (_BR, _BR_IF, _IF, _JUMP):
             exit_ = (k, pcs[exit_[1]], *exit_[2:])
-        runs[i] = (units, run_ops, exit_)
+        runs[i] = (units, stmts, exit_, run_body)
     return runs
-
-
-def _fuel_prefix(ops: tuple, exit_: tuple, fuel: int) -> tuple[tuple, tuple, int]:
-    """``fuel`` does not pay for the run: the ops it pays for, the fuel
-    trap as the exit after them, and the fuel they leave."""
-    run = ops + (exit_,)
-    n = 0
-    while fuel >= _UNITS[run[n][0]]:
-        fuel -= _UNITS[run[n][0]]
-        n += 1
-    return ops[:n], (_OUT_OF_FUEL,), fuel
 
 
 def _unwind(stack: list[int], keep: int, drop: int) -> None:
@@ -716,6 +773,8 @@ class Instance:
         self.call_targets: set[int] = set()
         self.table_observed: set[int] = set()
         self.fuel = 0
+        # the operand stack every frame shares, which compiled code pushes to
+        self._stack: list[int] = []
         # function export name -> (function index, type)
         self._exports = {
             e.name: (e.index, m.func_type_of(e.index)) for e in m.exports if e.kind == "func"
@@ -723,7 +782,7 @@ class Instance:
         # per imported function: its "module.name" and what implements it
         self._host_funcs: list[tuple[str, HostFunc]] = []
         self._n_imports = m.num_func_imports
-        # per combined function index: (code, zeroed locals), compiled on
+        # per combined function index: (runs, zeroed locals), compiled on
         # first entry
         self._compiled: list[tuple[list[tuple], list[int]] | None] = [None] * m.num_funcs
         # structurally equal types share an id, which call_indirect compares
@@ -819,7 +878,7 @@ class Instance:
         if compiled is None:
             self.entered.add(funcidx)
             fn = self.module.functions[funcidx - self._n_imports]
-            compiled = (_compile(self.module, fn, self._type_ids), [0] * len(fn.locals))
+            compiled = (_compile(self, fn), [0] * len(fn.locals))
             self._compiled[funcidx] = compiled
         code, zeros = compiled
         return code, args + zeros
@@ -837,85 +896,30 @@ class Instance:
         func_sigs = self._func_sigs
         call_targets = self.call_targets
         table_observed = self.table_observed
-        mem = self.mem
         table = self.table
         table_size = self.table_size
-        globals_ = self.globals
-        stack: list[int] = []
+        stack = self._stack
+        stack.clear()  # what a trap left
         frames: list[tuple] = []  # suspended callers: (code, pc, locals, funcidx)
 
         code, locals_ = self._enter(funcidx, args)
-        pc = 0
+        pc = units = 0
         fuel = self.fuel
         try:
             while True:
-                units, ops, exit_ = code[pc]
+                units, stmts, exit_, body = code[pc]
                 pc += 1
                 fuel -= units
                 # a run that costs nothing runs even on a negative budget
                 if fuel < 0 and units:
-                    ops, exit_, fuel = _fuel_prefix(ops, exit_, fuel + units)
-                for ins in ops:
-                    k = ins[0]
-                    if k == _LOCAL_GET:
-                        stack.append(locals_[ins[1]])
-                    elif k == _CONST_BINARY:
-                        stack[-1] = ins[1](stack[-1], ins[2])
-                    elif k == _LOCAL_CONST_BINARY:
-                        stack.append(ins[2](locals_[ins[1]], ins[3]))
-                    elif k == _BINARY:
-                        b = stack.pop()
-                        stack[-1] = ins[1](stack[-1], b)
-                    elif k == _LOCAL_SET:
-                        locals_[ins[1]] = stack.pop()
-                    elif k == _CONST:
-                        stack.append(ins[1])
-                    elif k == _LOCAL_TEE:
-                        locals_[ins[1]] = stack[-1]
-                    elif k == _STORE:
-                        value = stack.pop()
-                        addr = stack.pop() + ins[1]
-                        if addr + ins[2] > len(mem):
-                            raise TrapError(TRAP_OOB_MEMORY)
-                        ins[3](mem, addr, value & ins[4])
-                    elif k == _LOAD:
-                        addr = stack[-1] + ins[1]
-                        if addr + ins[2] > len(mem):
-                            raise TrapError(TRAP_OOB_MEMORY)
-                        stack[-1] = ins[3](mem, addr)[0] & ins[4]
-                    elif k == _UNARY:
-                        stack[-1] = ins[1](stack[-1])
-                    elif k == _NOP:
-                        pass
-                    elif k == _GLOBAL_GET:
-                        stack.append(globals_[ins[1]])
-                    elif k == _GLOBAL_SET:
-                        globals_[ins[1]] = stack.pop()
-                    elif k == _DROP:
-                        stack.pop()
-                    elif k == _SELECT:
-                        cond = stack.pop()
-                        v2 = stack.pop()
-                        if not cond:
-                            stack[-1] = v2
-                    elif k == _MEMORY_SIZE:
-                        stack.append(len(mem) // PAGE_SIZE)
-                    elif k == _MEMORY_GROW:
-                        delta = stack[-1]
-                        current = len(mem) // PAGE_SIZE
-                        cap = self.module.memories[0].limits.maximum
-                        cap = MAX_PAGES if cap is None else min(cap, MAX_PAGES)
-                        if current + delta > cap:
-                            stack[-1] = _M32  # -1
-                        else:
-                            # page by page: no temporary as large as the growth
-                            for _ in range(delta):
-                                mem += _ZERO_PAGE
-                            stack[-1] = current
-                    elif k == _UNREACHABLE:
-                        raise TrapError(TRAP_UNREACHABLE)
-                    else:
-                        raise AssertionError(f"unhandled compiled op {ins!r}")
+                    add, end = _run_compiler(self)
+                    for at, instr in enumerate(body[: max(fuel + units, 0)], 1):
+                        add(instr, at)
+                    stmts, exit_ = end(), (_OUT_OF_FUEL,)
+                for stmt in stmts:
+                    value = stmt(locals_)
+                    if value is not None:
+                        stack.append(value)
                 k = exit_[0]
                 if k == _NEXT:
                     pass
@@ -955,7 +959,7 @@ class Instance:
                         funcidx = callee
                 elif k == _END:
                     if not frames:
-                        return stack
+                        return stack[:]
                     code, pc, locals_, funcidx = frames.pop()
                 elif k == _IF or k == _JUMP:
                     if k == _JUMP or not stack.pop():
@@ -967,18 +971,14 @@ class Instance:
                     if drop:
                         _unwind(stack, keep, drop)
                 elif k == _OUT_OF_FUEL:
-                    # 0 also when fuel ran out inside a fused op; fuel that
-                    # was negative at the run's fetch stays as it was
-                    fuel = min(fuel, 0)
+                    # 0, or the budget that was negative at the run's fetch
+                    fuel = min(fuel + units, 0)
                     raise TrapError(TRAP_FUEL_EXHAUSTED)
                 else:
                     raise AssertionError(f"unhandled compiled exit {exit_!r}")
         except TrapError as t:
-            if k < _BR:
-                # an op trapped: the ops after it and the exit did not run;
-                # each op is its own tuple, so identity finds the one
-                after = next(j for j, o in enumerate(ops) if o is ins) + 1
-                fuel += sum(_UNITS[o[0]] for o in ops[after:]) + _UNITS[exit_[0]]
+            # a closure's trap refunds the units of its run after it
+            fuel += units - getattr(t, "pos", units)
             if t.function_index is None:
                 t.function_index = funcidx
             raise

@@ -1232,36 +1232,27 @@ def test_a_label_before_a_binop_keeps_both_arms_right(c, result):
 
 
 def compiled_runs(m):
-    """Function 0's compiled runs as (units, op kinds, exit kind)."""
+    """Function 0's compiled runs as (units, statements, exit kind)."""
     inst = instantiate(m)
-    runs = interp._compile(m, m.functions[0], inst._type_ids)
-    return [(units, tuple(o[0] for o in ops), exit_[0]) for units, ops, exit_ in runs]
+    runs = interp._compile(inst, m.functions[0])
+    return [(units, len(stmts), exit_[0]) for units, stmts, exit_, _ in runs]
 
 
-def test_runs_and_fusion_in_the_compiled_code():
+def test_runs_and_statements_in_the_compiled_code():
+    # the store, with its address tree; then the quotient plus one, pushed
+    # as the body's result
     assert compiled_runs(store_then_divide_module()) == [
-        (
-            10,
-            (
-                interp._LOCAL_CONST_BINARY,
-                interp._CONST,
-                interp._STORE,
-                interp._CONST,
-                interp._LOCAL_GET,
-                interp._BINARY,
-                interp._CONST_BINARY,
-            ),
-            interp._END,
-        ),
-        (0, (), interp._END),  # where a return goes
+        (10, 2, interp._END),
+        (0, 0, interp._END),  # where a return goes
     ]
-    # the else arm's const and the add after the label stay apart
+    # the if's operands are pushed, and each arm's const; the add after
+    # the label takes both operands off the stack
     assert compiled_runs(if_then_add_module()) == [
-        (3, (interp._LOCAL_GET, interp._LOCAL_GET), interp._IF),
-        (1, (interp._CONST,), interp._JUMP),
-        (1, (interp._CONST,), interp._NEXT),
-        (1, (interp._BINARY,), interp._END),
-        (0, (), interp._END),
+        (3, 2, interp._IF),
+        (1, 1, interp._JUMP),
+        (1, 1, interp._NEXT),
+        (1, 1, interp._END),
+        (0, 0, interp._END),
     ]
 
 
