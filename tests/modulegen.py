@@ -298,15 +298,20 @@ class _Gen:
     def values(self, label_type, env):
         return self.expr(label_type, 1, env) if label_type else ()
 
+    def targets(self, env):
+        """(depth, the values a branch carries) of each label a random
+        branch may take."""
+        labels = env["labels"]
+        return [(len(labels) - 1 - i, lt) for i, (lt, ok) in enumerate(labels) if ok]
+
     def ending(self, env):
         """A ``br``, ``br_table`` or ``return`` that closes the code before
         it, carrying the values of a label that random branches may take."""
         rng = self.rng
-        labels = env["labels"]
-        targets = [(len(labels) - 1 - i, lt) for i, (lt, ok) in enumerate(labels) if ok]
+        targets = self.targets(env)
         kind = rng.choice(("br", "br_table", "return"))
         if kind == "return":
-            return self.values(labels[0][0], env) + (_ins("return"),)
+            return self.values(env["labels"][0][0], env) + (_ins("return"),)
         depth, lt = rng.choice(targets)
         if kind == "br":
             return self.values(lt, env) + (_ins("br", depth),)
@@ -371,10 +376,7 @@ class _Gen:
         if kind == "abort":
             return (_ins("call", self.abort_index),)
         if kind == "br_if":
-            labels = env["labels"]
-            depth, lt = rng.choice(
-                [(len(labels) - 1 - i, lt) for i, (lt, ok) in enumerate(labels) if ok]
-            )
+            depth, lt = rng.choice(self.targets(env))
             drop = (_ins("drop"),) if lt else ()
             cond = self.expr("i32", 1, env)
             return self.values(lt, env) + cond + (_ins("br_if", depth),) + drop
@@ -403,8 +405,9 @@ class _Gen:
         env = {
             "locals": tuple(ft.params) + locals_,
             "callees": callees,
-            # from the body's outward: (the values a branch carries, whether
-            # a random branch may take it); a loop's is its back edge's only
+            # the body's first, then each construct's inward: (the values a
+            # branch carries, whether a random branch may take it); only its
+            # back edge takes a loop's
             "labels": [(ft.results[0] if ft.results else None, True)],
             # loop counters and NaN checks, declared after the others
             "hidden": [],

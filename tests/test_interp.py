@@ -1080,8 +1080,8 @@ def test_fuel_of_if_else_and_br_table_is_hand_counted():
 
 def store_then_divide_module():
     """f(a, d) stores 42 at a + 4, then returns 100 / d + 1: ten units in
-    one straight-line run, where the address is a fused local.get;
-    i32.const; i32.add and the last two instructions a fused i32.const;
+    one straight-line run, where the address is a folded local.get;
+    i32.const; i32.add and the last two instructions a folded i32.const;
     i32.add."""
     body = (
         ins("local.get", 0),
@@ -1238,7 +1238,7 @@ def compiled_runs(m):
     return [(units, len(stmts), exit_[0]) for units, stmts, exit_, _ in runs]
 
 
-def test_runs_and_statements_in_the_compiled_code():
+def test_runs_and_fusion_in_the_compiled_code():
     # the store, with its address tree; then the quotient plus one, pushed
     # as the body's result
     assert compiled_runs(store_then_divide_module()) == [

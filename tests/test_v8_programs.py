@@ -70,7 +70,8 @@ function fromJs(t, v) {
 }
 
 function failure(e) {
-  if (e === ABORT || e instanceof WebAssembly.RuntimeError || e instanceof RangeError) return "trap";
+  if (e === ABORT || e instanceof WebAssembly.RuntimeError) return "trap";
+  if (e instanceof RangeError) return "trap";  // the stack overflowed
   if (e instanceof WebAssembly.LinkError || e instanceof TypeError) return "link";
   throw e;
 }
@@ -101,9 +102,8 @@ function run({ wasm, invocations }) {
     return [outcome, calls];
   });
   const mem = inst.exports.__mem;
-  const memory = mem
-    ? [mem.buffer.byteLength, crypto.createHash("sha256").update(new Uint8Array(mem.buffer)).digest("hex")]
-    : null;
+  const digest = (buf) => crypto.createHash("sha256").update(new Uint8Array(buf)).digest("hex");
+  const memory = mem ? [mem.buffer.byteLength, digest(mem.buffer)] : null;
   return { init: null, init_calls, records, memory };
 }
 
@@ -114,14 +114,16 @@ process.stdout.write(JSON.stringify(runs.map(run)));
 EXCLUDED = ("fuel-exhausted", "stack-exhausted")
 
 
-def _is_nan(t, bits):
-    if t == "i32":
+def _is_nan(width, bits):
+    """Whether ``bits`` read as a float of ``width`` bits is a NaN."""
+    if width == 32:
         return bits & 0x7F800000 == 0x7F800000 and bits & 0x7FFFFF != 0
     return bits & 0x7FF0000000000000 == 0x7FF0000000000000 and bits & 0xFFFFFFFFFFFFF != 0
 
 
 def _value(v):
-    if v.type in ("f32", "f64") and _is_nan("i32" if v.type == "f32" else "i64", v.bits):
+    """A value as the harness prints it: its bits, or "nan" for a float NaN."""
+    if v.type in ("f32", "f64") and _is_nan(int(v.type[1:]), v.bits):
         return "nan"
     return str(v.bits)
 
@@ -158,6 +160,9 @@ def for_v8(data, w):
 
 
 class Tally:
+    """What the comparison found over all runs: the mismatches, the NaN
+    differences it accepted, and the counts the test pins."""
+
     def __init__(self):
         self.mismatches = []
         self.nan_accepted = []
@@ -166,32 +171,37 @@ class Tally:
         self.init_traps = 0
         self.link_failures = 0
 
-    def values(self, where, types, ours, theirs):
-        if len(ours) != len(theirs):
-            self.mismatches.append(f"{where}: ours {ours}, V8 {theirs}")
+    def values(self, where, ours, theirs):
+        """Compare our ``Value``s with the values the harness printed."""
+        printed = list(map(_value, ours))
+        if len(printed) != len(theirs):
+            self.mismatches.append(f"{where}: ours {printed}, V8 {theirs}")
             return
-        for t, a, b in zip(types, ours, theirs):
+        for v, a, b in zip(ours, printed, theirs):
             if a == b:
                 continue
-            if t in ("i32", "i64") and "nan" not in (a, b) and _is_nan(t, int(a)) and _is_nan(t, int(b)):
+            width = int(v.type[1:])
+            integer = v.type in ("i32", "i64") and "nan" not in (a, b)
+            if integer and _is_nan(width, int(a)) and _is_nan(width, int(b)):
                 self.nan_accepted.append(f"{where}: ours {a}, V8 {b}")
                 continue
-            self.mismatches.append(f"{where}: ours {a}, V8 {b} ({t})")
+            self.mismatches.append(f"{where}: ours {a}, V8 {b} ({v.type})")
 
     def host_calls(self, where, ours, theirs):
         if [c.name for c in ours] != [c[0] for c in theirs]:
             self.mismatches.append(f"{where} host calls: ours {ours}, V8 {theirs}")
             return
         for i, (c, (_, args)) in enumerate(zip(ours, theirs)):
-            self.values(f"{where} host call {i}", [v.type for v in c.args], list(map(_value, c.args)), args)
+            self.values(f"{where} host call {i}", c.args, args)
 
     def run(self, name, log, theirs):
         """Compare one run: our observation log against V8's."""
         failure = log.instantiation_error
-        if failure is not None and not isinstance(failure, LinkFailure) and failure.kind in EXCLUDED:
+        linked = not isinstance(failure, LinkFailure)
+        if failure is not None and linked and failure.kind in EXCLUDED:
             self.excluded += 1
             return
-        ours_init = None if failure is None else "link" if isinstance(failure, LinkFailure) else "trap"
+        ours_init = None if failure is None else "trap" if linked else "link"
         if ours_init != theirs["init"]:
             self.mismatches.append(f"{name}: instantiation ours {failure}, V8 {theirs['init']}")
             return
@@ -211,14 +221,14 @@ class Tally:
             elif outcome[0] != "ok":
                 self.mismatches.append(f"{where}: ours {record.outcome}, V8 {outcome}")
             else:
-                results = record.outcome.values
-                self.values(where, [v.type for v in results], list(map(_value, results)), outcome[1])
+                self.values(where, record.outcome.values, outcome[1])
             self.host_calls(where, record.host_calls, calls)
             self.compared += 1
         memory = log.final_memory
         ours_memory = None if memory is None else [len(memory), hashlib.sha256(memory).hexdigest()]
         if ours_memory != theirs["memory"]:
-            self.mismatches.append(f"{name}: final memory ours {ours_memory}, V8 {theirs['memory']}")
+            theirs_memory = theirs["memory"]
+            self.mismatches.append(f"{name}: final memory ours {ours_memory}, V8 {theirs_memory}")
 
 
 def test_whole_programs_original_and_debloated_agree_with_v8(tmp_path):
