@@ -471,8 +471,7 @@ for _code, _info in op.OPS.items():
 
 _BR, _BR_IF, _BR_TABLE, _IF, _CALL, _CALL_INDIRECT, _JUMP, _NEXT, _END, _OUT_OF_FUEL = range(10)
 
-# the deepest operand tree that one closure computes
-_MAX_DEPTH = 32
+_MAX_DEPTH = 32  # the deepest operand tree that one closure computes
 
 # the operators that can trap; the instructions that can trap or write
 _TRAPPING = {c for c in _OPERATORS if op.OPS[c].name[4:].startswith(("div_", "rem_", "trunc_"))}
@@ -899,7 +898,7 @@ class Instance:
         table = self.table
         table_size = self.table_size
         stack = self._stack
-        stack.clear()  # what a trap left
+        base = len(stack)  # a host function may call in: what is below is its caller's
         frames: list[tuple] = []  # suspended callers: (code, pc, locals, funcidx)
 
         code, locals_ = self._enter(funcidx, args)
@@ -959,7 +958,7 @@ class Instance:
                         funcidx = callee
                 elif k == _END:
                     if not frames:
-                        return stack[:]
+                        return stack[base:]
                     code, pc, locals_, funcidx = frames.pop()
                 elif k == _IF or k == _JUMP:
                     if k == _JUMP or not stack.pop():
@@ -984,6 +983,7 @@ class Instance:
             raise
         finally:
             self.fuel = fuel
+            del stack[base:]
 
     def trace(self) -> ExecutionTrace:
         return ExecutionTrace(

@@ -945,6 +945,25 @@ def test_call_depth_limit(blocks):
     assert run1(m, "rec", Value.i32(256)) == Trap("stack-exhausted", 0)
 
 
+def test_a_host_function_may_call_back_into_the_instance():
+    # outer(x) = x + cb(x), and the host's cb(x) invokes inner(x) = 100 * x
+    # on the same instance while outer's x is on the operand stack
+    ft = FuncType(("i32",), ("i32",))
+    m = Module(
+        types=(ft,),
+        imports=(Import("env", "cb", "func", 0),),
+        functions=(
+            Function(0, (), (ins("local.get", 0), ins("local.get", 0), ins("call", 0), ins("i32.add"))),
+            Function(0, (), (ins("local.get", 0), ins("i32.const", 100), ins("i32.mul"))),
+        ),
+        exports=(Export("outer", "func", 1), Export("inner", "func", 2)),
+    )
+    host = interp.default_host()
+    host[("env", "cb")] = interp.HostFunc(ft, lambda args: invoke(inst, "inner", args).values)
+    inst = instantiate(m, host)
+    assert invoke(inst, "outer", (Value.i32(3),)) == Results((Value.i32(303),))
+
+
 def test_a_body_that_traps_at_once_is_entered():
     m = Module(
         types=(FuncType((), ()),),
