@@ -1275,6 +1275,75 @@ def test_runs_and_fusion_in_the_compiled_code():
     ]
 
 
+def branch_conditions_module():
+    """Four exports of c: 1 where c is taken as true and 0 where false,
+    through ``if``, ``br_if`` and ``select``; and ``br_table`` with one
+    label, which gives 10 for c = 0 and the default's 20 otherwise."""
+    one, zero = ins("i32.const", 1), ins("i32.const", 0)
+    bodies = (
+        (ins("local.get", 0), *fx.if_("i32", (one,), (zero,))),
+        fx.block("i32", one, ins("local.get", 0), ins("br_if", 0), ins("drop"), zero),
+        (one, zero, ins("local.get", 0), ins("select")),
+        (
+            *fx.block(
+                None,
+                *fx.block(None, ins("local.get", 0), ins("br_table", (0,), 1)),
+                ins("i32.const", 10),
+                ins("return"),
+            ),
+            ins("i32.const", 20),
+        ),
+    )
+    return Module(
+        types=(FuncType(("i32",), ("i32",)),),
+        functions=tuple(Function(0, (), body) for body in bodies),
+        exports=tuple(
+            Export(name, "func", i) for i, name in enumerate(("if", "br_if", "select", "br_table"))
+        ),
+    )
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, 0x80000000, 0xFFFFFFFF])
+def test_any_nonzero_condition_is_true_and_a_large_br_table_index_takes_the_default(c):
+    m = branch_conditions_module()
+    assert validate_module(m).ok
+    inst = instantiate(m)
+    got = {name: invoke(inst, name, (Value.i32(c),)) for name in ("if", "br_if", "select", "br_table")}
+    truth = Results((Value.i32(int(c != 0)),))
+    assert got == {
+        "if": truth,
+        "br_if": truth,
+        "select": truth,
+        "br_table": Results((Value.i32(10 if c == 0 else 20),)),
+    }
+
+
+# dispatch(i) runs local.get and call_indirect, two units in function 2,
+# and slot 0's function one more: per i, the outcome once fuel covers it,
+# the units used and the slots' functions the trace observes
+_DISPATCH = {
+    0: (Results((Value.i32(10),)), 3, {0}),
+    1: (Trap("indirect-call-type-mismatch", 2), 2, {1}),
+    2: (Trap("undefined-table-element", 2), 2, set()),
+    9: (Trap("out-of-bounds-table", 2), 2, set()),
+}
+
+
+@pytest.mark.parametrize("i", sorted(_DISPATCH))
+def test_fuel_of_call_indirect_and_its_traps_is_hand_counted(i):
+    outcome, used, observed = _DISPATCH[i]
+    for fuel in range(used + 2):
+        inst = instantiate(fx.table_traps_module())
+        out = invoke(inst, "dispatch", (Value.i32(i),), fuel)
+        got = (out, inst.fuel, inst.trace().table_observed)
+        if fuel >= used:
+            assert got == (outcome, fuel - used, observed)
+        elif fuel == 2:  # the call is made; its callee's one unit is not paid
+            assert got == (Trap("fuel-exhausted", 0), 0, {0})
+        else:  # the budget runs out before the call_indirect
+            assert got == (Trap("fuel-exhausted", 2), 0, set())
+
+
 def test_failed_indirect_type_check_observes_slot_without_calling():
     _, trace = run_workload(fx.table_traps_module(), wl(inv("dispatch", Value.i32(1))))
     assert trace.table_observed == frozenset({1})
