@@ -5,26 +5,29 @@ ran (the execution trace) and what the run observably did (the
 observation log).
 
 Each function body is compiled once per instance, on first entry, which
-also records it as entered, into straight-line runs that each end in one
-transfer (``_compile``). Every ``br``, ``br_if``, ``br_table``, ``if``,
-``else`` and ``return`` carries a side-table entry with its target run,
-the values it keeps and the values it drops, fixed at compile time
-(Titzer, "A fast in-place interpreter for WebAssembly", OOPSLA 2022).
-In a run, an instruction's closure takes as children the closures that
-compute its operands (closure generation: Feeley & Lapalme, "Using
-closures for code generation", Computer Languages 1987; ``_run_compiler``):
-``local.get 1; local.get 0; i32.add; local.set 1`` is one closure. A
-producer folds into its consumer only if no instruction between them can
-trap or writes a local, a global or memory; otherwise, at the run's end
-and past _MAX_DEPTH levels (a Python frame each), its tree becomes a
-statement that pushes its value. One loop (``Instance._execute``) runs
-that code with an explicit operand stack and call stack: a branch raises
-no exception and a wasm call adds no Python frame, so nesting depth and
-call depth cost no Python recursion. Fuel is one unit per executed
-instruction; ``else`` and ``end`` cost nothing. The loop charges a run
-once, as it fetches it, and fuel stays exact: a closure that traps
-refunds the units of the run after its own, and fuel that does not cover
-a run runs the instructions it pays for, compiled as a run, then traps.
+also records it as entered, into straight-line runs (``_compile``). A
+run's statements compute and trap; its exit only moves control, and is
+one of four: a branch, a branch table, a call or the end. A branch goes
+to a run, keeping the values it carries and dropping those beneath them,
+all fixed at compile time (Titzer, "A fast in-place interpreter for
+WebAssembly", OOPSLA 2022); ``if`` and ``br_if`` are tables of one
+branch, and ``call_indirect`` is a statement that checks its slot and
+leaves the callee for the call. In a run, an instruction's closure takes
+as children the closures that compute its operands (closure generation:
+Feeley & Lapalme, "Using closures for code generation", Computer
+Languages 1987; ``_run_compiler``): ``local.get 1; local.get 0; i32.add;
+local.set 1`` is one closure. A producer folds into its consumer only if
+no instruction between them can trap or writes a local, a global or
+memory; otherwise, at the run's end and past _MAX_DEPTH levels (a Python
+frame each), its tree becomes a statement that pushes its value. One
+loop (``Instance._execute``) runs that code with an explicit operand
+stack and call stack: a branch raises no exception and a wasm call adds
+no Python frame, so nesting depth and call depth cost no Python
+recursion. Fuel is one unit per executed instruction; ``else`` and
+``end`` cost nothing. The loop charges a run once, as it fetches it, and
+fuel stays exact: a statement that traps refunds the units of the run
+after its own, and fuel that does not cover a run runs the instructions
+it pays for, compiled as a run, then traps.
 
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Each numeric operator is
@@ -466,17 +469,19 @@ for _code, _info in op.OPS.items():
 # A body compiles to runs (units, statements, exit, body), entered only at
 # their start: ``body`` is the instructions before the exit, a fuel unit
 # each, and a statement a closure of the frame's locals that returns the
-# value it pushes, or None. An exit's first field is a kind below; _JUMP
-# (over an else arm), _NEXT, _END and the fuel trap cost no unit.
+# value it pushes, or None. The exits: (_BR, run, keep, drop), (_BR_TABLE,
+# targets, default) of (run, keep, drop) targets, indexed by the popped
+# value, (_CALL, callee, argc), whose callee None is on the stack, and
+# (_END,).
 
-_BR, _BR_IF, _BR_TABLE, _IF, _CALL, _CALL_INDIRECT, _JUMP, _NEXT, _END, _OUT_OF_FUEL = range(10)
+_BR, _BR_TABLE, _CALL, _END = range(4)
 
 _MAX_DEPTH = 32  # the deepest operand tree that one closure computes
 
 # the operators that can trap; the instructions that can trap or write
 _TRAPPING = {c for c in _OPERATORS if op.OPS[c].name[4:].startswith(("div_", "rem_", "trunc_"))}
 _EFFECTS = {*_TRAPPING, *_MEMORY, op.UNREACHABLE, op.MEMORY_GROW}
-_EFFECTS |= {op.GLOBAL_SET, op.LOCAL_SET, op.LOCAL_TEE}
+_EFFECTS |= {op.GLOBAL_SET, op.LOCAL_SET, op.LOCAL_TEE, op.CALL_INDIRECT}
 
 # wasm frames the call stack may hold besides the running one
 _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
@@ -597,6 +602,21 @@ def _run_compiler(inst: Instance):
             return lambda L: None if a(L) else None  # a(L) for what it does
         if opcode == op.SELECT:  # a(L), b(L), then c(L)
             return lambda L: (a(L), b(L))[not c(L)]
+        if opcode == op.CALL_INDIRECT:  # the callee, for the _CALL after it
+            table, size, observed = inst.table, inst.table_size, inst.table_observed
+            sigs, sig = inst._func_sigs, inst._type_ids[i]
+            def call_indirect(L):
+                slot = a(L)
+                if slot >= size:
+                    raise _trap(TRAP_OOB_TABLE, pos)
+                callee = table.get(slot)
+                if callee is None:
+                    raise _trap(TRAP_UNDEFINED_ELEMENT, pos)
+                observed.add(callee)
+                if sigs[callee] != sig:
+                    raise _trap(TRAP_CALL_TYPE, pos)
+                return callee
+            return call_indirect
         if opcode == op.MEMORY_SIZE:
             return lambda L: len(mem) // PAGE_SIZE
         if opcode == op.GLOBAL_GET:
@@ -618,7 +638,7 @@ def _run_compiler(inst: Instance):
             return 0
         else:
             k = 3 if opcode == op.SELECT else 0 if opcode in (op.GLOBAL_GET, op.UNREACHABLE) else 1
-            pushes = int(opcode in (op.SELECT, op.GLOBAL_GET, op.LOCAL_TEE))
+            pushes = int(opcode in (op.SELECT, op.GLOBAL_GET, op.LOCAL_TEE, op.CALL_INDIRECT))
         kids, depth = operands(k, opcode in _EFFECTS)
         if opcode in _OPERATORS:
             node = _operator(_OPERATORS[opcode], kids, at if opcode in _TRAPPING else None)
@@ -647,14 +667,14 @@ _Control = namedtuple("_Control", "label keep height arity else_label", defaults
 def _compile(inst: Instance, fn: Function) -> list[tuple]:
     """Compile one body in a single pass over its instructions.
 
-    A branch, ``if``, call or else-jump ends the run as its exit; ``loop``
-    and ``END`` end it with _NEXT, so every label starts a run. A header
+    A branch, ``if``, call or else-jump ends the run as its exit, and so
+    does ``call_indirect`` after its statement; ``loop`` and ``END`` end it
+    with a _BR to the next run, so every label starts a run. A header
     pushes a ``_Control``; ``END`` pops it and places its label (a loop's
-    is at its start) and an ``if``'s else label. Branch exits are ``(kind,
-    target run, keep, drop)``: keep the top ``keep`` values and drop the
-    ``drop`` beneath them, back to the label's height at entry, from the
-    static heights of validated code; ``br_table`` holds one per label and
-    the default. Labels are numbered as they open and resolved at the end.
+    is at its start) and an ``if``'s else label. A target ``(label, keep,
+    drop)`` keeps the top ``keep`` values and drops the ``drop`` beneath
+    them, back to the label's height at entry, from the static heights of
+    validated code. Labels are numbered as they open and resolved at the end.
     """
     m = inst.module
     runs: list[tuple] = []
@@ -671,6 +691,10 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
         c = ctrl[-1 - depth]
         return (c.label, c.keep, h - c.keep - c.height)
 
+    def onward() -> tuple[int, int, int]:
+        """The target of falling through from the run being built."""
+        return (new_label(len(runs) + 1), 0, 0)
+
     def close(exit_: tuple, unit: int = 1) -> None:
         runs.append((len(body) + unit, end(), exit_, tuple(body)))
         body.clear()
@@ -682,44 +706,44 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
         if opcode == op.END:
             c = ctrl.pop()
             if body:
-                close((_NEXT,), 0)
+                close((_BR, *onward()), 0)
             for label in (c.label, c.else_label):
                 if label is not None and pcs[label] is None:
                     pcs[label] = len(runs)
             h = c.height + c.arity
         elif opcode == op.ELSE:
             c = ctrl[-1]
-            close((_JUMP, c.label), 0)
+            close((_BR, *target(0, h)), 0)
             pcs[c.else_label] = len(runs)
             h = c.height
-        elif not op.LOOP < opcode <= op.CALL_INDIRECT:
+        elif not op.LOOP < opcode < op.CALL_INDIRECT:
             body.append(instr)
             h += add(instr, len(body))
             if opcode == op.LOOP:  # a branch back re-enters past its unit
-                close((_NEXT,), 0)
+                close((_BR, *onward()), 0)
                 ctrl.append(_Control(new_label(len(runs)), 0, h, 0 if args[0] is None else 1))
             elif opcode == op.BLOCK:
                 arity = 0 if args[0] is None else 1
                 ctrl.append(_Control(new_label(), arity, h, arity))
+            elif opcode == op.CALL_INDIRECT:
+                callee = m.types[args[0]]
+                h += len(callee.results) - len(callee.params) - 1
+                close((_CALL, None, len(callee.params)), 0)
         elif opcode == op.CALL:
             callee = m.func_type_of(args[0])
             h += len(callee.results) - len(callee.params)
             close((_CALL, args[0], len(callee.params)))
-        elif opcode == op.CALL_INDIRECT:
-            callee = m.types[args[0]]
-            h += len(callee.results) - len(callee.params) - 1
-            close((_CALL_INDIRECT, inst._type_ids[args[0]], len(callee.params)))
         elif opcode == op.IF:
             arity = 0 if args[0] is None else 1
             h -= 1
             else_label = new_label()
-            close((_IF, else_label))
+            close((_BR_TABLE, ((else_label, 0, 0),), onward()))  # 0: the else arm
             ctrl.append(_Control(new_label(), arity, h, arity, else_label))
         elif opcode == op.BR:
             close((_BR, *target(args[0], h)))
         elif opcode == op.BR_IF:
             h -= 1
-            close((_BR_IF, *target(args[0], h)))
+            close((_BR_TABLE, (onward(),), target(args[0], h)))  # 0: fall through
         elif opcode == op.BR_TABLE:
             h -= 1
             labels, default = args
@@ -737,19 +761,23 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
         return (pcs[t[0]], t[1], t[2])
 
     for i, (units, stmts, exit_, run_body) in enumerate(runs):
-        k = exit_[0]
-        if k == _BR_TABLE:
-            exit_ = (k, tuple(map(resolve, exit_[1])), resolve(exit_[2]))
-        elif k in (_BR, _BR_IF, _IF, _JUMP):
-            exit_ = (k, pcs[exit_[1]], *exit_[2:])
+        if exit_[0] == _BR:
+            exit_ = (_BR, *resolve(exit_[1:]))
+        elif exit_[0] == _BR_TABLE:
+            exit_ = (_BR_TABLE, tuple(map(resolve, exit_[1])), resolve(exit_[2]))
         runs[i] = (units, stmts, exit_, run_body)
     return runs
 
 
-def _unwind(stack: list[int], keep: int, drop: int) -> None:
-    """Remove the ``drop`` values under the top ``keep`` ones."""
-    top = len(stack) - keep
-    del stack[top - drop : top]
+def _paid_part(inst: Instance, body: list, paid: int) -> tuple:
+    """The statements of a run whose budget pays for its first ``paid``
+    instructions: theirs, compiled as a run, then the fuel trap."""
+    add, end = _run_compiler(inst)
+    for at, instr in enumerate(body[:paid], 1):
+        add(instr, at)
+    def out_of_fuel(L):
+        raise _trap(TRAP_FUEL_EXHAUSTED, paid)
+    return (*end(), out_of_fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +813,9 @@ class Instance:
         # first entry
         self._compiled: list[tuple[list[tuple], list[int]] | None] = [None] * m.num_funcs
         # structurally equal types share an id, which call_indirect compares
-        self._type_ids: list[int] = []
-        self._func_sigs: list[int] = []
+        canon: dict[FuncType, int] = {}
+        self._type_ids = [canon.setdefault(ft, len(canon)) for ft in m.types]
+        self._func_sigs = [self._type_ids[t] for t in m.func_type_indices]
 
     # -- instantiation
 
@@ -807,10 +836,6 @@ class Instance:
                     f"{hf.type}, module expects {expected}"
                 )
             self._host_funcs.append((f"{imp.module}.{imp.name}", hf))
-
-        canon: dict[FuncType, int] = {}
-        self._type_ids = [canon.setdefault(ft, len(canon)) for ft in m.types]
-        self._func_sigs = [self._type_ids[t] for t in m.func_type_indices]
 
         self.globals = [self._eval_const(g.init) for g in m.globals]
         if m.tables:
@@ -835,8 +860,7 @@ class Instance:
 
         if m.start is not None:
             self.fuel = fuel
-            run = self._call_host if m.start < self._n_imports else self._execute
-            run(m.start, [])
+            self._execute(m.start, [])
 
     def _eval_const(self, expr: Expr) -> int:
         # a t.const: a global.get may only read an imported global, and a
@@ -855,8 +879,7 @@ class Instance:
         if got != ft.params:
             raise SignatureMismatch(str(ft), f"({', '.join(got)})")
         self.fuel = fuel
-        run = self._call_host if funcidx < self._n_imports else self._execute
-        raw = run(funcidx, [v.bits for v in args])
+        raw = self._execute(funcidx, [v.bits for v in args])
         return Results(tuple(map(Value, ft.results, raw)))
 
     def _call_host(self, funcidx: int, raw_args: list[int]) -> list[int]:
@@ -883,7 +906,8 @@ class Instance:
         return code, args + zeros
 
     def _execute(self, funcidx: int, args: list[int]) -> list[int]:
-        """Run a defined function, and every wasm call it makes, in one loop.
+        """Run a function, and every wasm call it makes, in one loop; an
+        import is the host's call.
 
         All frames share one operand stack. A call moves its arguments into
         the callee's locals and suspends the caller on ``frames``; the
@@ -892,11 +916,9 @@ class Instance:
         A trap raised without a function index gets the running one's.
         """
         n_imports = self._n_imports
-        func_sigs = self._func_sigs
+        if funcidx < n_imports:
+            return self._call_host(funcidx, args)
         call_targets = self.call_targets
-        table_observed = self.table_observed
-        table = self.table
-        table_size = self.table_size
         stack = self._stack
         base = len(stack)  # a host function may call in: what is below is its caller's
         frames: list[tuple] = []  # suspended callers: (code, pc, locals, funcidx)
@@ -911,44 +933,34 @@ class Instance:
                 fuel -= units
                 # a run that costs nothing runs even on a negative budget
                 if fuel < 0 and units:
-                    add, end = _run_compiler(self)
-                    for at, instr in enumerate(body[: max(fuel + units, 0)], 1):
-                        add(instr, at)
-                    stmts, exit_ = end(), (_OUT_OF_FUEL,)
+                    stmts = _paid_part(self, body, max(fuel + units, 0))
                 for stmt in stmts:
                     value = stmt(locals_)
                     if value is not None:
                         stack.append(value)
                 k = exit_[0]
-                if k == _NEXT:
-                    pass
-                elif k == _BR_IF or k == _BR:
-                    if k == _BR or stack.pop():
-                        if exit_[3]:
-                            _unwind(stack, exit_[2], exit_[3])
-                        pc = exit_[1]
-                elif k == _CALL or k == _CALL_INDIRECT:
-                    if k == _CALL:
-                        callee = exit_[1]
-                    else:
-                        i = stack.pop()
-                        if i >= table_size:
-                            raise TrapError(TRAP_OOB_TABLE)
-                        callee = table.get(i)
-                        if callee is None:
-                            raise TrapError(TRAP_UNDEFINED_ELEMENT)
-                        table_observed.add(callee)
-                        if func_sigs[callee] != exit_[1]:
-                            raise TrapError(TRAP_CALL_TYPE)
+                if k == _BR:
+                    _, pc, keep, drop = exit_
+                    if drop:  # the values under the top ``keep``
+                        top = len(stack) - keep
+                        del stack[top - drop : top]
+                elif k == _BR_TABLE:
+                    i = stack.pop()
+                    labels = exit_[1]
+                    pc, keep, drop = labels[i] if i < len(labels) else exit_[2]
+                    if drop:
+                        top = len(stack) - keep
+                        del stack[top - drop : top]
+                elif k == _CALL:
+                    _, callee, argc = exit_
+                    if callee is None:  # a call_indirect's, which its statement pushed
+                        callee = stack.pop()
                     if len(frames) >= _MAX_SUSPENDED:
                         raise TrapError(TRAP_STACK_EXHAUSTED)
                     call_targets.add(callee)
-                    argc = exit_[2]
-                    if argc:
-                        call_args = stack[-argc:]
-                        del stack[-argc:]
-                    else:
-                        call_args = []
+                    top = len(stack) - argc
+                    call_args = stack[top:]
+                    del stack[top:]
                     if callee < n_imports:
                         stack.extend(self._call_host(callee, call_args))
                     else:
@@ -956,25 +968,10 @@ class Instance:
                         code, locals_ = self._enter(callee, call_args)
                         pc = 0
                         funcidx = callee
-                elif k == _END:
+                else:  # _END
                     if not frames:
                         return stack[base:]
                     code, pc, locals_, funcidx = frames.pop()
-                elif k == _IF or k == _JUMP:
-                    if k == _JUMP or not stack.pop():
-                        pc = exit_[1]
-                elif k == _BR_TABLE:
-                    i = stack.pop()
-                    labels = exit_[1]
-                    pc, keep, drop = labels[i] if i < len(labels) else exit_[2]
-                    if drop:
-                        _unwind(stack, keep, drop)
-                elif k == _OUT_OF_FUEL:
-                    # 0, or the budget that was negative at the run's fetch
-                    fuel = min(fuel + units, 0)
-                    raise TrapError(TRAP_FUEL_EXHAUSTED)
-                else:
-                    raise AssertionError(f"unhandled compiled exit {exit_!r}")
         except TrapError as t:
             # a closure's trap refunds the units of its run after it
             fuel += units - getattr(t, "pos", units)

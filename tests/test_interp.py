@@ -1264,12 +1264,14 @@ def test_runs_and_fusion_in_the_compiled_code():
         (10, 2, interp._END),
         (0, 0, interp._END),  # where a return goes
     ]
-    # the if's operands are pushed, and each arm's const; the add after
-    # the label takes both operands off the stack
+    # the if's operands are pushed, and each arm's const; the if is a
+    # table of one label, the jump over the else arm and the fall-through
+    # into the if's end label are branches; the add after the label takes
+    # both operands off the stack
     assert compiled_runs(if_then_add_module()) == [
-        (3, 2, interp._IF),
-        (1, 1, interp._JUMP),
-        (1, 1, interp._NEXT),
+        (3, 2, interp._BR_TABLE),
+        (1, 1, interp._BR),
+        (1, 1, interp._BR),
         (1, 1, interp._END),
         (0, 0, interp._END),
     ]
