@@ -193,7 +193,8 @@ def write_expr(w: Writer, body: Expr) -> None:
         code = instr.opcode
         imm = _IMM.get(code)
         if imm is None:
-            raise EncodeError(f"unknown opcode 0x{code:02x}")
+            what = f"0x{code:02x}" if type(code) is int else repr(code)
+            raise EncodeError(f"unknown opcode {what}")
         w.byte(code)
         if imm == "":
             continue

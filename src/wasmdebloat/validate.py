@@ -7,6 +7,9 @@ by decode's one loop over their bytes: for a module straight from
 other module it runs that loop over each body's ``write_expr`` bytes, and
 a body that ``write_expr`` cannot encode is one error at its ``func[i]``;
 a constant expression it cannot encode is one error at its location.
+In a hand-built module, a field of the wrong type, such as an index that
+is not an integer or data that is not bytes, is one error at its
+location, and such errors are all that is reported.
 """
 
 from __future__ import annotations
@@ -94,8 +97,36 @@ def _check_const_expr(
         errs.append((loc, f"constant expression yields {gt.valtype}, expected {expected}"))
 
 
+def _wrong_types(m: Module) -> _Errors:
+    """The fields of a hand-built module that are not of their type, each at
+    its location: the checks below and ``encode`` would raise on them."""
+    n = m.num_func_imports
+    fields = [(f"func[{n + i}]", "type index", f.type_index) for i, f in enumerate(m.functions)]
+    fields += [(f"export[{i}]", "index", e.index) for i, e in enumerate(m.exports)]
+    limits = [(f"table[{i}]", t.limits) for i, t in enumerate(m.tables)]
+    limits += [(f"memory[{i}]", t.limits) for i, t in enumerate(m.memories)]
+    limits += [
+        (f"import[{i}]", imp.desc.limits)
+        for i, imp in enumerate(m.imports)
+        if imp.kind in ("table", "memory")
+    ]
+    for loc, lim in limits:
+        fields.append((loc, "limits minimum", lim.minimum))
+        if lim.maximum is not None:
+            fields.append((loc, "limits maximum", lim.maximum))
+    return [
+        (loc, f"{what} {v!r} is not an integer") for loc, what, v in fields if type(v) is not int
+    ] + [
+        (f"data[{i}]", f"data of type {type(seg.data).__name__}, not bytes")
+        for i, seg in enumerate(m.data)
+        if not isinstance(seg.data, (bytes, bytearray))
+    ]
+
+
 def validate_module(m: Module) -> ValidationReport:
-    errs: _Errors = []
+    errs: _Errors = [] if m.body_errors is not None else _wrong_types(m)
+    if errs:  # a hand-built field of the wrong type, which the checks below would raise on
+        return ValidationReport(tuple(errs))
 
     for i, ft in enumerate(m.types):
         if len(ft.results) > 1:

@@ -546,3 +546,43 @@ def _import_scans(n):
 
 def test_validation_scans_imports_a_fixed_number_of_times():
     assert _import_scans(200) == _import_scans(2000)
+
+
+_UNIT = (FuncType((), ()),)
+
+
+@pytest.mark.parametrize(
+    "m, error",
+    [
+        (
+            Module(types=_UNIT, functions=(Function(0, (), (Instruction("x"),)),)),
+            ("func[0]", "unknown opcode 'x'"),
+        ),
+        (
+            Module(types=_UNIT, functions=(Function("0", (), ()),)),
+            ("func[0]", "type index '0' is not an integer"),
+        ),
+        (
+            Module(
+                types=_UNIT,
+                functions=(Function(0, (), ()),),
+                exports=(Export("f", "func", "0"),),
+            ),
+            ("export[0]", "index '0' is not an integer"),
+        ),
+        (
+            Module(memories=(MemType(Limits("1", None)),)),
+            ("memory[0]", "limits minimum '1' is not an integer"),
+        ),
+        (
+            Module(
+                memories=(MemType(Limits(1)),),
+                data=(DataSegment(0, (ins("i32.const", 0),), "ab"),),
+            ),
+            ("data[0]", "data of type str, not bytes"),
+        ),
+    ],
+    ids=["opcode", "type-index", "export-index", "limits", "data"],
+)
+def test_a_hand_built_field_of_the_wrong_type_is_one_validation_error(m, error):
+    assert validate_module(m).errors == (error,)
