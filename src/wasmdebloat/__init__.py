@@ -46,7 +46,7 @@ from .pipeline import (
     validate_behavior,
 )
 from .plan import Disposition, KeepPlan, KeepRoots, close_references, consolidate
-from .shrink import ShrinkStats, apply_plan, shrink_stats, stub_body
+from .shrink import ShrinkStats, apply_plan, shrink_stats
 from .validate import ValidationReport, validate_module
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "consolidate",
     "close_references",
     "ShrinkStats",
-    "stub_body",
     "apply_plan",
     "shrink_stats",
     "DebloatReport",

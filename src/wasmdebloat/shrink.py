@@ -34,11 +34,6 @@ class ShrinkStats:
     code_bytes_after: int
 
 
-def stub_body(fn: Function) -> Function:
-    """Same signature, zero locals, body of a single trap."""
-    return Function(fn.type_index, (), _STUB_BODY)
-
-
 def _remap(instr: Instruction, plan: KeepPlan) -> Instruction:
     code = instr.opcode
     if code == op.CALL:

@@ -13,7 +13,6 @@ from wasmdebloat import (
     run_workload,
     section_sizes,
     shrink_stats,
-    stub_body,
     validate_module,
 )
 from wasmdebloat import opcodes as op
@@ -33,11 +32,15 @@ def plan_from_trace(m, entered=(), call_targets=(), table_observed=()):
 
 
 def test_stub_body_replaces_body_and_locals():
-    fn = Function(3, ("i32", "f64"), (ins("i32.const", 1), ins("drop"), ins("i32.const", 2)))
-    stub = stub_body(fn)
-    assert stub.type_index == 3
-    assert stub.locals == ()
-    assert stub.body == (Instruction(op.UNREACHABLE),)
+    # f1 is exported but never runs: its stub keeps its type only
+    body = (ins("i32.const", 1), ins("drop"), ins("i32.const", 2))
+    m = Module(
+        types=(FuncType((), ()), FuncType((), ("i32",))),
+        functions=(Function(0, (), ()), Function(1, ("i32", "f64"), body)),
+        exports=(Export("f0", "func", 0), Export("f1", "func", 1)),
+    )
+    stub = apply_plan(m, plan_from_trace(m, entered={0})).functions[1]
+    assert stub == Function(1, (), (Instruction(op.UNREACHABLE),))
 
 
 def test_removal_renumbers_call_sites():
