@@ -101,21 +101,26 @@ def _wrong_types(m: Module) -> _Errors:
     """The fields of a hand-built module that are not of their type, each at
     its location: the checks below and ``encode`` would raise on them."""
     n = m.num_func_imports
-    fields = [(f"func[{n + i}]", "type index", f.type_index) for i, f in enumerate(m.functions)]
-    fields += [(f"export[{i}]", "index", e.index) for i, e in enumerate(m.exports)]
+    ints = [(f"func[{n + i}]", "type index", f.type_index) for i, f in enumerate(m.functions)]
+    ints += [(f"export[{i}]", "index", e.index) for i, e in enumerate(m.exports)]
+    ints += [(f"data[{i}]", "memory index", seg.memory_index) for i, seg in enumerate(m.data)]
+    ints += [] if m.start is None else [("start", "function index", m.start)]
+    for i, seg in enumerate(m.elements):
+        ints.append((f"element[{i}]", "table index", seg.table_index))
+        ints += [(f"element[{i}]", "function index", f) for f in seg.func_indices]
     limits = [(f"table[{i}]", t.limits) for i, t in enumerate(m.tables)]
     limits += [(f"memory[{i}]", t.limits) for i, t in enumerate(m.memories)]
-    limits += [
-        (f"import[{i}]", imp.desc.limits)
-        for i, imp in enumerate(m.imports)
-        if imp.kind in ("table", "memory")
-    ]
+    for i, imp in enumerate(m.imports):
+        if imp.kind == "func":
+            ints.append((f"import[{i}]", "type index", imp.desc))
+        elif imp.kind in ("table", "memory"):
+            limits.append((f"import[{i}]", imp.desc.limits))
     for loc, lim in limits:
-        fields.append((loc, "limits minimum", lim.minimum))
+        ints.append((loc, "limits minimum", lim.minimum))
         if lim.maximum is not None:
-            fields.append((loc, "limits maximum", lim.maximum))
+            ints.append((loc, "limits maximum", lim.maximum))
     return [
-        (loc, f"{what} {v!r} is not an integer") for loc, what, v in fields if type(v) is not int
+        (loc, f"{what} {v!r} is not an integer") for loc, what, v in ints if type(v) is not int
     ] + [
         (f"data[{i}]", f"data of type {type(seg.data).__name__}, not bytes")
         for i, seg in enumerate(m.data)

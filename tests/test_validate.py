@@ -581,8 +581,42 @@ _UNIT = (FuncType((), ()),)
             ),
             ("data[0]", "data of type str, not bytes"),
         ),
+        (
+            Module(types=_UNIT, functions=(Function(0, (), ()),), start="0"),
+            ("start", "function index '0' is not an integer"),
+        ),
+        (
+            Module(
+                types=_UNIT,
+                functions=(Function(0, (), ()),),
+                tables=(TableType(Limits(1)),),
+                elements=(ElementSegment(0, (ins("i32.const", 0),), ("0",)),),
+            ),
+            ("element[0]", "function index '0' is not an integer"),
+        ),
+        (
+            Module(types=_UNIT, imports=(Import("env", "log", "func", "0"),)),
+            ("import[0]", "type index '0' is not an integer"),
+        ),
+        (
+            Module(
+                memories=(MemType(Limits(1)),),
+                data=(DataSegment("0", (ins("i32.const", 0),), b"a"),),
+            ),
+            ("data[0]", "memory index '0' is not an integer"),
+        ),
     ],
-    ids=["opcode", "type-index", "export-index", "limits", "data"],
+    ids=[
+        "opcode",
+        "type-index",
+        "export-index",
+        "limits",
+        "data",
+        "start",
+        "element",
+        "import",
+        "data-memory",
+    ],
 )
 def test_a_hand_built_field_of_the_wrong_type_is_one_validation_error(m, error):
     assert validate_module(m).errors == (error,)
