@@ -909,7 +909,9 @@ class Instance:
         """Run a function, and every wasm call it makes, in one loop; an
         import is the host's call.
 
-        All frames share one operand stack. A call moves its arguments into
+        A run's statements compute and trap; its exit moves control, within
+        the frame (_BR, _BR_TABLE) or between frames (_CALL, _END). All
+        frames share one operand stack. A call moves its arguments into
         the callee's locals and suspends the caller on ``frames``; the
         callee's _END leaves exactly its results where the arguments were.
         Fuel lives in a local and is written back however the loop exits.
