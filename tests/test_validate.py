@@ -4,8 +4,10 @@ import pytest
 
 import fixturelib as fx
 from fixturelib import block, if_, ins
+from test_mutation import decode_mutants
 from wasmdebloat import decode, encode, validate_module
 from wasmdebloat import opcodes as op
+from wasmdebloat.errors import MalformedBinary
 from wasmdebloat.module import (
     DataSegment,
     ELSE,
@@ -620,3 +622,17 @@ _UNIT = (FuncType((), ()),)
 )
 def test_a_hand_built_field_of_the_wrong_type_is_one_validation_error(m, error):
     assert validate_module(m).errors == (error,)
+
+
+def test_a_decoded_module_and_its_copy_get_the_same_report():
+    # ``with_`` drops the body errors decode recorded, so the copy is
+    # checked as a hand-built module; both must be reported alike
+    checked = 0
+    for data in decode_mutants():
+        try:
+            m = decode(data)
+        except MalformedBinary:
+            continue
+        assert validate_module(m.with_()) == validate_module(m), data.hex()
+        checked += 1
+    assert checked == 1135
