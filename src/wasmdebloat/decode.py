@@ -312,7 +312,7 @@ def _dead(stack: list[str], msgs: list[str] | None = None, msg: str = "") -> boo
 
 
 def walk_expr(
-    r: Reader, ctx: tuple, type_index, locals_: tuple, msgs: list, build=False, final_end=True
+    r: Reader, ctx: tuple, type_index, locals_: tuple, msgs: list, build=False
 ) -> Expr | None:
     """The one loop over an expression's bytes. It raises
     ``MalformedBinary`` for the structure, appends a body's type errors to
@@ -323,9 +323,7 @@ def walk_expr(
     ``unreachable``, ``br``, ``br_table`` and ``return`` typed
     polymorphically (``dead``). A body without a valid type (``type_index``
     None, out of range, or naming more than one result, reported on the
-    type) is walked for its structure only. Without ``final_end``, for a
-    body built by hand and encoded, the end of the bytes closes the body,
-    and an unbalanced ``else`` or ``end`` is a type error, not malformed.
+    type) is walked for its structure only.
     """
     types = ctx[0]
     if type_index is not None and type_index < len(types) and len(types[type_index].results) < 2:
@@ -348,13 +346,7 @@ def walk_expr(
     try:
         while True:
             if pos >= end:
-                if final_end:
-                    raise MalformedBinary(pos, "unexpected end of input")
-                if len(ctrl) > 1:
-                    msgs.append(f"{len(ctrl) - 1} construct(s) not closed at end of body")
-                else:
-                    _close_arm(ctrl, stack, dead, True, msgs)
-                return None
+                raise MalformedBinary(pos, "unexpected end of input")
             opcode = data[pos]
             pos += 1
             kind = _KIND[opcode]
@@ -432,13 +424,11 @@ def walk_expr(
                         if out[-1] is ELSE:
                             out.pop()  # an empty else arm
                         append(END)
-                elif final_end:
+                else:
                     _close_arm(ctrl, stack, dead, True, msgs)
                     return tuple(out) if build else None
-                else:
-                    msgs.append("end: no open block, loop or if")
             elif kind == "block":
-                if final_end and len(ctrl) > MAX_NESTING:
+                if len(ctrl) > MAX_NESTING:
                     raise MalformedBinary(pos - 1, f"blocks nested deeper than {MAX_NESTING}")
                 if pos >= end:
                     raise MalformedBinary(pos, "unexpected end of input")
@@ -496,12 +486,8 @@ def walk_expr(
                     stack, dead = _close_arm(ctrl, stack, dead, False, msgs)
                     if build:
                         append(ELSE)
-                elif final_end:
-                    raise MalformedBinary(pos - 1, "else outside if")
-                elif len(ctrl) > 1:
-                    msgs.append("else outside if")
                 else:
-                    msgs.append("else: no open block, loop or if")
+                    raise MalformedBinary(pos - 1, "else outside if")
             elif kind == "call_indirect":
                 t, pos = _leb(data, pos, end, 32)
                 if pos >= end:

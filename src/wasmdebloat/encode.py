@@ -6,11 +6,14 @@ data section in their recorded order; their position relative to other
 sections is not part of the Module representation.
 
 ``_SECTIONS`` lists the sections in that order, each with the ``Module``
-field it writes and the ``Writer`` method that writes one item, so
-``encode`` writes the vector framing and the rule that empty sections
-are left out once. Start, which holds one index rather than a vector, is
-the one exception. The function and code sections both write
-``functions``: a type index per function, then its locals and body.
+field it writes, the name of its items and the ``Writer`` method that
+writes one item, so ``encode`` writes the vector framing, the rule that
+empty sections are left out and the location of a failure once. Start,
+which holds one index rather than a vector, is the one exception. The
+function and code sections both write ``functions``: a type index per
+function, then its locals and body. A value the format cannot hold, a
+field of the wrong type and an unbalanced body are each an
+``EncodeError`` at their item, so the bytes returned always decode.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .module import (
 )
 
 _EXTERN_KIND_CODES = {"func": 0, "table": 1, "memory": 2, "global": 3}
-# immediate kind per opcode; the ELSE and END markers have none
-_IMM = {code: info.imm for code, info in op.OPS.items()} | {op.ELSE: "", op.END: ""}
+# immediate kind per opcode; the ELSE and END markers have none and close an arm
+_IMM = {code: info.imm for code, info in op.OPS.items()} | {op.ELSE: "close", op.END: "close"}
 
 
 class Writer:
@@ -53,6 +56,8 @@ class Writer:
         self.buf += data
 
     def u32(self, value: int) -> None:
+        if type(value) is not int:
+            raise TypeError(f"{value!r} is not an integer")
         if not 0 <= value < 1 << 32:
             raise EncodeError(f"u32 out of range: {value}")
         while True:
@@ -119,10 +124,15 @@ class Writer:
         self.vector(Writer.valtype, ft.params)
         self.vector(Writer.valtype, ft.results)
 
+    def extern_kind(self, kind: str, what: str) -> None:
+        if kind not in _EXTERN_KIND_CODES:
+            raise EncodeError(f"invalid {what} kind {kind!r}")
+        self.byte(_EXTERN_KIND_CODES[kind])
+
     def import_(self, imp: Import) -> None:
         self.name(imp.module)
         self.name(imp.name)
-        self.byte(_EXTERN_KIND_CODES[imp.kind])
+        self.extern_kind(imp.kind, "import")
         _IMPORT_DESCS[imp.kind](self, imp.desc)
 
     def function(self, fn: Function) -> None:
@@ -134,7 +144,7 @@ class Writer:
 
     def export(self, exp: Export) -> None:
         self.name(exp.name)
-        self.byte(_EXTERN_KIND_CODES[exp.kind])
+        self.extern_kind(exp.kind, "export")
         self.u32(exp.index)
 
     def element_segment(self, seg: ElementSegment) -> None:
@@ -172,23 +182,25 @@ _IMPORT_DESCS = {
 
 # the writer of one item is None for start, one index rather than a vector
 _SECTIONS = (
-    (op.SEC_TYPE, "types", Writer.func_type),
-    (op.SEC_IMPORT, "imports", Writer.import_),
-    (op.SEC_FUNCTION, "functions", Writer.function),
-    (op.SEC_TABLE, "tables", Writer.table_type),
-    (op.SEC_MEMORY, "memories", Writer.mem_type),
-    (op.SEC_GLOBAL, "globals", Writer.global_),
-    (op.SEC_EXPORT, "exports", Writer.export),
-    (op.SEC_START, "start", None),
-    (op.SEC_ELEMENT, "elements", Writer.element_segment),
-    (op.SEC_CODE, "functions", Writer.code_entry),
-    (op.SEC_DATA, "data", Writer.data_segment),
+    (op.SEC_TYPE, "types", "type", Writer.func_type),
+    (op.SEC_IMPORT, "imports", "import", Writer.import_),
+    (op.SEC_FUNCTION, "functions", "func", Writer.function),
+    (op.SEC_TABLE, "tables", "table", Writer.table_type),
+    (op.SEC_MEMORY, "memories", "memory", Writer.mem_type),
+    (op.SEC_GLOBAL, "globals", "global", Writer.global_),
+    (op.SEC_EXPORT, "exports", "export", Writer.export),
+    (op.SEC_START, "start", "start", None),
+    (op.SEC_ELEMENT, "elements", "element", Writer.element_segment),
+    (op.SEC_CODE, "functions", "func", Writer.code_entry),
+    (op.SEC_DATA, "data", "data", Writer.data_segment),
 )
 
 
 def write_expr(w: Writer, body: Expr) -> None:
     """Write ``body`` and its final ``end``. An immediate of the wrong shape
-    for its opcode raises ``EncodeError`` naming the mnemonic."""
+    for its opcode raises ``EncodeError`` naming the mnemonic; so does an
+    ``else`` or ``end`` out of place, or a construct left open."""
+    opens = []  # per open construct, its opcode; ELSE once an if is in its else arm
     for instr in body:
         code = instr.opcode
         imm = _IMM.get(code)
@@ -198,10 +210,22 @@ def write_expr(w: Writer, body: Expr) -> None:
         w.byte(code)
         if imm == "":
             continue
+        if imm == "close":
+            if not opens:
+                name = "end" if code == op.END else "else"
+                raise EncodeError(f"{name}: no open block, loop or if")
+            if code == op.END:
+                opens.pop()
+            elif opens[-1] != op.IF:
+                raise EncodeError("else outside if")
+            else:
+                opens[-1] = op.ELSE
+            continue
         try:
             if imm == "block":
                 bt = instr.args[0]
                 w.byte(op.BLOCKTYPE_EMPTY if bt is None else op.VALTYPE_CODES[bt])
+                opens.append(code)
             elif imm == "index":
                 w.u32(instr.args[0])
             elif imm == "br_table":
@@ -229,6 +253,8 @@ def write_expr(w: Writer, body: Expr) -> None:
                 raise AssertionError(f"unhandled immediate kind {imm!r}")
         except (AttributeError, LookupError, OverflowError, TypeError, ValueError):
             raise EncodeError(f"{op.OPS[code].name}: malformed immediate {instr.args!r}") from None
+    if opens:
+        raise EncodeError(f"{len(opens)} construct(s) not closed at end of body")
     w.byte(op.END)
 
 
@@ -239,23 +265,32 @@ def _section(out: Writer, sec_id: int, payload: Writer) -> None:
 
 
 def encode(m: Module) -> bytes:
+    """The bytes of ``m``; a failure raises ``EncodeError`` at the item being
+    written, such as ``func[3]`` or ``custom[0]``, or else at its section."""
     out = Writer()
     out.raw(b"\x00asm\x01\x00\x00\x00")
-    for sec_id, field, write_item in _SECTIONS:
-        value = getattr(m, field)
-        if value is None or write_item is not None and not value:
-            continue
-        w = Writer()
-        if write_item is None:
-            w.u32(value)
-        else:
-            w.vector(write_item, value)
-        _section(out, sec_id, w)
-
-    for name, payload in m.custom_sections:
-        w = Writer()
-        w.name(name)
-        w.raw(payload)
-        _section(out, op.SEC_CUSTOM, w)
-
+    try:
+        for sec_id, field, what, write_item in _SECTIONS:
+            i = None
+            value = getattr(m, field)
+            if value is None or write_item is not None and not value:
+                continue
+            w = Writer()
+            if write_item is None:
+                w.u32(value)
+            else:
+                w.u32(len(value))
+                for i, item in enumerate(value):
+                    write_item(w, item)
+            _section(out, sec_id, w)
+        what, i = "custom", None
+        for i, (name, payload) in enumerate(m.custom_sections):
+            w = Writer()
+            w.name(name)
+            w.raw(payload)
+            _section(out, op.SEC_CUSTOM, w)
+    except (EncodeError, AttributeError, LookupError, TypeError, ValueError) as e:
+        if what == "func" and i is not None:  # the imports are written by now
+            i += sum(imp.kind == "func" for imp in m.imports or ())
+        raise EncodeError(str(e), what if i is None else f"{what}[{i}]") from None
     return bytes(out.buf)

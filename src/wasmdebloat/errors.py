@@ -17,7 +17,11 @@ class MalformedBinary(WasmDebloatError):
 
 
 class EncodeError(WasmDebloatError):
-    """A value cannot be represented in the binary format."""
+    """A value cannot be represented in the binary format, at ``location``."""
+
+    def __init__(self, reason: str, location: str | None = None):
+        super().__init__(reason)
+        self.location = location
 
 
 class LinkError(WasmDebloatError):

@@ -1,15 +1,15 @@
 """Structural and type validation for WebAssembly 1.0 modules.
 
 Errors are data, not exceptions: every problem is collected into a
-ValidationReport as a (location, message) pair. Bodies are type-checked
-by decode's one loop over their bytes: for a module straight from
-``decode``, ``validate_module`` reads the errors decode recorded; for any
-other module it runs that loop over each body's ``write_expr`` bytes, and
-a body that ``write_expr`` cannot encode is one error at its ``func[i]``;
-a constant expression it cannot encode is one error at its location.
-In a hand-built module, a field of the wrong type, such as an index that
-is not an integer or data that is not bytes, is one error at its
-location, and such errors are all that is reported.
+ValidationReport as a (location, message) pair. There is one path, over
+a decoded module: bodies are type-checked by decode's one loop over
+their bytes, and ``validate_module`` reads the errors decode recorded.
+Any other module (built by hand, or changed with ``with_``) is checked as
+``decode(encode(m))``. Anything ``encode`` cannot write, such as an
+immediate of the wrong shape, an unbalanced body or a field of the wrong
+type, is then the one error, at the ``EncodeError``'s location; a module
+whose bytes pass one of decode's caps (``MAX_NESTING``, ``MAX_LOCALS``)
+is one error at ``module``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import opcodes as op
-from .decode import Reader, body_context, walk_expr
-from .encode import Writer, write_expr
-from .errors import EncodeError
+from .decode import decode
+from .encode import encode
+from .errors import EncodeError, MalformedBinary
 from .module import Expr, Module, MAX_PAGES
 
 # the t.const opcodes, permitted inside constant expressions -> t
@@ -72,15 +72,8 @@ def _check_const_expr(
         return
     instr = expr[0]
     if instr.opcode not in _CONST_OPCODES and instr.opcode != op.GLOBAL_GET:
-        name = op.OPS[instr.opcode].name if instr.opcode in op.OPS else hex(instr.opcode)
-        errs.append((loc, f"{name} not allowed in constant expression"))
+        errs.append((loc, f"{op.OPS[instr.opcode].name} not allowed in constant expression"))
         return
-    if m.body_errors is None:  # hand-built: an immediate may not be encodable
-        try:
-            write_expr(Writer(), expr)
-        except EncodeError as e:
-            errs.append((loc, str(e)))
-            return
     if instr.opcode in _CONST_OPCODES:
         got = _CONST_OPCODES[instr.opcode]
         if got != expected:
@@ -97,47 +90,18 @@ def _check_const_expr(
         errs.append((loc, f"constant expression yields {gt.valtype}, expected {expected}"))
 
 
-def _wrong_types(m: Module) -> _Errors:
-    """The fields of a hand-built module that are not of their type, each at
-    its location: the checks below and ``encode`` would raise on them."""
-    n = m.num_func_imports
-    ints = [(f"func[{n + i}]", "type index", f.type_index) for i, f in enumerate(m.functions)]
-    ints += [(f"export[{i}]", "index", e.index) for i, e in enumerate(m.exports)]
-    ints += [(f"data[{i}]", "memory index", seg.memory_index) for i, seg in enumerate(m.data)]
-    ints += [] if m.start is None else [("start", "function index", m.start)]
-    for i, seg in enumerate(m.elements):
-        ints.append((f"element[{i}]", "table index", seg.table_index))
-        ints += [(f"element[{i}]", "function index", f) for f in seg.func_indices]
-    limits = [(f"table[{i}]", t.limits) for i, t in enumerate(m.tables)]
-    limits += [(f"memory[{i}]", t.limits) for i, t in enumerate(m.memories)]
-    for i, imp in enumerate(m.imports):
-        if imp.kind == "func":
-            ints.append((f"import[{i}]", "type index", imp.desc))
-        elif imp.kind in ("table", "memory"):
-            limits.append((f"import[{i}]", imp.desc.limits))
-    for loc, lim in limits:
-        ints.append((loc, "limits minimum", lim.minimum))
-        if lim.maximum is not None:
-            ints.append((loc, "limits maximum", lim.maximum))
-    return [
-        (loc, f"{what} {v!r} is not an integer") for loc, what, v in ints if type(v) is not int
-    ] + [
-        (f"data[{i}]", f"data of type {type(seg.data).__name__}, not bytes")
-        for i, seg in enumerate(m.data)
-        if not isinstance(seg.data, (bytes, bytearray))
-    ]
-
-
 def validate_module(m: Module) -> ValidationReport:
-    errs: _Errors = [] if m.body_errors is not None else _wrong_types(m)
-    if errs:  # a hand-built field of the wrong type, which the checks below would raise on
-        return ValidationReport(tuple(errs))
-
+    if m.body_errors is None:  # not from decode: check the bytes encode makes of it
+        try:
+            m = decode(encode(m))
+        except EncodeError as e:
+            return ValidationReport(((e.location, str(e)),))
+        except MalformedBinary as e:  # past one of decode's caps
+            return ValidationReport((("module", e.reason),))
+    errs: _Errors = []
     for i, ft in enumerate(m.types):
         if len(ft.results) > 1:
             errs.append((f"type[{i}]", "more than one result"))
-        if bad := set(ft.params + ft.results).difference(op.VAL_TYPES):
-            errs.append((f"type[{i}]", f"not a WebAssembly 1.0 value type: {min(bad)!r}"))
 
     for i, imp in enumerate(m.imports):
         loc = f"import[{i}]"
@@ -206,21 +170,4 @@ def validate_module(m: Module) -> ValidationReport:
             errs.append((loc, f"memory index {seg.memory_index} out of bounds"))
         _check_const_expr(m, seg.offset, "i32", f"{loc}.offset", errs)
 
-    if m.body_errors is not None:
-        return ValidationReport(tuple(errs) + m.body_errors)
-    ctx = body_context(m)
-    for i, fn in enumerate(m.functions):
-        loc, w = f"func[{m.num_func_imports + i}]", Writer()
-        if bad := set(fn.locals).difference(op.VAL_TYPES):
-            errs.append((loc, f"local: not a WebAssembly 1.0 value type: {min(bad)!r}"))
-            continue
-        try:
-            write_expr(w, fn.body)
-        except EncodeError as e:  # a hand-built body the binary format cannot hold
-            errs.append((loc, str(e)))
-            continue
-        # without the final end: the end of the bytes closes an unbalanced body
-        r, msgs = Reader(w.buf, 0, len(w.buf) - 1), []
-        walk_expr(r, ctx, fn.type_index, fn.locals, msgs, final_end=False)
-        errs += [(loc, msg) for msg in msgs]
-    return ValidationReport(tuple(errs))
+    return ValidationReport(tuple(errs) + m.body_errors)

@@ -1,5 +1,8 @@
 """Binary encoding: exact bytes, determinism, round trips."""
 
+import dataclasses
+import random
+
 import pytest
 
 import fixturelib as fx
@@ -8,6 +11,7 @@ from fixturelib import ins
 from wasmdebloat import decode, encode, validate_module
 from wasmdebloat import opcodes as op
 from wasmdebloat.errors import EncodeError
+from wasmdebloat.validate import ValidationReport
 from wasmdebloat.module import (
     ELSE,
     END,
@@ -243,7 +247,7 @@ def test_an_immediate_of_the_wrong_shape_is_one_validation_error(where, instr):
         loc = "func[0]"
     else:
         m = Module(globals=(Global(GlobalType("i32", False), (instr,)),))
-        loc = "global[0].init"
+        loc = "global[0]"
     name = op.OPS[instr.opcode].name
     assert validate_module(m).errors == ((loc, f"{name}: malformed immediate {instr.args!r}"),)
     with pytest.raises(EncodeError, match=f"^{name}: "):
@@ -258,8 +262,6 @@ def test_a_type_not_in_webassembly_1_0_is_one_validation_error(params, locals_, 
     m = Module(types=(FuncType(params, ()),), functions=(Function(0, locals_, ()),))
     bad = params[-1] if params else locals_[-1]
     message = f"not a WebAssembly 1.0 value type: {bad!r}"
-    if loc == "func[0]":
-        message = "local: " + message
     assert validate_module(m).errors == ((loc, message),)
     with pytest.raises(EncodeError, match=f"value type: {bad!r}"):
         encode(m)
@@ -275,3 +277,60 @@ def test_name_and_junk_customs_round_trip():
     m = fx.custom_name_module()
     again = decode(encode(m))
     assert again.custom_sections == m.custom_sections
+
+
+# values of the wrong type or out of range for the fields of a module
+WRONG_VALUES = ("0", None, -1, 1.5, 2**40, b"x", (), "fn", True)
+CORRUPTIONS = 3000
+
+
+def _paths(value, path=()):
+    """The path to every part below ``value``: each field of a dataclass,
+    by name, and each item of a tuple, by index."""
+    if dataclasses.is_dataclass(value):
+        parts = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+    elif isinstance(value, tuple):
+        parts = list(enumerate(value))
+    else:
+        return
+    for key, part in parts:
+        yield path + (key,)
+        yield from _paths(part, path + (key,))
+
+
+def _replace_at(value, path, new):
+    """``value`` with the part at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(key, str):
+        return dataclasses.replace(value, **{key: _replace_at(getattr(value, key), rest, new)})
+    items = list(value)
+    items[key] = _replace_at(items[key], rest, new)
+    return type(value)(*items) if isinstance(value, Instruction) else tuple(items)
+
+
+def test_a_module_with_one_field_of_the_wrong_type_is_refused_or_encoded():
+    # a field of a fixture replaced by a wrong value: validate_module
+    # reports on it, and encode either refuses it at a location, which is
+    # the report's one error, or writes bytes that decode
+    cases = [(m, list(_paths(m))) for _, m in fx.ROUND_TRIP_MODULES]
+    rng = random.Random(20190)
+    refused = 0
+    for _ in range(CORRUPTIONS):
+        m, paths = rng.choice(cases)
+        path, value = rng.choice(paths), rng.choice(WRONG_VALUES)
+        bad = _replace_at(m, path, value)
+        try:
+            report = validate_module(bad)
+            try:
+                data = encode(bad)
+            except EncodeError as e:
+                assert e.location and report.errors == ((e.location, str(e)),)
+                refused += 1
+            else:
+                decode(data)
+        except Exception as e:
+            raise AssertionError(f"{path} = {value!r}: {type(e).__name__}: {e}") from e
+        assert isinstance(report, ValidationReport)
+    assert 0 < refused < CORRUPTIONS

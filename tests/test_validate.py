@@ -7,7 +7,8 @@ from fixturelib import block, if_, ins
 from test_mutation import decode_mutants
 from wasmdebloat import decode, encode, validate_module
 from wasmdebloat import opcodes as op
-from wasmdebloat.errors import MalformedBinary
+from wasmdebloat.decode import MAX_LOCALS, MAX_NESTING
+from wasmdebloat.errors import EncodeError, MalformedBinary
 from wasmdebloat.module import (
     DataSegment,
     ELSE,
@@ -291,11 +292,17 @@ def test_constant_expression_counts_a_construct_as_one_instruction(init_hex, mes
 
 
 def _body_errors(*body):
+    """The report on a function with ``body``, which ``encode`` must refuse
+    with the same message at the same location."""
     m = Module(types=(FuncType((), ()),), functions=(Function(0, (), body),))
-    return errs(m)
+    report = errs(m)
+    with pytest.raises(EncodeError) as e:
+        encode(m)
+    assert report == ((e.value.location, str(e.value)),)
+    return report
 
 
-# hand-built bodies can be unbalanced, decoded ones cannot
+# a hand-built body can be unbalanced; encode refuses it, so no decoded one is
 BLOCK = Instruction(op.BLOCK, (None,))
 IF = Instruction(op.IF, (None,))
 
@@ -562,7 +569,7 @@ _UNIT = (FuncType((), ()),)
         ),
         (
             Module(types=_UNIT, functions=(Function("0", (), ()),)),
-            ("func[0]", "type index '0' is not an integer"),
+            ("func[0]", "'0' is not an integer"),
         ),
         (
             Module(
@@ -570,22 +577,22 @@ _UNIT = (FuncType((), ()),)
                 functions=(Function(0, (), ()),),
                 exports=(Export("f", "func", "0"),),
             ),
-            ("export[0]", "index '0' is not an integer"),
+            ("export[0]", "'0' is not an integer"),
         ),
         (
             Module(memories=(MemType(Limits("1", None)),)),
-            ("memory[0]", "limits minimum '1' is not an integer"),
+            ("memory[0]", "'1' is not an integer"),
         ),
         (
             Module(
                 memories=(MemType(Limits(1)),),
                 data=(DataSegment(0, (ins("i32.const", 0),), "ab"),),
             ),
-            ("data[0]", "data of type str, not bytes"),
+            ("data[0]", "can't concat str to bytearray"),
         ),
         (
             Module(types=_UNIT, functions=(Function(0, (), ()),), start="0"),
-            ("start", "function index '0' is not an integer"),
+            ("start", "'0' is not an integer"),
         ),
         (
             Module(
@@ -594,18 +601,46 @@ _UNIT = (FuncType((), ()),)
                 tables=(TableType(Limits(1)),),
                 elements=(ElementSegment(0, (ins("i32.const", 0),), ("0",)),),
             ),
-            ("element[0]", "function index '0' is not an integer"),
+            ("element[0]", "'0' is not an integer"),
         ),
         (
             Module(types=_UNIT, imports=(Import("env", "log", "func", "0"),)),
-            ("import[0]", "type index '0' is not an integer"),
+            ("import[0]", "'0' is not an integer"),
         ),
         (
             Module(
                 memories=(MemType(Limits(1)),),
                 data=(DataSegment("0", (ins("i32.const", 0),), b"a"),),
             ),
-            ("data[0]", "memory index '0' is not an integer"),
+            ("data[0]", "'0' is not an integer"),
+        ),
+        (
+            Module(types=_UNIT, functions=(Function(0, (), ()),), exports=(Export(5, "func", 0),)),
+            ("export[0]", "'int' object has no attribute 'encode'"),
+        ),
+        (
+            Module(types=_UNIT, imports=(Import(5, "log", "func", 0),)),
+            ("import[0]", "'int' object has no attribute 'encode'"),
+        ),
+        (
+            Module(types=_UNIT, functions=(Function(0, (), ()),), exports=(Export("f", "fn", 0),)),
+            ("export[0]", "invalid export kind 'fn'"),
+        ),
+        (
+            Module(types=_UNIT, imports=(Import("env", "log", "fn", 0),)),
+            ("import[0]", "invalid import kind 'fn'"),
+        ),
+        (
+            Module(custom_sections=(("x", "str"),)),
+            ("custom[0]", "can't concat str to bytearray"),
+        ),
+        (
+            Module(
+                types=_UNIT,
+                imports=(Import("env", "log", "func", 0),),
+                functions=(Function(0, (), ()), Function(None, (), ())),
+            ),
+            ("func[2]", "None is not an integer"),
         ),
     ],
     ids=[
@@ -618,10 +653,19 @@ _UNIT = (FuncType((), ()),)
         "element",
         "import",
         "data-memory",
+        "export-name",
+        "import-module",
+        "export-kind",
+        "import-kind",
+        "custom-payload",
+        "type-index-after-import",
     ],
 )
 def test_a_hand_built_field_of_the_wrong_type_is_one_validation_error(m, error):
     assert validate_module(m).errors == (error,)
+    with pytest.raises(EncodeError) as e:
+        encode(m)
+    assert (e.value.location, str(e.value)) == error
 
 
 def test_a_decoded_module_and_its_copy_get_the_same_report():
@@ -636,3 +680,12 @@ def test_a_decoded_module_and_its_copy_get_the_same_report():
         assert validate_module(m.with_()) == validate_module(m), data.hex()
         checked += 1
     assert checked == 1135
+
+
+def test_a_hand_built_module_past_a_cap_of_decode_is_one_error_at_module():
+    deep = (BLOCK,) * (MAX_NESTING + 1) + (END,) * (MAX_NESTING + 1)
+    m = Module(types=_UNIT, functions=(Function(0, (), deep),))
+    assert errs(m) == (("module", f"blocks nested deeper than {MAX_NESTING}"),)
+    assert errs(m.with_(functions=(Function(0, (), deep[1:-1]),))) == ()
+    m = Module(types=_UNIT, functions=(Function(0, ("i32",) * (MAX_LOCALS + 1), ()),))
+    assert errs(m) == (("module", "too many locals"),)
