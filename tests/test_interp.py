@@ -5,12 +5,16 @@ rules; float bit patterns were cross-checked against struct.pack, which
 rounds independently of the interpreter's own arithmetic.
 """
 
+from itertools import product
+
 import pytest
 
 import fixturelib as fx
 import modulegen
 from fixturelib import f32c, f64c, ins, inv, wl
+from test_v8_instructions import GRID
 from wasmdebloat import debloat_module, decode, encode, interp, validate_module
+from wasmdebloat import opcodes as op
 from wasmdebloat.errors import SignatureMismatch, UnknownExport
 from wasmdebloat.interp import (
     DEFAULT_FUEL,
@@ -1351,3 +1355,74 @@ def test_failed_indirect_type_check_observes_slot_without_calling():
     assert trace.table_observed == frozenset({1})
     assert trace.call_targets == frozenset()
     assert trace.entered == frozenset({2})
+
+
+# ---------------------------------------------------------------------------
+# operand kinds
+#
+# The compiler builds an operator's closure by how each operand is
+# computed: read from a local, a constant, a child closure, or taken off
+# the operand stack. Every kind of every numeric operator must give the
+# bits (or the trap) that two local reads give.
+
+OPERAND_KINDS = ("local", "const", "child", "stack")
+NUMERIC = [info.name for info in op.OPS.values() if not info.imm and info.pops is not None]
+
+
+def operand(kind, t, i, value):
+    """The instructions that push one operand of type ``t``: local ``i``,
+    ``value`` as a constant, a ``select`` over local ``i``, or local ``i``
+    at the end of a block, which ends the straight-line run."""
+    if kind == "local":
+        return (ins("local.get", i),)
+    if kind == "const":
+        bits = int(t[1:])
+        if t[0] == "i" and value >> (bits - 1):
+            value -= 1 << bits  # integer immediates are signed
+        return (ins(f"{t}.const", value),)
+    if kind == "child":
+        return (ins("local.get", i), ins("local.get", i), ins("i32.const", 1), ins("select"))
+    return fx.block(t, ins("local.get", i))
+
+
+@pytest.mark.parametrize("name", NUMERIC)
+def test_every_operand_kind_gives_the_bits_of_two_local_reads(name):
+    info = op.OPS[op.NAME_TO_OPCODE[name]]
+    params = info.pops
+    # per (kinds, the constants at the const positions), a function whose
+    # body pushes the operands, runs the operator and then a nop, so a
+    # trap at the operator leaves one unit unpaid
+    funcs: dict[tuple, tuple[int, tuple]] = {}
+    calls = []
+    for kinds in product(OPERAND_KINDS, repeat=len(params)):
+        for args in product(*(GRID[t] for t in params)):
+            key = (kinds, tuple(a if k == "const" else None for k, a in zip(kinds, args)))
+            if key not in funcs:
+                body = [x for i, k in enumerate(kinds) for x in operand(k, params[i], i, args[i])]
+                funcs[key] = (len(funcs), (*body, ins(name), ins("nop")))
+            calls.append((kinds, funcs[key][0], args))
+    m = Module(
+        types=(FuncType(params, info.pushes),),
+        functions=tuple(Function(0, (), body) for _, body in funcs.values()),
+        exports=tuple(Export(str(i), "func", i) for i in range(len(funcs))),
+    )
+    # the first function of each kinds, as the others differ only in constants
+    firsts = {kinds: body for (kinds, _), (_, body) in reversed(funcs.items())}
+    checked = tuple(Function(0, (), body) for body in firsts.values())
+    assert validate_module(m.with_(functions=checked, exports=())).ok
+    units = [sum(x.opcode not in (op.END, op.ELSE) for x in body) for _, body in funcs.values()]
+    values = {args: tuple(map(Value, params, args)) for args in product(*(GRID[t] for t in params))}
+    inst = instantiate(m)
+    expected = {}
+    for kinds, i, args in calls:
+        out = invoke(inst, str(i), values[args])
+        spent = DEFAULT_FUEL - inst.fuel
+        if isinstance(out, Trap):
+            assert (out.function_index, spent) == (i, units[i] - 1), (kinds, args)
+            out = out.kind
+        else:
+            assert spent == units[i], (kinds, args)
+        if kinds == ("local",) * len(params):  # the first kinds of the product
+            expected[args] = out
+        else:
+            assert out == expected[args], (kinds, args)
