@@ -216,10 +216,20 @@ def default_host() -> HostConfig:
 # ---------------------------------------------------------------------------
 # numeric semantics
 #
-# Operators work on raw bits. Each is written once, for the N its builder
-# is called with: _int_ops(32) and _int_ops(64) give the i32 and i64
-# operators, _float_ops the f32 and f64 ones; the helpers below them are
-# the width-free float steps. Loads and stores are struct calls (_MEMORY).
+# Operators work on raw bits. Each is an expression template over its
+# operands ``{a}`` and ``{b}``, written once for the N its builder is called
+# with: _int_ops(32) and _int_ops(64) give the i32 and i64 templates,
+# _float_ops the f32 and f64 ones, each with the names they use beside the
+# module's; the helpers below them are the width-free float steps. A
+# template reads each operand once, ``{a}`` before ``{b}``, as the operands
+# are computed in that order. Loads and stores are struct calls (_MEMORY).
+
+
+def _trap(kind: str, pos: int) -> TrapError:
+    """A trap at unit ``pos`` of its run: the loop refunds the units after."""
+    t = TrapError(kind)
+    t.pos = pos
+    return t
 
 
 def _fdiv(a: float, b: float) -> float:
@@ -279,12 +289,9 @@ def _f64_result(x: float) -> int:
     return _CANON_NAN64 if math.isnan(x) else f64_to_bits(x)
 
 
-def _bool(x: bool) -> int:
-    return 1 if x else 0
-
-
-def _int_ops(bits: int) -> dict[str, object]:
-    """The iN operators for N = ``bits``, by name without the type prefix."""
+def _int_ops(bits: int) -> tuple[dict[str, str], dict[str, object]]:
+    """The iN templates for N = ``bits``, by name without the type prefix,
+    and the names they use."""
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)  # the sign bit: (u ^ half) - half is u read signed
 
@@ -322,70 +329,76 @@ def _int_ops(bits: int) -> dict[str, object]:
         k %= bits
         return ((a >> k) | (a << (bits - k))) & mask
 
+    def ctz(a: int) -> int:
+        return (a & -a).bit_length() - 1 if a else bits
+
     # flipping the sign bit maps signed order onto unsigned order
-    return {
-        "eqz": lambda a: _bool(a == 0),
-        "eq": lambda a, b: _bool(a == b),
-        "ne": lambda a, b: _bool(a != b),
-        "lt_s": lambda a, b: _bool(a ^ half < b ^ half),
-        "lt_u": lambda a, b: _bool(a < b),
-        "gt_s": lambda a, b: _bool(a ^ half > b ^ half),
-        "gt_u": lambda a, b: _bool(a > b),
-        "le_s": lambda a, b: _bool(a ^ half <= b ^ half),
-        "le_u": lambda a, b: _bool(a <= b),
-        "ge_s": lambda a, b: _bool(a ^ half >= b ^ half),
-        "ge_u": lambda a, b: _bool(a >= b),
-        "clz": lambda a: bits - a.bit_length(),
-        "ctz": lambda a: (a & -a).bit_length() - 1 if a else bits,
-        "popcnt": lambda a: bin(a).count("1"),
-        "add": lambda a, b: (a + b) & mask,
-        "sub": lambda a, b: (a - b) & mask,
-        "mul": lambda a, b: (a * b) & mask,
-        "div_s": div_s,
-        "div_u": div_u,
-        "rem_s": rem_s,
-        "rem_u": rem_u,
-        "and": lambda a, b: a & b,
-        "or": lambda a, b: a | b,
-        "xor": lambda a, b: a ^ b,
-        "shl": lambda a, b: (a << b % bits) & mask,
-        "shr_s": lambda a, b: ((a ^ half) - half >> b % bits) & mask,
-        "shr_u": lambda a, b: a >> b % bits,
-        "rotl": rotl,
-        "rotr": rotr,
+    templates = {
+        "eqz": "1 if {a} == 0 else 0",
+        "eq": "1 if {a} == {b} else 0",
+        "ne": "1 if {a} != {b} else 0",
+        "lt_s": "1 if {a} ^ half < {b} ^ half else 0",
+        "lt_u": "1 if {a} < {b} else 0",
+        "gt_s": "1 if {a} ^ half > {b} ^ half else 0",
+        "gt_u": "1 if {a} > {b} else 0",
+        "le_s": "1 if {a} ^ half <= {b} ^ half else 0",
+        "le_u": "1 if {a} <= {b} else 0",
+        "ge_s": "1 if {a} ^ half >= {b} ^ half else 0",
+        "ge_u": "1 if {a} >= {b} else 0",
+        "clz": "bits - {a}.bit_length()",
+        "ctz": "ctz({a})",
+        "popcnt": "bin({a}).count('1')",
+        "add": "({a} + {b}) & mask",
+        "sub": "({a} - {b}) & mask",
+        "mul": "({a} * {b}) & mask",
+        "div_s": "div_s({a}, {b})",
+        "div_u": "div_u({a}, {b})",
+        "rem_s": "rem_s({a}, {b})",
+        "rem_u": "rem_u({a}, {b})",
+        "and": "{a} & {b}",
+        "or": "{a} | {b}",
+        "xor": "{a} ^ {b}",
+        "shl": "({a} << {b} % bits) & mask",
+        "shr_s": "(({a} ^ half) - half >> {b} % bits) & mask",
+        "shr_u": "{a} >> {b} % bits",
+        "rotl": "rotl({a}, {b})",
+        "rotr": "rotr({a}, {b})",
     }
+    names = dict(mask=mask, half=half, bits=bits, div_s=div_s, rem_s=rem_s, div_u=div_u)
+    return templates, names | dict(rem_u=rem_u, rotl=rotl, rotr=rotr, ctz=ctz)
 
 
-def _float_ops(read, result, sign: int) -> dict[str, object]:
-    """The fN operators, by name without the type prefix: ``read`` turns
-    fN bits into a float, ``result`` a float into canonical fN bits, and
-    ``sign`` is the sign bit."""
-    magnitude = sign - 1
+def _float_ops(read, result, sign: int) -> tuple[dict[str, str], dict[str, object]]:
+    """The fN templates, by name without the type prefix, and the names
+    they use: ``read`` turns fN bits into a float, ``result`` a float into
+    canonical fN bits, and ``sign`` is the sign bit."""
     # Python's round ties to even
     ceil, floor, trunc, nearest = map(_rounding, (math.ceil, math.floor, int, round))
-    return {
-        "eq": lambda a, b: _bool(read(a) == read(b)),
-        "ne": lambda a, b: _bool(read(a) != read(b)),
-        "lt": lambda a, b: _bool(read(a) < read(b)),
-        "gt": lambda a, b: _bool(read(a) > read(b)),
-        "le": lambda a, b: _bool(read(a) <= read(b)),
-        "ge": lambda a, b: _bool(read(a) >= read(b)),
-        "abs": lambda a: a & magnitude,
-        "neg": lambda a: a ^ sign,
-        "ceil": lambda a: result(ceil(read(a))),
-        "floor": lambda a: result(floor(read(a))),
-        "trunc": lambda a: result(trunc(read(a))),
-        "nearest": lambda a: result(nearest(read(a))),
-        "sqrt": lambda a: result(_fsqrt(read(a))),
-        "add": lambda a, b: result(read(a) + read(b)),
-        "sub": lambda a, b: result(read(a) - read(b)),
-        "mul": lambda a, b: result(read(a) * read(b)),
-        "div": lambda a, b: result(_fdiv(read(a), read(b))),
-        "min": lambda a, b: result(_fmin(read(a), read(b))),
+    templates = {
+        "eq": "1 if read({a}) == read({b}) else 0",
+        "ne": "1 if read({a}) != read({b}) else 0",
+        "lt": "1 if read({a}) < read({b}) else 0",
+        "gt": "1 if read({a}) > read({b}) else 0",
+        "le": "1 if read({a}) <= read({b}) else 0",
+        "ge": "1 if read({a}) >= read({b}) else 0",
+        "abs": "{a} & magnitude",
+        "neg": "{a} ^ sign",
+        "ceil": "result(ceil(read({a})))",
+        "floor": "result(floor(read({a})))",
+        "trunc": "result(trunc(read({a})))",
+        "nearest": "result(nearest(read({a})))",
+        "sqrt": "result(_fsqrt(read({a})))",
+        "add": "result(read({a}) + read({b}))",
+        "sub": "result(read({a}) - read({b}))",
+        "mul": "result(read({a}) * read({b}))",
+        "div": "result(_fdiv(read({a}), read({b})))",
+        "min": "result(_fmin(read({a}), read({b})))",
         # max(a, b) = -min(-a, -b), NaNs and the zeros' signs included
-        "max": lambda a, b: result(-_fmin(-read(a), -read(b))),
-        "copysign": lambda a, b: (a & magnitude) | (b & sign),
+        "max": "result(-_fmin(-read({a}), -read({b})))",
+        "copysign": "({a} & magnitude) | ({b} & sign)",
     }
+    names = dict(read=read, result=result, sign=sign, magnitude=sign - 1)
+    return templates, names | dict(ceil=ceil, floor=floor, trunc=trunc, nearest=nearest)
 
 
 def _trunc(read, bits: int, signed: bool):
@@ -405,44 +418,42 @@ def _trunc(read, bits: int, signed: bool):
     return trunc
 
 
-# the operators, opcode -> f(a, b) or f(a), on raw bits and returning raw
-# bits
-_OPERATORS: dict[int, object] = {}
-for _t, _ops in (
+# the operators on raw bits, opcode -> (template, the names it uses beside
+# the module's)
+_OPERATORS: dict[int, tuple[str, dict[str, object]]] = {}
+for _t, (_templates, _names) in (
     ("i32", _int_ops(32)),
     ("i64", _int_ops(64)),
     ("f32", _float_ops(f32_from_bits, _f32_result, 0x80000000)),
     ("f64", _float_ops(f64_from_bits, _f64_result, 0x8000000000000000)),
 ):
-    for _name, _f in _ops.items():
-        _code = op.NAME_TO_OPCODE[f"{_t}.{_name}"]
-        _OPERATORS[_code] = _f
+    for _name, _template in _templates.items():
+        _OPERATORS[op.NAME_TO_OPCODE[f"{_t}.{_name}"]] = (_template, _names)
 for _bits in (32, 64):
     for _t, _read in (("f32", f32_from_bits), ("f64", f64_from_bits)):
         for _sx in ("s", "u"):
             _code = op.NAME_TO_OPCODE[f"i{_bits}.trunc_{_t}_{_sx}"]
-            _OPERATORS[_code] = _trunc(_read, _bits, _sx == "s")
-_OPERATORS.update(
-    {
-        op.NAME_TO_OPCODE["i32.wrap_i64"]: lambda a: a & _M32,
-        op.NAME_TO_OPCODE["i64.extend_i32_s"]: lambda a: _s32(a) & _M64,
-        op.NAME_TO_OPCODE["i64.extend_i32_u"]: lambda a: a,
-        op.NAME_TO_OPCODE["f32.convert_i32_s"]: lambda a: _int_to_f32_bits(_s32(a)),
-        op.NAME_TO_OPCODE["f32.convert_i32_u"]: lambda a: _int_to_f32_bits(a),
-        op.NAME_TO_OPCODE["f32.convert_i64_s"]: lambda a: _int_to_f32_bits(_s64(a)),
-        op.NAME_TO_OPCODE["f32.convert_i64_u"]: lambda a: _int_to_f32_bits(a),
-        op.NAME_TO_OPCODE["f32.demote_f64"]: lambda a: _f32_result(f64_from_bits(a)),
-        op.NAME_TO_OPCODE["f64.convert_i32_s"]: lambda a: f64_to_bits(float(_s32(a))),
-        op.NAME_TO_OPCODE["f64.convert_i32_u"]: lambda a: f64_to_bits(float(a)),
-        op.NAME_TO_OPCODE["f64.convert_i64_s"]: lambda a: f64_to_bits(float(_s64(a))),
-        op.NAME_TO_OPCODE["f64.convert_i64_u"]: lambda a: f64_to_bits(float(a)),
-        op.NAME_TO_OPCODE["f64.promote_f32"]: lambda a: _f64_result(f32_from_bits(a)),
-        op.NAME_TO_OPCODE["i32.reinterpret_f32"]: lambda a: a,
-        op.NAME_TO_OPCODE["i64.reinterpret_f64"]: lambda a: a,
-        op.NAME_TO_OPCODE["f32.reinterpret_i32"]: lambda a: a,
-        op.NAME_TO_OPCODE["f64.reinterpret_i64"]: lambda a: a,
-    }
-)
+            _OPERATORS[_code] = ("trunc({a})", {"trunc": _trunc(_read, _bits, _sx == "s")})
+for _name, _template in {
+    "i32.wrap_i64": "{a} & _M32",
+    "i64.extend_i32_s": "_s32({a}) & _M64",
+    "i64.extend_i32_u": "{a}",
+    "f32.convert_i32_s": "_int_to_f32_bits(_s32({a}))",
+    "f32.convert_i32_u": "_int_to_f32_bits({a})",
+    "f32.convert_i64_s": "_int_to_f32_bits(_s64({a}))",
+    "f32.convert_i64_u": "_int_to_f32_bits({a})",
+    "f32.demote_f64": "_f32_result(f64_from_bits({a}))",
+    "f64.convert_i32_s": "f64_to_bits(float(_s32({a})))",
+    "f64.convert_i32_u": "f64_to_bits(float({a}))",
+    "f64.convert_i64_s": "f64_to_bits(float(_s64({a})))",
+    "f64.convert_i64_u": "f64_to_bits(float({a}))",
+    "f64.promote_f32": "_f64_result(f32_from_bits({a}))",
+    "i32.reinterpret_f32": "{a}",
+    "i64.reinterpret_f64": "{a}",
+    "f32.reinterpret_i32": "{a}",
+    "f64.reinterpret_i64": "{a}",
+}.items():
+    _OPERATORS[op.NAME_TO_OPCODE[_name]] = (_template, {})
 
 # derived from opcodes.OPS: memory accesses, opcode -> (width, the
 # struct's unpack_from for a load or pack_into for a store, value mask);
@@ -489,35 +500,52 @@ _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
-def _trap(kind: str, pos: int) -> TrapError:
-    """A trap at unit ``pos`` of its run: the loop refunds the units after."""
-    t = TrapError(kind)
-    t.pos = pos
-    return t
+# how an operator's closure reads an operand of each kind: a local, a
+# constant, or a child closure, which also takes operands off the stack
+_OPERAND = {"l": "L[{}]", "c": "{}", "k": "{}(L)"}
+
+# (opcode, kinds) -> the factory of the operator's closures over operands of
+# those kinds; filled on first use
+_FACTORIES: dict[tuple[int, str], object] = {}
 
 
-def _fn(get):
-    """An operand, a constant or a closure, as a closure from the locals."""
-    return (lambda L: get) if type(get) is int else get
+def _factory(opcode: int, kinds: str):
+    """The factory of ``opcode``'s closures over operands of ``kinds``.
+
+    Its source is the operator's template with each operand written for its
+    kind, and nothing else: the local indices, constants and closures are
+    the factory's arguments, with the trap position ``pos``, so no value of
+    a module reaches ``exec``. An operator that can trap computes its
+    operands first, as their traps are their own, then traps at ``pos``.
+    """
+    template, names = _OPERATORS[opcode]
+    params = ("a_", "b_")[: len(kinds)]
+    operands = [_OPERAND[k].format(p) for k, p in zip(kinds, params)]
+    if opcode in _TRAPPING:
+        reads = "".join(f"        {v} = {o}\n" for v, o in zip("ab", operands))
+        source = (
+            f"def factory({', '.join(params)}, pos):\n"
+            f"    def guarded(L):\n{reads}"
+            f"        try:\n"
+            f"            return {template.format(a='a', b='b')}\n"
+            f"        except TrapError as t:\n"
+            f"            raise _trap(t.kind, pos) from None\n"
+            f"    return guarded\n"
+        )
+    else:
+        expr = template.format(**dict(zip("ab", operands)))
+        source = f"def factory({', '.join(params)}, pos):\n    return lambda L: {expr}\n"
+    scope = {**globals(), **names}
+    exec(source, scope)
+    factory = _FACTORIES[opcode, kinds] = scope["factory"]
+    return factory
 
 
-def _operator(f, kids: list, pos: int | None):
-    """``f`` of the operands ``kids``; an ``f`` that can trap, at ``pos``."""
-    if pos is not None:
-        kids = [_fn(k) for k in kids]
-        def guarded(L):
-            values = [k(L) for k in kids]
-            try:
-                return f(*values)
-            except TrapError as t:
-                raise _trap(t.kind, pos) from None
-        return guarded
-    a, b = _fn(kids[0]), kids[-1]
-    if len(kids) == 1:
-        return lambda L: f(a(L))
-    if type(b) is int:
-        return lambda L: f(a(L), b)
-    return lambda L: f(a(L), b(L))
+def _closure(kind: str, value):
+    """An operand of ``kind`` as a closure from the locals."""
+    if kind == "k":
+        return value
+    return itemgetter(value) if kind == "l" else lambda L: value
 
 
 def _run_compiler(inst: Instance):
@@ -529,39 +557,42 @@ def _run_compiler(inst: Instance):
     limit = inst.module.memories[0].limits.maximum if inst.module.memories else None
     cap = MAX_PAGES if limit is None else min(limit, MAX_PAGES)
     stmts: list = []
-    # the operands not computed yet, above the stack's: (constant or closure, depth)
+    # the operands not computed yet, above the stack's: (kind, local index,
+    # constant or closure, depth), the kind a letter of _OPERAND
     pend: list[tuple] = []
 
     def flush(upto: int | None = None) -> None:
-        stmts.extend([_fn(t[0]) for t in pend[:upto]])
+        stmts.extend([_closure(kind, value) for kind, value, _ in pend[:upto]])
         del pend[:upto]
 
-    def operands(k: int, effect: bool) -> tuple[list, int]:
-        """The top ``k`` operands, bottom first, and the depth of a tree over
-        them, for an instruction that can trap or writes (``effect``) or not.
-        If one is on the stack, all go there, and the first child takes them."""
+    def operands(k: int, effect: bool) -> tuple[str, tuple, int]:
+        """The top ``k`` operands, bottom first, as their kinds and values,
+        and the depth of a tree over them, for an instruction that can trap
+        or writes (``effect``) or not. If one is on the stack, all go there,
+        and the first child takes them."""
         n = min(k, len(pend))
         if effect and len(pend) > n:
             flush(len(pend) - n)
-        kids, depth = [], 1
-        for get, d in pend[len(pend) - n :]:
-            kids.append(get)
-            depth = max(depth, d + 1)
-        if n == k and depth <= _MAX_DEPTH:
-            del pend[len(pend) - n :]
-            return kids, depth
+        if not k:
+            return "", (), 1
+        if n == k:
+            kinds, values, depths = zip(*pend[-k:])
+            depth = max(depths) + 1
+            if depth <= _MAX_DEPTH:
+                del pend[-k:]
+                return "".join(kinds), values, depth
         flush()
         if k == 1:
-            return [lambda L: stack.pop()], 2
+            return "k", (lambda L: stack.pop(),), 2
         taken: list[int] = []
         def take(L):
             taken[:], stack[-k:] = stack[-k:], ()
             return taken[0]
-        return [take] + [lambda L, j=j: taken[j] for j in range(1, k)], 2
+        return "k" * k, (take, *[lambda L, j=j: taken[j] for j in range(1, k)]), 2
 
-    def closure(opcode: int, args: tuple, kids: list, pos: int):
-        """An instruction's closure over its operands' closures."""
-        a, b, c = [_fn(k) for k in kids] + [None] * (3 - len(kids))
+    def closure(opcode: int, args: tuple, kinds: str, values: tuple, pos: int):
+        """An instruction's closure over its operands'."""
+        a, b, c = [*map(_closure, kinds, values)] + [None] * (3 - len(kinds))
         i = args[0] if args else None
         if opcode in _MEMORY:
             offset, width, access, mask = args[1], *_MEMORY[opcode]
@@ -627,9 +658,11 @@ def _run_compiler(inst: Instance):
 
     def add(instr, at: int) -> int:
         opcode, args = instr
-        if opcode == op.LOCAL_GET or opcode in _CONST_MASKS:
-            leaf = itemgetter(args[0]) if opcode == op.LOCAL_GET else args[0] & _CONST_MASKS[opcode]
-            pend.append((leaf, 1))
+        if opcode == op.LOCAL_GET:
+            pend.append(("l", args[0], 1))
+            return 1
+        if opcode in _CONST_MASKS:
+            pend.append(("c", args[0] & _CONST_MASKS[opcode], 1))
             return 1
         info = op.OPS[opcode]
         if info.pops is not None:
@@ -639,13 +672,14 @@ def _run_compiler(inst: Instance):
         else:
             k = 3 if opcode == op.SELECT else 0 if opcode in (op.GLOBAL_GET, op.UNREACHABLE) else 1
             pushes = int(opcode in (op.SELECT, op.GLOBAL_GET, op.LOCAL_TEE, op.CALL_INDIRECT))
-        kids, depth = operands(k, opcode in _EFFECTS)
-        if opcode in _OPERATORS:
-            node = _operator(_OPERATORS[opcode], kids, at if opcode in _TRAPPING else None)
+        kinds, values, depth = operands(k, opcode in _EFFECTS)
+        if opcode in _OPERATORS:  # one closure, from the factory for its operands' kinds
+            factory = _FACTORIES.get((opcode, kinds)) or _factory(opcode, kinds)
+            node = factory(*values, at)
         else:
-            node = closure(opcode, args, kids, at)
+            node = closure(opcode, args, kinds, values, at)
         if pushes:
-            pend.append((node, depth))
+            pend.append(("k", node, depth))
         else:
             stmts.append(node)
         return pushes - k
@@ -892,18 +926,14 @@ class Instance:
             raise TrapError(t.kind, funcidx) from None
         return [v.bits for v in results]
 
-    def _enter(self, funcidx: int, args: list[int]) -> tuple[list[tuple], list[int]]:
-        """The compiled code of a defined function and its fresh locals.
-        The first entry compiles the body, and records the function as
-        entered: the trace needs no probe on later calls."""
-        compiled = self._compiled[funcidx]
-        if compiled is None:
-            self.entered.add(funcidx)
-            fn = self.module.functions[funcidx - self._n_imports]
-            compiled = (_compile(self, fn), [0] * len(fn.locals))
-            self._compiled[funcidx] = compiled
-        code, zeros = compiled
-        return code, args + zeros
+    def _enter(self, funcidx: int) -> tuple[list[tuple], list[int]]:
+        """The first entry of a defined function: compile its body, and
+        record it as entered, so the trace needs no probe on later calls.
+        Returns its compiled code and zeroed locals."""
+        self.entered.add(funcidx)
+        fn = self.module.functions[funcidx - self._n_imports]
+        compiled = self._compiled[funcidx] = (_compile(self, fn), [0] * len(fn.locals))
+        return compiled
 
     def _execute(self, funcidx: int, args: list[int]) -> list[int]:
         """Run a function, and every wasm call it makes, in one loop; an
@@ -920,12 +950,15 @@ class Instance:
         n_imports = self._n_imports
         if funcidx < n_imports:
             return self._call_host(funcidx, args)
-        call_targets = self.call_targets
+        call_targets, compiled = self.call_targets, self._compiled
         stack = self._stack
+        push, pop = stack.append, stack.pop
         base = len(stack)  # a host function may call in: what is below is its caller's
         frames: list[tuple] = []  # suspended callers: (code, pc, locals, funcidx)
+        max_suspended = _MAX_SUSPENDED
 
-        code, locals_ = self._enter(funcidx, args)
+        code, zeros = compiled[funcidx] or self._enter(funcidx)
+        locals_ = args + zeros
         pc = units = 0
         fuel = self.fuel
         try:
@@ -939,41 +972,45 @@ class Instance:
                 for stmt in stmts:
                     value = stmt(locals_)
                     if value is not None:
-                        stack.append(value)
+                        push(value)
+                # the exits in the order of how often they run
                 k = exit_[0]
-                if k == _BR:
-                    _, pc, keep, drop = exit_
-                    if drop:  # the values under the top ``keep``
-                        top = len(stack) - keep
-                        del stack[top - drop : top]
+                if k == _CALL:
+                    _, callee, argc = exit_
+                    if callee is None:  # a call_indirect's, which its statement pushed
+                        callee = pop()
+                    if len(frames) >= max_suspended:
+                        raise TrapError(TRAP_STACK_EXHAUSTED)
+                    call_targets.add(callee)
+                    top = len(stack) - argc
+                    if callee < n_imports:
+                        call_args = stack[top:]
+                        del stack[top:]
+                        stack.extend(self._call_host(callee, call_args))
+                    else:
+                        frames.append((code, pc, locals_, funcidx))
+                        code, zeros = compiled[callee] or self._enter(callee)
+                        locals_ = stack[top:]
+                        del stack[top:]
+                        locals_ += zeros
+                        pc = 0
+                        funcidx = callee
+                elif k == _END:
+                    if not frames:
+                        return stack[base:]
+                    code, pc, locals_, funcidx = frames.pop()
                 elif k == _BR_TABLE:
-                    i = stack.pop()
+                    i = pop()
                     labels = exit_[1]
                     pc, keep, drop = labels[i] if i < len(labels) else exit_[2]
                     if drop:
                         top = len(stack) - keep
                         del stack[top - drop : top]
-                elif k == _CALL:
-                    _, callee, argc = exit_
-                    if callee is None:  # a call_indirect's, which its statement pushed
-                        callee = stack.pop()
-                    if len(frames) >= _MAX_SUSPENDED:
-                        raise TrapError(TRAP_STACK_EXHAUSTED)
-                    call_targets.add(callee)
-                    top = len(stack) - argc
-                    call_args = stack[top:]
-                    del stack[top:]
-                    if callee < n_imports:
-                        stack.extend(self._call_host(callee, call_args))
-                    else:
-                        frames.append((code, pc, locals_, funcidx))
-                        code, locals_ = self._enter(callee, call_args)
-                        pc = 0
-                        funcidx = callee
-                else:  # _END
-                    if not frames:
-                        return stack[base:]
-                    code, pc, locals_, funcidx = frames.pop()
+                else:  # _BR
+                    _, pc, keep, drop = exit_
+                    if drop:  # the values under the top ``keep``
+                        top = len(stack) - keep
+                        del stack[top - drop : top]
         except TrapError as t:
             # a closure's trap refunds the units of its run after it
             fuel += units - getattr(t, "pos", units)

@@ -5,7 +5,11 @@ rules; float bit patterns were cross-checked against struct.pack, which
 rounds independently of the interpreter's own arithmetic.
 """
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -1426,3 +1430,76 @@ def test_every_operand_kind_gives_the_bits_of_two_local_reads(name):
             expected[args] = out
         else:
             assert out == expected[args], (kinds, args)
+
+
+def mixed_module(constants, indices):
+    """f over three i32 and two i64 parameters: six operators whose
+    operands are locals (``indices``), constants (``constants``) and child
+    closures, in the same kinds whatever the numbers."""
+    (c1, c2, c3), (x, y, z) = constants, indices
+    body = (
+        *(ins("local.get", x), ins("i32.const", c1), ins("i32.add")),  # lc
+        *(ins("local.get", y), ins("i32.mul")),  # kl
+        *(ins("i32.const", c2), ins("i32.div_u")),  # kc
+        *(ins("local.get", z), ins("i64.const", c3), ins("i64.rotl"), ins("i64.eqz")),  # lc, k
+        ins("i32.xor"),  # kk
+    )
+    return Module(
+        types=(FuncType(("i32", "i32", "i32", "i64", "i64"), ("i32",)),),
+        functions=(Function(0, (), body),),
+        exports=(Export("f", "func", 0),),
+    )
+
+
+def test_operator_factories_are_made_on_first_use_from_the_kinds_alone(monkeypatch):
+    src = Path(__file__).resolve().parent.parent / "src"
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import wasmdebloat.interp as i; print(len(i._FACTORIES))"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert fresh.stdout == "0\n", fresh.stderr
+
+    sources = []
+
+    def recording_exec(source, scope):
+        sources.append(source)
+        exec(source, scope)
+
+    monkeypatch.setattr(interp, "_FACTORIES", {})
+    monkeypatch.setattr(interp, "exec", recording_exec, raising=False)
+    args = tuple(map(Value, ("i32", "i32", "i32", "i64", "i64"), (1, 2, 3, 4, 5)))
+    assert isinstance(invoke(instantiate(mixed_module((12345, 678, -987654321), (0, 1, 3))), "f", args), Results)
+    code = op.NAME_TO_OPCODE
+    made = {
+        (code["i32.add"], "lc"),
+        (code["i32.mul"], "kl"),
+        (code["i32.div_u"], "kc"),
+        (code["i64.rotl"], "lc"),
+        (code["i64.eqz"], "k"),
+        (code["i32.xor"], "kk"),
+    }
+    assert set(interp._FACTORIES) == made
+    assert len(sources) == len(made)
+    assert not [s for s in sources if any(c in s for c in ("12345", "678", "987654321"))]
+    # other constants and local indices: no factory and no source more
+    assert isinstance(invoke(instantiate(mixed_module((5, 99991, 31), (2, 0, 4))), "f", args), Results)
+    assert (set(interp._FACTORIES), len(sources)) == (made, len(made))
+
+    # every operator over every kind of operand: a stack-taken operand is
+    # a child closure, so an operator of arity n has 3**n factories at most
+    for name in NUMERIC:
+        info = op.OPS[code[name]]
+        params = info.pops
+        funcs = tuple(
+            Function(0, (), (*[x for i, k in enumerate(kinds) for x in operand(k, params[i], i, 7)], ins(name)))
+            for kinds in product(OPERAND_KINDS, repeat=len(params))
+        )
+        inst = instantiate(Module(types=(FuncType(params, info.pushes),), functions=funcs))
+        for fn in funcs:
+            interp._compile(inst, fn)
+    arities = [len(op.OPS[c].pops) for c in interp._OPERATORS]
+    assert len(interp._FACTORIES) == len(sources) == sum(3**n for n in arities)
+    assert len(interp._FACTORIES) <= 9 * len(interp._OPERATORS)
