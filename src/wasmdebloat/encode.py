@@ -70,6 +70,8 @@ class Writer:
                 return
 
     def _sleb(self, value: int, bits: int) -> None:
+        if type(value) is not int:
+            raise TypeError(f"{value!r} is not an integer")
         if not -(1 << (bits - 1)) <= value < 1 << (bits - 1):
             raise EncodeError(f"s{bits} out of range: {value}")
         while True:
@@ -108,6 +110,8 @@ class Writer:
 
     def global_type(self, gt: GlobalType) -> None:
         self.valtype(gt.valtype)
+        if type(gt.mutable) is not bool:
+            raise TypeError(f"{gt.mutable!r} is not a bool")
         self.byte(0x01 if gt.mutable else 0x00)
 
     def mem_type(self, mt: MemType) -> None:
@@ -115,6 +119,7 @@ class Writer:
 
     def vector(self, write_item, items) -> None:
         """A vector: its length, then each item written by ``write_item``."""
+        _check_vector(items)
         self.u32(len(items))
         for item in items:
             write_item(self, item)
@@ -173,6 +178,11 @@ class Writer:
         self.raw(seg.data)
 
 
+def _check_vector(items) -> None:
+    if not isinstance(items, (tuple, list)):
+        raise TypeError(f"{items!r} is not a tuple or list")
+
+
 _IMPORT_DESCS = {
     "func": Writer.u32,
     "table": Writer.table_type,
@@ -203,7 +213,7 @@ def write_expr(w: Writer, body: Expr) -> None:
     opens = []  # per open construct, its opcode; ELSE once an if is in its else arm
     for instr in body:
         code = instr.opcode
-        imm = _IMM.get(code)
+        imm = _IMM.get(code) if type(code) is int else None
         if imm is None:
             what = f"0x{code:02x}" if type(code) is int else repr(code)
             raise EncodeError(f"unknown opcode {what}")
@@ -245,10 +255,11 @@ def write_expr(w: Writer, body: Expr) -> None:
                 w.s32(instr.args[0])
             elif imm == "i64":
                 w.s64(instr.args[0])
-            elif imm == "f32":
-                w.raw(instr.args[0].to_bytes(4, "little"))
-            elif imm == "f64":
-                w.raw(instr.args[0].to_bytes(8, "little"))
+            elif imm in ("f32", "f64"):  # the float's bits
+                bits = instr.args[0]
+                if type(bits) is not int:
+                    raise TypeError(f"{bits!r} is not an integer")
+                w.raw(bits.to_bytes(4 if imm == "f32" else 8, "little"))
             else:
                 raise AssertionError(f"unhandled immediate kind {imm!r}")
         except (AttributeError, LookupError, OverflowError, TypeError, ValueError):
@@ -273,6 +284,8 @@ def encode(m: Module) -> bytes:
         for sec_id, field, what, write_item in _SECTIONS:
             i = None
             value = getattr(m, field)
+            if write_item is not None:
+                _check_vector(value)
             if value is None or write_item is not None and not value:
                 continue
             w = Writer()
@@ -284,6 +297,7 @@ def encode(m: Module) -> bytes:
                     write_item(w, item)
             _section(out, sec_id, w)
         what, i = "custom", None
+        _check_vector(m.custom_sections)
         for i, (name, payload) in enumerate(m.custom_sections):
             w = Writer()
             w.name(name)

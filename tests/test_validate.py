@@ -642,6 +642,39 @@ _UNIT = (FuncType((), ()),)
             ),
             ("func[2]", "None is not an integer"),
         ),
+        (
+            Module(types=_UNIT, functions=(Function(0, (), ()),), exports=None),
+            ("export", "None is not a tuple or list"),
+        ),
+        (
+            Module(types=None),
+            ("type", "None is not a tuple or list"),
+        ),
+        (
+            Module(types=_UNIT, functions=(Function(0, (), (Instruction(True),)),)),
+            ("func[0]", "unknown opcode True"),
+        ),
+        (
+            Module(types=_UNIT, functions=(Function(0, (), (ins("i32.const", True), ins("drop"))),)),
+            ("func[0]", "i32.const: malformed immediate (True,)"),
+        ),
+        (
+            Module(types=_UNIT, functions=(Function(0, (), (ins("f64.const", False), ins("drop"))),)),
+            ("func[0]", "f64.const: malformed immediate (False,)"),
+        ),
+        (
+            Module(globals=(Global(GlobalType("i32", "0"), (ins("i32.const", 0),)),)),
+            ("global[0]", "'0' is not a bool"),
+        ),
+        (
+            Module(
+                types=_UNIT,
+                functions=(Function(0, (), ()),),
+                tables=(TableType(Limits(1)),),
+                elements=(ElementSegment(0, (ins("i32.const", 0),), b"\x00"),),
+            ),
+            ("element[0]", "b'\\x00' is not a tuple or list"),
+        ),
     ],
     ids=[
         "opcode",
@@ -659,6 +692,13 @@ _UNIT = (FuncType((), ()),)
         "import-kind",
         "custom-payload",
         "type-index-after-import",
+        "exports-none",
+        "types-none",
+        "opcode-bool",
+        "i32-const-bool",
+        "f64-const-bool",
+        "mutable-str",
+        "element-bytes",
     ],
 )
 def test_a_hand_built_field_of_the_wrong_type_is_one_validation_error(m, error):
