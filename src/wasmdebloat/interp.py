@@ -12,11 +12,19 @@ to a run, keeping the values it carries and dropping those beneath them,
 all fixed at compile time (Titzer, "A fast in-place interpreter for
 WebAssembly", OOPSLA 2022); ``if`` and ``br_if`` are tables of one
 branch, and ``call_indirect`` is a statement that checks its slot and
-leaves the callee for the call. In a run, an instruction's closure takes
-as children the closures that compute its operands (closure generation:
-Feeley & Lapalme, "Using closures for code generation", Computer
-Languages 1987; ``_run_compiler``): ``local.get 1; local.get 0; i32.add;
-local.set 1`` is one closure. A producer folds into its consumer only if
+leaves the callee for the call. In a run, an instruction's closure
+computes its operands itself (closure generation: Feeley & Lapalme,
+"Using closures for code generation", Computer Languages 1987;
+``_run_compiler``). Each operand is of one of three kinds: a local read, a
+constant, or a child closure, which also takes operands off the stack. A
+numeric operator is an expression template over its operands, and its
+closure comes from a factory for the opcode and its operands' kinds, a
+superinstruction (Ertl & Gregg, PLDI 2003): ``local.get 0; i32.const 5;
+i32.add`` is the one closure ``lambda L: (L[a_] + b_) & mask``. A
+factory's source is the template with each operand written for its kind
+and nothing else; the local index, the constant or the child closure is
+an argument of the factory, so no value of a module reaches ``exec``, and
+a factory is made on first use. A producer folds into its consumer only if
 no instruction between them can trap or writes a local, a global or
 memory; otherwise, at the run's end and past _MAX_DEPTH levels (a Python
 frame each), its tree becomes a statement that pushes its value. One
@@ -32,8 +40,8 @@ it pays for, compiled as a run, then traps.
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Each numeric operator is
 written once for both widths, generic over N as the spec defines it
-(WebAssembly Core Specification 1.0, section 4.3), and built for each
-width (``_int_ops``, ``_float_ops``). Floats are materialized only
+(WebAssembly Core Specification 1.0, section 4.3), as a template with the
+names it uses for each width (``_int_ops``, ``_float_ops``). Floats are materialized only
 inside the operators, and every arithmetic NaN is canonicalized so
 observation logs are deterministic. An integer converts to f32 in one
 rounding, through round-to-odd (Boldo & Melquiond, "Emulation of FMA and
@@ -504,6 +512,18 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 # constant, or a child closure, which also takes operands off the stack
 _OPERAND = {"l": "L[{}]", "c": "{}", "k": "{}(L)"}
 
+# the source of a factory, and of one for an operator that can trap
+_PLAIN = "def factory({params}, pos):\n    return lambda L: {expr}\n"
+_GUARDED = """def factory({params}, pos):
+    def guarded(L):
+        {reads}
+        try:
+            return {expr}
+        except TrapError as t:
+            raise _trap(t.kind, pos) from None
+    return guarded
+"""
+
 # (opcode, kinds) -> the factory of the operator's closures over operands of
 # those kinds; filled on first use
 _FACTORIES: dict[tuple[int, str], object] = {}
@@ -520,21 +540,13 @@ def _factory(opcode: int, kinds: str):
     """
     template, names = _OPERATORS[opcode]
     params = ("a_", "b_")[: len(kinds)]
-    operands = [_OPERAND[k].format(p) for k, p in zip(kinds, params)]
+    operands = dict(zip("ab", [_OPERAND[k].format(p) for k, p in zip(kinds, params)]))
     if opcode in _TRAPPING:
-        reads = "".join(f"        {v} = {o}\n" for v, o in zip("ab", operands))
-        source = (
-            f"def factory({', '.join(params)}, pos):\n"
-            f"    def guarded(L):\n{reads}"
-            f"        try:\n"
-            f"            return {template.format(a='a', b='b')}\n"
-            f"        except TrapError as t:\n"
-            f"            raise _trap(t.kind, pos) from None\n"
-            f"    return guarded\n"
-        )
+        reads = f"{', '.join(operands)} = {', '.join(operands.values())}"
+        expr = template.format(a="a", b="b")
+        source = _GUARDED.format(params=", ".join(params), reads=reads, expr=expr)
     else:
-        expr = template.format(**dict(zip("ab", operands)))
-        source = f"def factory({', '.join(params)}, pos):\n    return lambda L: {expr}\n"
+        source = _PLAIN.format(params=", ".join(params), expr=template.format(**operands))
     scope = {**globals(), **names}
     exec(source, scope)
     factory = _FACTORIES[opcode, kinds] = scope["factory"]
