@@ -159,9 +159,12 @@ class Writer:
 
     def code_entry(self, fn: Function) -> None:
         entry = Writer()
-        # runs of equal types, each one (count, type) group
+        # runs of equal types, each one (count, type) group: a list built
+        # here, so written without ``vector``'s check of its type
         groups = [(len(list(run)), vt) for vt, run in groupby(fn.locals)]
-        entry.vector(Writer.local_group, groups)
+        entry.u32(len(groups))
+        for group in groups:
+            entry.local_group(group)
         write_expr(entry, fn.body)
         self.u32(len(entry.buf))
         self.raw(entry.buf)
