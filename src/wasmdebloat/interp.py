@@ -553,7 +553,7 @@ def _factory(opcode: int, kinds: str):
     return factory
 
 
-def _closure(kind: str, value):
+def _as_closure(kind: str, value):
     """An operand of ``kind`` as a closure from the locals."""
     if kind == "k":
         return value
@@ -574,7 +574,7 @@ def _run_compiler(inst: Instance):
     pend: list[tuple] = []
 
     def flush(upto: int | None = None) -> None:
-        stmts.extend([_closure(kind, value) for kind, value, _ in pend[:upto]])
+        stmts.extend([_as_closure(kind, value) for kind, value, _ in pend[:upto]])
         del pend[:upto]
 
     def operands(k: int, effect: bool) -> tuple[str, tuple, int]:
@@ -604,7 +604,7 @@ def _run_compiler(inst: Instance):
 
     def closure(opcode: int, args: tuple, kinds: str, values: tuple, pos: int):
         """An instruction's closure over its operands'."""
-        a, b, c = [*map(_closure, kinds, values)] + [None] * (3 - len(kinds))
+        a, b, c = [*map(_as_closure, kinds, values)] + [None] * (3 - len(kinds))
         i = args[0] if args else None
         if opcode in _MEMORY:
             offset, width, access, mask = args[1], *_MEMORY[opcode]
