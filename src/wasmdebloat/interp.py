@@ -15,16 +15,14 @@ branch, and ``call_indirect`` is a statement that checks its slot and
 leaves the callee for the call. In a run, an instruction's closure
 computes its operands itself (closure generation: Feeley & Lapalme,
 "Using closures for code generation", Computer Languages 1987;
-``_run_compiler``). Each operand is of one of three kinds: a local read, a
-constant, or a child closure, which also takes operands off the stack. A
-numeric operator is an expression template over its operands, and its
-closure comes from a factory for the opcode and its operands' kinds, a
+``_run_compiler``), each a local read, a constant or a child closure,
+which also takes operands off the stack. A numeric operator's closure
+comes from a factory for the opcode and its operands' kinds, a
 superinstruction (Ertl & Gregg, PLDI 2003): ``local.get 0; i32.const 5;
-i32.add`` is the one closure ``lambda L: (L[a_] + b_) & mask``. A
-factory's source is the template with each operand written for its kind
-and nothing else; the local index, the constant or the child closure is
-an argument of the factory, so no value of a module reaches ``exec``, and
-a factory is made on first use. A producer folds into its consumer only if
+i32.add`` is the one closure ``lambda L: (L[a_] + b_) & mask``. A factory
+is made on first use from the operator's template and the kind letters
+alone; the local index, constant or closure is its argument, so no value
+of a module reaches ``exec``. A producer folds into its consumer only if
 no instruction between them can trap or writes a local, a global or
 memory; otherwise, at the run's end and past _MAX_DEPTH levels (a Python
 frame each), its tree becomes a statement that pushes its value. One
@@ -530,14 +528,10 @@ _FACTORIES: dict[tuple[int, str], object] = {}
 
 
 def _factory(opcode: int, kinds: str):
-    """The factory of ``opcode``'s closures over operands of ``kinds``.
-
-    Its source is the operator's template with each operand written for its
-    kind, and nothing else: the local indices, constants and closures are
-    the factory's arguments, with the trap position ``pos``, so no value of
-    a module reaches ``exec``. An operator that can trap computes its
-    operands first, as their traps are their own, then traps at ``pos``.
-    """
+    """The factory of ``opcode``'s closures over operands of ``kinds``; its
+    arguments are the operands' local indices, constants or closures and the
+    trap position ``pos``. An operator that can trap computes its operands
+    before its ``try``, as their traps are their own."""
     template, names = _OPERATORS[opcode]
     params = ("a_", "b_")[: len(kinds)]
     operands = dict(zip("ab", [_OPERAND[k].format(p) for k, p in zip(kinds, params)]))
@@ -569,8 +563,9 @@ def _run_compiler(inst: Instance):
     limit = inst.module.memories[0].limits.maximum if inst.module.memories else None
     cap = MAX_PAGES if limit is None else min(limit, MAX_PAGES)
     stmts: list = []
-    # the operands not computed yet, above the stack's: (kind, local index,
-    # constant or closure, depth), the kind a letter of _OPERAND
+    # the operands not computed yet, above the stack's: (kind, value, depth),
+    # the kind a letter of _OPERAND and the value a local index, a constant
+    # or a closure
     pend: list[tuple] = []
 
     def flush(upto: int | None = None) -> None:
