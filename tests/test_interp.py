@@ -1393,29 +1393,26 @@ def operand(kind, t, i, value):
 def test_every_operand_kind_gives_the_bits_of_two_local_reads(name):
     info = op.OPS[op.NAME_TO_OPCODE[name]]
     params = info.pops
-    # per (kinds, the constants at the const positions), a function whose
-    # body pushes the operands, runs the operator and then a nop, so a
-    # trap at the operator leaves one unit unpaid
-    funcs: dict[tuple, tuple[int, tuple]] = {}
-    calls = []
+    grids = [GRID[t] for t in params]
+    # per kinds and per choice of the constants at its const positions, a
+    # function whose body pushes the operands, runs the operator and then a
+    # nop, so a trap at the operator leaves one unit unpaid
+    bodies, calls, checked = [], [], []
     for kinds in product(OPERAND_KINDS, repeat=len(params)):
-        for args in product(*(GRID[t] for t in params)):
-            key = (kinds, tuple(a if k == "const" else None for k, a in zip(kinds, args)))
-            if key not in funcs:
-                body = [x for i, k in enumerate(kinds) for x in operand(k, params[i], i, args[i])]
-                funcs[key] = (len(funcs), (*body, ins(name), ins("nop")))
-            calls.append((kinds, funcs[key][0], args))
+        for consts in product(*(g if k == "const" else (None,) for k, g in zip(kinds, grids))):
+            body = [x for i, k in enumerate(kinds) for x in operand(k, params[i], i, consts[i])]
+            bodies.append((*body, ins(name), ins("nop")))
+            for args in product(*(g if c is None else (c,) for g, c in zip(grids, consts))):
+                calls.append((kinds, len(bodies) - 1, args))
+        checked.append(Function(0, (), bodies[-1]))  # the others differ only in constants
     m = Module(
         types=(FuncType(params, info.pushes),),
-        functions=tuple(Function(0, (), body) for _, body in funcs.values()),
-        exports=tuple(Export(str(i), "func", i) for i in range(len(funcs))),
+        functions=tuple(Function(0, (), body) for body in bodies),
+        exports=tuple(Export(str(i), "func", i) for i in range(len(bodies))),
     )
-    # the first function of each kinds, as the others differ only in constants
-    firsts = {kinds: body for (kinds, _), (_, body) in reversed(funcs.items())}
-    checked = tuple(Function(0, (), body) for body in firsts.values())
-    assert validate_module(m.with_(functions=checked, exports=())).ok
-    units = [sum(x.opcode not in (op.END, op.ELSE) for x in body) for _, body in funcs.values()]
-    values = {args: tuple(map(Value, params, args)) for args in product(*(GRID[t] for t in params))}
+    assert validate_module(m.with_(functions=tuple(checked), exports=())).ok
+    units = [sum(x.opcode not in (op.END, op.ELSE) for x in body) for body in bodies]
+    values = {args: tuple(map(Value, params, args)) for args in product(*grids)}
     inst = instantiate(m)
     expected = {}
     for kinds, i, args in calls:
@@ -1431,6 +1428,37 @@ def test_every_operand_kind_gives_the_bits_of_two_local_reads(name):
         else:
             assert out == expected[args], (kinds, args)
 
+
+
+@pytest.mark.parametrize(
+    "x, d, outcome, used",
+    [
+        (float("nan"), 3, Trap("integer-overflow", 0), 2),  # the truncation, at its own unit
+        (7.5, 0, Trap("divide-by-zero", 0), 4),
+        (7.5, 3, Results((Value.i32(2),)), 5),
+    ],
+)
+def test_a_trap_under_a_trapping_operator_keeps_its_own_unit(x, d, outcome, used):
+    # f(x, d) = trunc(x) / d, then a nop: the division's closure computes
+    # the truncation, and a trap of either refunds the units after its own
+    m = Module(
+        types=(FuncType(("f32", "i32"), ("i32",)),),
+        functions=(
+            Function(
+                0,
+                (),
+                (
+                    ins("local.get", 0),
+                    ins("i32.trunc_f32_s"),
+                    ins("local.get", 1),
+                    ins("i32.div_u"),
+                    ins("nop"),
+                ),
+            ),
+        ),
+        exports=(Export("f", "func", 0),),
+    )
+    assert fuel_used(m, "f", (Value.f32(x), Value.i32(d))) == (outcome, used)
 
 def mixed_module(constants, indices):
     """f over three i32 and two i64 parameters: six operators whose
