@@ -41,6 +41,8 @@ from wasmdebloat.module import (
     Export,
     FuncType,
     Function,
+    Global,
+    GlobalType,
     Import,
     Limits,
     MemType,
@@ -1427,6 +1429,78 @@ def test_every_operand_kind_gives_the_bits_of_two_local_reads(name):
             expected[args] = out
         else:
             assert out == expected[args], (kinds, args)
+
+
+# the other instructions over operands of every kind: per instruction, its
+# operands' types and grids, the locals after them, and the instructions
+# from it to the end of the body with the body's results
+ADDRESSES = (0, 6, 65533, 0xFFFFFFFF)
+I32S, I64S = (5, 0x80000001), (7, 0x8000000000000001)
+OTHER = {
+    "local.set": (("i32",), (I32S,), ("i32",), (ins("local.set", 1), ins("local.get", 1)), ("i32",)),
+    "local.tee": (
+        ("i64",), (I64S,), ("i64",), (ins("local.tee", 1), ins("local.get", 1), ins("i64.add")), ("i64",)
+    ),
+    "global.set": (("i64",), (I64S,), (), (ins("global.set", 0),), ()),
+    "i32.load": (("i32",), (ADDRESSES,), (), (ins("i32.load", 2, 1),), ("i32",)),
+    "i64.load8_s": (("i32",), (ADDRESSES,), (), (ins("i64.load8_s", 0, 1),), ("i64",)),
+    "i32.store": (("i32", "i32"), (ADDRESSES, I32S), (), (ins("i32.store", 2, 1),), ()),
+    "i64.store16": (("i32", "i64"), (ADDRESSES, I64S), (), (ins("i64.store16", 1, 1),), ()),
+    "select": (("i64", "i64", "i32"), ((7,), (0x8000000000000001,), (0, 2)), (), (ins("select"),), ("i64",)),
+    "drop": (("i32",), (I32S,), (), (ins("drop"),), ()),
+    "memory.grow": (
+        ("i32",), ((0, 1, 2),), (), (ins("memory.grow"), ins("memory.size"), ins("i32.add")), ("i32",)
+    ),
+    # slot 0 adds 10 to the argument, slot 1's function has another type,
+    # slot 2 is empty and slot 9 is outside the table
+    "call_indirect": (("i32", "i32"), ((5,), (0, 1, 2, 9)), (), (ins("call_indirect", 1),), ("i32",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER))
+def test_every_operand_kind_of_another_instruction_gives_what_local_reads_give(name):
+    params, grids, locals_, tail, results = OTHER[name]
+    bodies, calls, checked = [], [], []
+    for kinds in product(OPERAND_KINDS, repeat=len(params)):
+        for consts in product(*(g if k == "const" else (None,) for k, g in zip(kinds, grids))):
+            body = [x for i, k in enumerate(kinds) for x in operand(k, params[i], i, consts[i])]
+            bodies.append((*body, *tail, ins("nop")))
+            for args in product(*(g if c is None else (c,) for g, c in zip(grids, consts))):
+                calls.append((kinds, len(bodies) - 1, args))
+        checked.append(Function(0, locals_, bodies[-1]))
+    # functions 0 and 1 are the table's; a memory of one page may grow to two
+    m = Module(
+        types=(FuncType(params, results), FuncType(("i32",), ("i32",)), FuncType((), ())),
+        functions=(
+            Function(1, (), (ins("local.get", 0), ins("i32.const", 10), ins("i32.add"))),
+            Function(2, (), ()),
+            *(Function(0, locals_, body) for body in bodies),
+        ),
+        tables=(TableType(Limits(3)),),
+        memories=(MemType(Limits(1, 2)),),
+        globals=(Global(GlobalType("i64", True), (ins("i64.const", 0),)),),
+        exports=tuple(Export(str(i), "func", i + 2) for i in range(len(bodies))),
+        elements=(ElementSegment(0, (ins("i32.const", 0),), (0, 1)),),
+        data=(DataSegment(0, (ins("i32.const", 0),), bytes(range(0x70, 0x90))),),
+    )
+    assert validate_module(m.with_(functions=m.functions[:2] + tuple(checked), exports=())).ok
+    units = [sum(x.opcode not in (op.END, op.ELSE) for x in body) for body in bodies]
+    expected = {}
+    for kinds, i, args in calls:
+        inst = instantiate(m)
+        out = invoke(inst, str(i), tuple(map(Value, params, args)))
+        if isinstance(out, Trap):
+            assert out.function_index == i + 2, (kinds, args)
+            out = out.kind
+        # the units past the body's own, or (negative) those a trap left unpaid
+        got = (out, DEFAULT_FUEL - inst.fuel - units[i], bytes(inst.mem), tuple(inst.globals))
+        if kinds == ("local",) * len(params):
+            expected[args] = got
+        else:
+            assert got == expected[args], (kinds, args)
+    # the loads, the stores and call_indirect trap on part of their grids
+    traps = any(isinstance(got[0], str) for got in expected.values())
+    assert traps == (name.startswith(("i32.", "i64.")) or name == "call_indirect")
 
 
 
