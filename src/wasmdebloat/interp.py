@@ -12,28 +12,31 @@ to a run, keeping the values it carries and dropping those beneath them,
 all fixed at compile time (Titzer, "A fast in-place interpreter for
 WebAssembly", OOPSLA 2022); ``if`` and ``br_if`` are tables of one
 branch, and ``call_indirect`` is a statement that checks its slot and
-leaves the callee for the call. In a run, an instruction's closure
-computes its operands itself (closure generation: Feeley & Lapalme,
-"Using closures for code generation", Computer Languages 1987;
-``_run_compiler``), each a local read, a constant or a child closure,
-which also takes operands off the stack. A numeric operator's closure
-comes from a factory for the opcode and its operands' kinds, a
+leaves the callee for the call. In a run, each instruction is a node, a
+closure of the frame's locals that computes its operands itself (closure
+generation: Feeley & Lapalme, "Using closures for code generation",
+Computer Languages 1987; ``_run_compiler``). An operand is of one of four
+kinds: a local read, a constant, a child node, or a value taken off the
+operand stack, which only the lowest operands are. One table,
+``_OPERATORS``, holds a template for every instruction, and each node
+comes from a factory for its opcode and its operands' kinds, a
 superinstruction (Ertl & Gregg, PLDI 2003): ``local.get 0; i32.const 5;
-i32.add`` is the one closure ``lambda L: (L[a_] + b_) & mask``. A factory
-is made on first use from the operator's template and the kind letters
-alone; the local index, constant or closure is its argument, so no value
-of a module reaches ``exec``. A producer folds into its consumer only if
-no instruction between them can trap or writes a local, a global or
-memory; otherwise, at the run's end and past _MAX_DEPTH levels (a Python
-frame each), its tree becomes a statement that pushes its value. One
-loop (``Instance._execute``) runs that code with an explicit operand
-stack and call stack: a branch raises no exception and a wasm call adds
-no Python frame, so nesting depth and call depth cost no Python
-recursion. Fuel is one unit per executed instruction; ``else`` and
-``end`` cost nothing. The loop charges a run once, as it fetches it, and
-fuel stays exact: a statement that traps refunds the units of the run
-after its own, and fuel that does not cover a run runs the instructions
-it pays for, compiled as a run, then traps.
+i32.add`` is the one node ``return (L[a_] + b_) & mask``. A factory is
+made on first use from the template and the kind letters alone; local
+indices, constants, child nodes, immediates and the instance are its
+arguments, so no value of a module reaches ``exec``. A producer folds
+into its consumer only if no instruction between them can trap or writes
+a local, a global or memory; otherwise, at the run's end and past
+_MAX_DEPTH levels (a Python frame each), its tree becomes a statement
+that pushes its value. One loop (``Instance._execute``) runs that code
+with an explicit operand stack and call stack: a branch raises no
+exception and a wasm call adds no Python frame, so nesting depth and
+call depth cost no Python recursion. Fuel is one unit per executed
+instruction; ``else`` and ``end`` cost nothing. The loop charges a run
+once, as it fetches it, and fuel stays exact: a statement that traps
+refunds the units of the run after its own, and fuel that does not
+cover a run runs the instructions it pays for, compiled as a run, then
+traps.
 
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Each numeric operator is
@@ -56,7 +59,6 @@ from __future__ import annotations
 import math
 import struct
 from collections import namedtuple
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import opcodes as op
@@ -228,7 +230,7 @@ def default_host() -> HostConfig:
 # _float_ops the f32 and f64 ones, each with the names they use beside the
 # module's; the helpers below them are the width-free float steps. A
 # template reads each operand once, ``{a}`` before ``{b}``, as the operands
-# are computed in that order. Loads and stores are struct calls (_MEMORY).
+# are computed in that order. Loads and stores are struct calls (_LOAD, _STORE).
 
 
 def _trap(kind: str, pos: int) -> TrapError:
@@ -301,30 +303,30 @@ def _int_ops(bits: int) -> tuple[dict[str, str], dict[str, object]]:
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)  # the sign bit: (u ^ half) - half is u read signed
 
-    def div_s(a: int, b: int) -> int:
+    def div_s(a: int, b: int, pos: int) -> int:
         if b == 0:
-            raise TrapError(TRAP_DIV_ZERO)
+            raise _trap(TRAP_DIV_ZERO, pos)
         a, b = (a ^ half) - half, (b ^ half) - half
         if a == -half and b == -1:
-            raise TrapError(TRAP_INT_OVERFLOW)
+            raise _trap(TRAP_INT_OVERFLOW, pos)
         q = abs(a) // abs(b)
         return (-q if (a < 0) != (b < 0) else q) & mask
 
-    def rem_s(a: int, b: int) -> int:
+    def rem_s(a: int, b: int, pos: int) -> int:
         if b == 0:
-            raise TrapError(TRAP_DIV_ZERO)
+            raise _trap(TRAP_DIV_ZERO, pos)
         a, b = (a ^ half) - half, (b ^ half) - half
         r = abs(a) % abs(b)
         return (-r if a < 0 else r) & mask
 
-    def div_u(a: int, b: int) -> int:
+    def div_u(a: int, b: int, pos: int) -> int:
         if b == 0:
-            raise TrapError(TRAP_DIV_ZERO)
+            raise _trap(TRAP_DIV_ZERO, pos)
         return a // b
 
-    def rem_u(a: int, b: int) -> int:
+    def rem_u(a: int, b: int, pos: int) -> int:
         if b == 0:
-            raise TrapError(TRAP_DIV_ZERO)
+            raise _trap(TRAP_DIV_ZERO, pos)
         return a % b
 
     def rotl(a: int, k: int) -> int:
@@ -357,10 +359,10 @@ def _int_ops(bits: int) -> tuple[dict[str, str], dict[str, object]]:
         "add": "({a} + {b}) & mask",
         "sub": "({a} - {b}) & mask",
         "mul": "({a} * {b}) & mask",
-        "div_s": "div_s({a}, {b})",
-        "div_u": "div_u({a}, {b})",
-        "rem_s": "rem_s({a}, {b})",
-        "rem_u": "rem_u({a}, {b})",
+        "div_s": "div_s({a}, {b}, pos)",
+        "div_u": "div_u({a}, {b}, pos)",
+        "rem_s": "rem_s({a}, {b}, pos)",
+        "rem_u": "rem_u({a}, {b}, pos)",
         "and": "{a} & {b}",
         "or": "{a} | {b}",
         "xor": "{a} ^ {b}",
@@ -412,35 +414,60 @@ def _trunc(read, bits: int, signed: bool):
     mask = (1 << bits) - 1
     lo, hi = (-(1 << bits - 1), mask >> 1) if signed else (0, mask)
 
-    def trunc(a: int) -> int:
+    def trunc(a: int, pos: int) -> int:
         x = read(a)
         if math.isnan(x) or math.isinf(x):
-            raise TrapError(TRAP_INT_OVERFLOW)
+            raise _trap(TRAP_INT_OVERFLOW, pos)
         v = int(x)
         if not lo <= v <= hi:
-            raise TrapError(TRAP_INT_OVERFLOW)
+            raise _trap(TRAP_INT_OVERFLOW, pos)
         return v & mask
 
     return trunc
 
 
-# the operators on raw bits, opcode -> (template, the names it uses beside
-# the module's)
-_OPERATORS: dict[int, tuple[str, dict[str, object]]] = {}
+class _Template(NamedTuple):
+    """The source of an instruction's node: ``body`` reads the operands
+    ``{a}``, ``{b}`` and ``{c}``, in that order, and its last line is the
+    value the node pushes, if the instruction pushes one; ``setup`` takes
+    the node's immediates and instance objects from its factory's ``args``
+    and ``inst``."""
+
+    body: str
+    arity: int
+    pushes: bool
+    effect: bool  # whether it can trap or writes a local, a global or memory
+    names: dict[str, object] = {}  # the names it uses beside the module's
+    setup: str = ""
+
+
+# every instruction _run_compiler.add compiles, opcode -> its template
+_OPERATORS: dict[int, _Template] = {}
+
+
+def _typed(name: str, body: str, names: dict = {}, effect: bool = False, setup: str = "") -> None:
+    """Enter the template of ``name``, which pops and pushes what its
+    signature in opcodes.OPS says."""
+    code = op.NAME_TO_OPCODE[name]
+    info = op.OPS[code]
+    _OPERATORS[code] = _Template(body, len(info.pops), bool(info.pushes), effect, names, setup)
+
+
+# an operator traps only through the trap position it is given
 for _t, (_templates, _names) in (
     ("i32", _int_ops(32)),
     ("i64", _int_ops(64)),
     ("f32", _float_ops(f32_from_bits, _f32_result, 0x80000000)),
     ("f64", _float_ops(f64_from_bits, _f64_result, 0x8000000000000000)),
 ):
-    for _name, _template in _templates.items():
-        _OPERATORS[op.NAME_TO_OPCODE[f"{_t}.{_name}"]] = (_template, _names)
+    for _name, _body in _templates.items():
+        _typed(f"{_t}.{_name}", _body, _names, "pos" in _body)
 for _bits in (32, 64):
     for _t, _read in (("f32", f32_from_bits), ("f64", f64_from_bits)):
         for _sx in ("s", "u"):
-            _code = op.NAME_TO_OPCODE[f"i{_bits}.trunc_{_t}_{_sx}"]
-            _OPERATORS[_code] = ("trunc({a})", {"trunc": _trunc(_read, _bits, _sx == "s")})
-for _name, _template in {
+            _trunc_sx = _trunc(_read, _bits, _sx == "s")
+            _typed(f"i{_bits}.trunc_{_t}_{_sx}", "trunc({a}, pos)", {"trunc": _trunc_sx}, True)
+for _name, _body in {
     "i32.wrap_i64": "{a} & _M32",
     "i64.extend_i32_s": "_s32({a}) & _M64",
     "i64.extend_i32_u": "{a}",
@@ -459,13 +486,20 @@ for _name, _template in {
     "f32.reinterpret_i32": "{a}",
     "f64.reinterpret_i64": "{a}",
 }.items():
-    _OPERATORS[op.NAME_TO_OPCODE[_name]] = (_template, {})
+    _typed(_name, _body)
 
-# derived from opcodes.OPS: memory accesses, opcode -> (width, the
-# struct's unpack_from for a load or pack_into for a store, value mask);
+# a load or store is one struct call, ``access``, behind a bounds check;
 # a load's mask turns a sign-extended read into the result type's bits, a
-# store's drops the bits the width truncates; constants, opcode -> mask
-_MEMORY: dict[int, tuple[int, object, int]] = {}
+# store's drops the bits the width truncates
+_LOAD = """addr = {a} + offset_
+if addr + width > len(mem):
+    raise _trap(TRAP_OOB_MEMORY, pos)
+access(mem, addr)[0] & mask"""
+_STORE = """addr, value = {a} + offset_, {b}
+if addr + width > len(mem):
+    raise _trap(TRAP_OOB_MEMORY, pos)
+access(mem, addr, value & mask)"""
+# constants, opcode -> mask
 _CONST_MASKS: dict[int, int] = {}
 for _code, _info in op.OPS.items():
     if _info.imm == "memarg":
@@ -473,11 +507,55 @@ for _code, _info in op.OPS.items():
         _s = struct.Struct("<" + _fmt)
         if _info.pushes:
             _mask = _M32 if _info.pushes[0] in (op.I32, op.F32) else _M64
-            _MEMORY[_code] = (_info.width, _s.unpack_from, _mask)
+            _names = dict(access=_s.unpack_from, mask=_mask)
         else:
-            _MEMORY[_code] = (_info.width, _s.pack_into, (1 << 8 * _info.width) - 1)
+            _names = dict(access=_s.pack_into, mask=(1 << 8 * _info.width) - 1)
+        _body = _LOAD if _info.pushes else _STORE
+        _typed(_info.name, _body, _names | dict(width=_info.width), True, "offset_, mem = args[1], inst.mem")
     elif _info.imm in op.VAL_TYPES:
         _CONST_MASKS[_code] = _M32 if _info.pushes[0] in (op.I32, op.F32) else _M64
+
+_typed("memory.size", "len(mem) // PAGE_SIZE", setup="mem = inst.mem")
+_typed(
+    "memory.grow",
+    """delta, current = {a}, len(mem) // PAGE_SIZE
+if current + delta > cap:
+    return _M32  # -1
+for _ in range(delta):  # no temporary as large as the growth
+    mem.extend(_ZERO_PAGE)
+current""",
+    effect=True,
+    setup="""mem, limit = inst.mem, inst.module.memories[0].limits.maximum
+cap = MAX_PAGES if limit is None else min(limit, MAX_PAGES)""",
+)
+# the instructions without a signature in opcodes.OPS
+_OPERATORS.update({
+    # the node of a pending local read or constant that is pushed on its own
+    op.LOCAL_GET: _Template("{a}", 1, True, False),
+    op.LOCAL_SET: _Template("L[i_] = {a}", 1, False, True, setup="i_, = args"),
+    op.LOCAL_TEE: _Template("L[i_] = v = {a}\nv", 1, True, True, setup="i_, = args"),
+    op.GLOBAL_GET: _Template("globals_[i_]", 0, True, False, setup="i_, globals_ = args[0], inst.globals"),
+    op.GLOBAL_SET: _Template("globals_[i_] = {a}", 1, False, True, setup="i_, globals_ = args[0], inst.globals"),
+    op.DROP: _Template("{a}", 1, False, False),  # computed for what it does
+    op.SELECT: _Template("({a}, {b})[not {c}]", 3, True, False),
+    op.UNREACHABLE: _Template("raise _trap(TRAP_UNREACHABLE, pos)", 0, False, True),
+    # the callee, for the _CALL after it
+    op.CALL_INDIRECT: _Template(
+        """slot = {a}
+if slot >= size:
+    raise _trap(TRAP_OOB_TABLE, pos)
+callee = table.get(slot)
+if callee is None:
+    raise _trap(TRAP_UNDEFINED_ELEMENT, pos)
+observed.add(callee)
+if sigs[callee] != sig:
+    raise _trap(TRAP_CALL_TYPE, pos)
+callee""",
+        1, True, True,
+        setup="""sig, table, size = inst._type_ids[args[0]], inst.table, inst.table_size
+observed, sigs = inst.table_observed, inst._func_sigs""",
+    ),
+})
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +571,7 @@ for _code, _info in op.OPS.items():
 
 _BR, _BR_TABLE, _CALL, _END = range(4)
 
-_MAX_DEPTH = 32  # the deepest operand tree that one closure computes
-
-# the operators that can trap; the instructions that can trap or write
-_TRAPPING = {c for c in _OPERATORS if op.OPS[c].name[4:].startswith(("div_", "rem_", "trunc_"))}
-_EFFECTS = {*_TRAPPING, *_MEMORY, op.UNREACHABLE, op.MEMORY_GROW}
-_EFFECTS |= {op.GLOBAL_SET, op.LOCAL_SET, op.LOCAL_TEE, op.CALL_INDIRECT}
+_MAX_DEPTH = 32  # the deepest operand tree that one node computes
 
 # wasm frames the call stack may hold besides the running one
 _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
@@ -506,52 +579,55 @@ _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
-# how an operator's closure reads an operand of each kind: a local, a
-# constant, or a child closure, which also takes operands off the stack
-_OPERAND = {"l": "L[{}]", "c": "{}", "k": "{}(L)"}
+# how a node reads an operand of each kind: a local, a constant, a child
+# node, or a value off the operand stack, ``{}`` its place from the top.
+# Only an instruction's lowest operands are off the stack: one whose
+# operands above them are pending pops just those
+_OPERAND = {"l": "L[{}]", "c": "{}", "k": "{}(L)", "s": "pop({})"}
 
-# the source of a factory, and of one for an operator that can trap
-_PLAIN = "def factory({params}, pos):\n    return lambda L: {expr}\n"
-_GUARDED = """def factory({params}, pos):
-    def guarded(L):
-        {reads}
-        try:
-            return {expr}
-        except TrapError as t:
-            raise _trap(t.kind, pos) from None
-    return guarded
+# the source of a factory
+_SOURCE = """def factory({params}args, pos, inst):
+    {setup}
+    def node(L):
+        {body}
+    return node
 """
 
-# (opcode, kinds) -> the factory of the operator's closures over operands of
-# those kinds; filled on first use
+# (opcode, kinds) -> the factory of the instruction's nodes over operands
+# of those kinds; filled on first use
 _FACTORIES: dict[tuple[int, str], object] = {}
 
 
 def _factory(opcode: int, kinds: str):
-    """The factory of ``opcode``'s closures over operands of ``kinds``; its
-    arguments are the operands' local indices, constants or closures and the
-    trap position ``pos``. An operator that can trap computes its operands
-    before its ``try``, as their traps are their own."""
-    template, names = _OPERATORS[opcode]
-    params = ("a_", "b_")[: len(kinds)]
-    operands = dict(zip("ab", [_OPERAND[k].format(p) for k, p in zip(kinds, params)]))
-    if opcode in _TRAPPING:
-        reads = f"{', '.join(operands)} = {', '.join(operands.values())}"
-        expr = template.format(a="a", b="b")
-        source = _GUARDED.format(params=", ".join(params), reads=reads, expr=expr)
-    else:
-        source = _PLAIN.format(params=", ".join(params), expr=template.format(**operands))
-    scope = {**globals(), **names}
+    """The factory of ``opcode``'s nodes over operands of ``kinds``: its
+    arguments are the pending operands' local indices, constants or nodes,
+    the instruction's immediates ``args``, its trap position ``pos`` and
+    the instance. A child may pop the values above the ``s`` operands, so
+    a node with both computes the pending operands first."""
+    t = _OPERATORS[opcode]
+    taken = kinds.count("s")
+    letters = "abc"[: len(kinds)]
+    operands = {
+        x: _OPERAND[k].format(j - taken if k == "s" else f"{x}_")
+        for j, (x, k) in enumerate(zip(letters, kinds))
+    }
+    reads = []
+    if taken and "k" in kinds:
+        reads = [f"{x} = {operands[x]}" for x in letters[taken:]]
+        operands.update((x, x) for x in letters[taken:])
+    lines = reads + t.body.format(**operands).split("\n")
+    if t.pushes:
+        lines[-1] = "return " + lines[-1]
+    setup = t.setup + ("\npop = inst._stack.pop" if taken else "")
+    source = _SOURCE.format(
+        params="".join(f"{x}_, " for x in letters[taken:]),
+        setup=setup.replace("\n", "\n    "),
+        body="\n        ".join(lines),
+    )
+    scope = {**globals(), **t.names}
     exec(source, scope)
     factory = _FACTORIES[opcode, kinds] = scope["factory"]
     return factory
-
-
-def _as_closure(kind: str, value):
-    """An operand of ``kind`` as a closure from the locals."""
-    if kind == "k":
-        return value
-    return itemgetter(value) if kind == "l" else lambda L: value
 
 
 def _run_compiler(inst: Instance):
@@ -559,109 +635,40 @@ def _run_compiler(inst: Instance):
     module docstring says: ``add(instr, at)`` compiles the run's next
     instruction, its unit ``at``, and returns its effect on the stack
     height; ``end()`` returns the run's statements."""
-    stack, mem, globals_ = inst._stack, inst.mem, inst.globals
-    limit = inst.module.memories[0].limits.maximum if inst.module.memories else None
-    cap = MAX_PAGES if limit is None else min(limit, MAX_PAGES)
     stmts: list = []
     # the operands not computed yet, above the stack's: (kind, value, depth),
     # the kind a letter of _OPERAND and the value a local index, a constant
-    # or a closure
+    # or a node
     pend: list[tuple] = []
 
     def flush(upto: int | None = None) -> None:
-        stmts.extend([_as_closure(kind, value) for kind, value, _ in pend[:upto]])
+        """Push the pending operands below ``upto``: a node as a statement,
+        and a local read or a constant as local.get's node over it."""
+        for kind, value, _ in pend[:upto]:
+            if kind != "k":
+                push = _FACTORIES.get((op.LOCAL_GET, kind)) or _factory(op.LOCAL_GET, kind)
+                value = push(value, (), 0, inst)
+            stmts.append(value)
         del pend[:upto]
 
     def operands(k: int, effect: bool) -> tuple[str, tuple, int]:
-        """The top ``k`` operands, bottom first, as their kinds and values,
-        and the depth of a tree over them, for an instruction that can trap
-        or writes (``effect``) or not. If one is on the stack, all go there,
-        and the first child takes them."""
+        """The top ``k`` operands, bottom first, as their kinds and the
+        values of those not on the stack, and the depth of a tree over
+        them, for an instruction that can trap or writes (``effect``) or
+        not. Those on the stack are the lowest; a tree deeper than
+        _MAX_DEPTH puts them all there."""
         n = min(k, len(pend))
         if effect and len(pend) > n:
             flush(len(pend) - n)
-        if not k:
-            return "", (), 1
-        if n == k:
-            kinds, values, depths = zip(*pend[-k:])
-            depth = max(depths) + 1
-            if depth <= _MAX_DEPTH:
-                del pend[-k:]
-                return "".join(kinds), values, depth
-        flush()
-        if k == 1:
-            return "k", (lambda L: stack.pop(),), 2
-        taken: list[int] = []
-        def take(L):
-            taken[:], stack[-k:] = stack[-k:], ()
-            return taken[0]
-        return "k" * k, (take, *[lambda L, j=j: taken[j] for j in range(1, k)]), 2
-
-    def closure(opcode: int, args: tuple, kinds: str, values: tuple, pos: int):
-        """An instruction's closure over its operands'."""
-        a, b, c = [*map(_as_closure, kinds, values)] + [None] * (3 - len(kinds))
-        i = args[0] if args else None
-        if opcode in _MEMORY:
-            offset, width, access, mask = args[1], *_MEMORY[opcode]
-            if op.OPS[opcode].pushes:
-                def load(L):
-                    addr = a(L) + offset
-                    if addr + width > len(mem):
-                        raise _trap(TRAP_OOB_MEMORY, pos)
-                    return access(mem, addr)[0] & mask
-                return load
-            def store(L):
-                addr, value = a(L) + offset, b(L)
-                if addr + width > len(mem):
-                    raise _trap(TRAP_OOB_MEMORY, pos)
-                access(mem, addr, value & mask)
-            return store
-        if opcode == op.MEMORY_GROW:
-            def grow(L):
-                delta, current = a(L), len(mem) // PAGE_SIZE
-                if current + delta > cap:
-                    return _M32  # -1
-                for _ in range(delta):  # no temporary as large as the growth
-                    mem.extend(_ZERO_PAGE)
-                return current
-            return grow
-        if opcode == op.LOCAL_TEE:
-            def tee(L):
-                L[i] = v = a(L)
-                return v
-            return tee
-        if opcode == op.LOCAL_SET:
-            def set_local(L):
-                L[i] = a(L)
-            return set_local
-        if opcode == op.GLOBAL_SET:
-            return lambda L: globals_.__setitem__(i, a(L))
-        if opcode == op.DROP:
-            return lambda L: None if a(L) else None  # a(L) for what it does
-        if opcode == op.SELECT:  # a(L), b(L), then c(L)
-            return lambda L: (a(L), b(L))[not c(L)]
-        if opcode == op.CALL_INDIRECT:  # the callee, for the _CALL after it
-            table, size, observed = inst.table, inst.table_size, inst.table_observed
-            sigs, sig = inst._func_sigs, inst._type_ids[i]
-            def call_indirect(L):
-                slot = a(L)
-                if slot >= size:
-                    raise _trap(TRAP_OOB_TABLE, pos)
-                callee = table.get(slot)
-                if callee is None:
-                    raise _trap(TRAP_UNDEFINED_ELEMENT, pos)
-                observed.add(callee)
-                if sigs[callee] != sig:
-                    raise _trap(TRAP_CALL_TYPE, pos)
-                return callee
-            return call_indirect
-        if opcode == op.MEMORY_SIZE:
-            return lambda L: len(mem) // PAGE_SIZE
-        if opcode == op.GLOBAL_GET:
-            return lambda L: globals_[i]
-        def unreachable(L):
-            raise _trap(TRAP_UNREACHABLE, pos)
-        return unreachable
+        if not n:
+            return "s" * k, (), 1
+        kinds, values, depths = zip(*pend[-n:])
+        depth = max(depths) + 1
+        if depth > _MAX_DEPTH:
+            flush()
+            return "s" * k, (), 1
+        del pend[-n:]
+        return "s" * (k - n) + "".join(kinds), values, depth
 
     def add(instr, at: int) -> int:
         opcode, args = instr
@@ -671,25 +678,16 @@ def _run_compiler(inst: Instance):
         if opcode in _CONST_MASKS:
             pend.append(("c", args[0] & _CONST_MASKS[opcode], 1))
             return 1
-        info = op.OPS[opcode]
-        if info.pops is not None:
-            k, pushes = len(info.pops), len(info.pushes)
-        elif opcode in (op.NOP, op.BLOCK, op.LOOP):
+        t = _OPERATORS.get(opcode)
+        if t is None:  # nop, block or loop
             return 0
+        kinds, values, depth = operands(t.arity, t.effect)
+        factory = _FACTORIES.get((opcode, kinds)) or _factory(opcode, kinds)
+        if t.pushes:
+            pend.append(("k", factory(*values, args, at, inst), depth))
         else:
-            k = 3 if opcode == op.SELECT else 0 if opcode in (op.GLOBAL_GET, op.UNREACHABLE) else 1
-            pushes = int(opcode in (op.SELECT, op.GLOBAL_GET, op.LOCAL_TEE, op.CALL_INDIRECT))
-        kinds, values, depth = operands(k, opcode in _EFFECTS)
-        if opcode in _OPERATORS:  # one closure, from the factory for its operands' kinds
-            factory = _FACTORIES.get((opcode, kinds)) or _factory(opcode, kinds)
-            node = factory(*values, at)
-        else:
-            node = closure(opcode, args, kinds, values, at)
-        if pushes:
-            pend.append(("k", node, depth))
-        else:
-            stmts.append(node)
-        return pushes - k
+            stmts.append(factory(*values, args, at, inst))
+        return t.pushes - t.arity
 
     def end() -> tuple:
         flush()

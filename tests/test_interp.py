@@ -1225,6 +1225,11 @@ def test_an_operand_tree_50000_deep_runs_and_debloats(alternate):
         functions=(Function(0, (), body),),
         exports=(Export("f", "func", 0),),
     )
+    # the all-constants body compiles to the 49,969 operands pending when
+    # its tree first outgrows _MAX_DEPTH, then one statement per 32 adds and
+    # the result; the alternating one to two statements per 32 adds
+    runs = interp._compile(instantiate(m), m.functions[0])
+    assert sum(len(stmts) for _, stmts, _, _ in runs) == (3_125 if alternate else 51_531)
     w = wl(inv("f"))
     out, report = debloat_module(encode(m), w)
     assert report.validation.behavioral_ok
@@ -1503,6 +1508,37 @@ def test_every_operand_kind_of_another_instruction_gives_what_local_reads_give(n
     assert traps == (name.startswith(("i32.", "i64.")) or name == "call_indirect")
 
 
+# x is pushed above the other operands in a run of its own, and i32.eqz,
+# whose node pops x, is the last operand of the instruction after it
+POPPING_CHILD = {
+    # a - eqz(x)
+    "i32.sub": ((ins("local.get", 0),), (ins("i32.sub"),), 9),
+    # eqz(x) ? a : b
+    "select": ((ins("local.get", 0), ins("local.get", 1)), (ins("select"),), 10),
+    # eqz(x) stored at a, then the i32 at a
+    "i32.store": (
+        (ins("local.get", 0),),
+        (ins("i32.store", 2, 0), ins("local.get", 0), ins("i32.load", 2, 0)),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POPPING_CHILD))
+def test_a_child_that_pops_runs_before_the_operands_under_it_are_taken(name):
+    below, tail, expected = POPPING_CHILD[name]
+    params = ("i32",) * (len(below) + 1)
+    m = Module(
+        types=(FuncType(params, ("i32",)),),
+        functions=(Function(0, (), (*below, *fx.block("i32", ins("local.get", len(below))), ins("i32.eqz"), *tail)),),
+        memories=(MemType(Limits(1)),),
+        exports=(Export("f", "func", 0),),
+    )
+    assert validate_module(m).ok
+    args = (Value.i32(10), Value.i32(4))[: len(below)] + (Value.i32(0),)
+    assert run1(m, "f", *args) == Results((Value.i32(expected),))
+
+
 
 @pytest.mark.parametrize(
     "x, d, outcome, used",
@@ -1590,18 +1626,38 @@ def test_operator_factories_are_made_on_first_use_from_the_kinds_alone(monkeypat
     assert isinstance(invoke(instantiate(mixed_module((5, 99991, 31), (2, 0, 4))), "f", args), Results)
     assert (set(interp._FACTORIES), len(sources)) == (made, len(made))
 
-    # every operator over every kind of operand: a stack-taken operand is
-    # a child closure, so an operator of arity n has 3**n factories at most
-    for name in NUMERIC:
-        info = op.OPS[code[name]]
-        params = info.pops
+    # every templated instruction over every kind of operand, with
+    # immediates and constants of its own. The operands off the stack are
+    # the lowest, so an instruction of arity n has a factory per kinds
+    # s^j + (l|c|k)^(n - j), (3**(n + 1) - 1) // 2 of them; local.get's,
+    # which pushes a pending local read or constant, has two
+    immediates = {"index": (417,), "memarg": (2, 7919), "call_indirect": (586,)}
+    arities = []
+    for opcode in interp._OPERATORS.keys() - {op.LOCAL_GET}:
+        info = op.OPS[opcode]
+        params = info.pops if info.pops is not None else ("i32",) * UNTYPED_ARITIES[info.name]
+        instr = ins(info.name, *immediates.get(info.imm, ()))
         funcs = tuple(
-            Function(0, (), (*[x for i, k in enumerate(kinds) for x in operand(k, params[i], i, 7)], ins(name)))
+            Function(0, (), (*[x for i, k in enumerate(kinds) for x in operand(k, params[i], i, 60013)], instr))
             for kinds in product(OPERAND_KINDS, repeat=len(params))
         )
-        inst = instantiate(Module(types=(FuncType(params, info.pushes),), functions=funcs))
+        types = (FuncType(params, ()),) * 587
+        inst = instantiate(Module(types=types, functions=funcs, memories=(MemType(Limits(1)),)))
         for fn in funcs:
             interp._compile(inst, fn)
-    arities = [len(op.OPS[c].pops) for c in interp._OPERATORS]
-    assert len(interp._FACTORIES) == len(sources) == sum(3**n for n in arities)
-    assert len(interp._FACTORIES) <= 9 * len(interp._OPERATORS)
+        arities.append(len(params))
+    assert len(interp._FACTORIES) == len(sources) == 2 + sum((3 ** (n + 1) - 1) // 2 for n in arities)
+    assert not [s for s in sources if any(c in s for c in ("417", "7919", "586", "60013"))]
+
+
+# the arities of the instructions without a signature in opcodes.OPS
+UNTYPED_ARITIES = {
+    "unreachable": 0,
+    "call_indirect": 1,
+    "drop": 1,
+    "select": 3,
+    "local.set": 1,
+    "local.tee": 1,
+    "global.get": 0,
+    "global.set": 1,
+}
