@@ -230,7 +230,7 @@ def default_host() -> HostConfig:
 # _float_ops the f32 and f64 ones, each with the names they use beside the
 # module's; the helpers below them are the width-free float steps. A
 # template reads each operand once, ``{a}`` before ``{b}``, as the operands
-# are computed in that order. Loads and stores are struct calls (_LOAD, _STORE).
+# are computed in that order. Loads and stores: _LOAD and _STORE.
 
 
 def _trap(kind: str, pos: int) -> TrapError:
@@ -465,8 +465,8 @@ for _t, (_templates, _names) in (
 for _bits in (32, 64):
     for _t, _read in (("f32", f32_from_bits), ("f64", f64_from_bits)):
         for _sx in ("s", "u"):
-            _trunc_sx = _trunc(_read, _bits, _sx == "s")
-            _typed(f"i{_bits}.trunc_{_t}_{_sx}", "trunc({a}, pos)", {"trunc": _trunc_sx}, True)
+            _names = {"trunc": _trunc(_read, _bits, _sx == "s")}
+            _typed(f"i{_bits}.trunc_{_t}_{_sx}", "trunc({a}, pos)", _names, effect=True)
 for _name, _body in {
     "i32.wrap_i64": "{a} & _M32",
     "i64.extend_i32_s": "_s32({a}) & _M64",
@@ -507,11 +507,11 @@ for _code, _info in op.OPS.items():
         _s = struct.Struct("<" + _fmt)
         if _info.pushes:
             _mask = _M32 if _info.pushes[0] in (op.I32, op.F32) else _M64
-            _names = dict(access=_s.unpack_from, mask=_mask)
+            _body, _names = _LOAD, dict(access=_s.unpack_from, mask=_mask)
         else:
-            _names = dict(access=_s.pack_into, mask=(1 << 8 * _info.width) - 1)
-        _body = _LOAD if _info.pushes else _STORE
-        _typed(_info.name, _body, _names | dict(width=_info.width), True, "offset_, mem = args[1], inst.mem")
+            _body, _names = _STORE, dict(access=_s.pack_into, mask=(1 << 8 * _info.width) - 1)
+        _names["width"] = _info.width
+        _typed(_info.name, _body, _names, effect=True, setup="offset_, mem = args[1], inst.mem")
     elif _info.imm in op.VAL_TYPES:
         _CONST_MASKS[_code] = _M32 if _info.pushes[0] in (op.I32, op.F32) else _M64
 
@@ -529,13 +529,14 @@ current""",
 cap = MAX_PAGES if limit is None else min(limit, MAX_PAGES)""",
 )
 # the instructions without a signature in opcodes.OPS
+_GLOBAL_SETUP = "i_, globals_ = args[0], inst.globals"
 _OPERATORS.update({
     # the node of a pending local read or constant that is pushed on its own
     op.LOCAL_GET: _Template("{a}", 1, True, False),
     op.LOCAL_SET: _Template("L[i_] = {a}", 1, False, True, setup="i_, = args"),
     op.LOCAL_TEE: _Template("L[i_] = v = {a}\nv", 1, True, True, setup="i_, = args"),
-    op.GLOBAL_GET: _Template("globals_[i_]", 0, True, False, setup="i_, globals_ = args[0], inst.globals"),
-    op.GLOBAL_SET: _Template("globals_[i_] = {a}", 1, False, True, setup="i_, globals_ = args[0], inst.globals"),
+    op.GLOBAL_GET: _Template("globals_[i_]", 0, True, False, setup=_GLOBAL_SETUP),
+    op.GLOBAL_SET: _Template("globals_[i_] = {a}", 1, False, True, setup=_GLOBAL_SETUP),
     op.DROP: _Template("{a}", 1, False, False),  # computed for what it does
     op.SELECT: _Template("({a}, {b})[not {c}]", 3, True, False),
     op.UNREACHABLE: _Template("raise _trap(TRAP_UNREACHABLE, pos)", 0, False, True),

@@ -1539,6 +1539,42 @@ def test_a_child_that_pops_runs_before_the_operands_under_it_are_taken(name):
     assert run1(m, "f", *args) == Results((Value.i32(expected),))
 
 
+# a read left pending below a write sees the value from before it: with
+# local 0, global 0 and the i32 at 0 all 1, each body and an i32.add give
+# 1 + 5, or the memory size before and after a growth, 1 + 2
+WRITES = {
+    "local.set": ((ins("local.get", 0), ins("i32.const", 5), ins("local.set", 0), ins("local.get", 0)), 6),
+    "local.tee": (
+        (ins("local.get", 0), ins("i32.const", 5), ins("local.tee", 0), ins("drop"), ins("local.get", 0)),
+        6,
+    ),
+    "global.set": ((ins("global.get", 0), ins("i32.const", 5), ins("global.set", 0), ins("global.get", 0)), 6),
+    "i32.store": (
+        (
+            *(ins("i32.const", 0), ins("i32.load", 2, 0)),
+            *(ins("i32.const", 0), ins("i32.const", 5), ins("i32.store", 2, 0)),
+            *(ins("i32.const", 0), ins("i32.load", 2, 0)),
+        ),
+        6,
+    ),
+    "memory.grow": ((ins("memory.size"), ins("i32.const", 1), ins("memory.grow"), ins("drop"), ins("memory.size")), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITES))
+def test_a_read_pending_below_a_write_sees_the_value_before_it(name):
+    body, expected = WRITES[name]
+    m = Module(
+        types=(FuncType(("i32",), ("i32",)),),
+        functions=(Function(0, (), (*body, ins("i32.add"))),),
+        memories=(MemType(Limits(1, 2)),),
+        globals=(Global(GlobalType("i32", True), (ins("i32.const", 1),)),),
+        exports=(Export("f", "func", 0),),
+        data=(DataSegment(0, (ins("i32.const", 0),), bytes((1, 0, 0, 0))),),
+    )
+    assert validate_module(m).ok
+    assert run1(m, "f", Value.i32(1)) == Results((Value.i32(expected),))
+
 
 @pytest.mark.parametrize(
     "x, d, outcome, used",
@@ -1569,6 +1605,19 @@ def test_a_trap_under_a_trapping_operator_keeps_its_own_unit(x, d, outcome, used
         exports=(Export("f", "func", 0),),
     )
     assert fuel_used(m, "f", (Value.f32(x), Value.i32(d))) == (outcome, used)
+
+# the arities of the instructions without a signature in opcodes.OPS
+UNTYPED_ARITIES = {
+    "unreachable": 0,
+    "call_indirect": 1,
+    "drop": 1,
+    "select": 3,
+    "local.set": 1,
+    "local.tee": 1,
+    "global.get": 0,
+    "global.set": 1,
+}
+
 
 def mixed_module(constants, indices):
     """f over three i32 and two i64 parameters: six operators whose
@@ -1641,23 +1690,10 @@ def test_operator_factories_are_made_on_first_use_from_the_kinds_alone(monkeypat
             Function(0, (), (*[x for i, k in enumerate(kinds) for x in operand(k, params[i], i, 60013)], instr))
             for kinds in product(OPERAND_KINDS, repeat=len(params))
         )
-        types = (FuncType(params, ()),) * 587
+        types = (FuncType(params, ()),) * 587  # up to call_indirect's type index
         inst = instantiate(Module(types=types, functions=funcs, memories=(MemType(Limits(1)),)))
         for fn in funcs:
             interp._compile(inst, fn)
         arities.append(len(params))
     assert len(interp._FACTORIES) == len(sources) == 2 + sum((3 ** (n + 1) - 1) // 2 for n in arities)
     assert not [s for s in sources if any(c in s for c in ("417", "7919", "586", "60013"))]
-
-
-# the arities of the instructions without a signature in opcodes.OPS
-UNTYPED_ARITIES = {
-    "unreachable": 0,
-    "call_indirect": 1,
-    "drop": 1,
-    "select": 3,
-    "local.set": 1,
-    "local.tee": 1,
-    "global.get": 0,
-    "global.set": 1,
-}
