@@ -1,5 +1,8 @@
 """Plan application: stubbing, removal, index rewriting, name section."""
 
+import hashlib
+import random
+
 import pytest
 
 import fixturelib as fx
@@ -285,3 +288,98 @@ def test_shrink_stats_import_and_type_removal():
     assert stats.imports_removed == 1
     assert stats.types_removed == 1  # the import's (i32) -> () type dies with it
     assert stats.bytes_after < stats.bytes_before
+
+
+def _leb(n):
+    out = bytearray()
+    while True:
+        b, n = n & 0x7F, n >> 7
+        out.append(b | 0x80 if n else b)
+        if not n:
+            return bytes(out)
+
+
+def _name(text):
+    raw = text if isinstance(text, bytes) else text.encode("utf-8")
+    return _leb(len(raw)) + raw
+
+
+def _name_corpus_module():
+    # 2 imports and 10 defined functions, each calling another, so that a
+    # random entered set leaves some kept, some stubbed and some removed
+    t = FuncType((), ())
+    imports = tuple(fx.Import("env", f"i{k}", "func", 0) for k in range(2))
+    functions = tuple(Function(0, (), (ins("call", (5 * k + 3) % 12),)) for k in range(10))
+    return Module(
+        types=(t,), imports=imports, functions=functions, exports=(Export("f", "func", 2),)
+    )
+
+
+def _name_subsection(rng):
+    """One subsection of a name payload, sometimes broken on purpose."""
+    kind = rng.randrange(12)
+    if kind <= 1:  # module name
+        return b"\x00" + _leb(len(body := _name("mod" * rng.randrange(4)))) + body
+    if kind <= 7:  # function names
+        shape = rng.randrange(5)
+        if shape == 0:
+            indices = []
+        elif shape == 1:  # only indices that no plan maps: past the module's 12
+            indices = sorted(rng.sample(range(12, 40), rng.randint(1, 4)))
+        else:
+            indices = sorted(rng.sample(range(14), rng.randint(1, 8)))
+        entries = [(i, f"fn{i}" * rng.randint(0, 2)) for i in indices]
+        body = _leb(len(entries)) + b"".join(_leb(i) + _name(s) for i, s in entries)
+        if shape == 3 and entries:  # a name that is not UTF-8
+            body = _leb(len(entries)) + _leb(indices[0]) + _name(b"\xff\xfe")
+        if rng.random() < 0.15:  # trailing bytes inside the subsection
+            body += bytes(rng.randrange(256) for _ in range(rng.randint(1, 3)))
+        size = _leb(len(body))
+        if rng.random() < 0.1:  # a size in a longer LEB128 form than needed
+            size = bytes([len(body) | 0x80, 0x00]) if len(body) < 0x80 else size
+        return b"\x01" + size + body
+    if kind <= 9:  # local names, or an id the format does not define
+        sub_id = rng.choice((2, 3, 7, 0x80, 0xFF))
+        body = bytes(rng.randrange(256) for _ in range(rng.randint(0, 6)))
+        return bytes([sub_id]) + _leb(len(body)) + body
+    if kind == 10:  # a size past the end of the payload
+        return b"\x01" + _leb(rng.randint(5, 300)) + b"\x01\x00"
+    # random junk
+    return bytes(rng.randrange(256) for _ in range(rng.randint(0, 8)))
+
+
+def test_name_sections_of_a_fixed_seed_corpus():
+    # the name section's reader and writer, pinned over every shape it
+    # meets: which payloads survive, and the bytes of those that do
+    rng = random.Random(20261020)
+    m = _name_corpus_module()
+    digest = hashlib.sha256()
+    kept = 0
+    for _ in range(3_000):
+        payload = b"".join(_name_subsection(rng) for _ in range(rng.randint(0, 4)))
+        if payload and rng.random() < 0.1:  # cut at a random byte
+            payload = payload[: rng.randrange(len(payload))]
+        entered = rng.sample(range(2, 12), rng.randint(0, 10))
+        plan = plan_from_trace(m, entered=entered)
+        customs = apply_plan(m.with_(custom_sections=(("name", payload),)), plan).custom_sections
+        assert [name for name, _ in customs] in ([], ["name"])
+        if customs:
+            kept += 1
+            digest.update(_leb(len(customs[0][1])) + customs[0][1])
+    assert kept == 752
+    assert digest.hexdigest() == "8ddf7c266d7a2edcef904120b34575d6fb7b0355ccaa3fd465682b6fd037d2bf"
+
+
+def test_plan_mismatch_on_a_remap_entry_the_plan_lacks():
+    # same function and import counts, but the twin's kept body calls the
+    # function that the plan made for the original removes
+    m = Module(
+        types=(FuncType((), ()),),
+        functions=(Function(0, (), ()), Function(0, (), ())),
+        exports=(Export("f0", "func", 0),),
+    )
+    plan = plan_from_trace(m, entered={0})
+    twin = m.with_(functions=(Function(0, (), (ins("call", 1),)), Function(0, (), ())))
+    with pytest.raises(PlanMismatch) as exc:
+        apply_plan(twin, plan)
+    assert str(exc.value) == "plan lacks a remap entry for index 1"
