@@ -95,10 +95,14 @@ def value_from_json(obj, loc: str) -> Value:
         elif type(raw) is not float and type(raw) is not int:
             raise DocumentError(loc, f"expected a number for {key}")
         else:
+            # past the f64 range, an integer literal does not convert and
+            # json.loads reads a float literal as infinity
             try:
                 x = float(raw)
-            except OverflowError:  # an integer literal past the f64 range
-                raise DocumentError(loc, f"{key} literal out of range") from None
+            except OverflowError:
+                x = math.inf
+            if math.isinf(x):
+                raise DocumentError(loc, f"{key} literal out of range")
         return Value.f32(x) if key == "f32" else Value.f64(x)
     raise DocumentError(loc, f"unknown value type {key!r}")
 

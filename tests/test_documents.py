@@ -208,6 +208,22 @@ _LATER_ERRORS = {
         '{"func": "f", "args": [{"i32": 1}, {"f64": "huge"}]}',
         "$.invocations[2].args[1]: bad f64 literal 'huge'",
     ),
+    "huge-float-f64": (
+        '{"func": "f", "args": [{"i32": 1}, {"f64": 1e400}]}',
+        "$.invocations[2].args[1]: f64 literal out of range",
+    ),
+    "huge-float-f32": (
+        '{"func": "f", "args": [{"i32": 1}, {"f32": -1e400}]}',
+        "$.invocations[2].args[1]: f32 literal out of range",
+    ),
+    "bool-float": (
+        '{"func": "f", "args": [{"i32": 1}, {"f32": true}]}',
+        "$.invocations[2].args[1]: expected a number for f32",
+    ),
+    "null-float": (
+        '{"func": "f", "args": [{"i32": 1}, {"f64": null}]}',
+        "$.invocations[2].args[1]: expected a number for f64",
+    ),
 }
 
 
