@@ -55,6 +55,12 @@ class Writer:
     def raw(self, data: bytes) -> None:
         self.buf += data
 
+    def section(self, sec_id: int, payload: bytes) -> None:
+        """A section or a name subsection: its id, its size, then ``payload``."""
+        self.byte(sec_id)
+        self.u32(len(payload))
+        self.raw(payload)
+
     def u32(self, value: int) -> None:
         if type(value) is not int:
             raise TypeError(f"{value!r} is not an integer")
@@ -272,12 +278,6 @@ def write_expr(w: Writer, body: Expr) -> None:
     w.byte(op.END)
 
 
-def _section(out: Writer, sec_id: int, payload: Writer) -> None:
-    out.byte(sec_id)
-    out.u32(len(payload.buf))
-    out.raw(payload.buf)
-
-
 def encode(m: Module) -> bytes:
     """The bytes of ``m``; a failure raises ``EncodeError`` at the item being
     written, such as ``func[3]`` or ``custom[0]``, or else at its section."""
@@ -298,14 +298,14 @@ def encode(m: Module) -> bytes:
                 w.u32(len(value))
                 for i, item in enumerate(value):
                     write_item(w, item)
-            _section(out, sec_id, w)
+            out.section(sec_id, w.buf)
         what, i = "custom", None
         _check_vector(m.custom_sections)
         for i, (name, payload) in enumerate(m.custom_sections):
             w = Writer()
             w.name(name)
             w.raw(payload)
-            _section(out, op.SEC_CUSTOM, w)
+            out.section(op.SEC_CUSTOM, w.buf)
     except (EncodeError, AttributeError, LookupError, TypeError, ValueError) as e:
         if what == "func" and i is not None:  # the imports are written by now
             i += sum(imp.kind == "func" for imp in m.imports or ())

@@ -2,13 +2,16 @@
 
 Removal changes every index downstream of the function and type spaces,
 so bodies, exports, elements, the start entry, and the name custom
-section are all rewritten through the plan's remaps. Tables, memories,
+section are all rewritten through the plan's remaps. The rewrite is a
+``dataclasses.replace`` of those fields alone, so tables, memories,
 globals, and data segments pass through untouched: only functions are
-debloated.
+debloated. The name section is read with the codec's ``Reader`` and
+written with its ``Writer``, one subsection at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import opcodes as op
@@ -86,39 +89,22 @@ def _apply(m: Module, plan: KeepPlan) -> Module:
                 )
             )
 
-    new_types = tuple(
-        m.types[old] for old in sorted(plan.type_remap, key=plan.type_remap.get)
-    )
-    new_exports = tuple(
-        replace(e, index=plan.func_remap[e.index]) if e.kind == "func" else e
-        for e in m.exports
-    )
-    new_elements = tuple(
-        replace(seg, func_indices=tuple(plan.func_remap[i] for i in seg.func_indices))
-        for seg in m.elements
-    )
-    new_start = None if m.start is None else plan.func_remap[m.start]
-
-    new_customs = []
-    for name, payload in m.custom_sections:
-        if name != "name":
-            continue
-        remapped = _remap_name_payload(payload, plan.func_remap)
-        if remapped is not None:
-            new_customs.append(("name", remapped))
-
-    return Module(
-        types=new_types,
+    names = (_remap_name_payload(p, plan.func_remap) for n, p in m.custom_sections if n == "name")
+    return replace(
+        m,
         imports=tuple(new_imports),
         functions=tuple(new_functions),
-        tables=m.tables,
-        memories=m.memories,
-        globals=m.globals,
-        exports=new_exports,
-        start=new_start,
-        elements=new_elements,
-        data=m.data,
-        custom_sections=tuple(new_customs),
+        types=tuple(m.types[old] for old in sorted(plan.type_remap, key=plan.type_remap.get)),
+        exports=tuple(
+            replace(e, index=plan.func_remap[e.index]) if e.kind == "func" else e
+            for e in m.exports
+        ),
+        elements=tuple(
+            replace(seg, func_indices=tuple(plan.func_remap[i] for i in seg.func_indices))
+            for seg in m.elements
+        ),
+        start=None if m.start is None else plan.func_remap[m.start],
+        custom_sections=tuple(("name", p) for p in names if p is not None),
     )
 
 
@@ -132,57 +118,44 @@ def _remap_name_payload(payload: bytes, func_remap: dict[int, int]) -> bytes | N
     try:
         r = Reader(payload)
         out = Writer()
-        kept_any = False
         while not r.eof():
-            sub_id = r.byte()
-            size = r.u32()
-            if r.pos + size > r.end:
-                return None
-            sub = Reader(payload, r.pos, r.pos + size)
-            r.pos += size
+            sub_id, size = r.byte(), r.u32()
+            sub = r.sub(size)
             if sub_id == 0:
-                out.byte(0)
-                out.u32(size)
-                out.raw(payload[sub.pos : sub.end])
-                kept_any = True
+                out.section(0, sub.raw(size))
             elif sub_id == 1:
-                entries = []
-                for _ in range(sub.u32()):
-                    idx = sub.u32()
-                    name = sub.name()
-                    if idx in func_remap:
-                        entries.append((func_remap[idx], name))
+                entries = [
+                    (func_remap[idx], name)
+                    for idx, name in sub.vector(_read_name_entry)
+                    if idx in func_remap
+                ]
                 if entries:
                     body = Writer()
-                    body.u32(len(entries))
-                    for idx, name in entries:
-                        body.u32(idx)
-                        body.name(name)
-                    out.byte(1)
-                    out.u32(len(body.buf))
-                    out.raw(bytes(body.buf))
-                    kept_any = True
-        return bytes(out.buf) if kept_any else None
+                    body.vector(_write_name_entry, entries)
+                    out.section(1, body.buf)
+        return bytes(out.buf) or None
     except MalformedBinary:
         return None
 
 
+def _read_name_entry(r: Reader) -> tuple[int, str]:
+    return r.u32(), r.name()
+
+
+def _write_name_entry(w: Writer, entry: tuple[int, str]) -> None:
+    idx, name = entry
+    w.u32(idx)
+    w.name(name)
+
+
 def shrink_stats(before: bytes, after: bytes, plan: KeepPlan) -> ShrinkStats:
-    kept = stubbed = removed = 0
-    for f in range(plan.num_func_imports, len(plan.dispositions)):
-        disp = plan.dispositions[f]
-        if disp == Disposition.KEEP_BODY:
-            kept += 1
-        elif disp == Disposition.STUB:
-            stubbed += 1
-        else:
-            removed += 1
+    counts = Counter(plan.dispositions[plan.num_func_imports :])
     sizes_before = section_sizes(before)
     sizes_after = section_sizes(after)
     return ShrinkStats(
-        functions_kept_body=kept,
-        functions_stubbed=stubbed,
-        functions_removed=removed,
+        functions_kept_body=counts[Disposition.KEEP_BODY],
+        functions_stubbed=counts[Disposition.STUB],
+        functions_removed=counts[Disposition.REMOVE],
         imports_removed=len(plan.removed_imports),
         types_removed=plan.num_types - len(plan.type_remap),
         bytes_before=len(before),
