@@ -148,10 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except WasmDebloatError as e:
-        print(f"wasm-debloat: error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
+    except (WasmDebloatError, OSError) as e:
         print(f"wasm-debloat: error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

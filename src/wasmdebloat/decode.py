@@ -45,9 +45,7 @@ from .module import (
     Import,
     Instruction,
     Limits,
-    MemType,
     Module,
-    TableType,
 )
 
 MAGIC = b"\x00asm"
@@ -188,14 +186,11 @@ class Reader:
             raise MalformedBinary(start, f"invalid mutability flag 0x{mut:02x}")
         return GlobalType(vt, mut == 1)
 
-    def table_type(self) -> TableType:
+    def table_type(self) -> Limits:
         start = self.pos
         if self.byte() != op.FUNCREF_CODE:
             raise MalformedBinary(start, "invalid table element type")
-        return TableType(self.limits())
-
-    def mem_type(self) -> MemType:
-        return MemType(self.limits())
+        return self.limits()
 
     def extern_kind(self, what: str) -> str:
         """The kind of an import or export (``what``)."""
@@ -244,7 +239,7 @@ class Reader:
 _IMPORT_DESCS = {
     "func": Reader.u32,
     "table": Reader.table_type,
-    "memory": Reader.mem_type,
+    "memory": Reader.limits,
     "global": Reader.global_type,
 }
 
@@ -583,7 +578,7 @@ _SECTIONS = {
     op.SEC_IMPORT: ("imports", Reader.import_),
     op.SEC_FUNCTION: ("functions", Reader.u32),
     op.SEC_TABLE: ("tables", Reader.table_type),
-    op.SEC_MEMORY: ("memories", Reader.mem_type),
+    op.SEC_MEMORY: ("memories", Reader.limits),
     op.SEC_GLOBAL: ("globals", Reader.global_),
     op.SEC_EXPORT: ("exports", Reader.export),
     op.SEC_START: ("start", None),

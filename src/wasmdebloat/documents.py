@@ -101,9 +101,11 @@ def value_from_json(obj, loc: str) -> Value:
                 x = float(raw)
             except OverflowError:
                 x = math.inf
-            if math.isinf(x):
-                raise DocumentError(loc, f"{key} literal out of range")
-        return Value.f32(x) if key == "f32" else Value.f64(x)
+        value = Value.f32(x) if key == "f32" else Value.f64(x)
+        # a number past the type's range is, or rounds to, infinity
+        if type(raw) is not str and math.isinf(value.to_float()):
+            raise DocumentError(loc, f"{key} literal out of range")
+        return value
     raise DocumentError(loc, f"unknown value type {key!r}")
 
 

@@ -33,9 +33,7 @@ from .module import (
     GlobalType,
     Import,
     Limits,
-    MemType,
     Module,
-    TableType,
 )
 
 _EXTERN_KIND_CODES = {"func": 0, "table": 1, "memory": 2, "global": 3}
@@ -75,7 +73,7 @@ class Writer:
                 self.buf.append(b)
                 return
 
-    def _sleb(self, value: int, bits: int) -> None:
+    def sleb(self, value: int, bits: int) -> None:
         if type(value) is not int:
             raise TypeError(f"{value!r} is not an integer")
         if not -(1 << (bits - 1)) <= value < 1 << (bits - 1):
@@ -87,12 +85,6 @@ class Writer:
                 self.buf.append(b)
                 return
             self.buf.append(b | 0x80)
-
-    def s32(self, value: int) -> None:
-        self._sleb(value, 32)
-
-    def s64(self, value: int) -> None:
-        self._sleb(value, 64)
 
     def name(self, text: str) -> None:
         raw = text.encode("utf-8")
@@ -110,18 +102,15 @@ class Writer:
         if lim.maximum is not None:
             self.u32(lim.maximum)
 
-    def table_type(self, tt: TableType) -> None:
+    def table_type(self, lim: Limits) -> None:
         self.byte(op.FUNCREF_CODE)
-        self.limits(tt.limits)
+        self.limits(lim)
 
     def global_type(self, gt: GlobalType) -> None:
         self.valtype(gt.valtype)
         if type(gt.mutable) is not bool:
             raise TypeError(f"{gt.mutable!r} is not a bool")
         self.byte(0x01 if gt.mutable else 0x00)
-
-    def mem_type(self, mt: MemType) -> None:
-        self.limits(mt.limits)
 
     def vector(self, write_item, items) -> None:
         """A vector: its length, then each item written by ``write_item``."""
@@ -195,7 +184,7 @@ def _check_vector(items) -> None:
 _IMPORT_DESCS = {
     "func": Writer.u32,
     "table": Writer.table_type,
-    "memory": Writer.mem_type,
+    "memory": Writer.limits,
     "global": Writer.global_type,
 }
 
@@ -205,7 +194,7 @@ _SECTIONS = (
     (op.SEC_IMPORT, "imports", "import", Writer.import_),
     (op.SEC_FUNCTION, "functions", "func", Writer.function),
     (op.SEC_TABLE, "tables", "table", Writer.table_type),
-    (op.SEC_MEMORY, "memories", "memory", Writer.mem_type),
+    (op.SEC_MEMORY, "memories", "memory", Writer.limits),
     (op.SEC_GLOBAL, "globals", "global", Writer.global_),
     (op.SEC_EXPORT, "exports", "export", Writer.export),
     (op.SEC_START, "start", "start", None),
@@ -260,10 +249,8 @@ def write_expr(w: Writer, body: Expr) -> None:
                 w.u32(offset)
             elif imm == "memidx":
                 w.byte(0x00)
-            elif imm == "i32":
-                w.s32(instr.args[0])
-            elif imm == "i64":
-                w.s64(instr.args[0])
+            elif imm in ("i32", "i64"):
+                w.sleb(instr.args[0], 32 if imm == "i32" else 64)
             elif imm in ("f32", "f64"):  # the float's bits
                 bits = instr.args[0]
                 if type(bits) is not int:

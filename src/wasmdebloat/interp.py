@@ -525,7 +525,7 @@ for _ in range(delta):  # no temporary as large as the growth
     mem.extend(_ZERO_PAGE)
 current""",
     effect=True,
-    setup="""mem, limit = inst.mem, inst.module.memories[0].limits.maximum
+    setup="""mem, limit = inst.mem, inst.module.memories[0].maximum
 cap = MAX_PAGES if limit is None else min(limit, MAX_PAGES)""",
 )
 # the instructions without a signature in opcodes.OPS
@@ -879,9 +879,9 @@ class Instance:
 
         self.globals = [self._eval_const(g.init) for g in m.globals]
         if m.tables:
-            self.table_size = m.tables[0].limits.minimum
+            self.table_size = m.tables[0].minimum
         if m.memories:
-            self.mem = bytearray(m.memories[0].limits.minimum * PAGE_SIZE)
+            self.mem = bytearray(m.memories[0].minimum * PAGE_SIZE)
 
         # all segment bounds are checked before any writes happen
         elem_offsets = [self._eval_const(seg.offset) for seg in m.elements]

@@ -20,11 +20,15 @@ once, on first use, and writes the imports-first rule only there:
 ``global_types`` every global's type, and ``num_tables`` and
 ``num_memories`` count both sides. ``Module.func_type_of`` resolves a
 combined function index to its signature.
+
+A table or memory is its ``Limits``, and so is the ``desc`` of a table
+or memory import; a function import's ``desc`` is its type index and a
+global import's its ``GlobalType``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
 
@@ -33,8 +37,6 @@ from . import opcodes as op
 __all__ = [
     "FuncType",
     "Limits",
-    "TableType",
-    "MemType",
     "GlobalType",
     "Import",
     "Export",
@@ -73,17 +75,6 @@ class Limits:
 
 
 @dataclass(frozen=True)
-class TableType:
-    limits: Limits
-    # MVP: funcref is the only element type
-
-
-@dataclass(frozen=True)
-class MemType:
-    limits: Limits
-
-
-@dataclass(frozen=True)
 class GlobalType:
     valtype: str
     mutable: bool
@@ -94,8 +85,7 @@ class Import:
     module: str
     name: str
     kind: str  # 'func' | 'table' | 'memory' | 'global'
-    # typeidx for functions, the respective *Type otherwise
-    desc: Union[int, TableType, MemType, GlobalType]
+    desc: Union[int, Limits, GlobalType]
 
 
 @dataclass(frozen=True)
@@ -174,8 +164,9 @@ class Module:
     types: tuple[FuncType, ...] = ()
     imports: tuple[Import, ...] = ()
     functions: tuple[Function, ...] = ()
-    tables: tuple[TableType, ...] = ()
-    memories: tuple[MemType, ...] = ()
+    # MVP: funcref is the only element type
+    tables: tuple[Limits, ...] = ()
+    memories: tuple[Limits, ...] = ()
     globals: tuple[Global, ...] = ()
     exports: tuple[Export, ...] = ()
     start: int | None = None
@@ -185,7 +176,7 @@ class Module:
     custom_sections: tuple[tuple[str, bytes], ...] = ()
 
     # not a field: set only on a module decode returns, so that any other,
-    # from with_ or dataclasses.replace too, has no body errors recorded
+    # from dataclasses.replace too, has no body errors recorded
     body_errors = None
 
     # cached: validation and the interpreter index these per instruction
@@ -219,6 +210,3 @@ class Module:
 
     def func_type_of(self, index: int) -> FuncType:
         return self.types[self.func_type_indices[index]]
-
-    def with_(self, **changes) -> "Module":
-        return _replace(self, **changes)

@@ -42,9 +42,6 @@ class KeepPlan:
     num_func_imports: int
     num_types: int  # in the module the plan was made for
 
-    def disposition(self, funcidx: int) -> Disposition:
-        return self.dispositions[funcidx]
-
     @property
     def removed_imports(self) -> frozenset[int]:
         imports = self.dispositions[: self.num_func_imports]

@@ -53,6 +53,9 @@ def apply_plan(m: Module, plan: KeepPlan) -> Module:
         )
     if plan.num_func_imports != m.num_func_imports:
         raise PlanMismatch("plan and module disagree on import count")
+    for old in plan.type_remap:
+        if old not in range(len(m.types)):
+            raise PlanMismatch(f"plan names type {old}, module has {len(m.types)}")
 
     try:
         return _apply(m, plan)

@@ -4,12 +4,12 @@ Errors are data, not exceptions: every problem is collected into a
 ValidationReport as a (location, message) pair. There is one path, over
 a decoded module: bodies are type-checked by decode's one loop over
 their bytes, and ``validate_module`` reads the errors decode recorded.
-Any other module (built by hand, or changed with ``with_``) is checked as
-``decode(encode(m))``. Anything ``encode`` cannot write, such as an
-immediate of the wrong shape, an unbalanced body or a field of the wrong
-type, is then the one error, at the ``EncodeError``'s location; a module
-whose bytes pass one of decode's caps (``MAX_NESTING``, ``MAX_LOCALS``)
-is one error at ``module``.
+Any other module (built by hand, or changed with ``dataclasses.replace``)
+is checked as ``decode(encode(m))``. Anything ``encode`` cannot write,
+such as an immediate of the wrong shape, an unbalanced body or a field
+of the wrong type, is then the one error, at the ``EncodeError``'s
+location; a module whose bytes pass one of decode's caps
+(``MAX_NESTING``, ``MAX_LOCALS``) is one error at ``module``.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def validate_module(m: Module) -> ValidationReport:
             if imp.desc >= len(m.types):
                 errs.append((loc, f"type index {imp.desc} out of range"))
         elif imp.kind == "table":
-            _check_limits(imp.desc.limits, MAX_TABLE_ELEMENTS, None, loc, errs)
+            _check_limits(imp.desc, MAX_TABLE_ELEMENTS, None, loc, errs)
         elif imp.kind == "memory":
-            _check_limits(imp.desc.limits, MAX_PAGES, MAX_PAGES, loc, errs)
+            _check_limits(imp.desc, MAX_PAGES, MAX_PAGES, loc, errs)
         elif imp.desc.mutable:
             errs.append((loc, "mutable global import"))
 
@@ -119,10 +119,10 @@ def validate_module(m: Module) -> ValidationReport:
         errs.append(("table", "more than one table"))
     if m.num_memories > 1:
         errs.append(("memory", "more than one memory"))
-    for i, tt in enumerate(m.tables):
-        _check_limits(tt.limits, MAX_TABLE_ELEMENTS, None, f"table[{i}]", errs)
-    for i, mt in enumerate(m.memories):
-        _check_limits(mt.limits, MAX_PAGES, MAX_PAGES, f"memory[{i}]", errs)
+    for i, lim in enumerate(m.tables):
+        _check_limits(lim, MAX_TABLE_ELEMENTS, None, f"table[{i}]", errs)
+    for i, lim in enumerate(m.memories):
+        _check_limits(lim, MAX_PAGES, MAX_PAGES, f"memory[{i}]", errs)
 
     for i, g in enumerate(m.globals):
         _check_const_expr(m, g.init, g.type.valtype, f"global[{i}].init", errs)

@@ -33,9 +33,7 @@ from wasmdebloat.module import (
     Import,
     Instruction,
     Limits,
-    MemType,
     Module,
-    TableType,
 )
 from wasmdebloat.validate import validate_module
 
@@ -187,7 +185,7 @@ def indirect_module():
             Function(0, (), (ins("i32.const", 11),)),
             Function(1, (), (ins("local.get", 0), ins("call_indirect", 0))),
         ),
-        tables=(TableType(Limits(2)),),
+        tables=(Limits(2),),
         elements=(ElementSegment(0, (ins("i32.const", 0),), (0, 1)),),
         exports=(Export("dispatch", "func", 2),),
     )
@@ -224,7 +222,7 @@ def memory_data_module():
             ),
             Function(2, (), (ins("memory.size"),)),
         ),
-        memories=(MemType(Limits(1, 2)),),
+        memories=(Limits(1, 2),),
         data=(DataSegment(0, (ins("i32.const", 8),), b"hello"),),
         exports=(
             Export("peek", "func", 0),
@@ -409,7 +407,7 @@ def memory_grow_module():
             Function(0, (), (ins("local.get", 0), ins("memory.grow"))),
             Function(1, (), (ins("memory.size"),)),
         ),
-        memories=(MemType(Limits(1, 3)),),
+        memories=(Limits(1, 3),),
         exports=(Export("grow", "func", 0), Export("size", "func", 1)),
     )
 
@@ -576,7 +574,7 @@ def oob_memory_module():
     return Module(
         types=(FuncType((I32,), (I32,)),),
         functions=(Function(0, (), (ins("local.get", 0), ins("i32.load", 2, 0))),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         exports=(Export("readi", "func", 0),),
     )
 
@@ -594,7 +592,7 @@ def table_traps_module():
             Function(2, (), (ins("local.get", 0),)),
             Function(1, (), (ins("local.get", 0), ins("call_indirect", 0))),
         ),
-        tables=(TableType(Limits(3)),),
+        tables=(Limits(3),),
         elements=(ElementSegment(0, (ins("i32.const", 0),), (0, 1)),),
         exports=(Export("dispatch", "func", 2),),
     )
@@ -625,8 +623,8 @@ def exported_kinds_module():
     return Module(
         types=(FuncType((), (I32,)),),
         functions=(Function(0, (), (ins("global.get", 0),)),),
-        tables=(TableType(Limits(1)),),
-        memories=(MemType(Limits(1)),),
+        tables=(Limits(1),),
+        memories=(Limits(1),),
         globals=(Global(GlobalType(I32, False), (ins("i32.const", 42),)),),
         exports=(
             Export("f", "func", 0),
@@ -682,7 +680,7 @@ def calculator_module():
             Function(1, (), (ins("local.get", 0), ins("i32.const", 3), ins("call", 4))),
             Function(1, (), (ins("local.get", 0), ins("call", 8))),
         ),
-        tables=(TableType(Limits(2)),),
+        tables=(Limits(2),),
         elements=(ElementSegment(0, (ins("i32.const", 0),), (5, 6)),),
         exports=(
             Export("add", "func", 0),

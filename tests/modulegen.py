@@ -39,9 +39,7 @@ from wasmdebloat.module import (
     Import,
     Instruction,
     Limits,
-    MemType,
     Module,
-    TableType,
 )
 from wasmdebloat.validate import validate_module
 
@@ -442,7 +440,7 @@ def generate_pair(seed, trap_free=False, max_defined=8, control_flow=False):
     memories = ()
     data = ()
     if g.has_memory:
-        memories = (MemType(Limits(1, rng.choice((None, 1, 2)))),)
+        memories = (Limits(1, rng.choice((None, 1, 2))),)
         if rng.random() < 0.6:
             payload = bytes(rng.randrange(256) for _ in range(rng.randint(1, 12)))
             data = (DataSegment(0, (_ins("i32.const", rng.randrange(0, 256)),), payload),)
@@ -493,7 +491,7 @@ def generate_pair(seed, trap_free=False, max_defined=8, control_flow=False):
         )
         g.defined_types.append(disp_ft)
         dispatch_index = n_imports + len(g.functions) - 1
-        tables = (TableType(Limits(n_slots)),)
+        tables = (Limits(n_slots),)
         elements = (ElementSegment(0, (_ins("i32.const", 0),), tuple(slot_indices)),)
 
     start = None

@@ -150,7 +150,7 @@ def test_criterion_3_kept_bodies_are_necessary():
             targets = [
                 i
                 for i in sorted(trace.entered)
-                if plan.disposition(i) is Disposition.KEEP_BODY
+                if plan.dispositions[i] is Disposition.KEEP_BODY
             ]
             assert targets, f"seed {seed} exercised nothing"
             for i in targets:
@@ -218,7 +218,7 @@ def test_criterion_6_stubs_trap_when_poked():
             stub_exports = [
                 e
                 for e in m.exports
-                if e.kind == "func" and plan.disposition(e.index) is Disposition.STUB
+                if e.kind == "func" and plan.dispositions[e.index] is Disposition.STUB
             ]
             if not stub_exports:
                 continue

@@ -116,7 +116,8 @@ def test_trace_to_file(tmp_path, capsys):
 
 
 def test_trace_rejects_invalid_module(tmp_path, capsys):
-    m = fx.add_module().with_(
+    m = replace(
+        fx.add_module(),
         exports=(fx.Export("f", "func", 0), fx.Export("f", "func", 0))
     )
     mod, wlf = write_pair(tmp_path, m, fx.wl())
@@ -138,7 +139,8 @@ def test_validate_identical_modules(tmp_path, capsys):
 
 def test_validate_reports_divergence(tmp_path, capsys):
     mod, wlf = write_pair(tmp_path, fx.add_module(), fx.ADD_WORKLOAD)
-    broken = fx.add_module().with_(
+    broken = replace(
+        fx.add_module(),
         functions=(
             replace(
                 fx.add_module().functions[0],
@@ -233,7 +235,7 @@ def test_fail_on_behavior_change_divergent_run(tmp_path, capsys, monkeypatch):
         out = real(m, plan)
         funcs = list(out.functions)
         funcs[0] = replace(funcs[0], locals=(), body=(Instruction(op.UNREACHABLE),))
-        return out.with_(functions=tuple(funcs))
+        return replace(out, functions=tuple(funcs))
 
     monkeypatch.setattr(wasmdebloat.pipeline, "apply_plan", wrecked)
     mod, wlf = write_pair(tmp_path, fx.add_module(), fx.ADD_WORKLOAD)
@@ -256,8 +258,8 @@ def test_fail_on_behavior_change_sees_the_written_bytes(tmp_path, capsys, monkey
     # carries the wrong constant
     mod, wlf = write_pair(tmp_path, fx.calculator_module(), fx.CALCULATOR_WORKLOAD)
     encoder = importlib.import_module("wasmdebloat.encode")
-    real = encoder.Writer.s32
-    monkeypatch.setattr(encoder.Writer, "s32", lambda w, v: real(w, v + 1))
+    real = encoder.Writer.sleb
+    monkeypatch.setattr(encoder.Writer, "sleb", lambda w, v, bits: real(w, v + 1, bits))
     rep = tmp_path / "r.json"
     code = main(
         ["debloat", "--module", mod, "--workload", wlf, "--out",
@@ -331,7 +333,7 @@ def test_function_with_bad_type_index_is_an_input_error(tmp_path, capsys, data, 
 
 def test_table_past_the_element_limit_is_an_input_error(tmp_path, capsys):
     # instantiating this table would allocate 2**32 - 1 elements
-    m = fx.add_module().with_(tables=(fx.TableType(fx.Limits(0xFFFFFFFF)),))
+    m = replace(fx.add_module(), tables=(fx.Limits(0xFFFFFFFF),))
     mod, wlf = write_pair(tmp_path, m, fx.wl())
     out = tmp_path / "o.wasm"
     code = main(["debloat", "--module", mod, "--workload", wlf, "--out", str(out)])

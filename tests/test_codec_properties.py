@@ -28,9 +28,7 @@ from wasmdebloat.module import (
     Import,
     Instruction,
     Limits,
-    MemType,
     Module,
-    TableType,
 )
 
 U32 = st.integers(0, 2**32 - 1)
@@ -91,8 +89,8 @@ EXPRS = _tuples(INSTRUCTIONS, max_size=2)
 
 IMPORT_DESCS = {
     "func": U32,
-    "table": st.builds(TableType, LIMITS),
-    "memory": st.builds(MemType, LIMITS),
+    "table": LIMITS,
+    "memory": LIMITS,
     "global": st.builds(GlobalType, VALTYPES, st.booleans()),
 }
 IMPORTS = KINDS.flatmap(
@@ -104,8 +102,8 @@ MODULES = st.builds(
     types=_tuples(st.builds(FuncType, _tuples(VALTYPES), _tuples(VALTYPES, 1))),
     imports=_tuples(IMPORTS),
     functions=_tuples(st.builds(Function, U32, _tuples(VALTYPES, 5), BODIES)),
-    tables=_tuples(st.builds(TableType, LIMITS), 2),
-    memories=_tuples(st.builds(MemType, LIMITS), 2),
+    tables=_tuples(LIMITS, 2),
+    memories=_tuples(LIMITS, 2),
     globals=_tuples(st.builds(Global, IMPORT_DESCS["global"], EXPRS)),
     exports=_tuples(st.builds(Export, NAMES, KINDS, U32)),
     start=st.none() | st.just(0) | U32,

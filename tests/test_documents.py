@@ -216,6 +216,19 @@ _LATER_ERRORS = {
         '{"func": "f", "args": [{"i32": 1}, {"f32": -1e400}]}',
         "$.invocations[2].args[1]: f32 literal out of range",
     ),
+    # finite f64 values that round to f32 infinity
+    "past-f32-range": (
+        '{"func": "f", "args": [{"i32": 1}, {"f32": 1e39}]}',
+        "$.invocations[2].args[1]: f32 literal out of range",
+    ),
+    "past-f32-range-negative": (
+        '{"func": "f", "args": [{"i32": 1}, {"f32": -1e39}]}',
+        "$.invocations[2].args[1]: f32 literal out of range",
+    ),
+    "rounds-to-f32-infinity": (
+        '{"func": "f", "args": [{"i32": 1}, {"f32": 3.4028235677973366e38}]}',
+        "$.invocations[2].args[1]: f32 literal out of range",
+    ),
     "bool-float": (
         '{"func": "f", "args": [{"i32": 1}, {"f32": true}]}',
         "$.invocations[2].args[1]: expected a number for f32",
@@ -239,6 +252,14 @@ def test_errors_name_the_place_in_a_later_invocation(case):
     e = parse_err(text)
     assert str(e) == error
     assert e.location == error.split(": ")[0]
+
+
+def test_the_largest_finite_f32_literal_is_accepted():
+    w = workload_from_document(
+        '{"invocations": [{"func": "f", "args": '
+        '[{"f32": 3.4028235677973362e38}, {"f32": -3.4028235677973362e38}]}]}'
+    )
+    assert [a.bits for a in w.invocations[0].args] == [0x7F7FFFFF, 0xFF7FFFFF]
 
 
 def test_fuel_validation():

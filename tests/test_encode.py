@@ -160,7 +160,7 @@ def test_empty_sections_omitted():
 
 
 def test_custom_sections_emitted_after_data():
-    m = fx.memory_data_module().with_(custom_sections=(("z", b"1"),))
+    m = dataclasses.replace(fx.memory_data_module(), custom_sections=(("z", b"1"),))
     data = encode(m)
     assert data.endswith(bytes.fromhex("0003017a31"))
     assert decode(data) == m

@@ -8,6 +8,7 @@ rounds independently of the interpreter's own arithmetic.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -45,9 +46,7 @@ from wasmdebloat.module import (
     GlobalType,
     Import,
     Limits,
-    MemType,
     Module,
-    TableType,
 )
 
 INT32_MIN = -(2 ** 31)
@@ -124,7 +123,7 @@ def test_memory_export_is_not_a_function_export():
     m = Module(
         types=(FuncType((), ()),),
         functions=(Function(0, (), ()),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         exports=(Export("mem", "memory", 0), Export("f", "func", 0)),
     )
     inst = instantiate(m)
@@ -502,7 +501,7 @@ def test_load8_s_sign_extends():
     m = Module(
         types=(FuncType((), ("i32",)),),
         functions=(Function(0, (), (ins("i32.const", 0), ins("i32.load8_s", 0, 0))),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         data=(DataSegment(0, (ins("i32.const", 0),), b"\xff"),),
         exports=(Export("f", "func", 0),),
     )
@@ -513,7 +512,7 @@ def test_load_offset_is_added():
     m = Module(
         types=(FuncType((), ("i32",)),),
         functions=(Function(0, (), (ins("i32.const", 2), ins("i32.load8_u", 0, 3))),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         data=(DataSegment(0, (ins("i32.const", 5),), b"\x2a"),),
         exports=(Export("f", "func", 0),),
     )
@@ -546,7 +545,7 @@ def test_memory_grow_hard_cap_without_maximum():
     m = Module(
         types=(FuncType(("i32",), ("i32",)),),
         functions=(Function(0, (), (ins("local.get", 0), ins("memory.grow"))),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         exports=(Export("grow", "func", 0),),
     )
     assert run1(m, "grow", Value.i32(65536)) == Results((Value.i32(-1),))
@@ -589,7 +588,7 @@ def test_indirect_matches_structurally_equal_types():
             Function(2, (), (ins("i32.const", 77),)),
             Function(1, (), (ins("local.get", 0), ins("call_indirect", 0))),
         ),
-        tables=(TableType(Limits(1)),),
+        tables=(Limits(1),),
         elements=(ElementSegment(0, (ins("i32.const", 0),), (0,)),),
         exports=(Export("dispatch", "func", 1),),
     )
@@ -770,7 +769,8 @@ def test_start_runs_before_invocations():
 
 
 def test_element_bounds_checked_at_instantiation():
-    m = fx.indirect_module().with_(
+    m = replace(
+        fx.indirect_module(),
         elements=(ElementSegment(0, (ins("i32.const", 5),), (0, 1)),)
     )
     log, _ = run_workload(m, wl(inv("dispatch", Value.i32(0))))
@@ -779,7 +779,8 @@ def test_element_bounds_checked_at_instantiation():
 
 
 def test_data_bounds_checked_at_instantiation():
-    m = fx.memory_data_module().with_(
+    m = replace(
+        fx.memory_data_module(),
         data=(DataSegment(0, (ins("i32.const", 65535),), b"hello"),)
     )
     log, _ = run_workload(m, wl())
@@ -787,8 +788,9 @@ def test_data_bounds_checked_at_instantiation():
 
 
 def test_element_checks_precede_data_writes():
-    m = fx.indirect_module().with_(
-        memories=(MemType(Limits(1)),),
+    m = replace(
+        fx.indirect_module(),
+        memories=(Limits(1),),
         elements=(ElementSegment(0, (ins("i32.const", 5),), (0, 1)),),
         data=(DataSegment(0, (ins("i32.const", 65535),), b"hello"),),
     )
@@ -883,7 +885,8 @@ def test_digest_changes_when_memory_changes():
 
 
 def test_digest_absent_when_instantiation_fails():
-    m = fx.memory_data_module().with_(
+    m = replace(
+        fx.memory_data_module(),
         data=(DataSegment(0, (ins("i32.const", 65535),), b"hello"),)
     )
     log, _ = run_workload(m, wl())
@@ -1127,7 +1130,7 @@ def store_then_divide_module():
     return Module(
         types=(FuncType(("i32", "i32"), ("i32",)),),
         functions=(Function(0, (), body),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         exports=(Export("f", "func", 0),),
     )
 
@@ -1181,7 +1184,7 @@ def load_then_divide_module():
     return Module(
         types=(FuncType(("i32", "i32"), ("i32",)),),
         functions=(Function(0, ("i32",), body),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         exports=(Export("f", "func", 0),),
     )
 
@@ -1417,7 +1420,7 @@ def test_every_operand_kind_gives_the_bits_of_two_local_reads(name):
         functions=tuple(Function(0, (), body) for body in bodies),
         exports=tuple(Export(str(i), "func", i) for i in range(len(bodies))),
     )
-    assert validate_module(m.with_(functions=tuple(checked), exports=())).ok
+    assert validate_module(replace(m, functions=tuple(checked), exports=())).ok
     units = [sum(x.opcode not in (op.END, op.ELSE) for x in body) for body in bodies]
     values = {args: tuple(map(Value, params, args)) for args in product(*grids)}
     inst = instantiate(m)
@@ -1481,14 +1484,14 @@ def test_every_operand_kind_of_another_instruction_gives_what_local_reads_give(n
             Function(2, (), ()),
             *(Function(0, locals_, body) for body in bodies),
         ),
-        tables=(TableType(Limits(3)),),
-        memories=(MemType(Limits(1, 2)),),
+        tables=(Limits(3),),
+        memories=(Limits(1, 2),),
         globals=(Global(GlobalType("i64", True), (ins("i64.const", 0),)),),
         exports=tuple(Export(str(i), "func", i + 2) for i in range(len(bodies))),
         elements=(ElementSegment(0, (ins("i32.const", 0),), (0, 1)),),
         data=(DataSegment(0, (ins("i32.const", 0),), bytes(range(0x70, 0x90))),),
     )
-    assert validate_module(m.with_(functions=m.functions[:2] + tuple(checked), exports=())).ok
+    assert validate_module(replace(m, functions=m.functions[:2] + tuple(checked), exports=())).ok
     units = [sum(x.opcode not in (op.END, op.ELSE) for x in body) for body in bodies]
     expected = {}
     for kinds, i, args in calls:
@@ -1531,7 +1534,7 @@ def test_a_child_that_pops_runs_before_the_operands_under_it_are_taken(name):
     m = Module(
         types=(FuncType(params, ("i32",)),),
         functions=(Function(0, (), (*below, *fx.block("i32", ins("local.get", len(below))), ins("i32.eqz"), *tail)),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         exports=(Export("f", "func", 0),),
     )
     assert validate_module(m).ok
@@ -1567,7 +1570,7 @@ def test_a_read_pending_below_a_write_sees_the_value_before_it(name):
     m = Module(
         types=(FuncType(("i32",), ("i32",)),),
         functions=(Function(0, (), (*body, ins("i32.add"))),),
-        memories=(MemType(Limits(1, 2)),),
+        memories=(Limits(1, 2),),
         globals=(Global(GlobalType("i32", True), (ins("i32.const", 1),)),),
         exports=(Export("f", "func", 0),),
         data=(DataSegment(0, (ins("i32.const", 0),), bytes((1, 0, 0, 0))),),
@@ -1691,7 +1694,7 @@ def test_operator_factories_are_made_on_first_use_from_the_kinds_alone(monkeypat
             for kinds in product(OPERAND_KINDS, repeat=len(params))
         )
         types = (FuncType(params, ()),) * 587  # up to call_indirect's type index
-        inst = instantiate(Module(types=types, functions=funcs, memories=(MemType(Limits(1)),)))
+        inst = instantiate(Module(types=types, functions=funcs, memories=(Limits(1),)))
         for fn in funcs:
             interp._compile(inst, fn)
         arities.append(len(params))

@@ -34,9 +34,7 @@ from wasmdebloat.module import (
     Import,
     Instruction,
     Limits,
-    MemType,
     Module,
-    TableType,
 )
 from wasmdebloat.pipeline import Mismatch, ValidationVerdict
 
@@ -50,7 +48,7 @@ def log_once_module(value, start=False):
         functions=(Function(1, (), (ins("i32.const", value), ins("call", 0))),),
         exports=(Export("f", "func", 1),),
     )
-    return m.with_(start=1) if start else m
+    return replace(m, start=1) if start else m
 
 
 def store_module(value, pages=1, addr=0):
@@ -58,7 +56,7 @@ def store_module(value, pages=1, addr=0):
     return Module(
         types=(FuncType((), ()),),
         functions=(Function(0, (), body),),
-        memories=(MemType(Limits(pages, pages)),),
+        memories=(Limits(pages, pages),),
         exports=(Export("poke", "func", 0),),
     )
 
@@ -84,7 +82,8 @@ def test_identical_modules_fully_ok():
 
 
 def test_outcome_mismatch_rendering():
-    stubbed = fx.add_module().with_(
+    stubbed = replace(
+        fx.add_module(),
         functions=(Function(0, (), (Instruction(op.UNREACHABLE),)),)
     )
     verdict = validate_behavior(fx.ADD_BYTES, encode(stubbed), ADD_WORKLOAD)
@@ -145,7 +144,7 @@ NEAR_END = 4 * 65536 - 4
         ),
         (
             store_module(5),
-            store_module(5).with_(memories=(), functions=(Function(0, (), ()),)),
+            replace(store_module(5), memories=(), functions=(Function(0, (), ()),)),
             ("65536 bytes", "absent"),
         ),
     ],
@@ -162,7 +161,8 @@ def test_instantiation_mismatch_reported_first():
         functions=(Function(0, (), (ins("i32.const", 1),)),),
         exports=(Export("f", "func", 0),),
     )
-    b = a.with_(
+    b = replace(
+        a,
         types=a.types + (FuncType((), ()),),
         imports=(Import("env", "nosuch", "func", 1),),
         exports=(Export("f", "func", 1),),
@@ -231,7 +231,7 @@ def sabotage_apply_plan(monkeypatch):
         out = real(m, plan)
         funcs = list(out.functions)
         funcs[0] = replace(funcs[0], locals=(), body=(Instruction(op.UNREACHABLE),))
-        return out.with_(functions=tuple(funcs))
+        return replace(out, functions=tuple(funcs))
 
     monkeypatch.setattr(wasmdebloat.pipeline, "apply_plan", wrecked)
 
@@ -260,8 +260,8 @@ def test_non_function_imports_survive_a_failed_link():
     # the default host provides no memory, table or global: both runs stop
     # at the first of them, and the debloater keeps all three imports
     imports = (
-        Import("env", "mem", "memory", MemType(Limits(1))),
-        Import("env", "tab", "table", TableType(Limits(1, 2))),
+        Import("env", "mem", "memory", Limits(1)),
+        Import("env", "tab", "table", Limits(1, 2)),
         Import("env", "g", "global", GlobalType("i64", False)),
     )
     m = Module(
@@ -303,8 +303,8 @@ encode_module = importlib.import_module("wasmdebloat.encode")
 
 def test_verdict_sees_a_wrong_constant_in_the_returned_bytes(monkeypatch):
     data = encode(log_once_module(5))
-    real = encode_module.Writer.s32
-    monkeypatch.setattr(encode_module.Writer, "s32", lambda w, v: real(w, v + 1))
+    real = encode_module.Writer.sleb
+    monkeypatch.setattr(encode_module.Writer, "sleb", lambda w, v, bits: real(w, v + 1, bits))
     out, report = debloat_module(data, wl(inv("f")))
     assert decode(out).functions[0].body[0] == ins("i32.const", 6)
     assert report.validation.syntactic_ok
@@ -454,11 +454,11 @@ _TABLE_PEAK_SCRIPT = """
 import resource, sys
 from wasmdebloat import debloat_module, encode
 from wasmdebloat.interp import Invocation, Workload
-from wasmdebloat.module import Export, FuncType, Function, Limits, Module, TableType
+from wasmdebloat.module import Export, FuncType, Function, Limits, Module
 m = Module(
     types=(FuncType((), ()),),
     functions=(Function(0, (), ()),),
-    tables=(TableType(Limits(int(sys.argv[1]))),),
+    tables=(Limits(int(sys.argv[1])),),
     exports=(Export("f", "func", 0),),
 )
 out, report = debloat_module(encode(m), Workload((Invocation("f"),)))

@@ -94,15 +94,15 @@ def test_referenced_but_untraced_becomes_stub():
         exports=(Export("f0", "func", 0),),
     )
     plan = close_references(m, consolidate(trace(entered={0}, call_targets={2}), m))
-    assert plan.disposition(0) is Disposition.KEEP_BODY
-    assert plan.disposition(1) is Disposition.REMOVE
-    assert plan.disposition(2) is Disposition.KEEP_BODY
+    assert plan.dispositions[0] is Disposition.KEEP_BODY
+    assert plan.dispositions[1] is Disposition.REMOVE
+    assert plan.dispositions[2] is Disposition.KEEP_BODY
 
     # without the runtime call edge the reference alone yields a stub
     plan = close_references(m, consolidate(trace(entered={0}), m))
-    assert plan.disposition(0) is Disposition.KEEP_BODY
-    assert plan.disposition(1) is Disposition.REMOVE
-    assert plan.disposition(2) is Disposition.STUB
+    assert plan.dispositions[0] is Disposition.KEEP_BODY
+    assert plan.dispositions[1] is Disposition.REMOVE
+    assert plan.dispositions[2] is Disposition.STUB
 
 
 def test_stub_references_do_not_propagate():
@@ -110,9 +110,9 @@ def test_stub_references_do_not_propagate():
     # chain dies because stub bodies carry no references.
     m = fx.calculator_module()
     plan = plan_for(m, fx.CALCULATOR_WORKLOAD)
-    assert plan.disposition(8) is Disposition.REMOVE
-    assert plan.disposition(9) is Disposition.REMOVE
-    assert plan.disposition(4) is Disposition.REMOVE
+    assert plan.dispositions[8] is Disposition.REMOVE
+    assert plan.dispositions[9] is Disposition.REMOVE
+    assert plan.dispositions[4] is Disposition.REMOVE
 
 
 def test_calculator_plan_matches_hand_derivation():
@@ -125,7 +125,7 @@ def test_calculator_plan_matches_hand_derivation():
     }
     for d, indices in by_disposition.items():
         for i in indices:
-            assert plan.disposition(i) is d, i
+            assert plan.dispositions[i] is d, i
     assert plan.func_remap == {0: 0, 1: 1, 2: 2, 3: 3, 5: 4, 6: 5, 7: 6}
     assert plan.type_remap == {0: 0, 1: 1}
     assert plan.removed_imports == frozenset()

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -153,7 +154,7 @@ def test_call_indirect_annotation_remapped():
             Function(1, (), (ins("i32.const", 3),)),
             Function(2, (), (ins("local.get", 0), ins("call_indirect", 1))),
         ),
-        tables=(fx.TableType(fx.Limits(1)),),
+        tables=(fx.Limits(1),),
         elements=(fx.ElementSegment(0, (ins("i32.const", 0),), (1,)),),
         exports=(Export("d", "func", 2),),
     )
@@ -183,6 +184,23 @@ def test_plan_mismatch_on_import_count():
     with pytest.raises(PlanMismatch) as exc:
         apply_plan(twin, plan)
     assert str(exc.value) == "plan and module disagree on import count"
+
+
+@pytest.mark.parametrize(
+    "type_remap, error",
+    [
+        # past the end, the type lookup would raise IndexError
+        ({0: 0, 3: 1}, "plan names type 3, module has 1"),
+        # a negative key would copy the last type
+        ({0: 0, -1: 1}, "plan names type -1, module has 1"),
+    ],
+)
+def test_plan_mismatch_on_a_type_the_module_lacks(type_remap, error):
+    m = fx.add_module()
+    plan = replace(plan_from_trace(m, entered={0}), type_remap=type_remap)
+    with pytest.raises(PlanMismatch) as exc:
+        apply_plan(m, plan)
+    assert str(exc.value) == error
 
 
 def test_name_section_filtered_and_renumbered():
@@ -226,7 +244,7 @@ def test_junk_custom_sections_dropped():
 
 
 def test_unparseable_name_section_dropped():
-    m = fx.add_module().with_(custom_sections=(("name", b"\xff\xff\xff"),))
+    m = replace(fx.add_module(), custom_sections=(("name", b"\xff\xff\xff"),))
     plan = plan_from_trace(m, entered={0})
     out = apply_plan(m, plan)
     assert out.custom_sections == ()
@@ -361,7 +379,7 @@ def test_name_sections_of_a_fixed_seed_corpus():
             payload = payload[: rng.randrange(len(payload))]
         entered = rng.sample(range(2, 12), rng.randint(0, 10))
         plan = plan_from_trace(m, entered=entered)
-        customs = apply_plan(m.with_(custom_sections=(("name", payload),)), plan).custom_sections
+        customs = apply_plan(replace(m, custom_sections=(("name", payload),)), plan).custom_sections
         assert [name for name, _ in customs] in ([], ["name"])
         if customs:
             kept += 1
@@ -379,7 +397,7 @@ def test_plan_mismatch_on_a_remap_entry_the_plan_lacks():
         exports=(Export("f0", "func", 0),),
     )
     plan = plan_from_trace(m, entered={0})
-    twin = m.with_(functions=(Function(0, (), (ins("call", 1),)), Function(0, (), ())))
+    twin = replace(m, functions=(Function(0, (), (ins("call", 1),)), Function(0, (), ())))
     with pytest.raises(PlanMismatch) as exc:
         apply_plan(twin, plan)
     assert str(exc.value) == "plan lacks a remap entry for index 1"

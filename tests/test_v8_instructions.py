@@ -34,7 +34,6 @@ from wasmdebloat.module import (
     FuncType,
     Function,
     Limits,
-    MemType,
     Module,
     PAGE_SIZE,
 )
@@ -210,7 +209,7 @@ def build():
     m = Module(
         types=tuple(types),
         functions=tuple(functions),
-        memories=(MemType(Limits(1, 1)),),
+        memories=(Limits(1, 1),),
         exports=tuple(exports),
         data=(
             DataSegment(0, (ins("i32.const", 0),), PATTERN),

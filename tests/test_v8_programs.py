@@ -35,6 +35,7 @@ import json
 import shutil
 import subprocess
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -145,7 +146,7 @@ def for_v8(data, w):
     and result types."""
     m = decode(data)
     if m.num_memories:
-        m = m.with_(exports=m.exports + (Export("__mem", "memory", 0),))
+        m = replace(m, exports=m.exports + (Export("__mem", "memory", 0),))
         data = encode(m)
     func_exports = {e.name: e.index for e in m.exports if e.kind == "func"}
     invocations = [

@@ -1,5 +1,7 @@
 """Module validation: structural limits, index bounds, body typing."""
 
+from dataclasses import replace
+
 import pytest
 
 import fixturelib as fx
@@ -22,9 +24,7 @@ from wasmdebloat.module import (
     Import,
     Instruction,
     Limits,
-    MemType,
     Module,
-    TableType,
 )
 
 
@@ -50,33 +50,33 @@ def test_multiple_results_rejected():
 
 
 def test_at_most_one_table_and_memory():
-    m = Module(tables=(TableType(Limits(1)), TableType(Limits(1))))
+    m = Module(tables=(Limits(1), Limits(1)))
     assert first_error(m) == ("table", "more than one table")
-    m = Module(memories=(MemType(Limits(1)), MemType(Limits(1))))
+    m = Module(memories=(Limits(1), Limits(1)))
     assert first_error(m) == ("memory", "more than one memory")
 
 
 def test_memory_page_limits():
-    m = Module(memories=(MemType(Limits(65537)),))
+    m = Module(memories=(Limits(65537),))
     assert first_error(m) == ("memory[0]", "limits minimum 65537 exceeds 65536")
-    m = Module(memories=(MemType(Limits(1, 70000)),))
+    m = Module(memories=(Limits(1, 70000),))
     assert not validate_module(m).ok
-    m = Module(memories=(MemType(Limits(65536, 65536)),))
+    m = Module(memories=(Limits(65536, 65536),))
     assert validate_module(m).ok
 
 
 def test_table_minimum_limit():
-    m = Module(tables=(TableType(Limits(10_000_001)),))
+    m = Module(tables=(Limits(10_000_001),))
     assert first_error(m) == ("table[0]", "limits minimum 10000001 exceeds 10000000")
-    m = Module(imports=(Import("env", "t", "table", TableType(Limits(0xFFFFFFFF))),))
+    m = Module(imports=(Import("env", "t", "table", Limits(0xFFFFFFFF)),))
     assert errs(m) == (("import[0]", "limits minimum 4294967295 exceeds 10000000"),)
     # the maximum is not capped
-    m = Module(tables=(TableType(Limits(10_000_000, 0xFFFFFFFF)),))
+    m = Module(tables=(Limits(10_000_000, 0xFFFFFFFF),))
     assert validate_module(m).ok
 
 
 def test_limits_maximum_below_minimum():
-    m = Module(memories=(MemType(Limits(2, 1)),))
+    m = Module(memories=(Limits(2, 1),))
     assert first_error(m) == ("memory[0]", "limits maximum below minimum")
 
 
@@ -119,7 +119,7 @@ def test_element_segment_checks():
     m = Module(
         types=(FuncType((), ()),),
         functions=(Function(0, (), (ins("nop"),)),),
-        tables=(TableType(Limits(1)),),
+        tables=(Limits(1),),
         elements=(ElementSegment(0, (ins("i32.const", 0),), (5,)),),
     )
     assert first_error(m) == ("element[0]", "function index 5 out of bounds")
@@ -135,14 +135,14 @@ def test_data_segment_needs_memory():
 def test_alignment_over_natural():
     m = Module(
         types=(FuncType((), ("i32",)),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         functions=(Function(0, (), (ins("i32.const", 0), ins("i32.load", 3, 0))),),
     )
     assert first_error(m) == ("func[0]", "i32.load: alignment 2**3 over natural 4")
     # natural alignment itself is fine
     m = Module(
         types=(FuncType((), ("i32",)),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         functions=(Function(0, (), (ins("i32.const", 0), ins("i32.load", 2, 0))),),
     )
     assert validate_module(m).ok
@@ -162,11 +162,11 @@ def test_a_changed_decoded_module_is_checked_again():
     load = Function(0, (), (ins("i32.const", 0), ins("i32.load", 2, 0)))
     m = decode(encode(Module(
         types=(FuncType((), ("i32",)),),
-        memories=(MemType(Limits(1)),),
+        memories=(Limits(1),),
         functions=(load,),
     )))
     assert validate_module(m).ok
-    assert errs(m.with_(memories=())) == (("func[0]", "i32.load: module has no memory"),)
+    assert errs(replace(m, memories=())) == (("func[0]", "i32.load: module has no memory"),)
 
 
 def test_call_indirect_requires_table():
@@ -424,7 +424,7 @@ def test_call_to_imported_function_with_bad_type_index():
 def body_errors(body, memory=False, result=()):
     m = Module(
         types=(FuncType((), result),),
-        memories=(MemType(Limits(1)),) if memory else (),
+        memories=(Limits(1),) if memory else (),
         functions=(Function(0, (), body),),
     )
     return [msg for _, msg in errs(m)]
@@ -509,9 +509,9 @@ def test_const_expr_reading_imported_globals():
 
 
 def test_limits_of_table_and_memory_imports():
-    m = Module(imports=(Import("env", "t", "table", TableType(Limits(2, 1))),))
+    m = Module(imports=(Import("env", "t", "table", Limits(2, 1)),))
     assert errs(m) == (("import[0]", "limits maximum below minimum"),)
-    m = Module(imports=(Import("env", "m", "memory", MemType(Limits(65537))),))
+    m = Module(imports=(Import("env", "m", "memory", Limits(65537)),))
     assert errs(m) == (("import[0]", "limits minimum 65537 exceeds 65536"),)
 
 
@@ -540,7 +540,7 @@ def _import_scans(n):
     over the module's imports."""
     _CountingImports.scans = 0
     imports = _CountingImports((
-        Import("env", "mem", "memory", MemType(Limits(1))),
+        Import("env", "mem", "memory", Limits(1)),
         Import("env", "g", "global", GlobalType("i32", False)),
     ))
     body = (ins("global.get", 0), ins("i32.load", 2, 0), ins("drop")) * n
@@ -580,12 +580,12 @@ _UNIT = (FuncType((), ()),)
             ("export[0]", "'0' is not an integer"),
         ),
         (
-            Module(memories=(MemType(Limits("1", None)),)),
+            Module(memories=(Limits("1", None),)),
             ("memory[0]", "'1' is not an integer"),
         ),
         (
             Module(
-                memories=(MemType(Limits(1)),),
+                memories=(Limits(1),),
                 data=(DataSegment(0, (ins("i32.const", 0),), "ab"),),
             ),
             ("data[0]", "can't concat str to bytearray"),
@@ -598,7 +598,7 @@ _UNIT = (FuncType((), ()),)
             Module(
                 types=_UNIT,
                 functions=(Function(0, (), ()),),
-                tables=(TableType(Limits(1)),),
+                tables=(Limits(1),),
                 elements=(ElementSegment(0, (ins("i32.const", 0),), ("0",)),),
             ),
             ("element[0]", "'0' is not an integer"),
@@ -609,7 +609,7 @@ _UNIT = (FuncType((), ()),)
         ),
         (
             Module(
-                memories=(MemType(Limits(1)),),
+                memories=(Limits(1),),
                 data=(DataSegment("0", (ins("i32.const", 0),), b"a"),),
             ),
             ("data[0]", "'0' is not an integer"),
@@ -670,7 +670,7 @@ _UNIT = (FuncType((), ()),)
             Module(
                 types=_UNIT,
                 functions=(Function(0, (), ()),),
-                tables=(TableType(Limits(1)),),
+                tables=(Limits(1),),
                 elements=(ElementSegment(0, (ins("i32.const", 0),), b"\x00"),),
             ),
             ("element[0]", "b'\\x00' is not a tuple or list"),
@@ -709,7 +709,7 @@ def test_a_hand_built_field_of_the_wrong_type_is_one_validation_error(m, error):
 
 
 def test_a_decoded_module_and_its_copy_get_the_same_report():
-    # ``with_`` drops the body errors decode recorded, so the copy is
+    # ``replace`` drops the body errors decode recorded, so the copy is
     # checked as a hand-built module; both must be reported alike
     checked = 0
     for data in decode_mutants():
@@ -717,7 +717,7 @@ def test_a_decoded_module_and_its_copy_get_the_same_report():
             m = decode(data)
         except MalformedBinary:
             continue
-        assert validate_module(m.with_()) == validate_module(m), data.hex()
+        assert validate_module(replace(m)) == validate_module(m), data.hex()
         checked += 1
     assert checked == 1135
 
@@ -726,6 +726,6 @@ def test_a_hand_built_module_past_a_cap_of_decode_is_one_error_at_module():
     deep = (BLOCK,) * (MAX_NESTING + 1) + (END,) * (MAX_NESTING + 1)
     m = Module(types=_UNIT, functions=(Function(0, (), deep),))
     assert errs(m) == (("module", f"blocks nested deeper than {MAX_NESTING}"),)
-    assert errs(m.with_(functions=(Function(0, (), deep[1:-1]),))) == ()
+    assert errs(replace(m, functions=(Function(0, (), deep[1:-1]),))) == ()
     m = Module(types=_UNIT, functions=(Function(0, ("i32",) * (MAX_LOCALS + 1), ()),))
     assert errs(m) == (("module", "too many locals"),)
