@@ -14,7 +14,8 @@ minimal forms, so byte-identity with arbitrary inputs is not promised.
 that is read at all: ``walk_expr`` skips a constant it does not build
 when it is too short to break its bound. ``MAX_LOCALS`` caps the expanded
 locals of all bodies together, so a short input cannot declare a million
-locals in each of many bodies.
+locals in each of many bodies. ``MAX_FUNCTION_LOCALS`` caps one function's
+parameters and locals together, as V8 does.
 
 ``_SECTIONS`` maps each non-custom section id to the ``Module`` field it
 fills and the ``Reader`` method that reads one item of its vector, so
@@ -54,6 +55,9 @@ VERSION = b"\x01\x00\x00\x00"
 # expanded-locals cap over all function bodies of a module; far beyond
 # realistic modules, small enough that hostile counts can't balloon memory
 MAX_LOCALS = 1_000_000
+
+# V8's cap on the parameters plus locals of one function
+MAX_FUNCTION_LOCALS = 50_000
 
 # deepest block/loop/if nesting accepted in one body: a cap on hostile
 # input, like MAX_LOCALS. No pass recurses per level, so it bounds the
@@ -548,17 +552,22 @@ def _functions(r: Reader, contents: dict[int, object], errs: list) -> tuple[Func
     locals_left = MAX_LOCALS  # over all bodies
     for i in range(r.u32()):
         body = r.sub(r.u32())
+        type_index = type_indices[i] if i < len(type_indices) else None
         groups = []
-        for _ in range(body.u32()):
+        for g in range(body.u32()):
+            if not g:  # the function's parameters count toward its cap
+                room = MAX_FUNCTION_LOCALS
+                if type_index is not None and type_index < len(before.types):
+                    room -= len(before.types[type_index].params)
             at = body.pos
             count = body.u32()
-            if count > locals_left:
+            if count > locals_left or count > room:
                 raise MalformedBinary(at, "too many locals")
             locals_left -= count
+            room -= count
             groups.append((count, body.valtype()))
         locals_ = tuple(vt for count, vt in groups for _ in range(count))
         start = body.pos
-        type_index = type_indices[i] if i < len(type_indices) else None
         msgs: list[str] = []
         walk_expr(body, ctx, type_index, locals_, msgs)
         if body.pos != body.end:

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
+from dataclasses import asdict
 
 from .errors import DocumentError
 from .interp import DEFAULT_FUEL, Invocation, Value, Workload
@@ -30,18 +32,6 @@ _FLOAT_STRINGS = {"nan": math.nan, "inf": math.inf, "+inf": math.inf, "-inf": -m
 _VALUE_OBJECT = 'expected a single-key value object like {"i32": 1}'
 # the literals json.loads accepts although JSON has none, and their strings
 _NON_JSON = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
-# report keys of the ShrinkStats fields, in document order
-_STATS_KEYS = {
-    "functionsKeptBody": "functions_kept_body",
-    "functionsStubbed": "functions_stubbed",
-    "functionsRemoved": "functions_removed",
-    "importsRemoved": "imports_removed",
-    "typesRemoved": "types_removed",
-    "bytesBefore": "bytes_before",
-    "bytesAfter": "bytes_after",
-    "codeBytesBefore": "code_bytes_before",
-    "codeBytesAfter": "code_bytes_after",
-}
 
 
 def _require_keys(obj: dict, loc: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -78,7 +68,10 @@ def value_from_json(obj, loc: str) -> Value:
             if key != "i64":
                 raise DocumentError(loc, f"{key} must be a JSON integer")
             try:
-                raw = int(raw, 10)
+                # int() alone also takes "+5", "1_000", " 7" and non-ASCII digits
+                if not re.fullmatch("-?[0-9]+", raw):
+                    raise ValueError
+                raw = int(raw)
             except ValueError:
                 raise DocumentError(loc, f"bad i64 literal {raw!r}") from None
         elif type(raw) is not int:
@@ -88,20 +81,17 @@ def value_from_json(obj, loc: str) -> Value:
             raise DocumentError(loc, f"{key} literal {raw} out of range")
         return Value(key, raw & hi)
     if key in ("f32", "f64"):
+        x = raw
         if type(raw) is str:
             if raw not in _FLOAT_STRINGS:
                 raise DocumentError(loc, f"bad {key} literal {raw!r}")
             x = _FLOAT_STRINGS[raw]
         elif type(raw) is not float and type(raw) is not int:
             raise DocumentError(loc, f"expected a number for {key}")
-        else:
-            # past the f64 range, an integer literal does not convert and
-            # json.loads reads a float literal as infinity
-            try:
-                x = float(raw)
-            except OverflowError:
-                x = math.inf
-        value = Value.f32(x) if key == "f32" else Value.f64(x)
+        try:  # Value.f32 rounds an integer once, not through f64
+            value = Value.f32(x) if key == "f32" else Value.f64(x)
+        except OverflowError:  # an integer literal past the f64 range
+            raise DocumentError(loc, f"{key} literal out of range") from None
         # a number past the type's range is, or rounds to, infinity
         if type(raw) is not str and math.isinf(value.to_float()):
             raise DocumentError(loc, f"{key} literal out of range")
@@ -184,17 +174,17 @@ def workload_to_document(w: Workload) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _camel(name: str) -> str:
+    """The document key of a record's field: code_bytes_after -> codeBytesAfter."""
+    return re.sub("_([a-z])", lambda m: m[1].upper(), name)
+
+
 def trace_to_document(trace) -> str:
-    doc = {
-        "entered": sorted(trace.entered),
-        "callTargets": sorted(trace.call_targets),
-        "tableObserved": sorted(trace.table_observed),
-    }
+    doc = {_camel(name): sorted(ids) for name, ids in trace._asdict().items()}
     return json.dumps(doc, indent=2) + "\n"
 
 
 def report_to_document(report: DebloatReport) -> str:
-    s = report.stats
     doc = {
         "toolVersion": report.tool_version,
         "timestamp": report.timestamp,
@@ -202,12 +192,8 @@ def report_to_document(report: DebloatReport) -> str:
         "stubRatio": report.stub_ratio,
         "removeRatio": report.remove_ratio,
         "bytesSavedPercent": report.bytes_saved_percent,
-        "stats": {key: getattr(s, field) for key, field in _STATS_KEYS.items()},
-        "traceSummary": {
-            "entered": len(report.trace.entered),
-            "callTargets": len(report.trace.call_targets),
-            "tableObserved": len(report.trace.table_observed),
-        },
+        "stats": {_camel(name): n for name, n in asdict(report.stats).items()},
+        "traceSummary": {_camel(name): len(ids) for name, ids in report.trace._asdict().items()},
         "validation": verdict_to_json(report.validation),
     }
     return json.dumps(doc, indent=2) + "\n"

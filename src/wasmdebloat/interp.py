@@ -125,7 +125,8 @@ class Value(NamedTuple):
 
     @staticmethod
     def f32(x: float) -> "Value":
-        return Value("f32", f32_to_bits(float(x)))
+        """An integer ``x`` is rounded to f32 once, as f32.convert_i64_s does."""
+        return Value("f32", _int_to_f32_bits(x) if isinstance(x, int) else f32_to_bits(float(x)))
 
     @staticmethod
     def f64(x: float) -> "Value":
@@ -205,15 +206,11 @@ class HostFunc(NamedTuple):
     call: object  # callable(args: tuple[Value, ...]) -> tuple[Value, ...]
 
 
-# host registry: (module, name) -> HostFunc
-HostConfig = dict
-
-
 def _abort(args: tuple[Value, ...]) -> tuple[Value, ...]:
     raise TrapError(TRAP_UNREACHABLE)
 
 
-def default_host() -> HostConfig:
+def default_host() -> dict[tuple[str, str], HostFunc]:
     return {
         ("env", "log"): HostFunc(FuncType(("i32",), ()), lambda args: ()),
         ("env", "log64"): HostFunc(FuncType(("i64",), ()), lambda args: ()),
@@ -827,7 +824,7 @@ def _paid_part(inst: Instance, body: list, paid: int) -> tuple:
 class Instance:
     """A linked, initialized module plus its runtime and trace state."""
 
-    def __init__(self, m: Module, host: HostConfig | None = None):
+    def __init__(self, m: Module, host: dict | None = None):
         self.module = m
         self.host = default_host() if host is None else host
         self.mem: bytearray | None = None
@@ -1035,7 +1032,7 @@ class Instance:
         )
 
 
-def instantiate(m: Module, host: HostConfig | None = None, fuel: int = DEFAULT_FUEL) -> Instance:
+def instantiate(m: Module, host: dict | None = None, fuel: int = DEFAULT_FUEL) -> Instance:
     inst = Instance(m, host)
     inst.initialize(fuel)
     return inst
@@ -1050,10 +1047,8 @@ def invoke(
         return Trap(t.kind, t.function_index)
 
 
-def run_workload(
-    m: Module, w: Workload, host: HostConfig | None = None
-) -> tuple[ObservationLog, ExecutionTrace]:
-    inst = Instance(m, host)
+def run_workload(m: Module, w: Workload) -> tuple[ObservationLog, ExecutionTrace]:
+    inst = Instance(m)
     failure: Trap | LinkFailure | None = None
     try:
         inst.initialize(w.fuel)

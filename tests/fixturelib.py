@@ -505,30 +505,58 @@ def deep_recursion_module():
     )
 
 
+def _leb(n):
+    out = bytearray()
+    while True:
+        low, n = n & 0x7F, n >> 7
+        out.append(low | 0x80 if n else low)
+        if not n:
+            return bytes(out)
+
+
+def _section(sec_id, payload):
+    return bytes([sec_id]) + _leb(len(payload)) + payload
+
+
 def nested_blocks_bytes(depth):
     """Module bytes exporting f: () -> () whose body is ``depth`` nested
     empty blocks. Written byte by byte, without the package, so any depth
     can be built, even one decode rejects."""
-
-    def leb(n):
-        out = bytearray()
-        while True:
-            low, n = n & 0x7F, n >> 7
-            out.append(low | 0x80 if n else low)
-            if not n:
-                return bytes(out)
-
-    def section(sec_id, payload):
-        return bytes([sec_id]) + leb(len(payload)) + payload
-
     body = b"\x00" + b"\x02\x40" * depth + b"\x0b" * (depth + 1)
     return (
         bytes.fromhex("0061736d01000000")
-        + section(op.SEC_TYPE, bytes.fromhex("01600000"))
-        + section(op.SEC_FUNCTION, bytes.fromhex("0100"))
-        + section(op.SEC_EXPORT, bytes.fromhex("0101660000"))
-        + section(op.SEC_CODE, b"\x01" + leb(len(body)) + body)
+        + _section(op.SEC_TYPE, bytes.fromhex("01600000"))
+        + _section(op.SEC_FUNCTION, bytes.fromhex("0100"))
+        + _section(op.SEC_EXPORT, bytes.fromhex("0101660000"))
+        + _section(op.SEC_CODE, b"\x01" + _leb(len(body)) + body)
     )
+
+
+def many_locals_bytes(params, *counts):
+    """Module bytes of one function with ``params`` i32 parameters and no
+    results, whose body declares one i32 local group per count. Written
+    byte by byte, like nested_blocks_bytes, so that a count decode rejects
+    can be built."""
+    body = _leb(len(counts)) + b"".join(_leb(n) + b"\x7f" for n in counts) + b"\x0b"
+    return (
+        bytes.fromhex("0061736d01000000")
+        + _section(op.SEC_TYPE, b"\x01\x60" + _leb(params) + b"\x7f" * params + b"\x00")
+        + _section(op.SEC_FUNCTION, bytes.fromhex("0100"))
+        + _section(op.SEC_CODE, b"\x01" + _leb(len(body)) + body)
+    )
+
+
+# many_locals_bytes arguments around V8's cap of 50,000 on a function's
+# parameters plus locals, each with the offset of the local count that
+# decode refuses (the offset V8 reports), or None if both accept it
+LOCALS_CAP_CASES = (
+    (0, (50_000,), None),
+    (0, (50_001,), 23),
+    (1, (49_999,), None),
+    (1, (50_000,), 24),
+    (0, (25_000, 25_000), None),
+    (0, (25_000, 25_001), 27),
+)
 
 
 # decodes, but its start function 0 has type index 12 and the module has

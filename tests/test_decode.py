@@ -158,11 +158,21 @@ def test_too_many_locals():
 
 
 def test_too_many_locals_over_all_bodies():
-    # two bodies of 600_000 i32 locals each: under the cap one by one, over
-    # it together; the second body's count (at offset 31) is refused
-    body = "0601c0cf247f0b"
-    data = hx(HEADER, "010401600000", "0303020000", "0a0f02", body, body)
-    expect_malformed(data, 31, "too many locals")
+    # 21 bodies of 50_000 i32 locals each: under the per-function cap one by
+    # one, over MAX_LOCALS together; the last body's count (at offset 184)
+    # is refused
+    body = "0601d086037f0b"
+    data = hx(HEADER, "010401600000", "0316", "15" + "00" * 21, "0a9401", "15", body * 21)
+    expect_malformed(data, 184, "too many locals")
+
+
+@pytest.mark.parametrize("params, counts, offset", fx.LOCALS_CAP_CASES)
+def test_too_many_locals_in_one_function(params, counts, offset):
+    data = fx.many_locals_bytes(params, *counts)
+    if offset is None:
+        assert len(decode(data).functions[0].locals) == sum(counts)
+    else:
+        expect_malformed(data, offset, "too many locals")
 
 
 def test_malformed_utf8_name():

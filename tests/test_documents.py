@@ -19,7 +19,8 @@ from wasmdebloat.documents import (
     workload_to_document,
 )
 from wasmdebloat.errors import DocumentError
-from wasmdebloat.interp import Invocation, Value, Workload
+from wasmdebloat.interp import Invocation, Results, Value, Workload, instantiate, invoke
+from wasmdebloat.module import Export, FuncType, Function, Module
 from wasmdebloat.pipeline import Mismatch, ValidationVerdict
 
 
@@ -196,6 +197,27 @@ _LATER_ERRORS = {
         '{"func": "f", "args": [{"i32": 1}, {"i64": "12x"}]}',
         "$.invocations[2].args[1]: bad i64 literal '12x'",
     ),
+    # int() takes each of these, but an i64 string is ASCII digits and "-"
+    "i64-underscore": (
+        '{"func": "f", "args": [{"i32": 1}, {"i64": "1_000"}]}',
+        "$.invocations[2].args[1]: bad i64 literal '1_000'",
+    ),
+    "i64-whitespace": (
+        '{"func": "f", "args": [{"i32": 1}, {"i64": " 7\\n"}]}',
+        "$.invocations[2].args[1]: bad i64 literal ' 7\\n'",
+    ),
+    "i64-plus": (
+        '{"func": "f", "args": [{"i32": 1}, {"i64": "+5"}]}',
+        "$.invocations[2].args[1]: bad i64 literal '+5'",
+    ),
+    "i64-arabic-indic-digit": (
+        '{"func": "f", "args": [{"i32": 1}, {"i64": "\u0663"}]}',
+        "$.invocations[2].args[1]: bad i64 literal '\u0663'",
+    ),
+    "i64-fullwidth-digit": (
+        '{"func": "f", "args": [{"i32": 1}, {"i64": "\uff15"}]}',
+        "$.invocations[2].args[1]: bad i64 literal '\uff15'",
+    ),
     "out-of-range": (
         '{"func": "f", "args": [{"i32": 1}, {"i32": 4294967296}]}',
         "$.invocations[2].args[1]: i32 literal 4294967296 out of range",
@@ -260,6 +282,33 @@ def test_the_largest_finite_f32_literal_is_accepted():
         '[{"f32": 3.4028235677973362e38}, {"f32": -3.4028235677973362e38}]}]}'
     )
     assert [a.bits for a in w.invocations[0].args] == [0x7F7FFFFF, 0xFF7FFFFF]
+
+
+def test_an_integer_f32_literal_is_rounded_once():
+    # 2**60 + 2**36 + 1: rounded to f64 first, it becomes a tie between
+    # two f32s, which the second rounding breaks the wrong way
+    w = workload_from_document('{"invocations": [{"func": "f", "args": [{"f32": 1152921573326323713}]}]}')
+    assert w.invocations[0].args[0].bits == 0x5D800001
+
+
+def test_integer_f32_literals_read_as_f32_convert_i64_s_gives():
+    m = Module(
+        types=(FuncType(("i64",), ("f32",)),),
+        functions=(Function(0, (), (fx.ins("local.get", 0), fx.ins("f32.convert_i64_s"))),),
+        exports=(Export("f", "func", 0),),
+    )
+    inst = instantiate(m)
+    rng = random.Random(26)
+    for i in range(2000):
+        n = rng.getrandbits(rng.randrange(1, 64))
+        if i % 2:
+            # 24 bits, a half bit, and a 1 that f64 drops: just above a tie
+            # between two f32s, and a tie once rounded to f64
+            shift = rng.randrange(31, 40)
+            n = (rng.getrandbits(23) | 1 << 23) << shift | 1 << (shift - 1) | 1
+        n *= rng.choice((1, -1))
+        parsed = value_from_json({"f32": n}, "$")
+        assert invoke(inst, "f", (Value.i64(n),)) == Results((parsed,)), n
 
 
 def test_fuel_validation():

@@ -11,6 +11,9 @@ their originals, in one ``node`` process:
   post-1.0 encodings from ``POST_MVP_REASONS``;
 - the counts are pinned, so a change in what either side accepts shows.
 
+It also asks V8 about the modules around its cap on a function's
+parameters plus locals, ``fixturelib.LOCALS_CAP_CASES``.
+
 The test is skipped when ``node`` is not installed.
 """
 
@@ -20,6 +23,7 @@ import subprocess
 
 import pytest
 
+import fixturelib as fx
 from test_mutation import decode_mutants, decode_originals
 from wasmdebloat import decode, validate_module
 from wasmdebloat.errors import MalformedBinary
@@ -59,8 +63,8 @@ def _our_reasons(data):
         return [e.reason]
 
 
-def test_v8_accepts_every_module_we_accept(tmp_path):
-    inputs = decode_originals() + decode_mutants()
+def _v8_valid(tmp_path, inputs):
+    """``WebAssembly.validate`` of each input, in one ``node`` process."""
     (tmp_path / "harness.js").write_text(HARNESS)
     (tmp_path / "inputs.json").write_text(json.dumps([data.hex() for data in inputs]))
     out = subprocess.run(
@@ -69,7 +73,12 @@ def test_v8_accepts_every_module_we_accept(tmp_path):
         text=True,
         check=True,
     )
-    v8_valid = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_v8_accepts_every_module_we_accept(tmp_path):
+    inputs = decode_originals() + decode_mutants()
+    v8_valid = _v8_valid(tmp_path, inputs)
     assert len(v8_valid) == len(inputs) == INPUTS
 
     we_accept = 0
@@ -82,3 +91,10 @@ def test_v8_accepts_every_module_we_accept(tmp_path):
             assert all(r in POST_MVP_REASONS for r in reasons), (reasons, data.hex())
     assert we_accept == WE_ACCEPT
     assert sum(v8_valid) == V8_ACCEPTS
+
+
+def test_v8_and_we_agree_on_the_locals_cap(tmp_path):
+    inputs = [fx.many_locals_bytes(params, *counts) for params, counts, _ in fx.LOCALS_CAP_CASES]
+    ours = [not _our_reasons(data) for data in inputs]
+    assert ours == [offset is None for _, _, offset in fx.LOCALS_CAP_CASES]
+    assert _v8_valid(tmp_path, inputs) == ours
