@@ -45,7 +45,7 @@ from .pipeline import (
     debloat_module,
     validate_behavior,
 )
-from .plan import Disposition, KeepPlan, KeepRoots, close_references, consolidate
+from .plan import Disposition, KeepPlan, close_references
 from .shrink import ShrinkStats, apply_plan, shrink_stats
 from .validate import ValidationReport, validate_module
 
@@ -70,9 +70,7 @@ __all__ = [
     "run_workload",
     "DEFAULT_FUEL",
     "Disposition",
-    "KeepRoots",
     "KeepPlan",
-    "consolidate",
     "close_references",
     "ShrinkStats",
     "apply_plan",

@@ -15,7 +15,8 @@ that is read at all: ``walk_expr`` skips a constant it does not build
 when it is too short to break its bound. ``MAX_LOCALS`` caps the expanded
 locals of all bodies together, so a short input cannot declare a million
 locals in each of many bodies. ``MAX_FUNCTION_LOCALS`` caps one function's
-parameters and locals together, as V8 does.
+parameters and locals together, ``MAX_PARAMS`` one type's parameters and
+``MAX_BR_TABLE`` one ``br_table``'s targets, as V8 does.
 
 ``_SECTIONS`` maps each non-custom section id to the ``Module`` field it
 fills and the ``Reader`` method that reads one item of its vector, so
@@ -56,8 +57,11 @@ VERSION = b"\x01\x00\x00\x00"
 # realistic modules, small enough that hostile counts can't balloon memory
 MAX_LOCALS = 1_000_000
 
-# V8's cap on the parameters plus locals of one function
+# V8's caps on the parameters plus locals of one function, on the
+# parameters of one function type and on the targets of one br_table
 MAX_FUNCTION_LOCALS = 50_000
+MAX_PARAMS = 1_000
+MAX_BR_TABLE = 65_520
 
 # deepest block/loop/if nesting accepted in one body: a cap on hostile
 # input, like MAX_LOCALS. No pass recurses per level, so it bounds the
@@ -213,7 +217,10 @@ class Reader:
         start = self.pos
         if self.byte() != op.FUNCTYPE_CODE:
             raise MalformedBinary(start, "expected functype (0x60)")
-        return FuncType(self.vector(Reader.valtype), self.vector(Reader.valtype))
+        params = self.vector(Reader.valtype)
+        if len(params) > MAX_PARAMS:  # at the count, after the functype byte
+            raise MalformedBinary(start + 1, "too many parameters")
+        return FuncType(params, self.vector(Reader.valtype))
 
     def import_(self) -> Import:
         module = self.name()
@@ -505,7 +512,10 @@ def walk_expr(
                 if build:
                     append(new(Instr, (opcode, (t,))))
             elif kind == "br_table":
-                count, pos = _leb(data, pos, end, 32)
+                count, after = _leb(data, pos, end, 32)
+                if count > MAX_BR_TABLE:
+                    raise MalformedBinary(pos, "too many br_table targets")
+                pos = after
                 labels = []
                 for _ in range(count):
                     depth, pos = _leb(data, pos, end, 32)

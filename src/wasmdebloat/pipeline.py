@@ -21,7 +21,7 @@ those facts, so no two fields of a report can disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .decode import decode
@@ -37,7 +37,7 @@ from .interp import (
     run_workload,
 )
 from .module import Module
-from .plan import close_references, consolidate
+from .plan import Disposition, KeepPlan, close_references
 from .shrink import ShrinkStats, apply_plan, shrink_stats
 from .validate import validate_module
 
@@ -219,14 +219,13 @@ def debloat_module(data: bytes, w: Workload) -> tuple[bytes, DebloatReport]:
     the bytes returned: the verdict in the report is on their decoding."""
     m = load_module(data, "input")
     log, trace = run_workload(m, w)
-    roots = consolidate(trace, m)
+    plan = close_references(m, trace)
     if isinstance(log.instantiation_error, LinkFailure):
         # nothing ran, and the output must fail to link as the input does:
         # a link error names an import by name and type, not by index
-        imports = frozenset(range(m.num_func_imports))
-        roots = replace(roots, decl_keep=roots.decl_keep | imports)
-    plan = close_references(m, roots)
+        n = m.num_func_imports
+        plan = KeepPlan((Disposition.KEEP_BODY,) * n + plan.dispositions[n:])
     out_bytes = encode(apply_plan(m, plan))
     verdict = behavior_verdict(log, decode(out_bytes), w)
-    stats = shrink_stats(data, out_bytes, plan)
+    stats = shrink_stats(m, plan, data, out_bytes)
     return out_bytes, build_report(stats, verdict, trace)

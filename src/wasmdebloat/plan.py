@@ -1,10 +1,11 @@
 """Turn an execution trace into per-function dispositions.
 
-Two stages. consolidate() unions the dynamic trace with the static
-must-keep roots (exports, element segments, start). close_references()
-walks the kept bodies once and grants every function they mention at
-least a declaration-preserving Stub, then lays out the dense index
-remaps the rewriter needs.
+close_references() unions the dynamic trace with the static must-keep
+roots (exports, element segments, start), then walks the kept bodies
+once and grants every function they mention at least a
+declaration-preserving Stub. A plan is its dispositions: every new index
+is derived from them, so a plan whose dispositions are edited stays
+consistent.
 
 Stub bodies become a bare trap, so references inside them die with the
 body: only KeepBody bodies propagate references.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import opcodes as op
 from .errors import IndexOutOfRange
@@ -28,24 +30,16 @@ class Disposition(enum.Enum):
 
 
 @dataclass(frozen=True)
-class KeepRoots:
-    body_keep: frozenset[int]
-    decl_keep: frozenset[int]
-
-
-@dataclass(frozen=True)
 class KeepPlan:
     # index = combined function index; imports are KEEP_BODY or REMOVE
     dispositions: tuple[Disposition, ...]
-    func_remap: dict[int, int]
-    type_remap: dict[int, int]
-    num_func_imports: int
-    num_types: int  # in the module the plan was made for
 
-    @property
-    def removed_imports(self) -> frozenset[int]:
-        imports = self.dispositions[: self.num_func_imports]
-        return frozenset(f for f, d in enumerate(imports) if d == Disposition.REMOVE)
+    @cached_property
+    def func_remap(self) -> dict[int, int]:
+        """The new index of every function not removed, dense and in order."""
+        remove = Disposition.REMOVE  # a member read per item is slow on 3.11
+        kept = [f for f, d in enumerate(self.dispositions) if d is not remove]
+        return {old: new for new, old in enumerate(kept)}
 
 
 def _static_func_roots(m: Module) -> set[int]:
@@ -57,7 +51,7 @@ def _static_func_roots(m: Module) -> set[int]:
     return roots
 
 
-def consolidate(trace: ExecutionTrace, m: Module) -> KeepRoots:
+def close_references(m: Module, trace: ExecutionTrace) -> KeepPlan:
     n = m.num_funcs
     n_imports = m.num_func_imports
     mentioned = trace.entered | trace.call_targets | trace.table_observed
@@ -69,58 +63,27 @@ def consolidate(trace: ExecutionTrace, m: Module) -> KeepRoots:
             raise IndexOutOfRange(f"imported function {idx} marked as entered")
 
     # imports have no body to keep; a table slot or call target that is an
-    # import still survives through decl_keep
+    # import still survives as a declaration
     defined = set(range(n_imports, n))
     body_keep = set(trace.entered)
     body_keep |= (trace.call_targets | trace.table_observed) & defined
     if m.start is not None and m.start >= n_imports:
         body_keep.add(m.start)
 
-    decl_keep = body_keep | _static_func_roots(m)
-    return KeepRoots(frozenset(body_keep), frozenset(decl_keep))
-
-
-def close_references(m: Module, roots: KeepRoots) -> KeepPlan:
-    n = m.num_funcs
-    n_imports = m.num_func_imports
-    body_keep = set(roots.body_keep)
-
     # one pass over the kept bodies reaches the fixed point: the functions
-    # they call earn Stub (stub bodies never add references of their own),
-    # and the types their call_indirects name survive
-    survivors = set(roots.decl_keep)
-    type_refs = set()
+    # they call earn Stub (stub bodies never add references of their own)
+    survivors = body_keep | _static_func_roots(m)
     for f in body_keep:
         for i in m.functions[f - n_imports].body:
             if i.opcode == op.CALL:
                 survivors.add(i.args[0])
-            elif i.opcode == op.CALL_INDIRECT:
-                type_refs.add(i.args[0])
 
     dispositions = []
     for f in range(n):
-        if f < n_imports:
-            dispositions.append(
-                Disposition.KEEP_BODY if f in survivors else Disposition.REMOVE
-            )
-        elif f in body_keep:
+        if f in body_keep or f < n_imports and f in survivors:
             dispositions.append(Disposition.KEEP_BODY)
         elif f in survivors:
             dispositions.append(Disposition.STUB)
         else:
             dispositions.append(Disposition.REMOVE)
-
-    func_remap = {}
-    for f in range(n):
-        if dispositions[f] != Disposition.REMOVE:
-            func_remap[f] = len(func_remap)
-            type_refs.add(m.func_type_indices[f])
-    type_remap = {old: new for new, old in enumerate(sorted(type_refs))}
-
-    return KeepPlan(
-        dispositions=tuple(dispositions),
-        func_remap=func_remap,
-        type_remap=type_remap,
-        num_func_imports=n_imports,
-        num_types=len(m.types),
-    )
+    return KeepPlan(tuple(dispositions))

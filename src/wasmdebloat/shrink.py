@@ -2,7 +2,8 @@
 
 Removal changes every index downstream of the function and type spaces,
 so bodies, exports, elements, the start entry, and the name custom
-section are all rewritten through the plan's remaps. The rewrite is a
+section are all rewritten through renumberings derived from the plan's
+dispositions and the module. The rewrite is a
 ``dataclasses.replace`` of those fields alone, so tables, memories,
 globals, and data segments pass through untouched: only functions are
 debloated. The name section is read with the codec's ``Reader`` and
@@ -37,13 +38,28 @@ class ShrinkStats:
     code_bytes_after: int
 
 
-def _remap(instr: Instruction, plan: KeepPlan) -> Instruction:
+def _remap(instr: Instruction, func_remap: dict, type_remap: dict) -> Instruction:
     code = instr.opcode
     if code == op.CALL:
-        return Instruction(code, (plan.func_remap[instr.args[0]],))
+        return Instruction(code, (func_remap[instr.args[0]],))
     if code == op.CALL_INDIRECT:
-        return Instruction(code, (plan.type_remap[instr.args[0]],))
+        return Instruction(code, (type_remap[instr.args[0]],))
     return instr
+
+
+def _type_remap(m: Module, plan: KeepPlan) -> dict[int, int]:
+    """The dense, order-preserving renumbering of the types that the kept
+    functions declare and that the kept bodies' call_indirects name."""
+    n_imports = m.num_func_imports
+    kept = {m.func_type_indices[f] for f in plan.func_remap}
+    for f in plan.func_remap:
+        if f >= n_imports and plan.dispositions[f] is Disposition.KEEP_BODY:
+            body = m.functions[f - n_imports].body
+            kept.update(i.args[0] for i in body if i.opcode == op.CALL_INDIRECT)
+    for old in kept:
+        if old not in range(len(m.types)):
+            raise PlanMismatch(f"plan keeps type {old}, module has {len(m.types)}")
+    return {old: new for new, old in enumerate(sorted(kept))}
 
 
 def apply_plan(m: Module, plan: KeepPlan) -> Module:
@@ -51,12 +67,6 @@ def apply_plan(m: Module, plan: KeepPlan) -> Module:
         raise PlanMismatch(
             f"plan covers {len(plan.dispositions)} functions, module has {m.num_funcs}"
         )
-    if plan.num_func_imports != m.num_func_imports:
-        raise PlanMismatch("plan and module disagree on import count")
-    for old in plan.type_remap:
-        if old not in range(len(m.types)):
-            raise PlanMismatch(f"plan names type {old}, module has {len(m.types)}")
-
     try:
         return _apply(m, plan)
     except KeyError as e:
@@ -65,6 +75,7 @@ def apply_plan(m: Module, plan: KeepPlan) -> Module:
 
 def _apply(m: Module, plan: KeepPlan) -> Module:
     n_imports = m.num_func_imports
+    func_remap, type_remap = plan.func_remap, _type_remap(m, plan)
 
     new_imports = []
     func_import_pos = 0
@@ -73,7 +84,7 @@ def _apply(m: Module, plan: KeepPlan) -> Module:
             new_imports.append(imp)
             continue
         if plan.dispositions[func_import_pos] != Disposition.REMOVE:
-            new_imports.append(replace(imp, desc=plan.type_remap[imp.desc]))
+            new_imports.append(replace(imp, desc=type_remap[imp.desc]))
         func_import_pos += 1
 
     new_functions = []
@@ -82,31 +93,31 @@ def _apply(m: Module, plan: KeepPlan) -> Module:
         if disp == Disposition.REMOVE:
             continue
         if disp == Disposition.STUB:
-            new_functions.append(Function(plan.type_remap[fn.type_index], (), _STUB_BODY))
+            new_functions.append(Function(type_remap[fn.type_index], (), _STUB_BODY))
         else:
             new_functions.append(
                 Function(
-                    plan.type_remap[fn.type_index],
+                    type_remap[fn.type_index],
                     fn.locals,
-                    tuple(_remap(i, plan) for i in fn.body),
+                    tuple(_remap(i, func_remap, type_remap) for i in fn.body),
                 )
             )
 
-    names = (_remap_name_payload(p, plan.func_remap) for n, p in m.custom_sections if n == "name")
+    names = (_remap_name_payload(p, func_remap) for n, p in m.custom_sections if n == "name")
     return replace(
         m,
         imports=tuple(new_imports),
         functions=tuple(new_functions),
-        types=tuple(m.types[old] for old in sorted(plan.type_remap, key=plan.type_remap.get)),
+        types=tuple(m.types[old] for old in type_remap),
         exports=tuple(
-            replace(e, index=plan.func_remap[e.index]) if e.kind == "func" else e
+            replace(e, index=func_remap[e.index]) if e.kind == "func" else e
             for e in m.exports
         ),
         elements=tuple(
-            replace(seg, func_indices=tuple(plan.func_remap[i] for i in seg.func_indices))
+            replace(seg, func_indices=tuple(func_remap[i] for i in seg.func_indices))
             for seg in m.elements
         ),
-        start=None if m.start is None else plan.func_remap[m.start],
+        start=None if m.start is None else func_remap[m.start],
         custom_sections=tuple(("name", p) for p in names if p is not None),
     )
 
@@ -151,16 +162,17 @@ def _write_name_entry(w: Writer, entry: tuple[int, str]) -> None:
     w.name(name)
 
 
-def shrink_stats(before: bytes, after: bytes, plan: KeepPlan) -> ShrinkStats:
-    counts = Counter(plan.dispositions[plan.num_func_imports :])
+def shrink_stats(m: Module, plan: KeepPlan, before: bytes, after: bytes) -> ShrinkStats:
+    n_imports = m.num_func_imports
+    counts = Counter(plan.dispositions[n_imports:])
     sizes_before = section_sizes(before)
     sizes_after = section_sizes(after)
     return ShrinkStats(
         functions_kept_body=counts[Disposition.KEEP_BODY],
         functions_stubbed=counts[Disposition.STUB],
         functions_removed=counts[Disposition.REMOVE],
-        imports_removed=len(plan.removed_imports),
-        types_removed=plan.num_types - len(plan.type_remap),
+        imports_removed=plan.dispositions[:n_imports].count(Disposition.REMOVE),
+        types_removed=len(m.types) - len(_type_remap(m, plan)),
         bytes_before=len(before),
         bytes_after=len(after),
         code_bytes_before=sizes_before.get(op.SEC_CODE, 0),

@@ -9,7 +9,8 @@ is checked as ``decode(encode(m))``. Anything ``encode`` cannot write,
 such as an immediate of the wrong shape, an unbalanced body or a field
 of the wrong type, is then the one error, at the ``EncodeError``'s
 location; a module whose bytes pass one of decode's caps
-(``MAX_NESTING``, ``MAX_LOCALS``) is one error at ``module``.
+(``MAX_NESTING``, ``MAX_LOCALS``, ``MAX_FUNCTION_LOCALS``, ``MAX_PARAMS``,
+``MAX_BR_TABLE``) is one error at ``module``.
 """
 
 from __future__ import annotations

@@ -546,6 +546,31 @@ def many_locals_bytes(params, *counts):
     )
 
 
+def br_table_bytes(targets):
+    """Module bytes of one function whose body is ``block``, ``i32.const 0``
+    and a ``br_table`` of ``targets`` targets, each and the default to the
+    block. Written byte by byte, like many_locals_bytes."""
+    body = bytes.fromhex("0002404100 0e".replace(" ", "")) + _leb(targets)
+    body += b"\x00" * (targets + 1) + b"\x0b\x0b"
+    return (
+        bytes.fromhex("0061736d01000000")
+        + _section(op.SEC_TYPE, bytes.fromhex("01600000"))
+        + _section(op.SEC_FUNCTION, bytes.fromhex("0100"))
+        + _section(op.SEC_CODE, b"\x01" + _leb(len(body)) + body)
+    )
+
+
+# modules on each side of V8's caps of 1,000 on a type's parameters and
+# 65,520 on a br_table's targets: a builder, its argument, and the offset
+# and reason of decode's refusal (the count, where V8 refuses it), or None
+V8_CAP_CASES = (
+    (many_locals_bytes, 1_000, None, None),
+    (many_locals_bytes, 1_001, 13, "too many parameters"),
+    (br_table_bytes, 65_520, None, None),
+    (br_table_bytes, 65_521, 32, "too many br_table targets"),
+)
+
+
 # many_locals_bytes arguments around V8's cap of 50,000 on a function's
 # parameters plus locals, each with the offset of the local count that
 # decode refuses (the offset V8 reports), or None if both accept it

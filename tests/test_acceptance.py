@@ -15,7 +15,6 @@ from wasmdebloat import (
     Trap,
     apply_plan,
     close_references,
-    consolidate,
     debloat_module,
     decode,
     encode,
@@ -87,7 +86,7 @@ def traced_run(m, w):
 
 def plan_for(m, w):
     _, trace = traced_run(m, w)
-    return close_references(m, consolidate(trace, m)), trace
+    return close_references(m, trace), trace
 
 
 def zero_args(params):

@@ -3,7 +3,7 @@
 import pytest
 
 import fixturelib as fx
-from wasmdebloat import decode, section_sizes
+from wasmdebloat import decode, section_sizes, validate_module
 from wasmdebloat.decode import MAX_NESTING
 from wasmdebloat import opcodes as op
 from wasmdebloat.errors import MalformedBinary
@@ -173,6 +173,15 @@ def test_too_many_locals_in_one_function(params, counts, offset):
         assert len(decode(data).functions[0].locals) == sum(counts)
     else:
         expect_malformed(data, offset, "too many locals")
+
+
+@pytest.mark.parametrize("make, n, offset, reason", fx.V8_CAP_CASES)
+def test_v8_caps_on_parameters_and_br_table_targets(make, n, offset, reason):
+    data = make(n)
+    if offset is None:
+        assert validate_module(decode(data)).ok
+    else:
+        expect_malformed(data, offset, reason)
 
 
 def test_malformed_utf8_name():

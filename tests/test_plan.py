@@ -1,16 +1,25 @@
-"""Trace consolidation and keep-plan construction."""
+"""Keep-plan construction from a trace, and plans edited after it."""
 
 import random
 
 import pytest
 
 import fixturelib as fx
+import modulegen
 from fixturelib import ins, inv, wl
-from wasmdebloat import apply_plan, close_references, consolidate, run_workload
+from wasmdebloat import (
+    KeepPlan,
+    apply_plan,
+    close_references,
+    encode,
+    run_workload,
+    validate_behavior,
+    validate_module,
+)
 from wasmdebloat import opcodes as op
 from wasmdebloat.errors import IndexOutOfRange
 from wasmdebloat.interp import ExecutionTrace, Value
-from wasmdebloat.module import Export, FuncType, Function, Module
+from wasmdebloat.module import Export, FuncType, Function, Import, Module
 from wasmdebloat.plan import Disposition
 
 
@@ -22,63 +31,74 @@ def trace(entered=(), call_targets=(), table_observed=()):
 
 def plan_for(m, w):
     _, t = run_workload(m, w)
-    return close_references(m, consolidate(t, m))
+    return close_references(m, t)
+
+
+KEEP, STUB, REMOVE = Disposition.KEEP_BODY, Disposition.STUB, Disposition.REMOVE
 
 
 def test_empty_trace_keeps_export_declarations_only():
-    m = fx.add_module()
-    roots = consolidate(trace(), m)
-    assert roots.body_keep == frozenset()
-    assert roots.decl_keep == frozenset({0})
+    plan = close_references(fx.add_module(), trace())
+    assert plan.dispositions == (STUB,)
 
 
 def test_entered_functions_keep_bodies():
-    roots = consolidate(trace(entered={0, 1}, call_targets={1}), fx.main_helper_module())
-    assert roots.body_keep == frozenset({0, 1})
-    assert 2 not in roots.decl_keep
+    m = fx.main_helper_module()
+    plan = close_references(m, trace(entered={0, 1}, call_targets={1}))
+    assert plan.dispositions == (KEEP, KEEP, REMOVE)
 
 
 def test_called_defined_targets_keep_bodies():
     # a call target that never finished still needs its body
-    roots = consolidate(trace(entered={0}, call_targets={1}), fx.main_helper_module())
-    assert roots.body_keep == frozenset({0, 1})
+    m = fx.main_helper_module()
+    plan = close_references(m, trace(entered={0}, call_targets={1}))
+    assert plan.dispositions == (KEEP, KEEP, REMOVE)
 
 
 def test_import_call_targets_are_not_body_keep():
-    roots = consolidate(trace(entered={1}, call_targets={0}), fx.used_import_module())
-    assert roots.body_keep == frozenset({1})
+    # an import has no body: were the called import 0 walked as one, the
+    # walk would read the last defined body, f3's, and keep f2 as a stub
+    m = Module(
+        types=(FuncType(("i32",), ()), FuncType((), ())),
+        imports=(Import("env", "log", "func", 0),),
+        functions=(
+            Function(1, (), (ins("i32.const", 1), ins("call", 0))),
+            Function(1, (), ()),
+            Function(1, (), (ins("call", 2),)),
+        ),
+        exports=(Export("run", "func", 1),),
+    )
+    plan = close_references(m, trace(entered={1}, call_targets={0}))
+    assert plan.dispositions == (KEEP, KEEP, REMOVE, REMOVE)
 
 
 def test_table_observed_defined_functions_keep_bodies():
     m = fx.indirect_module()
-    roots = consolidate(trace(entered={2}, table_observed={1}), m)
-    assert 1 in roots.body_keep
+    plan = close_references(m, trace(entered={2}, table_observed={1}))
+    assert plan.dispositions[1] is KEEP
 
 
 def test_element_referenced_functions_keep_declarations():
     m = fx.indirect_module()
-    roots = consolidate(trace(entered={2}, call_targets={1}, table_observed={1}), m)
+    plan = close_references(m, trace(entered={2}, call_targets={1}, table_observed={1}))
     # slot 0 was never used but sits in the table image
-    assert 0 in roots.decl_keep
-    assert 0 not in roots.body_keep
+    assert plan.dispositions == (STUB, KEEP, KEEP)
 
 
 def test_start_function_always_kept():
-    m = fx.start_module()
-    roots = consolidate(trace(), m)
-    assert 0 in roots.body_keep
-    assert 0 in roots.decl_keep
+    plan = close_references(fx.start_module(), trace())
+    assert plan.dispositions == (KEEP, STUB)
 
 
 def test_entered_import_rejected():
     with pytest.raises(IndexOutOfRange) as exc:
-        consolidate(trace(entered={0}), fx.used_import_module())
+        close_references(fx.used_import_module(), trace(entered={0}))
     assert "imported function 0 marked as entered" in str(exc.value)
 
 
 def test_out_of_range_index_rejected():
     with pytest.raises(IndexOutOfRange) as exc:
-        consolidate(trace(entered={9}), fx.add_module())
+        close_references(fx.add_module(), trace(entered={9}))
     assert "trace mentions function 9, module has 1" in str(exc.value)
 
 
@@ -93,13 +113,13 @@ def test_referenced_but_untraced_becomes_stub():
         ),
         exports=(Export("f0", "func", 0),),
     )
-    plan = close_references(m, consolidate(trace(entered={0}, call_targets={2}), m))
+    plan = close_references(m, trace(entered={0}, call_targets={2}))
     assert plan.dispositions[0] is Disposition.KEEP_BODY
     assert plan.dispositions[1] is Disposition.REMOVE
     assert plan.dispositions[2] is Disposition.KEEP_BODY
 
     # without the runtime call edge the reference alone yields a stub
-    plan = close_references(m, consolidate(trace(entered={0}), m))
+    plan = close_references(m, trace(entered={0}))
     assert plan.dispositions[0] is Disposition.KEEP_BODY
     assert plan.dispositions[1] is Disposition.REMOVE
     assert plan.dispositions[2] is Disposition.STUB
@@ -127,8 +147,7 @@ def test_calculator_plan_matches_hand_derivation():
         for i in indices:
             assert plan.dispositions[i] is d, i
     assert plan.func_remap == {0: 0, 1: 1, 2: 2, 3: 3, 5: 4, 6: 5, 7: 6}
-    assert plan.type_remap == {0: 0, 1: 1}
-    assert plan.removed_imports == frozenset()
+    assert apply_plan(m, plan).types == m.types
 
 
 def test_remaps_are_dense_and_order_preserving():
@@ -141,15 +160,14 @@ def test_remaps_are_dense_and_order_preserving():
 def test_unused_import_removed_and_indices_shift():
     m = fx.unused_import_module()
     plan = plan_for(m, wl(inv("add2", Value.i32(2), Value.i32(3))))
-    assert plan.removed_imports == frozenset({0})
-    assert plan.func_remap[1] == 0
-    assert plan.num_func_imports == 1
+    assert plan.dispositions == (REMOVE, KEEP)
+    assert plan.func_remap == {1: 0}
 
 
 def test_used_import_kept():
     m = fx.used_import_module()
     plan = plan_for(m, wl(inv("notify", Value.i32(1))))
-    assert plan.removed_imports == frozenset()
+    assert plan.dispositions == (KEEP, KEEP)
     assert plan.func_remap == {0: 0, 1: 1}
 
 
@@ -157,9 +175,11 @@ def test_type_remap_covers_stub_declarations():
     # a stubbed function still declares its type, which must survive
     m = fx.calculator_module()
     plan = plan_for(m, fx.CALCULATOR_WORKLOAD)
+    out = apply_plan(m, plan)
     for idx in (2, 3, 6):
-        type_index = m.functions[idx].type_index
-        assert type_index in plan.type_remap
+        assert plan.dispositions[idx] is STUB
+        stub = out.functions[plan.func_remap[idx]]
+        assert out.types[stub.type_index] == m.types[m.functions[idx].type_index]
 
 
 def test_apply_plan_keeps_global_indices():
@@ -179,10 +199,13 @@ def test_apply_plan_keeps_global_indices():
 
 
 def test_keep_sets_grow_monotonically_with_trace():
+    def kept(plan, dispositions):
+        return {f for f, d in enumerate(plan.dispositions) if d in dispositions}
+
     rng = random.Random(7)
     m = fx.calculator_module()
     full = trace(entered={0, 1, 5, 7}, call_targets={5}, table_observed={5})
-    full_roots = consolidate(full, m)
+    full_plan = close_references(m, full)
     for _ in range(20):
         entered = frozenset(i for i in full.entered if rng.random() < 0.7)
         sub = trace(
@@ -190,9 +213,9 @@ def test_keep_sets_grow_monotonically_with_trace():
             call_targets={t for t in full.call_targets if t in entered},
             table_observed={t for t in full.table_observed if t in entered},
         )
-        roots = consolidate(sub, m)
-        assert roots.body_keep <= full_roots.body_keep
-        assert roots.decl_keep <= full_roots.decl_keep
+        plan = close_references(m, sub)
+        assert kept(plan, (KEEP,)) <= kept(full_plan, (KEEP,))
+        assert kept(plan, (KEEP, STUB)) <= kept(full_plan, (KEEP, STUB))
 
 
 def test_dispositions_cover_every_function():
@@ -202,5 +225,47 @@ def test_dispositions_cover_every_function():
         assert len(plan.dispositions) == m.num_func_imports + len(m.functions), name
         kept = [d for d in plan.dispositions if d is not Disposition.REMOVE]
         assert len(plan.func_remap) == len(kept), name
-        for i in plan.removed_imports:
-            assert plan.dispositions[i] is Disposition.REMOVE, name
+        assert STUB not in plan.dispositions[: m.num_func_imports], name
+
+
+def _corpus():
+    yield from fx.PAIRS
+    for seed in range(200):
+        yield (f"seed {seed}",) + modulegen.generate_pair(seed)
+
+
+def test_plans_keep_what_the_trace_and_the_module_need():
+    for name, m, w in _corpus():
+        _, t = run_workload(m, w)
+        d = close_references(m, t).dispositions
+        n_imports = m.num_func_imports
+        assert all(d[f] is KEEP for f in t.entered), name
+        needed = {e.index for e in m.exports if e.kind == "func"}
+        needed.update(f for seg in m.elements for f in seg.func_indices)
+        needed.update(() if m.start is None else (m.start,))
+        for f in range(n_imports, m.num_funcs):
+            if d[f] is KEEP:
+                body = m.functions[f - n_imports].body
+                needed.update(i.args[0] for i in body if i.opcode == op.CALL)
+        assert all(d[f] is not REMOVE for f in needed), name
+
+
+def test_an_edited_plan_applies_and_replays():
+    # a plan is its dispositions: one edited after close_references, as a
+    # failed link edits the imports, renumbers everything from the edit
+    edited = 0
+    for name, m, w in _corpus():
+        plan = plan_for(m, w)
+        n_imports = m.num_func_imports
+        removed = [f for f in range(n_imports, m.num_funcs) if plan.dispositions[f] is REMOVE]
+        if not removed:
+            continue
+        stubbed = list(plan.dispositions)
+        stubbed[removed[0]] = STUB
+        linked = (KEEP,) * n_imports + plan.dispositions[n_imports:]
+        for dispositions in (stubbed, linked):
+            out = apply_plan(m, KeepPlan(tuple(dispositions)))
+            assert validate_module(out).ok, name
+            assert validate_behavior(encode(m), encode(out), w).fully_ok, name
+        edited += 1
+    assert edited == 66

@@ -11,7 +11,6 @@ from fixturelib import ins, inv, wl
 from wasmdebloat import (
     apply_plan,
     close_references,
-    consolidate,
     decode,
     encode,
     run_workload,
@@ -27,12 +26,12 @@ from wasmdebloat.module import Export, FuncType, Function, Instruction, Module
 
 def plan_for(m, w):
     _, t = run_workload(m, w)
-    return close_references(m, consolidate(t, m))
+    return close_references(m, t)
 
 
 def plan_from_trace(m, entered=(), call_targets=(), table_observed=()):
     t = ExecutionTrace(frozenset(entered), frozenset(call_targets), frozenset(table_observed))
-    return close_references(m, consolidate(t, m))
+    return close_references(m, t)
 
 
 def test_stub_body_replaces_body_and_locals():
@@ -173,34 +172,15 @@ def test_plan_mismatch_on_wrong_module():
     assert "plan covers 10 functions, module has 1" in str(exc.value)
 
 
-def test_plan_mismatch_on_import_count():
-    # same combined function count, but the plan expects one import
-    m = fx.used_import_module()
-    plan = plan_for(m, wl(inv("notify", Value.i32(1))))
-    twin = Module(
-        types=(FuncType((), ()), FuncType((), ())),
-        functions=(Function(0, (), (ins("nop"),)), Function(1, (), (ins("nop"),))),
-    )
-    with pytest.raises(PlanMismatch) as exc:
-        apply_plan(twin, plan)
-    assert str(exc.value) == "plan and module disagree on import count"
-
-
-@pytest.mark.parametrize(
-    "type_remap, error",
-    [
-        # past the end, the type lookup would raise IndexError
-        ({0: 0, 3: 1}, "plan names type 3, module has 1"),
-        # a negative key would copy the last type
-        ({0: 0, -1: 1}, "plan names type -1, module has 1"),
-    ],
-)
-def test_plan_mismatch_on_a_type_the_module_lacks(type_remap, error):
-    m = fx.add_module()
-    plan = replace(plan_from_trace(m, entered={0}), type_remap=type_remap)
+@pytest.mark.parametrize("type_index", [3, -1])
+def test_plan_mismatch_on_a_type_the_module_lacks(type_index):
+    # past the end, the type lookup would raise IndexError; a negative
+    # index would copy the last type
+    m = replace(fx.add_module(), functions=(Function(type_index, (), ()),))
+    plan = plan_from_trace(m, entered={0})
     with pytest.raises(PlanMismatch) as exc:
         apply_plan(m, plan)
-    assert str(exc.value) == error
+    assert str(exc.value) == f"plan keeps type {type_index}, module has 1"
 
 
 def test_name_section_filtered_and_renumbered():
@@ -284,7 +264,7 @@ def test_shrink_stats_counts():
     before = encode(m)
     plan = plan_for(m, fx.CALCULATOR_WORKLOAD)
     after = encode(apply_plan(m, plan))
-    stats = shrink_stats(before, after, plan)
+    stats = shrink_stats(m, plan, before, after)
     assert stats.functions_kept_body == 4
     assert stats.functions_stubbed == 3
     assert stats.functions_removed == 3
@@ -302,7 +282,7 @@ def test_shrink_stats_import_and_type_removal():
     before = encode(m)
     plan = plan_for(m, wl(inv("add2", Value.i32(2), Value.i32(3))))
     after = encode(apply_plan(m, plan))
-    stats = shrink_stats(before, after, plan)
+    stats = shrink_stats(m, plan, before, after)
     assert stats.imports_removed == 1
     assert stats.types_removed == 1  # the import's (i32) -> () type dies with it
     assert stats.bytes_after < stats.bytes_before

@@ -11,8 +11,9 @@ their originals, in one ``node`` process:
   post-1.0 encodings from ``POST_MVP_REASONS``;
 - the counts are pinned, so a change in what either side accepts shows.
 
-It also asks V8 about the modules around its cap on a function's
-parameters plus locals, ``fixturelib.LOCALS_CAP_CASES``.
+It also asks V8 about the modules around its caps on a function's
+parameters plus locals, ``fixturelib.LOCALS_CAP_CASES``, and on a type's
+parameters and a ``br_table``'s targets, ``fixturelib.V8_CAP_CASES``.
 
 The test is skipped when ``node`` is not installed.
 """
@@ -94,7 +95,11 @@ def test_v8_accepts_every_module_we_accept(tmp_path):
 
 
 def test_v8_and_we_agree_on_the_locals_cap(tmp_path):
+    # and on the caps on a type's parameters and a br_table's targets
     inputs = [fx.many_locals_bytes(params, *counts) for params, counts, _ in fx.LOCALS_CAP_CASES]
+    inputs += [make(n) for make, n, _, _ in fx.V8_CAP_CASES]
     ours = [not _our_reasons(data) for data in inputs]
-    assert ours == [offset is None for _, _, offset in fx.LOCALS_CAP_CASES]
+    assert ours == [offset is None for _, _, offset in fx.LOCALS_CAP_CASES] + [
+        offset is None for _, _, offset, _ in fx.V8_CAP_CASES
+    ]
     assert _v8_valid(tmp_path, inputs) == ours
