@@ -5,6 +5,7 @@ rules; float bit patterns were cross-checked against struct.pack, which
 rounds independently of the interpreter's own arithmetic.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from fixturelib import f32c, f64c, ins, inv, wl
 from test_v8_instructions import GRID
 from wasmdebloat import debloat_module, decode, encode, interp, validate_module
 from wasmdebloat import opcodes as op
-from wasmdebloat.errors import SignatureMismatch, UnknownExport
+from wasmdebloat.errors import SignatureMismatch, UnknownExport, WasmDebloatError
 from wasmdebloat.interp import (
     DEFAULT_FUEL,
     HostCall,
@@ -1060,6 +1061,44 @@ def test_fuel_an_invocation_uses_is_the_least_budget_that_reproduces_it():
             assert isinstance(short, Trap) and short.kind == "fuel-exhausted"
             checked += 1
     assert checked == 666
+
+
+# SHA-256 over what every fuel budget up to 201 leaves, on the 430 cases of
+# test_every_small_budget_leaves_the_same_state
+BUDGET_SWEEP_DIGEST = "4c0e32036a3bf852ff45487169cc9acc0c465a47666253f30f6edad583297458"
+
+
+def test_every_small_budget_leaves_the_same_state():
+    # each invocation alone, on a fresh instance: with the workload's fuel,
+    # and then with every budget from 0 to one past what it uses (at most
+    # 201), so that a run that fuel covers in part stops at each of its
+    # units in turn
+    cases = [(m, w) for _, m, w in fx.PAIRS]
+    for control_flow in (False, True):
+        cases += [modulegen.generate_pair(seed, control_flow=control_flow) for seed in range(200)]
+
+    def state(m, w, call, budget):
+        try:
+            inst = instantiate(m, None, w.fuel)
+            outcome = invoke(inst, call.func, call.args, budget)
+        except WasmDebloatError as e:
+            return repr(e), None
+        memory = None if inst.mem is None else hashlib.sha256(inst.mem).hexdigest()
+        return repr((outcome, inst.fuel, inst.globals, inst.host_log, memory)), inst.fuel
+
+    digest = hashlib.sha256()
+    budgets = 0
+    for m, w in cases:
+        for call in w.invocations:
+            seen, left = state(m, w, call, w.fuel)
+            digest.update(seen.encode())
+            if left is None:
+                continue
+            for budget in range(min(w.fuel - left, 200) + 2):
+                digest.update(state(m, w, call, budget)[0].encode())
+                budgets += 1
+    assert (len(cases), budgets) == (430, 18_876)
+    assert digest.hexdigest() == BUDGET_SWEEP_DIGEST
 
 
 def parity_module():
