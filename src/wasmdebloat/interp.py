@@ -56,9 +56,13 @@ so they compare equal to plain tuples: ``Value("i32", 1) == ("i32", 1)``.
 
 from __future__ import annotations
 
+import builtins
 import math
+import re
 import struct
 from collections import namedtuple
+from functools import partial
+from keyword import iskeyword
 from typing import NamedTuple
 
 from . import opcodes as op
@@ -515,11 +519,14 @@ for _code, _info in op.OPS.items():
 _typed("memory.size", "len(mem) // PAGE_SIZE", setup="mem = inst.mem")
 _typed(
     "memory.grow",
+    # a growth past the cap gives -1, and one page at a time makes no
+    # temporary as large as the growth
     """delta, current = {a}, len(mem) // PAGE_SIZE
 if current + delta > cap:
-    return _M32  # -1
-for _ in range(delta):  # no temporary as large as the growth
-    mem.extend(_ZERO_PAGE)
+    current = _M32
+else:
+    for _ in range(delta):
+        mem.extend(_ZERO_PAGE)
 current""",
     effect=True,
     setup="""mem, limit = inst.mem, inst.module.memories[0].maximum
@@ -528,8 +535,6 @@ cap = MAX_PAGES if limit is None else min(limit, MAX_PAGES)""",
 # the instructions without a signature in opcodes.OPS
 _GLOBAL_SETUP = "i_, globals_ = args[0], inst.globals"
 _OPERATORS.update({
-    # the node of a pending local read or constant that is pushed on its own
-    op.LOCAL_GET: _Template("{a}", 1, True, False),
     op.LOCAL_SET: _Template("L[i_] = {a}", 1, False, True, setup="i_, = args"),
     op.LOCAL_TEE: _Template("L[i_] = v = {a}\nv", 1, True, True, setup="i_, = args"),
     op.GLOBAL_GET: _Template("globals_[i_]", 0, True, False, setup=_GLOBAL_SETUP),
@@ -559,140 +564,227 @@ observed, sigs = inst.table_observed, inst._func_sigs""",
 # ---------------------------------------------------------------------------
 # compiled form
 #
-# A body compiles to runs (units, statements, exit, body), entered only at
-# their start: ``body`` is the instructions before the exit, a fuel unit
-# each, and a statement a closure of the frame's locals that returns the
-# value it pushes, or None. The exits: (_BR, run, keep, drop), (_BR_TABLE,
-# targets, default) of (run, keep, drop) targets, indexed by the popped
-# value, (_CALL, callee, argc), whose callee None is on the stack, and
-# (_END,).
+# A body compiles to runs (units, run, exit, body), entered only at their
+# start: ``body`` is the instructions before the exit, a fuel unit each,
+# and ``run`` one function of the frame's locals that computes the run's
+# top-level nodes in turn and pushes the value of each that pushes. The
+# exits: (_BR, run, keep, drop), (_BR_TABLE, targets, default) of (run,
+# keep, drop) targets, indexed by the popped value, (_CALL, callee, argc),
+# whose callee None is on the stack, and (_END,).
 
 _BR, _BR_TABLE, _CALL, _END = range(4)
 
 _MAX_DEPTH = 32  # the deepest operand tree that one node computes
+# the most instructions one function computes: a longer run is a chain of
+# functions, each over top-level nodes of at most this many instructions
+_MAX_NODES = 128
+_MAX_SHAPES = 2048  # the most shapes _SHAPES holds: when full, it starts over
 
 # wasm frames the call stack may hold besides the running one
 _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
-
-# how a node reads an operand of each kind: a local, a constant, a child
-# node, or a value off the operand stack, ``{}`` its place from the top.
-# Only an instruction's lowest operands are off the stack: one whose
-# operands above them are pending pops just those
-_OPERAND = {"l": "L[{}]", "c": "{}", "k": "{}(L)", "s": "pop({})"}
-
-# the source of a factory
-_SOURCE = """def factory({params}args, pos, inst):
-    {setup}
-    def node(L):
-        {body}
-    return node
-"""
-
-# (opcode, kinds) -> the factory of the instruction's nodes over operands
-# of those kinds; filled on first use
-_FACTORIES: dict[tuple[int, str], object] = {}
+# opcode -> how an instruction in a run moves the stack height
+_HEIGHTS = {code: t.pushes - t.arity for code, t in _OPERATORS.items()}
+_HEIGHTS.update(dict.fromkeys((op.LOCAL_GET, *_CONST_MASKS), 1))
 
 
-def _factory(opcode: int, kinds: str):
-    """The factory of ``opcode``'s nodes over operands of ``kinds``: its
-    arguments are the pending operands' local indices, constants or nodes,
-    the instruction's immediates ``args``, its trap position ``pos`` and
-    the instance. A child may pop the values above the ``s`` operands, so
-    a node with both computes the pending operands first."""
-    t = _OPERATORS[opcode]
-    taken = kinds.count("s")
-    letters = "abc"[: len(kinds)]
-    operands = {
-        x: _OPERAND[k].format(j - taken if k == "s" else f"{x}_")
-        for j, (x, k) in enumerate(zip(letters, kinds))
-    }
-    reads = []
-    if taken and "k" in kinds:
-        reads = [f"{x} = {operands[x]}" for x in letters[taken:]]
-        operands.update((x, x) for x in letters[taken:])
-    lines = reads + t.body.format(**operands).split("\n")
-    if t.pushes:
-        lines[-1] = "return " + lines[-1]
-    setup = t.setup + ("\npop = inst._stack.pop" if taken else "")
-    source = _SOURCE.format(
-        params="".join(f"{x}_, " for x in letters[taken:]),
-        setup=setup.replace("\n", "\n    "),
-        body="\n        ".join(lines),
-    )
-    scope = {**globals(), **t.names}
-    exec(source, scope)
-    factory = _FACTORIES[opcode, kinds] = scope["factory"]
-    return factory
-
-
-def _run_compiler(inst: Instance):
-    """A compiler of straight-line runs, folding operand trees as the
-    module docstring says: ``add(instr, at)`` compiles the run's next
-    instruction, its unit ``at``, and returns its effect on the stack
-    height; ``end()`` returns the run's statements."""
-    stmts: list = []
-    # the operands not computed yet, above the stack's: (kind, value, depth),
-    # the kind a letter of _OPERAND and the value a local index, a constant
-    # or a node
+def _trees(codes: tuple) -> list[tuple]:
+    """The top-level nodes of a run of instructions with opcodes
+    ``codes``, folded as the module docstring says, which the opcodes
+    alone decide. A node is (i, opcode, *operands), ``i`` its instruction's
+    place in the run and an operand a node or ``s``, a value off the
+    operand stack, which only an instruction's lowest operands are; a
+    local read or a constant is (i, opcode). The operands of an
+    instruction that can trap or writes are all that stays pending beneath
+    it, and a tree deeper than _MAX_DEPTH or of more than _MAX_NODES
+    instructions puts its operands on the stack."""
+    trees: list[tuple] = []
+    # the operands not computed yet, above the stack's: (node, depth,
+    # instructions)
     pend: list[tuple] = []
 
     def flush(upto: int | None = None) -> None:
-        """Push the pending operands below ``upto``: a node as a statement,
-        and a local read or a constant as local.get's node over it."""
-        for kind, value, _ in pend[:upto]:
-            if kind != "k":
-                push = _FACTORIES.get((op.LOCAL_GET, kind)) or _factory(op.LOCAL_GET, kind)
-                value = push(value, (), 0, inst)
-            stmts.append(value)
+        trees.extend([node for node, _, _ in pend[:upto]])
         del pend[:upto]
 
-    def operands(k: int, effect: bool) -> tuple[str, tuple, int]:
-        """The top ``k`` operands, bottom first, as their kinds and the
-        values of those not on the stack, and the depth of a tree over
-        them, for an instruction that can trap or writes (``effect``) or
-        not. Those on the stack are the lowest; a tree deeper than
-        _MAX_DEPTH puts them all there."""
-        n = min(k, len(pend))
-        if effect and len(pend) > n:
-            flush(len(pend) - n)
-        if not n:
-            return "s" * k, (), 1
-        kinds, values, depths = zip(*pend[-n:])
-        depth = max(depths) + 1
-        if depth > _MAX_DEPTH:
-            flush()
-            return "s" * k, (), 1
-        del pend[-n:]
-        return "s" * (k - n) + "".join(kinds), values, depth
-
-    def add(instr, at: int) -> int:
-        opcode, args = instr
-        if opcode == op.LOCAL_GET:
-            pend.append(("l", args[0], 1))
-            return 1
-        if opcode in _CONST_MASKS:
-            pend.append(("c", args[0] & _CONST_MASKS[opcode], 1))
-            return 1
+    for i, opcode in enumerate(codes):
+        if opcode == op.LOCAL_GET or opcode in _CONST_MASKS:
+            pend.append(((i, opcode), 1, 1))
+            continue
         t = _OPERATORS.get(opcode)
         if t is None:  # nop, block or loop
-            return 0
-        kinds, values, depth = operands(t.arity, t.effect)
-        factory = _FACTORIES.get((opcode, kinds)) or _factory(opcode, kinds)
+            continue
+        k = t.arity
+        n = min(k, len(pend))
+        if t.effect and len(pend) > n:
+            flush(len(pend) - n)
+        node, depth, size = (i, opcode, *"s" * k), 1, 1
+        if n:
+            operands, depths, sizes = zip(*pend[-n:])
+            depth, size = max(depths) + 1, sum(sizes) + 1
+            if depth > _MAX_DEPTH or size > _MAX_NODES:
+                flush()
+                depth = size = 1
+            else:
+                del pend[-n:]
+                node = (i, opcode, *"s" * (k - n), *operands)
         if t.pushes:
-            pend.append(("k", factory(*values, args, at, inst), depth))
+            pend.append((node, depth, size))
         else:
-            stmts.append(factory(*values, args, at, inst))
-        return t.pushes - t.arity
+            trees.append(node)
+    flush()
+    return trees
 
-    def end() -> tuple:
-        flush()
-        run, stmts[:] = tuple(stmts), ()
-        return run
 
-    return add, end
+# shape -> the factory of its runs' functions, filled on first use. A
+# run's shape is its instructions' opcodes; a run of more than _MAX_NODES
+# is a chain of parts, and a part's shape is (its top-level nodes, its
+# span of instructions), its nodes' places counted from the part's first
+_SHAPES: dict[tuple, object] = {}
+
+# a name in a template: those of the module, the builtins, the keywords
+# and _SHARED are not its node's own
+_IDENTIFIER = re.compile(r"(?<![\w.{])[A-Za-z_]\w*")
+_SHARED = ("L", "inst")  # a run function's locals and its factory's instance
+# the globals of every factory: the module's, and a template's names that
+# are not integers, suffixed with its opcode
+_SCOPE = dict(globals())
+
+
+def _factory(shape: tuple, trees: list[tuple], span: int):
+    """The factory of the functions of a run, or a chain's part, of
+    ``span`` instructions whose top-level nodes are ``trees``: its
+    arguments are those instructions ``B``, the place ``base`` of the
+    first in its run and the instance. Each node's template is inlined,
+    its names suffixed with its instruction's place and its operands
+    computed in place; a child of a node that pops is computed first, into
+    a temporary, so that the pops come in order. A template's integer
+    names are written as literals: local indices, constants and immediates
+    come from ``B``, so no value of a module reaches ``exec``."""
+    unpack = ["_"] * span
+    setup: list[str] = []
+
+    def node(tree: tuple) -> tuple[list[str], str | None]:
+        """The lines that compute a node and the expression of its value."""
+        i, opcode, *kinds = tree
+        if not kinds and opcode not in _OPERATORS:  # a local read or a constant
+            unpack[i] = f"(_, (x_{i},))"
+            if opcode == op.LOCAL_GET:
+                return [], f"L[x_{i}]"
+            setup.append(f"x_{i} &= {_CONST_MASKS[opcode]:#x}")
+            return [], f"x_{i}"
+        t = _OPERATORS[opcode]
+        taken = kinds.count("s")
+        lines, operands = [], {}
+        for j, (x, kind) in enumerate(zip("abc", kinds)):
+            if kind == "s":
+                operands[x] = "pop()" if j == taken - 1 else f"pop({j - taken})"
+                continue
+            child_lines, value = node(kind)
+            lines += child_lines
+            if taken:
+                lines.append(f"{x}_{i} = {value}")
+                operands[x] = f"{x}_{i}"
+            else:
+                operands[x] = value if kind[1] not in _OPERATORS else f"({value})"
+        used = set()
+
+        def rename(m: re.Match) -> str:
+            word = m[0]
+            value = t.names.get(word)
+            if isinstance(value, int):
+                return f"{value:#x}"
+            if value is None and (
+                word in _SHARED or word in _SCOPE or word in builtins.__dict__ or iskeyword(word)
+            ):
+                return word
+            used.add(word)
+            if value is None:
+                return f"{word}_{i}"
+            _SCOPE[f"{word}_{opcode:x}"] = value
+            return f"{word}_{opcode:x}"
+
+        body = _IDENTIFIER.sub(rename, t.body).format(**operands).split("\n")
+        own_setup = _IDENTIFIER.sub(rename, t.setup)
+        if "args" in used:
+            unpack[i] = f"(_, args_{i})"
+        if "pos" in used:
+            setup.append(f"pos_{i} = base + {i + 1}")
+        setup.append(own_setup)
+        value = body.pop() if t.pushes else None
+        return lines + body, value
+
+    body = []
+    for tree in trees:
+        lines, value = node(tree)
+        body += lines
+        if value is not None:
+            body.append(f"push({value})")
+    text = "\n".join(body)
+    source = ["def factory(B, base, inst):"]
+    if span:
+        source.append(f"    {', '.join(unpack)}, = B")
+    source += ["    " + line for s in setup if s for line in s.split("\n")]
+    source += [f"    {f} = inst._stack.{m}" for f, m in (("pop", "pop"), ("push", "append")) if f + "(" in text]
+    source += ["    def run(L):", *["        " + line for line in body or ["pass"]], "    return run"]
+    exec("\n".join(source), _SCOPE)
+    factory = _SCOPE.pop("factory")
+    if len(_SHAPES) >= _MAX_SHAPES:
+        _SHAPES.clear()
+    _SHAPES[shape] = factory
+    return factory
+
+
+def _function(inst: Instance, body: tuple, base: int = 0):
+    """The function of a run of instructions ``body``, the first at place
+    ``base`` of the run it is in."""
+    shape = tuple([code for code, _ in body])
+    factory = _SHAPES.get(shape)
+    if factory is None:
+        trees = _trees(shape)
+        if len(body) > _MAX_NODES:
+            return _chain(inst, body, trees)
+        factory = _factory(shape, trees, len(body))
+    return factory(body, base, inst)
+
+
+def _places(tree: tuple) -> list[int]:
+    """The places of a node's instructions in its run."""
+    return [tree[0]] + [i for kind in tree[2:] if kind != "s" for i in _places(kind)]
+
+
+def _moved(tree: tuple, by: int) -> tuple:
+    return (tree[0] - by, tree[1], *[kind if kind == "s" else _moved(kind, by) for kind in tree[2:]])
+
+
+def _chain(inst: Instance, body: tuple, trees: list[tuple]):
+    """The function of a long run: its top-level nodes in parts of at most
+    _MAX_NODES instructions, one function each, called in turn."""
+    parts, part, size = [], [], 0
+    for tree in trees:
+        places = _places(tree)
+        if size + len(places) > _MAX_NODES:
+            parts.append(part)
+            part, size = [], 0
+        part.append((tree, places))
+        size += len(places)
+    parts += [part] if part else []
+    funcs = []
+    for part in parts:
+        places = [i for _, p in part for i in p]
+        lo, hi = min(places), max(places) + 1
+        moved = tuple([_moved(tree, lo) for tree, _ in part])
+        shape = (moved, hi - lo)
+        factory = _SHAPES.get(shape) or _factory(shape, list(moved), hi - lo)
+        funcs.append(factory(body[lo:hi], lo, inst))
+    return partial(_run_parts, tuple(funcs))
+
+
+def _run_parts(parts: tuple, L: list[int]) -> None:
+    for part in parts:
+        part(L)
 
 
 # a body, block, loop or if the compiler is inside: the label a branch to
@@ -716,7 +808,6 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
     m = inst.module
     runs: list[tuple] = []
     body: list = []  # the instructions of the run being built
-    add, end = _run_compiler(inst)
     pcs: list[int | None] = []  # label id -> run index, set once known
     h = 0  # static operand-stack height above the frame's base
 
@@ -733,7 +824,8 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
         return (new_label(len(runs) + 1), 0, 0)
 
     def close(exit_: tuple, unit: int = 1) -> None:
-        runs.append((len(body) + unit, end(), exit_, tuple(body)))
+        run = tuple(body)
+        runs.append((len(run) + unit, _function(inst, run), exit_, run))
         body.clear()
 
     n = len(m.types[fn.type_index].results)
@@ -755,7 +847,7 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
             h = c.height
         elif not op.LOOP < opcode < op.CALL_INDIRECT:
             body.append(instr)
-            h += add(instr, len(body))
+            h += _HEIGHTS.get(opcode, 0)
             if opcode == op.LOOP:  # a branch back re-enters past its unit
                 close((_BR, *onward()), 0)
                 ctrl.append(_Control(new_label(len(runs)), 0, h, 0 if args[0] is None else 1))
@@ -806,15 +898,18 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
     return runs
 
 
-def _paid_part(inst: Instance, body: list, paid: int) -> tuple:
-    """The statements of a run whose budget pays for its first ``paid``
-    instructions: theirs, compiled as a run, then the fuel trap."""
-    add, end = _run_compiler(inst)
-    for at, instr in enumerate(body[:paid], 1):
-        add(instr, at)
+def _paid_part(inst: Instance, body: tuple, paid: int):
+    """The function of a run whose budget pays for its first ``paid``
+    instructions: those, a function each, then the fuel trap. A function
+    of one instruction has the shape of a run of it alone, so a partial
+    run makes no shape of its own."""
+    parts = [_function(inst, body[i : i + 1], i) for i in range(paid)]
+
     def out_of_fuel(L):
+        _run_parts(parts, L)
         raise _trap(TRAP_FUEL_EXHAUSTED, paid)
-    return (*end(), out_of_fuel)
+
+    return out_of_fuel
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +1050,7 @@ class Instance:
             return self._call_host(funcidx, args)
         call_targets, compiled = self.call_targets, self._compiled
         stack = self._stack
-        push, pop = stack.append, stack.pop
+        pop = stack.pop
         base = len(stack)  # a host function may call in: what is below is its caller's
         frames: list[tuple] = []  # suspended callers: (code, pc, locals, funcidx)
         max_suspended = _MAX_SUSPENDED
@@ -966,16 +1061,13 @@ class Instance:
         fuel = self.fuel
         try:
             while True:
-                units, stmts, exit_, body = code[pc]
+                units, run, exit_, body = code[pc]
                 pc += 1
                 fuel -= units
                 # a run that costs nothing runs even on a negative budget
                 if fuel < 0 and units:
-                    stmts = _paid_part(self, body, max(fuel + units, 0))
-                for stmt in stmts:
-                    value = stmt(locals_)
-                    if value is not None:
-                        push(value)
+                    run = _paid_part(self, body, max(fuel + units, 0))
+                run(locals_)
                 # the exits in the order of how often they run
                 k = exit_[0]
                 if k == _CALL:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -1253,8 +1254,14 @@ def test_fuel_is_exact_where_a_load_traps_under_an_add_and_a_div_traps_last(a, d
             assert (out, inst.fuel, mem) == (Trap("fuel-exhausted", 0), 0, stored)
 
 
+@pytest.fixture
+def fresh_shapes(monkeypatch):
+    """An empty shape table, which the test's shapes do not outgrow."""
+    monkeypatch.setattr(interp, "_SHAPES", {})
+
+
 @pytest.mark.parametrize("alternate", [False, True])
-def test_an_operand_tree_50000_deep_runs_and_debloats(alternate):
+def test_an_operand_tree_50000_deep_runs_and_debloats(alternate, fresh_shapes):
     # all the constants and then all the adds, or a const and an add in
     # turn: either way the last add's operand tree is 50,000 deep
     n = 50_000
@@ -1268,15 +1275,66 @@ def test_an_operand_tree_50000_deep_runs_and_debloats(alternate):
         exports=(Export("f", "func", 0),),
     )
     # the all-constants body compiles to the 49,969 operands pending when
-    # its tree first outgrows _MAX_DEPTH, then one statement per 32 adds and
-    # the result; the alternating one to two statements per 32 adds
+    # its tree first outgrows _MAX_DEPTH, then one top-level node per 32
+    # adds and the result; the alternating one to two per 32 adds. The run
+    # is a chain of functions of at most _MAX_NODES instructions each
     runs = interp._compile(instantiate(m), m.functions[0])
-    assert sum(len(stmts) for _, stmts, _, _ in runs) == (3_125 if alternate else 51_531)
+    assert sum(len(top_level_nodes(run)) for _, run, _, _ in runs) == (3_125 if alternate else 51_531)
+    (_, run, _, body), *_ = runs
+    assert len(body) == 2 * n - 1
+    nodes = [sum(len(interp._places(tree)) for tree in shape_of(part)[0]) for part in run.args[0]]
+    assert max(nodes) <= interp._MAX_NODES and sum(nodes) == len(body)
     w = wl(inv("f"))
     out, report = debloat_module(encode(m), w)
     assert report.validation.behavioral_ok
     log, _ = run_workload(decode(out), w)
     assert log.records[0].outcome == Results((Value.i32(n),))
+
+
+def test_a_function_computes_at_most_128_nodes_and_2048_shapes_are_held(fresh_shapes, monkeypatch):
+    assert (interp._MAX_NODES, interp._MAX_SHAPES) == (128, 2_048)
+    set_pairs = lambda k: (ins("local.get", 0), ins("local.set", 1)) * k
+    # a tree of 255 nodes, seven levels of adds over 128 constants
+    tree = (ins("i32.const", 1),)
+    for _ in range(7):
+        tree = (*tree, *tree, ins("i32.add"))
+    m = Module(
+        types=(FuncType(("i32",), ("i32",)),),
+        functions=(
+            Function(0, ("i32",), (*set_pairs(63), ins("local.get", 1))),
+            Function(0, ("i32",), (*set_pairs(64), ins("local.get", 1))),
+            Function(0, (), (*tree, ins("local.get", 0), ins("i32.add"))),
+        ),
+        exports=tuple(Export(name, "func", i) for i, name in enumerate(("a", "b", "tree"))),
+    )
+    assert validate_module(m).ok
+    inst = instantiate(m)
+    # 127 instructions are one function, 129 a chain of 128 and 1
+    (_, run, _, _), _ = interp._compile(inst, m.functions[0])
+    assert len(top_level_nodes(run)) == 64 and not isinstance(run, partial)
+    (_, run, _, _), _ = interp._compile(inst, m.functions[1])
+    assert [[len(interp._places(t)) for t in shape_of(part)[0]] for part in run.args[0]] == [[2] * 64, [1]]
+    # the tree puts its two halves of 127 nodes on the stack
+    (_, run, _, body), _ = interp._compile(inst, m.functions[2])
+    assert [len(interp._places(tree)) for tree in top_level_nodes(run)] == [127, 127, 3]
+    assert [run1(m, name, Value.i32(7)) for name in ("a", "b", "tree")] == [Results((Value.i32(x),)) for x in (7, 7, 135)]
+
+    # a full table starts over: with room for two shapes, an instance of
+    # "tree" makes three, the two of its parts (127 nodes twice, then 3)
+    # and the empty run's a return goes to, which finds the table full
+    # and leaves it holding its own; so the next instance makes all three
+    sources = []
+
+    def recording_exec(source, scope):
+        sources.append(source)
+        exec(source, scope)
+
+    monkeypatch.setattr(interp, "_SHAPES", {})
+    monkeypatch.setattr(interp, "_MAX_SHAPES", 2)
+    monkeypatch.setattr(interp, "exec", recording_exec, raising=False)
+    for made in (3, 6):
+        assert run1(m, "tree", Value.i32(7)) == Results((Value.i32(135),))
+        assert len(sources) == made and len(interp._SHAPES) <= 2
 
 
 def if_then_add_module():
@@ -1307,14 +1365,29 @@ def test_a_label_before_a_binop_keeps_both_arms_right(c, result):
             assert (out, spent) == (Trap("fuel-exhausted", 0), fuel)
 
 
+def shape_of(run):
+    """The shape that a run's function, or a chain's part, was made for."""
+    code = run.__code__
+    (shape,) = [s for s, factory in interp._SHAPES.items() if any(c is code for c in factory.__code__.co_consts)]
+    return shape
+
+
+def top_level_nodes(run):
+    """The top-level nodes a run's function computes, read from its shape:
+    a chain's parts' in turn."""
+    if isinstance(run, partial):
+        return [tree for part in run.args[0] for tree in shape_of(part)[0]]
+    return interp._trees(shape_of(run))
+
+
 def compiled_runs(m):
-    """Function 0's compiled runs as (units, statements, exit kind)."""
+    """Function 0's compiled runs as (units, top-level nodes, exit kind)."""
     inst = instantiate(m)
     runs = interp._compile(inst, m.functions[0])
-    return [(units, len(stmts), exit_[0]) for units, stmts, exit_, _ in runs]
+    return [(units, len(top_level_nodes(run)), exit_[0]) for units, run, exit_, _ in runs]
 
 
-def test_runs_and_fusion_in_the_compiled_code():
+def test_runs_and_fusion_in_the_compiled_code(fresh_shapes):
     # the store, with its address tree; then the quotient plus one, pushed
     # as the body's result
     assert compiled_runs(store_then_divide_module()) == [
@@ -1683,7 +1756,7 @@ def mixed_module(constants, indices):
 def test_operator_factories_are_made_on_first_use_from_the_kinds_alone(monkeypatch):
     src = Path(__file__).resolve().parent.parent / "src"
     fresh = subprocess.run(
-        [sys.executable, "-c", "import wasmdebloat.interp as i; print(len(i._FACTORIES))"],
+        [sys.executable, "-c", "import wasmdebloat.interp as i; print(len(i._SHAPES))"],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
@@ -1697,34 +1770,25 @@ def test_operator_factories_are_made_on_first_use_from_the_kinds_alone(monkeypat
         sources.append(source)
         exec(source, scope)
 
-    monkeypatch.setattr(interp, "_FACTORIES", {})
+    monkeypatch.setattr(interp, "_SHAPES", {})
     monkeypatch.setattr(interp, "exec", recording_exec, raising=False)
     args = tuple(map(Value, ("i32", "i32", "i32", "i64", "i64"), (1, 2, 3, 4, 5)))
-    assert isinstance(invoke(instantiate(mixed_module((12345, 678, -987654321), (0, 1, 3))), "f", args), Results)
-    code = op.NAME_TO_OPCODE
-    made = {
-        (code["i32.add"], "lc"),
-        (code["i32.mul"], "kl"),
-        (code["i32.div_u"], "kc"),
-        (code["i64.rotl"], "lc"),
-        (code["i64.eqz"], "k"),
-        (code["i32.xor"], "kk"),
-    }
-    assert set(interp._FACTORIES) == made
+    m = mixed_module((12345, 678, -987654321), (0, 1, 3))
+    assert isinstance(invoke(instantiate(m), "f", args), Results)
+    # one run of the body's instructions, and the empty one a return goes to
+    made = {tuple(code for code, _ in m.functions[0].body), ()}
+    assert set(interp._SHAPES) == made
     assert len(sources) == len(made)
     assert not [s for s in sources if any(c in s for c in ("12345", "678", "987654321"))]
-    # other constants and local indices: no factory and no source more
+    # other constants and local indices: no shape and no source more
     assert isinstance(invoke(instantiate(mixed_module((5, 99991, 31), (2, 0, 4))), "f", args), Results)
-    assert (set(interp._FACTORIES), len(sources)) == (made, len(made))
+    assert (set(interp._SHAPES), len(sources)) == (made, len(made))
 
     # every templated instruction over every kind of operand, with
-    # immediates and constants of its own. The operands off the stack are
-    # the lowest, so an instruction of arity n has a factory per kinds
-    # s^j + (l|c|k)^(n - j), (3**(n + 1) - 1) // 2 of them; local.get's,
-    # which pushes a pending local read or constant, has two
+    # immediates and constants of its own: one shape, made once, per run
+    # of distinct instructions
     immediates = {"index": (417,), "memarg": (2, 7919), "call_indirect": (586,)}
-    arities = []
-    for opcode in interp._OPERATORS.keys() - {op.LOCAL_GET}:
+    for opcode in interp._OPERATORS:
         info = op.OPS[opcode]
         params = info.pops if info.pops is not None else ("i32",) * UNTYPED_ARITIES[info.name]
         instr = ins(info.name, *immediates.get(info.imm, ()))
@@ -1735,7 +1799,7 @@ def test_operator_factories_are_made_on_first_use_from_the_kinds_alone(monkeypat
         types = (FuncType(params, ()),) * 587  # up to call_indirect's type index
         inst = instantiate(Module(types=types, functions=funcs, memories=(Limits(1),)))
         for fn in funcs:
-            interp._compile(inst, fn)
-        arities.append(len(params))
-    assert len(interp._FACTORIES) == len(sources) == 2 + sum((3 ** (n + 1) - 1) // 2 for n in arities)
+            made |= {tuple(code for code, _ in body) for _, _, _, body in interp._compile(inst, fn)}
+    assert set(interp._SHAPES) == made
+    assert len(sources) == len(made) == 1_434
     assert not [s for s in sources if any(c in s for c in ("417", "7919", "586", "60013"))]
