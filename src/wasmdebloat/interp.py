@@ -6,37 +6,36 @@ observation log).
 
 Each function body is compiled once per instance, on first entry, which
 also records it as entered, into straight-line runs (``_compile``). A
-run's statements compute and trap; its exit only moves control, and is
-one of four: a branch, a branch table, a call or the end. A branch goes
-to a run, keeping the values it carries and dropping those beneath them,
-all fixed at compile time (Titzer, "A fast in-place interpreter for
+run's nodes compute and trap; its exit only moves control, and is one of
+four: a branch, a branch table, a call or the end. A branch goes to a
+run, keeping the values it carries and dropping those beneath them, all
+fixed at compile time (Titzer, "A fast in-place interpreter for
 WebAssembly", OOPSLA 2022); ``if`` and ``br_if`` are tables of one
-branch, and ``call_indirect`` is a statement that checks its slot and
-leaves the callee for the call. In a run, each instruction is a node, a
-closure of the frame's locals that computes its operands itself (closure
-generation: Feeley & Lapalme, "Using closures for code generation",
-Computer Languages 1987; ``_run_compiler``). An operand is of one of four
-kinds: a local read, a constant, a child node, or a value taken off the
-operand stack, which only the lowest operands are. One table,
-``_OPERATORS``, holds a template for every instruction, and each node
-comes from a factory for its opcode and its operands' kinds, a
-superinstruction (Ertl & Gregg, PLDI 2003): ``local.get 0; i32.const 5;
-i32.add`` is the one node ``return (L[a_] + b_) & mask``. A factory is
-made on first use from the template and the kind letters alone; local
-indices, constants, child nodes, immediates and the instance are its
-arguments, so no value of a module reaches ``exec``. A producer folds
-into its consumer only if no instruction between them can trap or writes
-a local, a global or memory; otherwise, at the run's end and past
-_MAX_DEPTH levels (a Python frame each), its tree becomes a statement
-that pushes its value. One loop (``Instance._execute``) runs that code
-with an explicit operand stack and call stack: a branch raises no
-exception and a wasm call adds no Python frame, so nesting depth and
-call depth cost no Python recursion. Fuel is one unit per executed
-instruction; ``else`` and ``end`` cost nothing. The loop charges a run
-once, as it fetches it, and fuel stays exact: a statement that traps
-refunds the units of the run after its own, and fuel that does not
-cover a run runs the instructions it pays for, compiled as a run, then
-traps.
+branch, and ``call_indirect`` is a node that checks its slot and leaves
+the callee for the call. In a run, each instruction is a node, whose
+operands are of one of four kinds: a local read, a constant, a child
+node, or a value taken off the operand stack, which only the lowest
+operands are (``_trees``). A producer folds into its consumer only if no
+instruction between them can trap or writes a local, a global or memory;
+otherwise, at the run's end and past _MAX_DEPTH levels, its tree becomes
+a top-level node that pushes its value. A run is one Python function of
+the frame's locals (closure generation: Feeley & Lapalme, "Using
+closures for code generation", Computer Languages 1987), with every
+node's template from one table, ``_OPERATORS``, inlined into it: a
+superinstruction of the whole run (Ertl & Gregg, PLDI 2003), so that
+``local.get 0; i32.const 5; i32.add`` reads ``push((L[x_0] + x_1) &
+0xffffffff)``. Its source is made on first use from the run's shape, its
+instructions' opcodes, which alone decide its trees; local indices,
+constants and immediates are its factory's arguments, so no value of a
+module reaches ``exec``. One loop (``Instance._execute``) calls a run's
+function and then takes its exit, with an explicit operand stack and
+call stack: a branch raises no exception and a wasm call adds no Python
+frame, so nesting depth and call depth cost no Python recursion. Fuel is
+one unit per executed instruction; ``else`` and ``end`` cost nothing.
+The loop charges a run once, as it fetches it, and fuel stays exact: a
+node that traps refunds the units of the run after its own, and fuel
+that does not cover a run runs the instructions it pays for, one by one,
+then traps.
 
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Each numeric operator is
@@ -431,8 +430,9 @@ class _Template(NamedTuple):
     """The source of an instruction's node: ``body`` reads the operands
     ``{a}``, ``{b}`` and ``{c}``, in that order, and its last line is the
     value the node pushes, if the instruction pushes one; ``setup`` takes
-    the node's immediates and instance objects from its factory's ``args``
-    and ``inst``."""
+    the node's immediates and instance objects from ``args`` and ``inst``
+    once per function, and ``pos`` is its trap position. Every name they
+    assign is the node's own."""
 
     body: str
     arity: int
@@ -442,7 +442,8 @@ class _Template(NamedTuple):
     setup: str = ""
 
 
-# every instruction _run_compiler.add compiles, opcode -> its template
+# opcode -> its template, for every instruction but local.get and the
+# constants, which are operands
 _OPERATORS: dict[int, _Template] = {}
 
 
@@ -566,8 +567,8 @@ observed, sigs = inst.table_observed, inst._func_sigs""",
 #
 # A body compiles to runs (units, run, exit, body), entered only at their
 # start: ``body`` is the instructions before the exit, a fuel unit each,
-# and ``run`` one function of the frame's locals that computes the run's
-# top-level nodes in turn and pushes the value of each that pushes. The
+# and ``run`` the function of the frame's locals that computes the run's
+# top-level nodes in turn, pushing the value of each that pushes. The
 # exits: (_BR, run, keep, drop), (_BR_TABLE, targets, default) of (run,
 # keep, drop) targets, indexed by the popped value, (_CALL, callee, argc),
 # whose callee None is on the stack, and (_END,).
@@ -575,10 +576,11 @@ observed, sigs = inst.table_observed, inst._func_sigs""",
 _BR, _BR_TABLE, _CALL, _END = range(4)
 
 _MAX_DEPTH = 32  # the deepest operand tree that one node computes
-# the most instructions one function computes: a longer run is a chain of
-# functions, each over top-level nodes of at most this many instructions
+# the most nodes one function computes: a run of more instructions is a
+# chain of functions over its top-level nodes, and a larger tree puts its
+# operands on the stack
 _MAX_NODES = 128
-_MAX_SHAPES = 2048  # the most shapes _SHAPES holds: when full, it starts over
+_MAX_SHAPES = 2048  # the most shapes _SHAPES holds; a full table starts over
 
 # wasm frames the call stack may hold besides the running one
 _MAX_SUSPENDED = CALL_STACK_LIMIT - 1
@@ -592,26 +594,25 @@ _HEIGHTS.update(dict.fromkeys((op.LOCAL_GET, *_CONST_MASKS), 1))
 
 def _trees(codes: tuple) -> list[tuple]:
     """The top-level nodes of a run of instructions with opcodes
-    ``codes``, folded as the module docstring says, which the opcodes
-    alone decide. A node is (i, opcode, *operands), ``i`` its instruction's
-    place in the run and an operand a node or ``s``, a value off the
-    operand stack, which only an instruction's lowest operands are; a
-    local read or a constant is (i, opcode). The operands of an
-    instruction that can trap or writes are all that stays pending beneath
-    it, and a tree deeper than _MAX_DEPTH or of more than _MAX_NODES
-    instructions puts its operands on the stack."""
+    ``codes``, folded as the module docstring says, as (place, node,
+    depth, nodes, first): the node's instruction's place in the run, the
+    node, the depth and the nodes of its tree, and the place of its first
+    instruction. A node is (opcode, *operands), an operand either ``s``, a
+    value off the operand stack, or (how many places its instruction is
+    before its consumer's, node). The operands of an instruction that can
+    trap or writes are all that stays pending beneath it, and a tree
+    deeper than _MAX_DEPTH or of more than _MAX_NODES nodes puts its
+    operands on the stack."""
     trees: list[tuple] = []
-    # the operands not computed yet, above the stack's: (node, depth,
-    # instructions)
-    pend: list[tuple] = []
+    pend: list[tuple] = []  # the operands not computed yet, as trees are
 
     def flush(upto: int | None = None) -> None:
-        trees.extend([node for node, _, _ in pend[:upto]])
+        trees.extend(pend[:upto])
         del pend[:upto]
 
     for i, opcode in enumerate(codes):
         if opcode == op.LOCAL_GET or opcode in _CONST_MASKS:
-            pend.append(((i, opcode), 1, 1))
+            pend.append((i, (opcode,), 1, 1, i))
             continue
         t = _OPERATORS.get(opcode)
         if t is None:  # nop, block or loop
@@ -620,28 +621,29 @@ def _trees(codes: tuple) -> list[tuple]:
         n = min(k, len(pend))
         if t.effect and len(pend) > n:
             flush(len(pend) - n)
-        node, depth, size = (i, opcode, *"s" * k), 1, 1
+        node, depth, size, first = (opcode, *"s" * k), 1, 1, i
         if n:
-            operands, depths, sizes = zip(*pend[-n:])
+            places, nodes, depths, sizes, firsts = zip(*pend[-n:])
             depth, size = max(depths) + 1, sum(sizes) + 1
             if depth > _MAX_DEPTH or size > _MAX_NODES:
                 flush()
                 depth = size = 1
             else:
                 del pend[-n:]
-                node = (i, opcode, *"s" * (k - n), *operands)
+                node = (opcode, *"s" * (k - n), *zip(map(i.__sub__, places), nodes))
+                first = firsts[0]
         if t.pushes:
-            pend.append((node, depth, size))
+            pend.append((i, node, depth, size, first))
         else:
-            trees.append(node)
+            trees.append((i, node, depth, size, first))
     flush()
     return trees
 
 
-# shape -> the factory of its runs' functions, filled on first use. A
-# run's shape is its instructions' opcodes; a run of more than _MAX_NODES
-# is a chain of parts, and a part's shape is (its top-level nodes, its
-# span of instructions), its nodes' places counted from the part's first
+# shape -> the factory of its functions, filled on first use. A run's
+# shape is its instructions' opcodes; that of a part of a chain is (its
+# top-level nodes as (place, node), the instructions it spans), places
+# counted from the first it spans
 _SHAPES: dict[tuple, object] = {}
 
 # a name in a template: those of the module, the builtins, the keywords
@@ -654,21 +656,23 @@ _SCOPE = dict(globals())
 
 
 def _factory(shape: tuple, trees: list[tuple], span: int):
-    """The factory of the functions of a run, or a chain's part, of
-    ``span`` instructions whose top-level nodes are ``trees``: its
+    """The factory of the functions of ``shape``, a run or a chain's part
+    of ``span`` instructions whose top-level nodes are ``trees``, each
+    (place, node): its
     arguments are those instructions ``B``, the place ``base`` of the
     first in its run and the instance. Each node's template is inlined,
-    its names suffixed with its instruction's place and its operands
-    computed in place; a child of a node that pops is computed first, into
-    a temporary, so that the pops come in order. A template's integer
-    names are written as literals: local indices, constants and immediates
-    come from ``B``, so no value of a module reaches ``exec``."""
+    its own names suffixed with its place and its operands computed in
+    place; the children of a node that pops are computed first, into
+    temporaries, so that the pops come in order. A template's integers
+    are written as literals; local indices, constants and immediates come
+    from ``B``, so no value of a module reaches ``exec``."""
     unpack = ["_"] * span
     setup: list[str] = []
 
-    def node(tree: tuple) -> tuple[list[str], str | None]:
-        """The lines that compute a node and the expression of its value."""
-        i, opcode, *kinds = tree
+    def node(i: int, tree: tuple) -> tuple[list[str], str | None]:
+        """The lines that compute the node at place ``i`` and the
+        expression of its value."""
+        opcode, *kinds = tree
         if not kinds and opcode not in _OPERATORS:  # a local read or a constant
             unpack[i] = f"(_, (x_{i},))"
             if opcode == op.LOCAL_GET:
@@ -682,13 +686,14 @@ def _factory(shape: tuple, trees: list[tuple], span: int):
             if kind == "s":
                 operands[x] = "pop()" if j == taken - 1 else f"pop({j - taken})"
                 continue
-            child_lines, value = node(kind)
+            before, child = kind
+            child_lines, value = node(i - before, child)
             lines += child_lines
             if taken:
                 lines.append(f"{x}_{i} = {value}")
                 operands[x] = f"{x}_{i}"
             else:
-                operands[x] = value if kind[1] not in _OPERATORS else f"({value})"
+                operands[x] = value if child[0] not in _OPERATORS else f"({value})"
         used = set()
 
         def rename(m: re.Match) -> str:
@@ -717,8 +722,8 @@ def _factory(shape: tuple, trees: list[tuple], span: int):
         return lines + body, value
 
     body = []
-    for tree in trees:
-        lines, value = node(tree)
+    for i, tree in trees:
+        lines, value = node(i, tree)
         body += lines
         if value is not None:
             body.append(f"push({value})")
@@ -746,39 +751,29 @@ def _function(inst: Instance, body: tuple, base: int = 0):
         trees = _trees(shape)
         if len(body) > _MAX_NODES:
             return _chain(inst, body, trees)
-        factory = _factory(shape, trees, len(body))
+        factory = _factory(shape, [tree[:2] for tree in trees], len(body))
     return factory(body, base, inst)
 
 
-def _places(tree: tuple) -> list[int]:
-    """The places of a node's instructions in its run."""
-    return [tree[0]] + [i for kind in tree[2:] if kind != "s" for i in _places(kind)]
-
-
-def _moved(tree: tuple, by: int) -> tuple:
-    return (tree[0] - by, tree[1], *[kind if kind == "s" else _moved(kind, by) for kind in tree[2:]])
-
-
 def _chain(inst: Instance, body: tuple, trees: list[tuple]):
-    """The function of a long run: its top-level nodes in parts of at most
-    _MAX_NODES instructions, one function each, called in turn."""
+    """The function of a run of more than _MAX_NODES instructions: its
+    top-level nodes in parts of at most _MAX_NODES nodes, one function
+    each, called in turn."""
     parts, part, size = [], [], 0
     for tree in trees:
-        places = _places(tree)
-        if size + len(places) > _MAX_NODES:
+        if size + tree[3] > _MAX_NODES:
             parts.append(part)
             part, size = [], 0
-        part.append((tree, places))
-        size += len(places)
+        part.append(tree)
+        size += tree[3]
     parts += [part] if part else []
     funcs = []
     for part in parts:
-        places = [i for _, p in part for i in p]
-        lo, hi = min(places), max(places) + 1
-        moved = tuple([_moved(tree, lo) for tree, _ in part])
-        shape = (moved, hi - lo)
-        factory = _SHAPES.get(shape) or _factory(shape, list(moved), hi - lo)
-        funcs.append(factory(body[lo:hi], lo, inst))
+        lo = min([tree[4] for tree in part])
+        span = max([tree[0] for tree in part]) + 1 - lo
+        shape = (tuple([(i - lo, node) for i, node, *_ in part]), span)
+        factory = _SHAPES.get(shape) or _factory(shape, shape[0], span)
+        funcs.append(factory(body[lo : lo + span], lo, inst))
     return partial(_run_parts, tuple(funcs))
 
 

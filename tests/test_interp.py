@@ -1282,7 +1282,7 @@ def test_an_operand_tree_50000_deep_runs_and_debloats(alternate, fresh_shapes):
     assert sum(len(top_level_nodes(run)) for _, run, _, _ in runs) == (3_125 if alternate else 51_531)
     (_, run, _, body), *_ = runs
     assert len(body) == 2 * n - 1
-    nodes = [sum(len(interp._places(tree)) for tree in shape_of(part)[0]) for part in run.args[0]]
+    nodes = [sum(nodes_in(node) for _, node in shape_of(part)[0]) for part in run.args[0]]
     assert max(nodes) <= interp._MAX_NODES and sum(nodes) == len(body)
     w = wl(inv("f"))
     out, report = debloat_module(encode(m), w)
@@ -1313,10 +1313,10 @@ def test_a_function_computes_at_most_128_nodes_and_2048_shapes_are_held(fresh_sh
     (_, run, _, _), _ = interp._compile(inst, m.functions[0])
     assert len(top_level_nodes(run)) == 64 and not isinstance(run, partial)
     (_, run, _, _), _ = interp._compile(inst, m.functions[1])
-    assert [[len(interp._places(t)) for t in shape_of(part)[0]] for part in run.args[0]] == [[2] * 64, [1]]
+    assert [[nodes_in(node) for _, node in shape_of(part)[0]] for part in run.args[0]] == [[2] * 64, [1]]
     # the tree puts its two halves of 127 nodes on the stack
     (_, run, _, body), _ = interp._compile(inst, m.functions[2])
-    assert [len(interp._places(tree)) for tree in top_level_nodes(run)] == [127, 127, 3]
+    assert list(map(nodes_in, top_level_nodes(run))) == [127, 127, 3]
     assert [run1(m, name, Value.i32(7)) for name in ("a", "b", "tree")] == [Results((Value.i32(x),)) for x in (7, 7, 135)]
 
     # a full table starts over: with room for two shapes, an instance of
@@ -1376,8 +1376,13 @@ def top_level_nodes(run):
     """The top-level nodes a run's function computes, read from its shape:
     a chain's parts' in turn."""
     if isinstance(run, partial):
-        return [tree for part in run.args[0] for tree in shape_of(part)[0]]
-    return interp._trees(shape_of(run))
+        return [node for part in run.args[0] for _, node in shape_of(part)[0]]
+    return [node for _, node, *_ in interp._trees(shape_of(run))]
+
+
+def nodes_in(node):
+    """The nodes of a tree, its operands off the stack not counted."""
+    return 1 + sum(nodes_in(child) for kind in node[1:] if kind != "s" for child in kind[1:])
 
 
 def compiled_runs(m):
