@@ -632,10 +632,7 @@ def _trees(codes: tuple) -> list[tuple]:
                 del pend[-n:]
                 node = (opcode, *"s" * (k - n), *zip(map(i.__sub__, places), nodes))
                 first = firsts[0]
-        if t.pushes:
-            pend.append((i, node, depth, size, first))
-        else:
-            trees.append((i, node, depth, size, first))
+        (pend if t.pushes else trees).append((i, node, depth, size, first))
     flush()
     return trees
 
@@ -646,10 +643,9 @@ def _trees(codes: tuple) -> list[tuple]:
 # counted from the first it spans
 _SHAPES: dict[tuple, object] = {}
 
-# a name in a template: those of the module, the builtins, the keywords
-# and _SHARED are not its node's own
+# a name in a template, which is its node's own unless it is the module's,
+# a builtin, a keyword, or the run function's locals L or its factory's inst
 _IDENTIFIER = re.compile(r"(?<![\w.{])[A-Za-z_]\w*")
-_SHARED = ("L", "inst")  # a run function's locals and its factory's instance
 # the globals of every factory: the module's, and a template's names that
 # are not integers, suffixed with its opcode
 _SCOPE = dict(globals())
@@ -658,22 +654,21 @@ _SCOPE = dict(globals())
 def _factory(shape: tuple, trees: list[tuple], span: int):
     """The factory of the functions of ``shape``, a run or a chain's part
     of ``span`` instructions whose top-level nodes are ``trees``, each
-    (place, node): its
-    arguments are those instructions ``B``, the place ``base`` of the
-    first in its run and the instance. Each node's template is inlined,
-    its own names suffixed with its place and its operands computed in
-    place; the children of a node that pops are computed first, into
-    temporaries, so that the pops come in order. A template's integers
-    are written as literals; local indices, constants and immediates come
-    from ``B``, so no value of a module reaches ``exec``."""
-    unpack = ["_"] * span
-    setup: list[str] = []
+    (place, node): its arguments are those instructions ``B``, the place
+    ``base`` of the first in its run and the instance. Each node's
+    template is inlined, its own names suffixed with its place and its
+    operands computed in place; the children of a node that pops are
+    computed first, into temporaries, so that the pops come in order. A
+    template's integers are written as literals; local indices, constants
+    and immediates come from ``B``, so no value of a module reaches
+    ``exec``."""
+    unpack, setup = ["_"] * span, []
 
     def node(i: int, tree: tuple) -> tuple[list[str], str | None]:
         """The lines that compute the node at place ``i`` and the
         expression of its value."""
         opcode, *kinds = tree
-        if not kinds and opcode not in _OPERATORS:  # a local read or a constant
+        if opcode not in _OPERATORS:  # a local read or a constant
             unpack[i] = f"(_, (x_{i},))"
             if opcode == op.LOCAL_GET:
                 return [], f"L[x_{i}]"
@@ -686,55 +681,49 @@ def _factory(shape: tuple, trees: list[tuple], span: int):
             if kind == "s":
                 operands[x] = "pop()" if j == taken - 1 else f"pop({j - taken})"
                 continue
-            before, child = kind
-            child_lines, value = node(i - before, child)
+            child_lines, value = node(i - kind[0], kind[1])
             lines += child_lines
             if taken:
                 lines.append(f"{x}_{i} = {value}")
-                operands[x] = f"{x}_{i}"
-            else:
-                operands[x] = value if child[0] not in _OPERATORS else f"({value})"
-        used = set()
+                value = f"{x}_{i}"
+            operands[x] = f"({value})"
 
         def rename(m: re.Match) -> str:
             word = m[0]
-            value = t.names.get(word)
-            if isinstance(value, int):
-                return f"{value:#x}"
-            if value is None and (
-                word in _SHARED or word in _SCOPE or word in builtins.__dict__ or iskeyword(word)
-            ):
+            if word in t.names:
+                value = t.names[word]
+                if isinstance(value, int):
+                    return f"{value:#x}"
+                _SCOPE[f"{word}_{opcode:x}"] = value
+                return f"{word}_{opcode:x}"
+            if word in ("L", "inst") or word in _SCOPE or word in builtins.__dict__ or iskeyword(word):
                 return word
-            used.add(word)
-            if value is None:
-                return f"{word}_{i}"
-            _SCOPE[f"{word}_{opcode:x}"] = value
-            return f"{word}_{opcode:x}"
+            return f"{word}_{i}"
 
-        body = _IDENTIFIER.sub(rename, t.body).format(**operands).split("\n")
-        own_setup = _IDENTIFIER.sub(rename, t.setup)
-        if "args" in used:
+        if "args" in t.setup:
             unpack[i] = f"(_, args_{i})"
-        if "pos" in used:
+        if "pos" in t.body:
             setup.append(f"pos_{i} = base + {i + 1}")
-        setup.append(own_setup)
+        if t.setup:
+            setup.append(_IDENTIFIER.sub(rename, t.setup))
+        body = _IDENTIFIER.sub(rename, t.body).format(**operands).split("\n")
         value = body.pop() if t.pushes else None
         return lines + body, value
 
     body = []
     for i, tree in trees:
         lines, value = node(i, tree)
-        body += lines
-        if value is not None:
-            body.append(f"push({value})")
-    text = "\n".join(body)
-    source = ["def factory(B, base, inst):"]
-    if span:
-        source.append(f"    {', '.join(unpack)}, = B")
-    source += ["    " + line for s in setup if s for line in s.split("\n")]
-    source += [f"    {f} = inst._stack.{m}" for f, m in (("pop", "pop"), ("push", "append")) if f + "(" in text]
-    source += ["    def run(L):", *["        " + line for line in body or ["pass"]], "    return run"]
-    exec("\n".join(source), _SCOPE)
+        body += lines if value is None else [*lines, f"push({value})"]
+    source = "\n    ".join([
+        "def factory(B, base, inst):",
+        f"{', '.join(unpack)}, = B" if span else "",
+        *"\n".join(setup).split("\n"),
+        "pop, push = inst._stack.pop, inst._stack.append",
+        "def run(L):",
+        *["    " + line for line in body or ["pass"]],
+        "return run",
+    ])
+    exec(source, _SCOPE)
     factory = _SCOPE.pop("factory")
     if len(_SHAPES) >= _MAX_SHAPES:
         _SHAPES.clear()
@@ -759,16 +748,15 @@ def _chain(inst: Instance, body: tuple, trees: list[tuple]):
     """The function of a run of more than _MAX_NODES instructions: its
     top-level nodes in parts of at most _MAX_NODES nodes, one function
     each, called in turn."""
-    parts, part, size = [], [], 0
+    parts, size = [[]], 0
     for tree in trees:
         if size + tree[3] > _MAX_NODES:
-            parts.append(part)
-            part, size = [], 0
-        part.append(tree)
+            parts.append([])
+            size = 0
+        parts[-1].append(tree)
         size += tree[3]
-    parts += [part] if part else []
     funcs = []
-    for part in parts:
+    for part in filter(None, parts):
         lo = min([tree[4] for tree in part])
         span = max([tree[0] for tree in part]) + 1 - lo
         shape = (tuple([(i - lo, node) for i, node, *_ in part]), span)
