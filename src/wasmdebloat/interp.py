@@ -780,7 +780,7 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
     """Compile one body in a single pass over its instructions.
 
     A branch, ``if``, call or else-jump ends the run as its exit, and so
-    does ``call_indirect`` after its statement; ``loop`` and ``END`` end it
+    does ``call_indirect`` after its node; ``loop`` and ``END`` end it
     with a _BR to the next run, so every label starts a run. A header
     pushes a ``_Control``; ``END`` pops it and places its label (a loop's
     is at its start) and an ``if``'s else label. A target ``(label, keep,
@@ -1020,7 +1020,7 @@ class Instance:
         """Run a function, and every wasm call it makes, in one loop; an
         import is the host's call.
 
-        A run's statements compute and trap; its exit moves control, within
+        A run's function computes and traps; its exit moves control, within
         the frame (_BR, _BR_TABLE) or between frames (_CALL, _END). All
         frames share one operand stack. A call moves its arguments into
         the callee's locals and suspends the caller on ``frames``; the
@@ -1055,7 +1055,7 @@ class Instance:
                 k = exit_[0]
                 if k == _CALL:
                     _, callee, argc = exit_
-                    if callee is None:  # a call_indirect's, which its statement pushed
+                    if callee is None:  # a call_indirect's, which its run pushed
                         callee = pop()
                     if len(frames) >= max_suspended:
                         raise TrapError(TRAP_STACK_EXHAUSTED)

@@ -1293,7 +1293,7 @@ def test_an_operand_tree_50000_deep_runs_and_debloats(alternate, fresh_shapes):
 
 def test_a_function_computes_at_most_128_nodes_and_2048_shapes_are_held(fresh_shapes, monkeypatch):
     assert (interp._MAX_NODES, interp._MAX_SHAPES) == (128, 2_048)
-    set_pairs = lambda k: (ins("local.get", 0), ins("local.set", 1)) * k
+    copy = (ins("local.get", 0), ins("local.set", 1))
     # a tree of 255 nodes, seven levels of adds over 128 constants
     tree = (ins("i32.const", 1),)
     for _ in range(7):
@@ -1301,8 +1301,8 @@ def test_a_function_computes_at_most_128_nodes_and_2048_shapes_are_held(fresh_sh
     m = Module(
         types=(FuncType(("i32",), ("i32",)),),
         functions=(
-            Function(0, ("i32",), (*set_pairs(63), ins("local.get", 1))),
-            Function(0, ("i32",), (*set_pairs(64), ins("local.get", 1))),
+            Function(0, ("i32",), (*copy * 63, ins("local.get", 1))),
+            Function(0, ("i32",), (*copy * 64, ins("local.get", 1))),
             Function(0, (), (*tree, ins("local.get", 0), ins("i32.add"))),
         ),
         exports=tuple(Export(name, "func", i) for i, name in enumerate(("a", "b", "tree"))),
@@ -1315,14 +1315,14 @@ def test_a_function_computes_at_most_128_nodes_and_2048_shapes_are_held(fresh_sh
     (_, run, _, _), _ = interp._compile(inst, m.functions[1])
     assert [[nodes_in(node) for _, node in shape_of(part)[0]] for part in run.args[0]] == [[2] * 64, [1]]
     # the tree puts its two halves of 127 nodes on the stack
-    (_, run, _, body), _ = interp._compile(inst, m.functions[2])
+    (_, run, _, _), _ = interp._compile(inst, m.functions[2])
     assert list(map(nodes_in, top_level_nodes(run))) == [127, 127, 3]
     assert [run1(m, name, Value.i32(7)) for name in ("a", "b", "tree")] == [Results((Value.i32(x),)) for x in (7, 7, 135)]
 
     # a full table starts over: with room for two shapes, an instance of
-    # "tree" makes three, the two of its parts (127 nodes twice, then 3)
-    # and the empty run's a return goes to, which finds the table full
-    # and leaves it holding its own; so the next instance makes all three
+    # "tree" makes three, those of its two parts (127 nodes twice, then 3)
+    # and that of the empty run a return goes to, which finds the table
+    # full and leaves it holding its own; so the next one makes all three
     sources = []
 
     def recording_exec(source, scope):
