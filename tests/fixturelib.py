@@ -505,6 +505,55 @@ def deep_recursion_module():
     )
 
 
+# the lengths of straight_line_module's lines: around one cut into runs of
+# 256 instructions, and past two
+STRAIGHT_LINES = (255, 256, 257, 515)
+
+
+def straight_line_module(n):
+    """f(a) -> i32, a body of ``n`` instructions with no branch, and what
+    it does, as (place, action) in the order of the places: ("store",
+    address, i32), ("global", index, value), or ("load",), which traps
+    for an ``a`` past the memory's one page.
+
+    It stores 11 at 0 and sets global 0 (initially 1) to itself plus 5.
+    A line of more than 512 instructions then stores 100 + 3 at 16, with
+    the address and the 100 before place 256 and the 3 and the add after
+    it; sets global 1 to the i32 at ``a``; and adds 7 to global 0. Nops
+    fill the places up to the last four, which return global 0 plus the
+    i32 at ``a``: in a line of 515, global 0 is read before place 512 and
+    ``a`` at it."""
+    body, actions = [], []
+
+    def put(place, *instrs):
+        body.extend([ins("nop")] * (place - len(body)))
+        body.extend(instrs)
+
+    put(0, ins("i32.const", 0), ins("i32.const", 11), ins("i32.store", 2, 0))
+    actions.append((2, ("store", 0, 11)))
+    put(3, ins("global.get", 0), ins("i32.const", 5), ins("i32.add"), ins("global.set", 0))
+    actions.append((6, ("global", 0, 6)))
+    if n > 512:
+        put(254, ins("i32.const", 16), ins("i32.const", 100))
+        put(256, ins("i32.const", 3), ins("i32.add"), ins("i32.store", 2, 0))
+        actions.append((258, ("store", 16, 103)))
+        put(300, ins("local.get", 0), ins("i32.load", 2, 0), ins("global.set", 1))
+        actions += [(301, ("load",)), (302, ("global", 1, 11))]
+        put(400, ins("global.get", 0), ins("i32.const", 7), ins("i32.add"), ins("global.set", 0))
+        actions.append((403, ("global", 0, 13)))
+    put(n - 4, ins("global.get", 0), ins("local.get", 0), ins("i32.load", 2, 0), ins("i32.add"))
+    actions.append((n - 2, ("load",)))
+    assert len(body) == n
+    m = Module(
+        types=(FuncType((I32,), (I32,)),),
+        functions=(Function(0, (), tuple(body)),),
+        memories=(Limits(1),),
+        globals=tuple(Global(GlobalType(I32, True), (ins("i32.const", v),)) for v in (1, 0)),
+        exports=(Export("f", "func", 0),),
+    )
+    return m, actions
+
+
 def _leb(n):
     out = bytearray()
     while True:

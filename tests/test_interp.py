@@ -1254,6 +1254,36 @@ def test_fuel_is_exact_where_a_load_traps_under_an_add_and_a_div_traps_last(a, d
             assert (out, inst.fuel, mem) == (Trap("fuel-exhausted", 0), 0, stored)
 
 
+@pytest.mark.parametrize("a", [0, 65533])
+@pytest.mark.parametrize("n", fx.STRAIGHT_LINES)
+def test_fuel_and_state_are_exact_across_the_cuts_of_a_long_straight_line(n, a):
+    m, actions = fx.straight_line_module(n)
+    assert validate_module(m).ok
+    trapping = a + 4 > 65536
+    used = next(p + 1 for p, (kind, *_) in actions if kind == "load") if trapping else n
+    for fuel in range(used + 2):
+        inst = instantiate(m)
+        out = invoke(inst, "f", (Value.i32(a),), fuel)
+        # the hand count: the instruction at place p runs when fuel >= p + 1
+        mem, globals_ = bytearray(65536), [1, 0]
+        for place, (kind, *x) in actions:
+            if fuel < place + 1:
+                expected = (Trap("fuel-exhausted", 0), 0)
+                break
+            if kind == "load" and trapping:
+                expected = (Trap("out-of-bounds-memory", 0), fuel - place - 1)
+                break
+            if kind == "store":
+                mem[x[0] : x[0] + 4] = x[1].to_bytes(4, "little")
+            elif kind == "global":
+                globals_[x[0]] = x[1]
+        else:
+            # the i32 at 0 is the 11 stored there first
+            ran = (Results((Value.i32(globals_[0] + 11),)), fuel - n)
+            expected = ran if fuel >= n else (Trap("fuel-exhausted", 0), 0)
+        assert (out, inst.fuel, inst.globals, inst.mem) == (*expected, globals_, mem)
+
+
 @pytest.fixture
 def fresh_shapes(monkeypatch):
     """An empty shape table, which the test's shapes do not outgrow."""

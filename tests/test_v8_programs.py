@@ -12,7 +12,9 @@ exports the memory as ``__mem`` to read it).
 
 The corpus is ``fixturelib.PAIRS`` and ``generate_pair`` seeds 0-499,
 with and without ``trap_free``, with and without ``control_flow``: the
-second mode reaches every branch exit of the interpreter.
+second mode reaches every branch exit of the interpreter. A second test
+runs ``fixturelib.straight_line_module``'s lines, which the interpreter
+cuts into runs, the same way.
 
 V8 has no fuel and another stack limit. An invocation that ends here
 with ``fuel-exhausted`` or ``stack-exhausted`` is excluded, and so is
@@ -232,15 +234,9 @@ class Tally:
             self.mismatches.append(f"{name}: final memory ours {ours_memory}, V8 {theirs_memory}")
 
 
-def test_whole_programs_original_and_debloated_agree_with_v8(tmp_path):
-    start = time.perf_counter()
-    runs, logs = [], []
-    for name, data, w in corpus():
-        out, _ = debloat_module(data, w)
-        for side, module_bytes in (("original", data), ("debloated", out)):
-            runs.append((f"{name} {side}", module_bytes, w))
-            logs.append(run_workload(decode(module_bytes), w)[0])
-    ours_s = time.perf_counter() - start
+def compare_with_v8(tmp_path, runs, logs):
+    """Run each (name, module bytes, workload) of ``runs`` under the
+    harness, and compare V8's runs with ours, ``logs``."""
     (tmp_path / "runs.json").write_text(json.dumps([for_v8(data, w) for _, data, w in runs]))
     (tmp_path / "harness.js").write_text(HARNESS)
     done = subprocess.run(
@@ -250,10 +246,22 @@ def test_whole_programs_original_and_debloated_agree_with_v8(tmp_path):
         timeout=600,
         check=True,
     )
-    theirs = json.loads(done.stdout)
     tally = Tally()
-    for (name, _, _), log, result in zip(runs, logs, theirs):
-        tally.run(name, log, result)
+    for (name, _, _), log, theirs in zip(runs, logs, json.loads(done.stdout)):
+        tally.run(name, log, theirs)
+    return tally
+
+
+def test_whole_programs_original_and_debloated_agree_with_v8(tmp_path):
+    start = time.perf_counter()
+    runs, logs = [], []
+    for name, data, w in corpus():
+        out, _ = debloat_module(data, w)
+        for side, module_bytes in (("original", data), ("debloated", out)):
+            runs.append((f"{name} {side}", module_bytes, w))
+            logs.append(run_workload(decode(module_bytes), w)[0])
+    ours_s = time.perf_counter() - start
+    tally = compare_with_v8(tmp_path, runs, logs)
     print(
         f"{len(runs)} runs, {tally.compared} invocations compared, {tally.excluded} excluded, "
         f"{tally.init_traps} instantiation traps, {tally.link_failures} link failures, "
@@ -272,3 +280,21 @@ def test_whole_programs_original_and_debloated_agree_with_v8(tmp_path):
         f"ours {0x7FF8000000000000}, V8 {0xFFF8000000000000}"
         for side in ("original", "debloated")
     ]
+
+
+def test_long_straight_lines_agree_with_v8(tmp_path):
+    # each line of fx.straight_line_module, original and debloated, with
+    # an address that loads and one that traps
+    w = fx.wl(fx.inv("f", fx.i32v(0)), fx.inv("f", fx.i32v(65533)))
+    runs, logs = [], []
+    for n in fx.STRAIGHT_LINES:
+        data = encode(fx.straight_line_module(n)[0])
+        out, _ = debloat_module(data, w)
+        for side, module_bytes in (("original", data), ("debloated", out)):
+            runs.append((f"line of {n} {side}", module_bytes, w))
+            logs.append(run_workload(decode(module_bytes), w)[0])
+    tally = compare_with_v8(tmp_path, runs, logs)
+    assert not tally.mismatches, tally.mismatches
+    counts = (len(runs), tally.compared, tally.excluded, tally.init_traps, tally.link_failures)
+    assert counts == (8, 16, 0, 0, 0)
+    assert not tally.nan_accepted
