@@ -12,30 +12,31 @@ run, keeping the values it carries and dropping those beneath them, all
 fixed at compile time (Titzer, "A fast in-place interpreter for
 WebAssembly", OOPSLA 2022); ``if`` and ``br_if`` are tables of one
 branch, and ``call_indirect`` is a node that checks its slot and leaves
-the callee for the call. In a run, each instruction is a node, whose
-operands are of one of four kinds: a local read, a constant, a child
-node, or a value taken off the operand stack, which only the lowest
-operands are (``_trees``). A producer folds into its consumer only if no
-instruction between them can trap or writes a local, a global or memory;
-otherwise, at the run's end and past _MAX_DEPTH levels, its tree becomes
-a top-level node that pushes its value. A run is one Python function of
-the frame's locals (closure generation: Feeley & Lapalme, "Using
-closures for code generation", Computer Languages 1987), with every
-node's template from one table, ``_OPERATORS``, inlined into it: a
-superinstruction of the whole run (Ertl & Gregg, PLDI 2003), so that
-``local.get 0; i32.const 5; i32.add`` reads ``push((L[x_0] + x_1) &
-0xffffffff)``. Its source is made on first use from the run's shape, its
-instructions' opcodes, which alone decide its trees; local indices,
-constants and immediates are its factory's arguments, so no value of a
-module reaches ``exec``. One loop (``Instance._execute``) calls a run's
-function and then takes its exit, with an explicit operand stack and
-call stack: a branch raises no exception and a wasm call adds no Python
-frame, so nesting depth and call depth cost no Python recursion. Fuel is
-one unit per executed instruction; ``else`` and ``end`` cost nothing.
-The loop charges a run once, as it fetches it, and fuel stays exact: a
-node that traps refunds the units of the run after its own, and fuel
-that does not cover a run runs the instructions it pays for, one by one,
-then traps.
+the callee for the call. A straight line of more than _MAX_NODES
+instructions is cut into runs, each a branch to the next. In a run, each
+instruction is a node, whose operands are of one of four kinds: a local
+read, a constant, a child node, or a value taken off the operand stack,
+which only the lowest operands are (``_trees``). A producer folds into
+its consumer only if no instruction between them can trap or writes a
+local, a global or memory; otherwise, at the run's end and past
+_MAX_DEPTH levels, its tree becomes a top-level node that pushes its
+value. A run is one Python function of the frame's locals (closure
+generation: Feeley & Lapalme, "Using closures for code generation",
+Computer Languages 1987), with every node's template from one table,
+``_OPERATORS``, inlined into it: a superinstruction of the whole run
+(Ertl & Gregg, PLDI 2003), so that ``local.get 0; i32.const 5; i32.add``
+reads ``push((L[x_0] + x_1) & 0xffffffff)``. Its source is made on first
+use from the run's shape, its instructions' opcodes, which alone decide
+its trees; local indices, constants and immediates are its factory's
+arguments, so no value of a module reaches ``exec``. One loop
+(``Instance._execute``) calls a run's function and then takes its exit,
+with an explicit operand stack and call stack: a branch raises no
+exception and a wasm call adds no Python frame, so nesting depth and
+call depth cost no Python recursion. Fuel is one unit per executed
+instruction; ``else`` and ``end`` cost nothing. The loop charges a run
+once, as it fetches it, and fuel stays exact: a node that traps refunds
+the units of the run after its own, and fuel that does not cover a run
+runs the instructions it pays for, one by one, then traps.
 
 Numbers are carried as raw bit patterns (unsigned ints); types are
 static and were established by validation. Each numeric operator is
@@ -60,7 +61,6 @@ import math
 import re
 import struct
 from collections import namedtuple
-from functools import partial
 from keyword import iskeyword
 from typing import NamedTuple
 
@@ -566,20 +566,20 @@ observed, sigs = inst.table_observed, inst._func_sigs""",
 # compiled form
 #
 # A body compiles to runs (units, run, exit, body), entered only at their
-# start: ``body`` is the instructions before the exit, a fuel unit each,
-# and ``run`` the function of the frame's locals that computes the run's
-# top-level nodes in turn, pushing the value of each that pushes. The
-# exits: (_BR, run, keep, drop), (_BR_TABLE, targets, default) of (run,
-# keep, drop) targets, indexed by the popped value, (_CALL, callee, argc),
-# whose callee None is on the stack, and (_END,).
+# start: ``body`` is the instructions before the exit, at most _MAX_NODES
+# of them, a fuel unit each, and ``run`` the function of the frame's
+# locals that computes the run's top-level nodes in turn, pushing the
+# value of each that pushes. The exits: (_BR, run, keep, drop),
+# (_BR_TABLE, targets, default) of (run, keep, drop) targets, indexed by
+# the popped value, (_CALL, callee, argc), whose callee None is on the
+# stack, and (_END,).
 
 _BR, _BR_TABLE, _CALL, _END = range(4)
 
 _MAX_DEPTH = 32  # the deepest operand tree that one node computes
-# the most nodes one function computes: a run of more instructions is a
-# chain of functions over its top-level nodes, and a larger tree puts its
-# operands on the stack
-_MAX_NODES = 128
+# the most instructions a run holds, and so the most nodes one function
+# computes: a longer straight line is cut into runs that fall through
+_MAX_NODES = 256
 _MAX_SHAPES = 2048  # the most shapes _SHAPES holds; a full table starts over
 
 # wasm frames the call stack may hold besides the running one
@@ -595,14 +595,13 @@ _HEIGHTS.update(dict.fromkeys((op.LOCAL_GET, *_CONST_MASKS), 1))
 def _trees(codes: tuple) -> list[tuple]:
     """The top-level nodes of a run of instructions with opcodes
     ``codes``, folded as the module docstring says, as (place, node,
-    depth, nodes, first): the node's instruction's place in the run, the
-    node, the depth and the nodes of its tree, and the place of its first
-    instruction. A node is (opcode, *operands), an operand either ``s``, a
-    value off the operand stack, or (how many places its instruction is
-    before its consumer's, node). The operands of an instruction that can
-    trap or writes are all that stays pending beneath it, and a tree
-    deeper than _MAX_DEPTH or of more than _MAX_NODES nodes puts its
-    operands on the stack."""
+    depth): the node's instruction's place in the run, the node and the
+    depth of its tree. A node is (opcode, *operands), an operand either
+    ``s``, a value off the operand stack, or (how many places its
+    instruction is before its consumer's, node). The operands of an
+    instruction that can trap or writes are all that stays pending
+    beneath it, and a tree deeper than _MAX_DEPTH puts its operands on
+    the stack."""
     trees: list[tuple] = []
     pend: list[tuple] = []  # the operands not computed yet, as trees are
 
@@ -612,7 +611,7 @@ def _trees(codes: tuple) -> list[tuple]:
 
     for i, opcode in enumerate(codes):
         if opcode == op.LOCAL_GET or opcode in _CONST_MASKS:
-            pend.append((i, (opcode,), 1, 1, i))
+            pend.append((i, (opcode,), 1))
             continue
         t = _OPERATORS.get(opcode)
         if t is None:  # nop, block or loop
@@ -621,26 +620,23 @@ def _trees(codes: tuple) -> list[tuple]:
         n = min(k, len(pend))
         if t.effect and len(pend) > n:
             flush(len(pend) - n)
-        node, depth, size, first = (opcode, *"s" * k), 1, 1, i
+        node, depth = (opcode, *"s" * k), 1
         if n:
-            places, nodes, depths, sizes, firsts = zip(*pend[-n:])
-            depth, size = max(depths) + 1, sum(sizes) + 1
-            if depth > _MAX_DEPTH or size > _MAX_NODES:
+            places, nodes, depths = zip(*pend[-n:])
+            depth = max(depths) + 1
+            if depth > _MAX_DEPTH:
                 flush()
-                depth = size = 1
+                depth = 1
             else:
                 del pend[-n:]
                 node = (opcode, *"s" * (k - n), *zip(map(i.__sub__, places), nodes))
-                first = firsts[0]
-        (pend if t.pushes else trees).append((i, node, depth, size, first))
+        (pend if t.pushes else trees).append((i, node, depth))
     flush()
     return trees
 
 
 # shape -> the factory of its functions, filled on first use. A run's
-# shape is its instructions' opcodes; that of a part of a chain is (its
-# top-level nodes as (place, node), the instructions it spans), places
-# counted from the first it spans
+# shape is its instructions' opcodes
 _SHAPES: dict[tuple, object] = {}
 
 # a name in a template, which is its node's own unless it is the module's,
@@ -651,18 +647,17 @@ _IDENTIFIER = re.compile(r"(?<![\w.{])[A-Za-z_]\w*")
 _SCOPE = dict(globals())
 
 
-def _factory(shape: tuple, trees: list[tuple], span: int):
-    """The factory of the functions of ``shape``, a run or a chain's part
-    of ``span`` instructions whose top-level nodes are ``trees``, each
-    (place, node): its arguments are those instructions ``B``, the place
-    ``base`` of the first in its run and the instance. Each node's
-    template is inlined, its own names suffixed with its place and its
-    operands computed in place; the children of a node that pops are
-    computed first, into temporaries, so that the pops come in order. A
-    template's integers are written as literals; local indices, constants
-    and immediates come from ``B``, so no value of a module reaches
-    ``exec``."""
-    unpack, setup = ["_"] * span, []
+def _factory(shape: tuple):
+    """The factory of the functions of the runs of ``shape``, folded into
+    its top-level nodes by ``_trees``: its arguments are a run's
+    instructions ``B``, the place ``base`` of the first in its run and
+    the instance. Each node's template is inlined, its own names suffixed
+    with its place and its operands computed in place; the children of a
+    node that pops are computed first, into temporaries, so that the pops
+    come in order. A template's integers are written as literals; local
+    indices, constants and immediates come from ``B``, so no value of a
+    module reaches ``exec``."""
+    unpack, setup = ["_"] * len(shape), []
 
     def node(i: int, tree: tuple) -> tuple[list[str], str | None]:
         """The lines that compute the node at place ``i`` and the
@@ -711,12 +706,12 @@ def _factory(shape: tuple, trees: list[tuple], span: int):
         return lines + body, value
 
     body = []
-    for i, tree in trees:
+    for i, tree, _ in _trees(shape):
         lines, value = node(i, tree)
         body += lines if value is None else [*lines, f"push({value})"]
     source = "\n    ".join([
         "def factory(B, base, inst):",
-        f"{', '.join(unpack)}, = B" if span else "",
+        f"{', '.join(unpack)}, = B" if shape else "",
         *"\n".join(setup).split("\n"),
         "pop, push = inst._stack.pop, inst._stack.append",
         "def run(L):",
@@ -735,39 +730,8 @@ def _function(inst: Instance, body: tuple, base: int = 0):
     """The function of a run of instructions ``body``, the first at place
     ``base`` of the run it is in."""
     shape = tuple([code for code, _ in body])
-    factory = _SHAPES.get(shape)
-    if factory is None:
-        trees = _trees(shape)
-        if len(body) > _MAX_NODES:
-            return _chain(inst, body, trees)
-        factory = _factory(shape, [tree[:2] for tree in trees], len(body))
+    factory = _SHAPES.get(shape) or _factory(shape)
     return factory(body, base, inst)
-
-
-def _chain(inst: Instance, body: tuple, trees: list[tuple]):
-    """The function of a run of more than _MAX_NODES instructions: its
-    top-level nodes in parts of at most _MAX_NODES nodes, one function
-    each, called in turn."""
-    parts, size = [[]], 0
-    for tree in trees:
-        if size + tree[3] > _MAX_NODES:
-            parts.append([])
-            size = 0
-        parts[-1].append(tree)
-        size += tree[3]
-    funcs = []
-    for part in filter(None, parts):
-        lo = min([tree[4] for tree in part])
-        span = max([tree[0] for tree in part]) + 1 - lo
-        shape = (tuple([(i - lo, node) for i, node, *_ in part]), span)
-        factory = _SHAPES.get(shape) or _factory(shape, shape[0], span)
-        funcs.append(factory(body[lo : lo + span], lo, inst))
-    return partial(_run_parts, tuple(funcs))
-
-
-def _run_parts(parts: tuple, L: list[int]) -> None:
-    for part in parts:
-        part(L)
 
 
 # a body, block, loop or if the compiler is inside: the label a branch to
@@ -781,7 +745,8 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
 
     A branch, ``if``, call or else-jump ends the run as its exit, and so
     does ``call_indirect`` after its node; ``loop`` and ``END`` end it
-    with a _BR to the next run, so every label starts a run. A header
+    with a _BR to the next run, so every label starts a run, and a run
+    that reaches _MAX_NODES instructions ends the same way. A header
     pushes a ``_Control``; ``END`` pops it and places its label (a loop's
     is at its start) and an ``if``'s else label. A target ``(label, keep,
     drop)`` keeps the top ``keep`` values and drops the ``drop`` beneath
@@ -841,6 +806,8 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
                 callee = m.types[args[0]]
                 h += len(callee.results) - len(callee.params) - 1
                 close((_CALL, None, len(callee.params)), 0)
+            if len(body) == _MAX_NODES:
+                close((_BR, *onward()), 0)
         elif opcode == op.CALL:
             callee = m.func_type_of(args[0])
             h += len(callee.results) - len(callee.params)
@@ -889,7 +856,8 @@ def _paid_part(inst: Instance, body: tuple, paid: int):
     parts = [_function(inst, body[i : i + 1], i) for i in range(paid)]
 
     def out_of_fuel(L):
-        _run_parts(parts, L)
+        for part in parts:
+            part(L)
         raise _trap(TRAP_FUEL_EXHAUSTED, paid)
 
     return out_of_fuel
@@ -1090,7 +1058,7 @@ class Instance:
                         top = len(stack) - keep
                         del stack[top - drop : top]
         except TrapError as t:
-            # a closure's trap refunds the units of its run after it
+            # a trap at unit ``pos`` of its run refunds the units after it
             fuel += units - getattr(t, "pos", units)
             if t.function_index is None:
                 t.function_index = funcidx

@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -1306,14 +1305,12 @@ def test_an_operand_tree_50000_deep_runs_and_debloats(alternate, fresh_shapes):
     )
     # the all-constants body compiles to the 49,969 operands pending when
     # its tree first outgrows _MAX_DEPTH, then one top-level node per 32
-    # adds and the result; the alternating one to two per 32 adds. The run
-    # is a chain of functions of at most _MAX_NODES instructions each
+    # adds and the result; the alternating one to two per 32 adds. The
+    # straight line is cut into runs of at most _MAX_NODES instructions
     runs = interp._compile(instantiate(m), m.functions[0])
     assert sum(len(top_level_nodes(run)) for _, run, _, _ in runs) == (3_125 if alternate else 51_531)
-    (_, run, _, body), *_ = runs
-    assert len(body) == 2 * n - 1
-    nodes = [sum(nodes_in(node) for _, node in shape_of(part)[0]) for part in run.args[0]]
-    assert max(nodes) <= interp._MAX_NODES and sum(nodes) == len(body)
+    sizes = [len(body) for _, _, _, body in runs]
+    assert max(sizes) == interp._MAX_NODES and sum(sizes) == 2 * n - 1
     w = wl(inv("f"))
     out, report = debloat_module(encode(m), w)
     assert report.validation.behavioral_ok
@@ -1321,8 +1318,8 @@ def test_an_operand_tree_50000_deep_runs_and_debloats(alternate, fresh_shapes):
     assert log.records[0].outcome == Results((Value.i32(n),))
 
 
-def test_a_function_computes_at_most_128_nodes_and_2048_shapes_are_held(fresh_shapes, monkeypatch):
-    assert (interp._MAX_NODES, interp._MAX_SHAPES) == (128, 2_048)
+def test_a_run_holds_at_most_256_instructions_and_2048_shapes_are_held(fresh_shapes, monkeypatch):
+    assert (interp._MAX_NODES, interp._MAX_SHAPES) == (256, 2_048)
     copy = (ins("local.get", 0), ins("local.set", 1))
     # a tree of 255 nodes, seven levels of adds over 128 constants
     tree = (ins("i32.const", 1),)
@@ -1331,28 +1328,38 @@ def test_a_function_computes_at_most_128_nodes_and_2048_shapes_are_held(fresh_sh
     m = Module(
         types=(FuncType(("i32",), ("i32",)),),
         functions=(
-            Function(0, ("i32",), (*copy * 63, ins("local.get", 1))),
-            Function(0, ("i32",), (*copy * 64, ins("local.get", 1))),
+            Function(0, ("i32",), (*copy * 127, ins("local.get", 1))),
+            Function(0, ("i32",), (*copy * 128, ins("local.get", 1))),
             Function(0, (), (*tree, ins("local.get", 0), ins("i32.add"))),
         ),
         exports=tuple(Export(name, "func", i) for i, name in enumerate(("a", "b", "tree"))),
     )
     assert validate_module(m).ok
     inst = instantiate(m)
-    # 127 instructions are one function, 129 a chain of 128 and 1
-    (_, run, _, _), _ = interp._compile(inst, m.functions[0])
-    assert len(top_level_nodes(run)) == 64 and not isinstance(run, partial)
-    (_, run, _, _), _ = interp._compile(inst, m.functions[1])
-    assert [[nodes_in(node) for _, node in shape_of(part)[0]] for part in run.args[0]] == [[2] * 64, [1]]
-    # the tree puts its two halves of 127 nodes on the stack
-    (_, run, _, _), _ = interp._compile(inst, m.functions[2])
-    assert list(map(nodes_in, top_level_nodes(run))) == [127, 127, 3]
+
+    def runs(i):
+        """Function i's runs as (instructions, top-level node sizes, exit kind)."""
+        return [
+            (len(body), list(map(nodes_in, top_level_nodes(run))), exit_[0])
+            for _, run, exit_, body in interp._compile(inst, m.functions[i])
+        ]
+
+    # 255 instructions are one run, 257 runs of 256 and 1 joined by a branch
+    assert runs(0) == [(255, [2] * 127 + [1], interp._END), (0, [], interp._END)]
+    assert runs(1) == [
+        (256, [2] * 128, interp._BR),
+        (1, [1], interp._END),
+        (0, [], interp._END),
+    ]
+    # the tree of 255 nodes is one node, and the add past the cut takes it
+    # and the local read off the stack
+    assert runs(2) == [(256, [255, 1], interp._BR), (1, [1], interp._END), (0, [], interp._END)]
     assert [run1(m, name, Value.i32(7)) for name in ("a", "b", "tree")] == [Results((Value.i32(x),)) for x in (7, 7, 135)]
 
     # a full table starts over: with room for two shapes, an instance of
-    # "tree" makes three, those of its two parts (127 nodes twice, then 3)
-    # and that of the empty run a return goes to, which finds the table
-    # full and leaves it holding its own; so the next one makes all three
+    # "tree" makes three, those of its two runs and that of the empty run
+    # a return goes to, which finds the table full and leaves it holding
+    # its own; so the next one makes all three
     sources = []
 
     def recording_exec(source, scope):
@@ -1396,18 +1403,15 @@ def test_a_label_before_a_binop_keeps_both_arms_right(c, result):
 
 
 def shape_of(run):
-    """The shape that a run's function, or a chain's part, was made for."""
+    """The shape that a run's function was made for."""
     code = run.__code__
     (shape,) = [s for s, factory in interp._SHAPES.items() if any(c is code for c in factory.__code__.co_consts)]
     return shape
 
 
 def top_level_nodes(run):
-    """The top-level nodes a run's function computes, read from its shape:
-    a chain's parts' in turn."""
-    if isinstance(run, partial):
-        return [node for part in run.args[0] for _, node in shape_of(part)[0]]
-    return [node for _, node, *_ in interp._trees(shape_of(run))]
+    """The top-level nodes a run's function computes, read from its shape."""
+    return [node for _, node, _ in interp._trees(shape_of(run))]
 
 
 def nodes_in(node):
