@@ -1346,11 +1346,7 @@ def test_a_run_holds_at_most_256_instructions_and_2048_shapes_are_held(fresh_sha
 
     # 255 instructions are one run, 257 runs of 256 and 1 joined by a branch
     assert runs(0) == [(255, [2] * 127 + [1], interp._END), (0, [], interp._END)]
-    assert runs(1) == [
-        (256, [2] * 128, interp._BR),
-        (1, [1], interp._END),
-        (0, [], interp._END),
-    ]
+    assert runs(1) == [(256, [2] * 128, interp._BR), (1, [1], interp._END), (0, [], interp._END)]
     # the tree of 255 nodes is one node, and the add past the cut takes it
     # and the local read off the stack
     assert runs(2) == [(256, [255, 1], interp._BR), (1, [1], interp._END), (0, [], interp._END)]
