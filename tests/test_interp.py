@@ -814,6 +814,36 @@ def test_run_workload_records_all_invocations():
     assert trace.table_observed == frozenset()
 
 
+def test_run_workload_makes_each_invocation_through_one_call_of_invoke(monkeypatch):
+    # perfbench counts invocations, instructions and host calls from spans
+    # around interp.invoke, so each invocation must be one call of it, with
+    # every host call the invocation makes inside that call
+    calls = []
+    real = interp.invoke
+
+    def counting(inst, *args, **kwargs):
+        mark = len(inst.host_log)
+        try:
+            return real(inst, *args, **kwargs)
+        finally:
+            calls.append(len(inst.host_log) - mark)
+
+    monkeypatch.setattr(interp, "invoke", counting)
+    cases = invocations = host_calls = 0
+    for name, m, w in fx.PAIRS:
+        calls.clear()
+        log, _ = run_workload(m, w)
+        if log.instantiation_error is not None:
+            assert calls == [], name
+            continue
+        assert calls == [len(r.host_calls) for r in log.records], name
+        assert len(calls) == len(w.invocations), name
+        cases += 1
+        invocations += len(calls)
+        host_calls += sum(calls)
+    assert (cases, invocations, host_calls) == (30, 64, 4)
+
+
 def test_trace_records_direct_calls():
     _, trace = run_workload(fx.main_helper_module(), wl(inv("main")))
     assert trace.entered == frozenset({0, 1})
