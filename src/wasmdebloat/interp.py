@@ -597,11 +597,10 @@ def _trees(codes: tuple) -> list[tuple]:
     ``codes``, folded as the module docstring says, as (place, node,
     depth): the node's instruction's place in the run, the node and the
     depth of its tree. A node is (opcode, *operands), an operand either
-    ``s``, a value off the operand stack, or (how many places its
-    instruction is before its consumer's, node). The operands of an
-    instruction that can trap or writes are all that stays pending
-    beneath it, and a tree deeper than _MAX_DEPTH puts its operands on
-    the stack."""
+    ``s``, a value off the operand stack, or (place, node) of a child.
+    The operands of an instruction that can trap or writes are all that
+    stays pending beneath it, and a tree deeper than _MAX_DEPTH puts its
+    operands on the stack."""
     trees: list[tuple] = []
     pend: list[tuple] = []  # the operands not computed yet, as trees are
 
@@ -629,7 +628,7 @@ def _trees(codes: tuple) -> list[tuple]:
                 depth = 1
             else:
                 del pend[-n:]
-                node = (opcode, *"s" * (k - n), *zip(map(i.__sub__, places), nodes))
+                node = (opcode, *"s" * (k - n), *zip(places, nodes))
         (pend if t.pushes else trees).append((i, node, depth))
     flush()
     return trees
@@ -676,7 +675,7 @@ def _factory(shape: tuple):
             if kind == "s":
                 operands[x] = "pop()" if j == taken - 1 else f"pop({j - taken})"
                 continue
-            child_lines, value = node(i - kind[0], kind[1])
+            child_lines, value = node(*kind)
             lines += child_lines
             if taken:
                 lines.append(f"{x}_{i} = {value}")
@@ -953,18 +952,6 @@ class Instance:
 
     # -- invocation
 
-    def invoke(self, export_name: str, args: tuple[Value, ...], fuel: int) -> Results:
-        exp = self._exports.get(export_name)
-        if exp is None:
-            raise UnknownExport(export_name)
-        funcidx, ft = exp
-        got = tuple([v.type for v in args])
-        if got != ft.params:
-            raise SignatureMismatch(str(ft), f"({', '.join(got)})")
-        self.fuel = fuel
-        raw = self._execute(funcidx, [v.bits for v in args])
-        return Results(tuple(map(Value, ft.results, raw)))
-
     def _call_host(self, funcidx: int, raw_args: list[int]) -> list[int]:
         name, hf = self._host_funcs[funcidx]
         args = tuple(map(Value, hf.type.params, raw_args))
@@ -1084,10 +1071,19 @@ def instantiate(m: Module, host: dict | None = None, fuel: int = DEFAULT_FUEL) -
 def invoke(
     inst: Instance, export_name: str, args: tuple[Value, ...] = (), fuel: int = DEFAULT_FUEL
 ) -> Results | Trap:
+    exp = inst._exports.get(export_name)
+    if exp is None:
+        raise UnknownExport(export_name)
+    funcidx, ft = exp
+    got = tuple([v.type for v in args])
+    if got != ft.params:
+        raise SignatureMismatch(str(ft), f"({', '.join(got)})")
+    inst.fuel = fuel
     try:
-        return inst.invoke(export_name, args, fuel)
+        raw = inst._execute(funcidx, [v.bits for v in args])
     except TrapError as t:
         return Trap(t.kind, t.function_index)
+    return Results(tuple(map(Value, ft.results, raw)))
 
 
 def run_workload(m: Module, w: Workload) -> tuple[ObservationLog, ExecutionTrace]:

@@ -105,9 +105,7 @@ def _render_outcome(outcome) -> str:
         return "Results[" + ", ".join(str(v) for v in outcome.values) + "]"
     if isinstance(outcome, Trap):
         return f"Trap({outcome.kind})"
-    if isinstance(outcome, LinkFailure):
-        return f"LinkError({outcome.message})"
-    return repr(outcome)
+    return f"LinkError({outcome.message})"  # a LinkFailure
 
 
 def _render_host_calls(calls) -> str:
