@@ -14,7 +14,8 @@ The corpus is ``fixturelib.PAIRS`` and ``generate_pair`` seeds 0-499,
 with and without ``trap_free``, with and without ``control_flow``: the
 second mode reaches every branch exit of the interpreter. A second test
 runs ``fixturelib.straight_line_module``'s lines, which the interpreter
-cuts into runs, the same way.
+cuts into runs, the same way, and a third the real cjs-module-lexer of
+``test_real_binaries`` on its workload.
 
 V8 has no fuel and another stack limit. An invocation that ends here
 with ``fuel-exhausted`` or ``stack-exhausted`` is excluded, and so is
@@ -43,7 +44,9 @@ import pytest
 
 import fixturelib as fx
 import modulegen
+from test_real_binaries import LEXER_WORKLOAD, read
 from wasmdebloat import debloat_module, decode, encode
+from wasmdebloat.documents import workload_from_document
 from wasmdebloat.interp import LinkFailure, Results, run_workload
 from wasmdebloat.module import Export
 
@@ -297,4 +300,18 @@ def test_long_straight_lines_agree_with_v8(tmp_path):
     assert not tally.mismatches, tally.mismatches
     counts = (len(runs), tally.compared, tally.excluded, tally.init_traps, tally.link_failures)
     assert counts == (8, 16, 0, 0, 0)
+    assert not tally.nan_accepted
+
+
+def test_the_real_lexer_original_and_debloated_agree_with_v8(tmp_path):
+    data = read("cjs_lexer.wasm")
+    w = workload_from_document(LEXER_WORKLOAD.read_text("utf-8"))
+    out, report = debloat_module(data, w)
+    assert report.validation.behavioral_ok
+    runs = [("lexer original", data, w), ("lexer debloated", out, w)]
+    logs = [run_workload(decode(module_bytes), w)[0] for _, module_bytes, _ in runs]
+    tally = compare_with_v8(tmp_path, runs, logs)
+    assert not tally.mismatches, tally.mismatches
+    counts = (len(runs), tally.compared, tally.excluded, tally.init_traps, tally.link_failures)
+    assert counts == (2, 10, 0, 0, 0)
     assert not tally.nan_accepted

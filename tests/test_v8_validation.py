@@ -13,7 +13,9 @@ their originals, in one ``node`` process:
 
 It also asks V8 about the modules around its caps on a function's
 parameters plus locals, ``fixturelib.LOCALS_CAP_CASES``, and on a type's
-parameters and a ``br_table``'s targets, ``fixturelib.V8_CAP_CASES``.
+parameters and a ``br_table``'s targets, ``fixturelib.V8_CAP_CASES``,
+and about the real binaries of ``test_real_binaries``, outside the
+pinned counts.
 
 The test is skipped when ``node`` is not installed.
 """
@@ -26,6 +28,7 @@ import pytest
 
 import fixturelib as fx
 from test_mutation import decode_mutants, decode_originals
+from test_real_binaries import read
 from wasmdebloat import decode, validate_module
 from wasmdebloat.errors import MalformedBinary
 
@@ -103,3 +106,12 @@ def test_v8_and_we_agree_on_the_locals_cap(tmp_path):
         offset is None for _, _, offset, _ in fx.V8_CAP_CASES
     ]
     assert _v8_valid(tmp_path, inputs) == ours
+
+
+def test_v8_and_we_accept_the_real_1_0_binaries(tmp_path):
+    # V8 also accepts llhttp's SIMD build, which we refuse at its first
+    # 0xfd prefix, a post-1.0 encoding; so it stays out of the counts above
+    names = ["cjs_lexer.wasm", "llhttp.wasm", "llhttp_simd.wasm"]
+    inputs = [read(name) for name in names]
+    assert [_our_reasons(data) for data in inputs] == [[], [], ["unknown opcode 0xfd"]]
+    assert _v8_valid(tmp_path, inputs) == [True, True, True]
