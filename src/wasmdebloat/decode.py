@@ -5,7 +5,8 @@ bodies. Binary order puts every section a body's types depend on before
 the code section, so ``_functions`` checks each body as it reads it,
 with ``walk_expr``, the one loop over expression bytes. It records the
 type errors on the module (``Module.body_errors``) for validate, and
-builds the instructions only when ``Function.body`` is first read.
+builds the instructions only when ``Function.body`` is first read, in a
+second walk against the same context.
 
 LEB128 integers are accepted in non-minimal (padded) encodings as long as
 they fit the declared bit width and byte budget; the encoder always emits
@@ -268,7 +269,7 @@ _NO_CONTEXT = body_context(Module())  # for a walk of the structure only
 
 
 def read_expr(r: Reader) -> Expr:
-    """Read the instructions of an expression up to its final ``end``."""
+    """Read the instructions of a constant expression to its ``end``."""
     return walk_expr(r, _NO_CONTEXT, None, (), [], True)
 
 
@@ -583,13 +584,15 @@ def _functions(r: Reader, contents: dict[int, object], errs: list) -> tuple[Func
         if body.pos != body.end:
             raise MalformedBinary(body.pos, "function body size mismatch")
         errs += [(f"func[{before.num_funcs + i}]", msg) for msg in msgs]
-        read_body = partial(_expr, r.data, start, body.end)
+        read_body = partial(_expr, r.data, start, body.end, ctx, type_index, locals_)
         functions.append(Function.decoded(type_index, locals_, read_body))
     return tuple(functions)
 
 
-def _expr(data: bytes, start: int, end: int) -> Expr:
-    return read_expr(Reader(data, start, end))
+def _expr(data: bytes, start: int, end: int, ctx: tuple, type_index, locals_: tuple) -> Expr:
+    """A body's instructions, built by a walk that types them as the
+    check did, so that it formats no message for a valid body."""
+    return walk_expr(Reader(data, start, end), ctx, type_index, locals_, [], True)
 
 
 _SECTIONS = {

@@ -4,31 +4,31 @@ Executes a workload against one instance while recording which functions
 ran (the execution trace) and what the run observably did (the
 observation log).
 
-Each function body is compiled once per instance, on first entry, which
-also records it as entered, into straight-line runs (``_compile``). A
-run's nodes compute and trap; its exit only moves control, and is one of
-four: a branch, a branch table, a call or the end. A branch goes to a
-run, keeping the values it carries and dropping those beneath them, all
-fixed at compile time (Titzer, "A fast in-place interpreter for
-WebAssembly", OOPSLA 2022); ``if`` and ``br_if`` are tables of one
-branch, and ``call_indirect`` is a node that checks its slot and leaves
-the callee for the call. A straight line of more than _MAX_NODES
-instructions is cut into runs, each a branch to the next. In a run, each
-instruction is a node, whose operands are of one of four kinds: a local
-read, a constant, a child node, or a value taken off the operand stack,
-which only the lowest operands are (``_trees``). A producer folds into
-its consumer only if no instruction between them can trap or writes a
-local, a global or memory; otherwise, at the run's end and past
-_MAX_DEPTH levels, its tree becomes a top-level node that pushes its
-value. A run is one Python function of the frame's locals (closure
-generation: Feeley & Lapalme, "Using closures for code generation",
-Computer Languages 1987), with every node's template from one table,
-``_OPERATORS``, inlined into it: a superinstruction of the whole run
-(Ertl & Gregg, PLDI 2003), so that ``local.get 0; i32.const 5; i32.add``
-reads ``push((L[x_0] + x_1) & 0xffffffff)``. Its source is made on first
-use from the run's shape, its instructions' opcodes, which alone decide
-its trees; local indices, constants and immediates are its factory's
-arguments, so no value of a module reaches ``exec``. One loop
+Each function body is compiled once per instance, on first entry, so
+what an instance compiled is what it entered, into straight-line runs
+(``_compile``). A run's nodes compute and trap; its exit only moves
+control, and is one of four: a branch, a branch table, a call or the
+end. A branch goes to a run, keeping the values it carries and dropping
+those beneath them, all fixed at compile time (Titzer, "A fast in-place
+interpreter for WebAssembly", OOPSLA 2022); ``if`` and ``br_if`` are
+tables of one branch, and ``call_indirect`` is a node that checks its
+slot and leaves the callee for the call. A straight line of more than
+_MAX_NODES instructions is cut into runs, each a branch to the next. In
+a run, each instruction is a node, a local read and a constant too,
+which have no operands; an operand is a child node or a value taken off
+the operand stack, which only the lowest operands are (``_trees``). A
+producer folds into its consumer only if no instruction between them can
+trap or writes a local, a global or memory; otherwise, at the run's end
+and past _MAX_DEPTH levels, its tree becomes a top-level node that
+pushes its value. A run is one Python function of the frame's locals
+(closure generation: Feeley & Lapalme, "Using closures for code
+generation", Computer Languages 1987), with every node's template from
+one table, ``_OPERATORS``, inlined into it: a superinstruction of the
+whole run (Ertl & Gregg, PLDI 2003), so that ``local.get 0; i32.const 5;
+i32.add`` reads ``push((L[i__0] + c__1) & 0xffffffff)``. Its source is
+made on first use from the run's shape, its instructions' opcodes, which
+alone decide its trees; local indices, constants and immediates are its
+factory's arguments, so no value of a module reaches ``exec``. One loop
 (``Instance._execute``) calls a run's function and then takes its exit,
 with an explicit operand stack and call stack: a branch raises no
 exception and a wasm call adds no Python frame, so nesting depth and
@@ -61,6 +61,7 @@ import math
 import re
 import struct
 from collections import namedtuple
+from itertools import compress, count
 from keyword import iskeyword
 from typing import NamedTuple
 
@@ -442,8 +443,7 @@ class _Template(NamedTuple):
     setup: str = ""
 
 
-# opcode -> its template, for every instruction but local.get and the
-# constants, which are operands
+# opcode -> its template, for every instruction that is a node of a run
 _OPERATORS: dict[int, _Template] = {}
 
 
@@ -501,8 +501,6 @@ _STORE = """addr, value = {a} + offset_, {b}
 if addr + width > len(mem):
     raise _trap(TRAP_OOB_MEMORY, pos)
 access(mem, addr, value & mask)"""
-# constants, opcode -> mask
-_CONST_MASKS: dict[int, int] = {}
 for _code, _info in op.OPS.items():
     if _info.imm == "memarg":
         _fmt = ("bhiq" if _info.name.endswith("_s") else "BHIQ")[_info.width.bit_length() - 1]
@@ -514,8 +512,9 @@ for _code, _info in op.OPS.items():
             _body, _names = _STORE, dict(access=_s.pack_into, mask=(1 << 8 * _info.width) - 1)
         _names["width"] = _info.width
         _typed(_info.name, _body, _names, effect=True, setup="offset_, mem = args[1], inst.mem")
-    elif _info.imm in op.VAL_TYPES:
-        _CONST_MASKS[_code] = _M32 if _info.pushes[0] in (op.I32, op.F32) else _M64
+    elif _info.imm in op.VAL_TYPES:  # a constant, its bits as the type's
+        _mask = _M32 if _info.pushes[0] in (op.I32, op.F32) else _M64
+        _typed(_info.name, "c_", dict(mask=_mask), setup="c_, = args\nc_ &= mask")
 
 _typed("memory.size", "len(mem) // PAGE_SIZE", setup="mem = inst.mem")
 _typed(
@@ -536,6 +535,7 @@ cap = MAX_PAGES if limit is None else min(limit, MAX_PAGES)""",
 # the instructions without a signature in opcodes.OPS
 _GLOBAL_SETUP = "i_, globals_ = args[0], inst.globals"
 _OPERATORS.update({
+    op.LOCAL_GET: _Template("L[i_]", 0, True, False, setup="i_, = args"),
     op.LOCAL_SET: _Template("L[i_] = {a}", 1, False, True, setup="i_, = args"),
     op.LOCAL_TEE: _Template("L[i_] = v = {a}\nv", 1, True, True, setup="i_, = args"),
     op.GLOBAL_GET: _Template("globals_[i_]", 0, True, False, setup=_GLOBAL_SETUP),
@@ -589,7 +589,6 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 
 # opcode -> how an instruction in a run moves the stack height
 _HEIGHTS = {code: t.pushes - t.arity for code, t in _OPERATORS.items()}
-_HEIGHTS.update(dict.fromkeys((op.LOCAL_GET, *_CONST_MASKS), 1))
 
 
 def _trees(codes: tuple) -> list[tuple]:
@@ -597,7 +596,8 @@ def _trees(codes: tuple) -> list[tuple]:
     ``codes``, folded as the module docstring says, as (place, node,
     depth): the node's instruction's place in the run, the node and the
     depth of its tree. A node is (opcode, *operands), an operand either
-    ``s``, a value off the operand stack, or (place, node) of a child.
+    ``s``, a value off the operand stack, or (place, node) of a child; a
+    local read or a constant has none, and is a leaf.
     The operands of an instruction that can trap or writes are all that
     stays pending beneath it, and a tree deeper than _MAX_DEPTH puts its
     operands on the stack."""
@@ -609,9 +609,6 @@ def _trees(codes: tuple) -> list[tuple]:
         del pend[:upto]
 
     for i, opcode in enumerate(codes):
-        if opcode == op.LOCAL_GET or opcode in _CONST_MASKS:
-            pend.append((i, (opcode,), 1))
-            continue
         t = _OPERATORS.get(opcode)
         if t is None:  # nop, block or loop
             continue
@@ -650,24 +647,19 @@ def _factory(shape: tuple):
     """The factory of the functions of the runs of ``shape``, folded into
     its top-level nodes by ``_trees``: its arguments are a run's
     instructions ``B``, the place ``base`` of the first in its run and
-    the instance. Each node's template is inlined, its own names suffixed
-    with its place and its operands computed in place; the children of a
-    node that pops are computed first, into temporaries, so that the pops
-    come in order. A template's integers are written as literals; local
-    indices, constants and immediates come from ``B``, so no value of a
-    module reaches ``exec``."""
+    the instance. Each node's template is inlined, a leaf's as well as
+    an operator's, its own names suffixed with its place and its
+    operands computed in place; the children of a node that pops are
+    computed first, into temporaries, so that the pops come in order. A
+    template's integers are written as literals; local indices,
+    constants and immediates come from ``B``, so no value of a module
+    reaches ``exec``."""
     unpack, setup = ["_"] * len(shape), []
 
     def node(i: int, tree: tuple) -> tuple[list[str], str | None]:
         """The lines that compute the node at place ``i`` and the
         expression of its value."""
         opcode, *kinds = tree
-        if opcode not in _OPERATORS:  # a local read or a constant
-            unpack[i] = f"(_, (x_{i},))"
-            if opcode == op.LOCAL_GET:
-                return [], f"L[x_{i}]"
-            setup.append(f"x_{i} &= {_CONST_MASKS[opcode]:#x}")
-            return [], f"x_{i}"
         t = _OPERATORS[opcode]
         taken = kinds.count("s")
         lines, operands = [], {}
@@ -847,21 +839,6 @@ def _compile(inst: Instance, fn: Function) -> list[tuple]:
     return runs
 
 
-def _paid_part(inst: Instance, body: tuple, paid: int):
-    """The function of a run whose budget pays for its first ``paid``
-    instructions: those, a function each, then the fuel trap. A function
-    of one instruction has the shape of a run of it alone, so a partial
-    run makes no shape of its own."""
-    parts = [_function(inst, body[i : i + 1], i) for i in range(paid)]
-
-    def out_of_fuel(L):
-        for part in parts:
-            part(L)
-        raise _trap(TRAP_FUEL_EXHAUSTED, paid)
-
-    return out_of_fuel
-
-
 # ---------------------------------------------------------------------------
 # execution
 
@@ -878,7 +855,6 @@ class Instance:
         self.table: dict[int, int] = {}
         self.globals: list[int] = []
         self.host_log: list[HostCall] = []
-        self.entered: set[int] = set()
         self.call_targets: set[int] = set()
         self.table_observed: set[int] = set()
         self.fuel = 0
@@ -948,7 +924,7 @@ class Instance:
         # a t.const: a global.get may only read an imported global, and a
         # global import fails to link before any initializer runs
         instr = expr[0]
-        return instr.args[0] & _CONST_MASKS[instr.opcode]
+        return instr.args[0] & _OPERATORS[instr.opcode].names["mask"]
 
     # -- invocation
 
@@ -963,10 +939,10 @@ class Instance:
         return [v.bits for v in results]
 
     def _enter(self, funcidx: int) -> tuple[list[tuple], list[int]]:
-        """The first entry of a defined function: compile its body, and
-        record it as entered, so the trace needs no probe on later calls.
-        Returns its compiled code and zeroed locals."""
-        self.entered.add(funcidx)
+        """The first entry of a defined function, and the only one that
+        compiles its body, so what is compiled is what was entered, and
+        the trace needs no probe on later calls. Returns its compiled
+        code and zeroed locals."""
         fn = self.module.functions[funcidx - self._n_imports]
         compiled = self._compiled[funcidx] = (_compile(self, fn), [0] * len(fn.locals))
         return compiled
@@ -1002,9 +978,14 @@ class Instance:
                 units, run, exit_, body = code[pc]
                 pc += 1
                 fuel -= units
-                # a run that costs nothing runs even on a negative budget
+                # a run that costs nothing runs even on a negative budget;
+                # one that fuel does not cover runs the instructions it pays
+                # for one at a time, each the shape of a run of it alone
                 if fuel < 0 and units:
-                    run = _paid_part(self, body, max(fuel + units, 0))
+                    paid = max(fuel + units, 0)
+                    for i in range(paid):
+                        _function(self, body[i : i + 1], i)(locals_)
+                    raise _trap(TRAP_FUEL_EXHAUSTED, paid)
                 run(locals_)
                 # the exits in the order of how often they run
                 k = exit_[0]
@@ -1056,7 +1037,7 @@ class Instance:
 
     def trace(self) -> ExecutionTrace:
         return ExecutionTrace(
-            frozenset(self.entered),
+            frozenset(compress(count(), self._compiled)),
             frozenset(self.call_targets),
             frozenset(self.table_observed),
         )

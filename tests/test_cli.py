@@ -2,8 +2,11 @@
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +220,31 @@ def test_console_script_exits_with_the_code_of_main(tmp_path, capsys, monkeypatc
             entry()
         assert exc.value.code == expected
     assert json.loads(capsys.readouterr().out)["functionsDefined"] == 10
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    data = root / "tests" / "data"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "wasmdebloat.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    stats = cli("stats", "--module", str(data / "cjs_lexer.wasm"))
+    assert stats.returncode == EXIT_OK, stats.stderr
+    assert json.loads(stats.stdout)["functionsDefined"] == 50
+    out = tmp_path / "lexer.wasm"
+    debloat = cli(
+        "debloat", "--module", str(data / "cjs_lexer.wasm"),
+        "--workload", str(data / "cjs_lexer.workload.json"),
+        "--out", str(out), "--report", str(tmp_path / "report.json"), "--fail-on-behavior-change",
+    )
+    assert debloat.returncode == EXIT_OK, debloat.stderr
+    assert len(out.read_bytes()) == 12_004
+    assert cli("bogus").returncode == EXIT_USAGE
 
 
 def test_fail_on_behavior_change_clean_run(tmp_path, capsys):

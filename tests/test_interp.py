@@ -108,6 +108,13 @@ def test_void_result():
     assert run1(m, "nopf") == Results(())
 
 
+def test_a_value_reads_only_as_its_own_kind_of_number():
+    with pytest.raises(TypeError, match=r"signed\(\) on f32"):
+        Value("f32", 0).signed()
+    with pytest.raises(TypeError, match=r"to_float\(\) on i32"):
+        Value("i32", 0).to_float()
+
+
 def test_unknown_export_raises():
     with pytest.raises(UnknownExport):
         run1(fx.add_module(), "missing")
@@ -1796,6 +1803,7 @@ UNTYPED_ARITIES = {
     "local.tee": 1,
     "global.get": 0,
     "global.set": 1,
+    "local.get": 0,
 }
 
 
@@ -1853,6 +1861,7 @@ def test_operator_factories_are_made_on_first_use_from_the_kinds_alone(monkeypat
     # immediates and constants of its own: one shape, made once, per run
     # of distinct instructions
     immediates = {"index": (417,), "memarg": (2, 7919), "call_indirect": (586,)}
+    immediates |= dict.fromkeys(op.VAL_TYPES, (60013,))  # the constants' own
     for opcode in interp._OPERATORS:
         info = op.OPS[opcode]
         params = info.pops if info.pops is not None else ("i32",) * UNTYPED_ARITIES[info.name]
@@ -1866,5 +1875,5 @@ def test_operator_factories_are_made_on_first_use_from_the_kinds_alone(monkeypat
         for fn in funcs:
             made |= {tuple(code for code, _ in body) for _, _, _, body in interp._compile(inst, fn)}
     assert set(interp._SHAPES) == made
-    assert len(sources) == len(made) == 1_434
+    assert len(sources) == len(made) == 1_439
     assert not [s for s in sources if any(c in s for c in ("417", "7919", "586", "60013"))]
